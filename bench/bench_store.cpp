@@ -11,6 +11,9 @@
 //   compaction    a 45-segment synthetic store (one segment per simulated
 //                 day, 5 in fast mode) merged into one: wall time plus
 //                 index pages and single-BS scan pages before vs after
+//   compaction_48 an engine store committed hourly for two days (48
+//                 segments) merged into one: wall time and the peak growth
+//                 of the live heap while it runs
 //
 // The pruning claim of the index is asserted, not just reported: the
 // single-BS scan must read strictly fewer pages than the full replay, and
@@ -19,12 +22,20 @@
 // (fence + bloom) page count and must not make the pruned scan read more
 // pages. The report goes to BENCH_store.json (schema: {bench: "store",
 // fast, ingest: {...}, point_lookup: {...}, scan: {...}, replay: {...},
-// compaction: {...}}) for CI trend tracking.
+// compaction: {...}, compaction_48: {...}}) for CI trend tracking. Every
+// store lives in a private mkdtemp directory removed at exit.
 // MTD_BENCH_FAST shrinks the scenario for smoke runs. google-benchmark
 // timings of the point-lookup and bloom kernels follow.
+#include <malloc.h>
+#include <stdlib.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -49,7 +60,83 @@ struct CountingSink final : EventSink {
   void on_event(const StreamEvent&) override { ++events; }
 };
 
-const char* store_path() { return "/tmp/mtd_bench_trace.store"; }
+/// The private directory every store of this run lives in, created on
+/// first use and removed with everything in it at exit (std::exit too).
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "mtd_bench_store.XXXXXX")
+            .string();
+    if (mkdtemp(pattern.data()) == nullptr) {
+      std::cerr << "FATAL: cannot create a scratch directory from "
+                << pattern << "\n";
+      std::exit(1);
+    }
+    path_ = pattern;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] std::string file(const char* name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
+
+const ScratchDir& scratch_dir() {
+  static const ScratchDir dir;
+  return dir;
+}
+
+const std::string& store_path() {
+  static const std::string path = scratch_dir().file("trace.store");
+  return path;
+}
+
+/// Peak growth of the live heap (glibc mallinfo2: bytes in use in the
+/// arenas plus mmapped chunks) over its size at construction, polled on a
+/// background thread until stop().
+class HeapPeak {
+ public:
+  HeapPeak() : base_(live_bytes()), peak_(base_) {
+    thread_ = std::thread([this] {
+      while (!stop_.load(std::memory_order_relaxed)) {
+        peak_.store(std::max(peak_.load(), live_bytes()));
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  ~HeapPeak() { (void)stop_mb(); }
+  HeapPeak(const HeapPeak&) = delete;
+  HeapPeak& operator=(const HeapPeak&) = delete;
+
+  double stop_mb() {
+    if (thread_.joinable()) {
+      stop_.store(true);
+      thread_.join();
+      peak_.store(std::max(peak_.load(), live_bytes()));
+    }
+    return static_cast<double>(peak_.load() - base_) / (1024.0 * 1024.0);
+  }
+
+ private:
+  static std::size_t live_bytes() {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  }
+
+  std::size_t base_;
+  std::atomic<std::size_t> peak_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
 
 std::size_t bench_days() { return mtd::bench::fast_mode() ? 1 : 3; }
 
@@ -172,7 +259,10 @@ JsonObject run_replay(store::TraceStore& reader, std::uint64_t ingested,
 
 std::size_t compact_days() { return mtd::bench::fast_mode() ? 5 : 45; }
 
-const char* compact_store_path() { return "/tmp/mtd_bench_compact.store"; }
+const std::string& compact_store_path() {
+  static const std::string path = scratch_dir().file("compact.store");
+  return path;
+}
 
 std::uint64_t index_pages(const store::StoreManifest& manifest) {
   std::uint64_t pages = 0;
@@ -276,6 +366,49 @@ JsonObject run_compaction() {
   return row;
 }
 
+// --- Compaction of an hourly-committed engine store ----------------------
+//
+// The store runner commits at every engine checkpoint; with hourly
+// checkpoints two days leave 48 segments, the shape a periodic compaction
+// pass merges. The merge streams pages as it fills them, so its heap
+// growth is bounded by per-leaf index metadata, not by the event count.
+
+JsonObject run_compaction_48() {
+  const std::string path = scratch_dir().file("hourly.store");
+  TraceConfig trace = bench_trace();
+  trace.num_days = 2;
+  EngineConfig config;
+  config.kernel = GeneratorKernel::kBatch;
+  config.checkpoint_interval_minutes = 60;
+  {
+    store::TraceStoreWriter writer = store::TraceStoreWriter::create(path);
+    StreamEngine engine(mtd::bench::bench_network(), trace, config);
+    (void)run_engine_into_store(engine, writer);
+    writer.close();
+  }
+  store::TraceStoreWriter writer = store::TraceStoreWriter::append(path);
+  const std::uint64_t segments = writer.manifest().segments.size();
+  HeapPeak heap;
+  const auto t0 = Clock::now();
+  const store::CompactionReport report = writer.compact();
+  const double wall_s = seconds_since(t0);
+  const double heap_mb = heap.stop_mb();
+  writer.close();
+  if (segments != 48 || report.segments_after != 1) {
+    std::cerr << "FATAL: expected 48 hourly segments merged into one, got "
+              << segments << " -> " << report.segments_after << "\n";
+    std::exit(1);
+  }
+
+  JsonObject row;
+  row.emplace("segments_before", static_cast<double>(segments));
+  row.emplace("events", static_cast<double>(report.events));
+  row.emplace("pages_written", static_cast<double>(report.pages_written));
+  row.emplace("wall_s", wall_s);
+  row.emplace("heap_growth_mb", heap_mb);
+  return row;
+}
+
 void BM_StorePointLookup(benchmark::State& state) {
   store::TraceStore reader(store_path());
   const store::SegmentInfo& seg = reader.manifest().segments.front();
@@ -345,12 +478,15 @@ int main(int argc, char** argv) {
 
   JsonObject compaction = run_compaction();
   std::cout << Json(JsonObject(compaction)).dump() << "\n";
+  JsonObject compaction_48 = run_compaction_48();
+  std::cout << Json(JsonObject(compaction_48)).dump() << "\n";
 
   report.emplace("ingest", Json(std::move(ingest)));
   report.emplace("point_lookup", Json(std::move(lookups)));
   report.emplace("scan", Json(std::move(scan)));
   report.emplace("replay", Json(std::move(replay)));
   report.emplace("compaction", Json(std::move(compaction)));
+  report.emplace("compaction_48", Json(std::move(compaction_48)));
   mtd::write_file("BENCH_store.json", Json(std::move(report)).dump());
   std::cerr << "[bench] wrote BENCH_store.json\n";
   return mtd::bench::run_benchmarks(argc, argv);

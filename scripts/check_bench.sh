@@ -139,6 +139,11 @@ assert compaction["index_pages_after"] < compaction["index_pages_before"], \
     compaction
 assert compaction["scan_pages_after"] <= compaction["scan_pages_before"], \
     compaction
+hourly = store["compaction_48"]
+for key in ("segments_before", "events", "pages_written", "wall_s",
+            "heap_growth_mb"):
+    assert key in hourly, f"store compaction_48 missing {key}: {hourly}"
+assert hourly["segments_before"] == 48, hourly
 
 print("bench report schemas: ok")
 PYEOF

@@ -54,6 +54,12 @@ ArrivalModel ArrivalModel::fit(const MeasurementDataset& dataset) {
     for (std::size_t i = 0; i < fitted.size(); ++i) {
       fitted[i] = gauss.pdf(fitted.axis().center(i));
     }
+    if (fitted.integral() == 0.0) {
+      // A clamped near-zero peak (a decile with no daytime arrivals) makes
+      // the Gaussian underflow at every bin centre; its mass all lies in
+      // the bin holding peak_mu.
+      fitted.add(report.model.peak_mu);
+    }
     fitted.normalize();
     report.day_emd = emd(empirical, fitted);
 

@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <vector>
 
 #include "events/event_sink.hpp"
@@ -34,27 +34,38 @@ class MinuteCommitBuffer final : public EventSink {
   explicit MinuteCommitBuffer(EventSink& downstream)
       : downstream_(&downstream) {}
 
+  /// O(1): the minute's slot sits at its offset from the first buffered
+  /// minute (slots for skipped minutes stay empty).
   void on_event(const StreamEvent& event) override {
-    pending_[event.key.clock_minute()].push_back(event);
+    const std::uint64_t minute = event.key.clock_minute();
+    if (minutes_.empty()) {
+      first_minute_ = minute;
+    } else if (minute < first_minute_) {
+      minutes_.insert(minutes_.begin(), first_minute_ - minute, {});
+      first_minute_ = minute;
+    }
+    const std::uint64_t slot = minute - first_minute_;
+    if (slot >= minutes_.size()) minutes_.resize(slot + 1);
+    minutes_[slot].push_back(event);
     ++buffered_;
   }
 
   /// Flushes every buffered minute strictly below `clock_minute` (a
   /// checkpoint cursor: the first minute NOT covered) downstream.
   void commit_through(std::uint64_t clock_minute) {
-    while (!pending_.empty() && pending_.begin()->first < clock_minute) {
-      for (const StreamEvent& event : pending_.begin()->second) {
-        downstream_->on_event(event);
-        --buffered_;
-      }
-      pending_.erase(pending_.begin());
+    while (!minutes_.empty() && first_minute_ < clock_minute) {
+      std::vector<StreamEvent>& events = minutes_.front();
+      for (const StreamEvent& event : events) downstream_->on_event(event);
+      buffered_ -= events.size();
+      minutes_.pop_front();
+      ++first_minute_;
     }
   }
 
   /// Drops the uncommitted tail (failed attempt; the resume regenerates
   /// it). Never throws.
   void discard() noexcept {
-    pending_.clear();
+    minutes_.clear();
     buffered_ = 0;
   }
 
@@ -71,7 +82,9 @@ class MinuteCommitBuffer final : public EventSink {
 
  private:
   EventSink* downstream_;
-  std::map<std::uint64_t, std::vector<StreamEvent>> pending_;
+  /// minutes_[i] holds minute first_minute_ + i, in arrival order.
+  std::deque<std::vector<StreamEvent>> minutes_;
+  std::uint64_t first_minute_ = 0;
   std::uint64_t buffered_ = 0;
 };
 

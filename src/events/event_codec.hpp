@@ -105,6 +105,19 @@ class ByteCursor {
   const std::string* context_;
 };
 
+/// Exact length of encode_event_payload's output for an event of `kind`:
+/// the kind byte, the 16-byte key and the kind's fixed fields.
+[[nodiscard]] constexpr std::size_t event_payload_bytes(
+    EventKind kind) noexcept {
+  switch (kind) {
+    case EventKind::kMinute: return 1 + 16 + 4;
+    case EventKind::kSession: return 1 + 16 + 2 + 1 + 8 + 8;
+    case EventKind::kSegment: return 1 + 16 + 2 + 1 + 8 + 4 + 1 + 1 + 8 + 8;
+    case EventKind::kPacket: return 1 + 16 + 2 + 8 + 8 + 4;
+  }
+  return 0;
+}
+
 /// Serializes `event` (kind byte, key, kind fields) into `buf`, which must
 /// hold at least kMaxEventPayloadBytes. Returns the number of bytes
 /// written.

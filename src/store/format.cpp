@@ -1,5 +1,7 @@
 #include "store/format.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/fmt.hpp"
 
@@ -15,13 +17,51 @@ const char* to_string(PageType type) noexcept {
   return "?";
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+std::uint64_t fnv1a64_from(std::uint64_t h, std::string_view bytes) noexcept {
   for (const char c : bytes) {
     h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+}  // namespace
+
+std::uint64_t fnv1a64(std::string_view bytes) noexcept {
+  return fnv1a64_from(kFnvBasis, bytes);
+}
+
+std::array<std::uint64_t, 4> fnv1a64_x4(
+    const std::array<std::string_view, 4>& lanes) noexcept {
+  // Each lane is the scalar byte-serial recurrence; only the schedule is
+  // interleaved, over the prefix all four share, then each lane finishes
+  // its own tail.
+  std::size_t common = lanes[0].size();
+  for (const std::string_view lane : lanes) {
+    common = std::min(common, lane.size());
+  }
+  const auto byte = [&lanes](std::size_t lane, std::size_t i) {
+    return static_cast<std::uint8_t>(lanes[lane][i]);
+  };
+  std::uint64_t h0 = kFnvBasis;
+  std::uint64_t h1 = kFnvBasis;
+  std::uint64_t h2 = kFnvBasis;
+  std::uint64_t h3 = kFnvBasis;
+  for (std::size_t i = 0; i < common; ++i) {
+    h0 = (h0 ^ byte(0, i)) * kFnvPrime;
+    h1 = (h1 ^ byte(1, i)) * kFnvPrime;
+    h2 = (h2 ^ byte(2, i)) * kFnvPrime;
+    h3 = (h3 ^ byte(3, i)) * kFnvPrime;
+  }
+  return {fnv1a64_from(h0, lanes[0].substr(common)),
+          fnv1a64_from(h1, lanes[1].substr(common)),
+          fnv1a64_from(h2, lanes[2].substr(common)),
+          fnv1a64_from(h3, lanes[3].substr(common))};
 }
 
 void encode_page_header(const PageHeader& header, char* out) {
@@ -82,19 +122,19 @@ EventKey decode_key(ByteCursor& cursor, const char* what) {
   return key;
 }
 
-std::string build_page(std::uint64_t page_id, PageType type,
-                       std::uint16_t entry_count, std::string_view payload,
-                       std::size_t page_size) {
+void append_page(std::string& out, std::uint64_t page_id, PageType type,
+                 std::uint16_t entry_count, std::string_view payload,
+                 std::size_t page_size) {
   PageHeader header;
   header.page_id = page_id;
   header.type = type;
   header.entry_count = entry_count;
   header.payload_bytes = static_cast<std::uint32_t>(payload.size());
   header.checksum = fnv1a64(payload);
-  std::string page(page_size, '\0');
-  encode_page_header(header, page.data());
-  payload.copy(page.data() + kPageHeaderBytes, payload.size());
-  return page;
+  const std::size_t at = out.size();
+  out.resize(at + page_size, '\0');
+  encode_page_header(header, out.data() + at);
+  payload.copy(out.data() + at + kPageHeaderBytes, payload.size());
 }
 
 std::string build_superblock(std::size_t page_size) {
@@ -103,8 +143,10 @@ std::string build_superblock(std::size_t page_size) {
   for (const char c : kStoreMagic) *p++ = c;
   p = store_le(p, kFormatVersion);
   (void)store_le(p, static_cast<std::uint64_t>(page_size));
-  return build_page(0, PageType::kSuper, 0,
-                    std::string_view(payload, sizeof payload), page_size);
+  std::string page;
+  append_page(page, 0, PageType::kSuper, 0,
+              std::string_view(payload, sizeof payload), page_size);
+  return page;
 }
 
 void check_superblock(std::string_view page, std::size_t page_size,
@@ -138,8 +180,12 @@ void check_superblock(std::string_view page, std::size_t page_size,
   }
 }
 
-PageHeader check_page(std::string_view page, std::uint64_t page_id,
-                      const std::string& context, std::string_view* payload) {
+namespace {
+
+/// Everything check_page validates but the checksum; points `body` at the
+/// payload.
+PageHeader check_frame(std::string_view page, std::uint64_t page_id,
+                       const std::string& context, std::string_view* body) {
   const std::size_t base = page_id * page.size();
   ByteCursor cursor(page, base, context);
   const PageHeader header = decode_page_header(cursor);
@@ -156,16 +202,42 @@ PageHeader check_page(std::string_view page, std::uint64_t page_id,
                      std::to_string(page.size() - kPageHeaderBytes) +
                      ", at byte " + std::to_string(base));
   }
-  const std::string_view body =
-      page.substr(kPageHeaderBytes, header.payload_bytes);
-  const std::uint64_t checksum = fnv1a64(body);
-  if (checksum != header.checksum) {
-    throw ParseError(context + ": page " + std::to_string(page_id) +
-                     " checksum mismatch at byte " + std::to_string(base) +
-                     " (torn or corrupt page)");
-  }
+  *body = page.substr(kPageHeaderBytes, header.payload_bytes);
+  return header;
+}
+
+}  // namespace
+
+PageHeader check_page(std::string_view page, std::uint64_t page_id,
+                      const std::string& context, std::string_view* payload) {
+  PageHeader header;
+  std::string_view body;
+  check_pages({&page, 1}, {&page_id, 1}, context, {&header, 1}, {&body, 1});
   if (payload != nullptr) *payload = body;
   return header;
+}
+
+void check_pages(std::span<const std::string_view> pages,
+                 std::span<const std::uint64_t> page_ids,
+                 const std::string& context, std::span<PageHeader> headers,
+                 std::span<std::string_view> payloads) {
+  std::array<std::string_view, 4> lanes{};
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    headers[i] = check_frame(pages[i], page_ids[i], context, &lanes[i]);
+  }
+  // A single page takes the scalar oracle.
+  const std::array<std::uint64_t, 4> sums =
+      pages.size() == 1 ? std::array<std::uint64_t, 4>{fnv1a64(lanes[0])}
+                        : fnv1a64_x4(lanes);
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    if (sums[i] != headers[i].checksum) {
+      throw ParseError(context + ": page " + std::to_string(page_ids[i]) +
+                       " checksum mismatch at byte " +
+                       std::to_string(page_ids[i] * pages[i].size()) +
+                       " (torn or corrupt page)");
+    }
+    payloads[i] = lanes[i];
+  }
 }
 
 }  // namespace mtd::store

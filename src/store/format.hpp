@@ -19,8 +19,10 @@
 // root.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -68,6 +70,13 @@ inline constexpr std::size_t kMinPageSize = 512;
 /// FNV-1a over a byte range; the page payload checksum.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
+/// fnv1a64 of four independent byte ranges in one lane-interleaved pass:
+/// the four multiply chains overlap instead of running back to back, and
+/// lane i equals fnv1a64(lanes[i]) bit for bit. Ranges may differ in
+/// length and may be empty (an unused lane).
+[[nodiscard]] std::array<std::uint64_t, 4> fnv1a64_x4(
+    const std::array<std::string_view, 4>& lanes) noexcept;
+
 /// Serializes `header` into `out` (kPageHeaderBytes bytes).
 void encode_page_header(const PageHeader& header, char* out);
 
@@ -81,12 +90,11 @@ void encode_page_header(const PageHeader& header, char* out);
 void encode_key(const EventKey& key, char* out);
 [[nodiscard]] EventKey decode_key(ByteCursor& cursor, const char* what);
 
-/// Serializes one complete page image: header, payload, zero padding to
-/// `page_size`. The checksum is computed here.
-[[nodiscard]] std::string build_page(std::uint64_t page_id, PageType type,
-                                     std::uint16_t entry_count,
-                                     std::string_view payload,
-                                     std::size_t page_size);
+/// Appends one complete page image to `out`: header, payload, zero
+/// padding to `page_size`. The checksum is computed here.
+void append_page(std::string& out, std::uint64_t page_id, PageType type,
+                 std::uint16_t entry_count, std::string_view payload,
+                 std::size_t page_size);
 
 /// The superblock page (page 0) of a new store: store magic, format
 /// version, page size — enough for any reader to validate the manifest it
@@ -109,6 +117,16 @@ void check_superblock(std::string_view page, std::size_t page_size,
                                     std::uint64_t page_id,
                                     const std::string& context,
                                     std::string_view* payload);
+
+/// check_page over up to four page images at once: the same checks and
+/// the same ParseError, with the checksums of several pages computed by
+/// fnv1a64_x4 (one page takes fnv1a64). Every header is checked before
+/// any checksum. Writes each page's header and
+/// payload to the same position of `headers` and `payloads`.
+void check_pages(std::span<const std::string_view> pages,
+                 std::span<const std::uint64_t> page_ids,
+                 const std::string& context, std::span<PageHeader> headers,
+                 std::span<std::string_view> payloads);
 
 /// How many fixed-width bloom filters of `bloom_bytes` fit one bloom page
 /// (the writer packs and the reader locates filters with the same

@@ -1,9 +1,12 @@
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fmt.hpp"
 #include "events/event_codec.hpp"
 #include "store/bloom.hpp"
 #include "store/trace_store.hpp"
@@ -37,74 +40,69 @@ struct TraceStore::Impl {
 
   struct Page {
     PageHeader header;
-    std::string_view payload;  ///< into page_buf; invalidated by load_page
+    std::string_view payload;  ///< into the buffer the page was read into
   };
 
-  /// Reads and fully validates one committed page, counting it in the
-  /// telemetry. `expect` guards against index corruption pointing a
-  /// descent at the wrong page kind.
-  Page load_page(std::uint64_t page_id, PageType expect) {
+  /// Reads up to four committed pages into `buf` (one read per run of
+  /// consecutive ids) and fully validates each — several at once through
+  /// check_pages' four-lane checksums — counting them in the telemetry.
+  /// `expect` guards against index corruption pointing a descent at the
+  /// wrong page kind.
+  void load_pages(std::span<const std::uint64_t> ids, PageType expect,
+                  std::string& buf, std::span<Page> out) {
     const std::size_t page_size = manifest.options.page_size;
-    if (page_id >= manifest.committed_pages) {
-      throw ParseError(context + ": page id " + std::to_string(page_id) +
-                       " is beyond the " +
-                       std::to_string(manifest.committed_pages) +
-                       " committed pages");
+    buf.resize(ids.size() * page_size);
+    std::array<std::string_view, 4> images;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] >= manifest.committed_pages) {
+        throw ParseError(context + ": page id " + std::to_string(ids[i]) +
+                         " is beyond the " +
+                         std::to_string(manifest.committed_pages) +
+                         " committed pages");
+      }
+      if (i == 0 || ids[i] != ids[i - 1] + 1) {
+        file.clear();
+        file.seekg(static_cast<std::streamoff>(ids[i] * page_size));
+      }
+      file.read(buf.data() + i * page_size,
+                static_cast<std::streamsize>(page_size));
+      if (static_cast<std::size_t>(file.gcount()) != page_size) {
+        throw ParseError(
+            context + ": truncated page " + std::to_string(ids[i]) +
+            " at byte " +
+            std::to_string(ids[i] * page_size +
+                           static_cast<std::size_t>(file.gcount())));
+      }
+      images[i] = std::string_view(buf).substr(i * page_size, page_size);
     }
-    file.clear();
-    file.seekg(static_cast<std::streamoff>(page_id * page_size));
-    page_buf.resize(page_size);
-    file.read(page_buf.data(), static_cast<std::streamsize>(page_size));
-    if (static_cast<std::size_t>(file.gcount()) != page_size) {
-      throw ParseError(
-          context + ": truncated page " + std::to_string(page_id) +
-          " at byte " +
-          std::to_string(page_id * page_size +
-                         static_cast<std::size_t>(file.gcount())));
+    std::array<PageHeader, 4> headers;
+    std::array<std::string_view, 4> payloads;
+    check_pages(std::span(images).first(ids.size()), ids, context, headers,
+                payloads);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (headers[i].type != expect) {
+        throw ParseError(context + ": page " + std::to_string(ids[i]) +
+                         " is a " + std::string(to_string(headers[i].type)) +
+                         " page where a " + std::string(to_string(expect)) +
+                         " page was indexed, at byte " +
+                         std::to_string(ids[i] * page_size));
+      }
+      out[i] = Page{headers[i], payloads[i]};
+      ++telemetry.pages_read;
+      switch (expect) {
+        case PageType::kLeaf: ++telemetry.leaf_pages_read; break;
+        case PageType::kInternal: ++telemetry.internal_pages_read; break;
+        case PageType::kBloom: ++telemetry.bloom_pages_read; break;
+        case PageType::kSuper: break;
+      }
     }
-    Page page;
-    page.header = check_page(page_buf, page_id, context, &page.payload);
-    if (page.header.type != expect) {
-      throw ParseError(context + ": page " + std::to_string(page_id) +
-                       " is a " + std::string(to_string(page.header.type)) +
-                       " page where a " + std::string(to_string(expect)) +
-                       " page was indexed, at byte " +
-                       std::to_string(page_id * page_size));
-    }
-    ++telemetry.pages_read;
-    switch (page.header.type) {
-      case PageType::kLeaf: ++telemetry.leaf_pages_read; break;
-      case PageType::kInternal: ++telemetry.internal_pages_read; break;
-      case PageType::kBloom: ++telemetry.bloom_pages_read; break;
-      case PageType::kSuper: break;
-    }
-    return page;
   }
 
-  /// Decodes every record of one leaf, in key order. Unknown kinds (a
-  /// newer writer) are skipped by their length prefix.
-  void decode_leaf(std::uint64_t page_id, std::vector<StreamEvent>& out) {
-    const Page page = load_page(page_id, PageType::kLeaf);
-    const std::size_t base =
-        page_id * manifest.options.page_size + kPageHeaderBytes;
-    ByteCursor cursor(page.payload, base, context);
-    out.clear();
-    for (std::uint16_t i = 0; i < page.header.entry_count; ++i) {
-      const std::size_t at = cursor.file_pos();
-      const std::uint32_t len = cursor.u32("record length");
-      if (len > cursor.remaining()) {
-        throw ParseError(context + ": record at byte " + std::to_string(at) +
-                         " claims " + std::to_string(len) +
-                         " bytes but only " +
-                         std::to_string(cursor.remaining()) +
-                         " remain in page " + std::to_string(page_id));
-      }
-      ByteCursor record(page.payload.substr(cursor.pos(), len),
-                        base + cursor.pos(), context);
-      StreamEvent event;
-      if (decode_event_payload(record, event)) out.push_back(std::move(event));
-      cursor.skip(len, "event record");
-    }
+  /// One page into page_buf; the Page is invalidated by the next call.
+  Page load_page(std::uint64_t page_id, PageType expect) {
+    Page page;
+    load_pages(std::span(&page_id, 1), expect, page_buf, std::span(&page, 1));
+    return page;
   }
 
   /// Bloom probe of leaf `ordinal` (0-based within `seg`) for `bs`.
@@ -182,74 +180,192 @@ struct TraceStore::Impl {
     }
   }
 
-  /// One segment's contribution to a merged query: candidate leaves walked
-  /// in order, each decoded and filtered to [lo, hi] (and to one BS when
-  /// `bs_filter` is set, with a bloom probe before each leaf read).
-  struct SegmentStream {
+  /// A merge's scope: keys in [lo, hi]. `bs` is set when the range lies
+  /// within one BS, so leaves can be ruled out by their bloom filters.
+  struct Query {
+    EventKey lo;
+    EventKey hi;
+    std::optional<std::uint32_t> bs;
+  };
+  static Query everything() { return {EventKey{}, max_key(), std::nullopt}; }
+
+  /// One segment's side of a merge: its candidate leaves, read up to four
+  /// at a time, and the loaded leaves' records that match the query —
+  /// indexed in place, decoded only when delivered.
+  struct SegmentCursor {
+    struct Record {
+      EventKey key;
+      std::uint32_t offset = 0;  ///< of its length prefix, in `pages`
+      std::uint32_t size = 0;    ///< length prefix included
+    };
     const SegmentInfo* seg = nullptr;
     std::vector<std::uint64_t> leaves;
     std::size_t leaf_index = 0;
-    std::vector<StreamEvent> events;
+    std::string pages;
+    std::vector<Record> records;
     std::size_t pos = 0;
 
     [[nodiscard]] bool exhausted() const noexcept {
-      return pos >= events.size() && leaf_index >= leaves.size();
+      return pos >= records.size() && leaf_index >= leaves.size();
     }
-    [[nodiscard]] const StreamEvent& head() const noexcept {
-      return events[pos];
+    [[nodiscard]] const EventKey& head_key() const noexcept {
+      return records[pos].key;
+    }
+    /// The head record's stored bytes (u32 length prefix + payload).
+    [[nodiscard]] std::string_view head() const noexcept {
+      return std::string_view(pages).substr(records[pos].offset,
+                                            records[pos].size);
     }
   };
 
-  void refill(SegmentStream& stream, const EventKey& lo, const EventKey& hi,
-              std::optional<std::uint32_t> bs_filter) {
-    while (stream.pos >= stream.events.size() &&
-           stream.leaf_index < stream.leaves.size()) {
-      const std::uint64_t leaf = stream.leaves[stream.leaf_index++];
-      if (bs_filter.has_value() &&
-          !bloom_maybe_contains(*stream.seg, leaf - stream.seg->first_leaf,
-                                *bs_filter)) {
-        ++telemetry.leaves_skipped_bloom;
-        continue;
+  /// Appends to `out` the records of one loaded leaf (its payload starts
+  /// at byte `at` of `buf`) whose keys fall in the query's range. Every
+  /// record is validated, in range or not: its length prefix against the
+  /// page, then its kind, key and the length the kind implies, which makes
+  /// decoding a delivered record infallible. A record whose length
+  /// disagrees with its kind goes through the full decoder instead —
+  /// raising its ParseError when short, re-encoded in place (as decoding
+  /// and re-encoding would rewrite it) when long. Unknown kinds (a newer
+  /// writer) are skipped.
+  void index_leaf(const Page& page, std::string& buf, std::size_t at,
+                  const Query& query,
+                  std::vector<SegmentCursor::Record>& out) {
+    const std::size_t base =
+        page.header.page_id * manifest.options.page_size + kPageHeaderBytes;
+    ByteCursor cursor(page.payload, base, context);
+    for (std::uint16_t i = 0; i < page.header.entry_count; ++i) {
+      const std::size_t start = cursor.pos();
+      const std::uint32_t len = cursor.u32("record length");
+      if (len > cursor.remaining()) {
+        throw ParseError(context + ": record at byte " +
+                         std::to_string(base + start) + " claims " +
+                         std::to_string(len) + " bytes but only " +
+                         std::to_string(cursor.remaining()) +
+                         " remain in page " +
+                         std::to_string(page.header.page_id));
       }
-      decode_leaf(leaf, stream.events);
-      std::erase_if(stream.events, [&](const StreamEvent& event) {
-        if (event.key < lo || hi < event.key) return true;
-        return bs_filter.has_value() && event.key.bs != *bs_filter;
-      });
-      stream.pos = 0;
+      ByteCursor record(page.payload.substr(start + 4, len),
+                        base + start + 4, context);
+      ByteCursor full = record;
+      cursor.skip(len, "event record");
+      const std::uint8_t kind = record.u8("event kind");
+      if (kind >= kNumEventKinds) continue;
+      SegmentCursor::Record entry;
+      entry.offset = static_cast<std::uint32_t>(at + start);
+      entry.size = 4 + len;
+      if (len != event_payload_bytes(static_cast<EventKind>(kind))) {
+        StreamEvent event;
+        (void)decode_event_payload(full, event);
+        char* const prefix = buf.data() + entry.offset;
+        const std::size_t canonical = encode_event_payload(event, prefix + 4);
+        (void)store_le(prefix, static_cast<std::uint32_t>(canonical));
+        entry.size = static_cast<std::uint32_t>(4 + canonical);
+      }
+      entry.key = decode_key(record, "event key");
+      if (entry.key < query.lo || query.hi < entry.key) continue;
+      out.push_back(entry);
     }
   }
 
-  /// K-way merge of every segment over [lo, hi] in canonical key order.
-  std::uint64_t merge(const EventKey& lo, const EventKey& hi,
-                      std::optional<std::uint32_t> bs_filter,
-                      const std::function<void(const StreamEvent&)>& fn) {
-    std::vector<SegmentStream> streams;
-    streams.reserve(manifest.segments.size());
-    for (const SegmentInfo& seg : manifest.segments) {
-      SegmentStream stream;
-      stream.seg = &seg;
-      collect_leaves(seg, lo, hi, stream.leaves);
-      refill(stream, lo, hi, bs_filter);
-      if (!stream.exhausted()) streams.push_back(std::move(stream));
+  /// Loads candidate leaves until the cursor holds a matching record or
+  /// runs out, probing each leaf's bloom filter first on a one-BS query.
+  void refill(SegmentCursor& cursor, const Query& query) {
+    while (cursor.pos >= cursor.records.size() &&
+           cursor.leaf_index < cursor.leaves.size()) {
+      std::array<std::uint64_t, 4> batch{};
+      std::size_t count = 0;
+      while (count < batch.size() &&
+             cursor.leaf_index < cursor.leaves.size()) {
+        const std::uint64_t leaf = cursor.leaves[cursor.leaf_index++];
+        if (query.bs.has_value() &&
+            !bloom_maybe_contains(*cursor.seg, leaf - cursor.seg->first_leaf,
+                                  *query.bs)) {
+          ++telemetry.leaves_skipped_bloom;
+          continue;
+        }
+        batch[count++] = leaf;
+      }
+      if (count == 0) continue;
+      std::array<Page, 4> pages;
+      load_pages(std::span(batch).first(count), PageType::kLeaf,
+                 cursor.pages, pages);
+      cursor.records.clear();
+      cursor.pos = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        index_leaf(pages[i], cursor.pages,
+                   i * manifest.options.page_size + kPageHeaderBytes, query,
+                   cursor.records);
+      }
     }
+  }
+
+  /// K-way merge of every segment over `query` in canonical key order,
+  /// handing each record's key and stored bytes to `fn`; stops after
+  /// `limit` records. The cursors sit in a binary heap keyed by (head key,
+  /// segment index): O(log k) per record over k segments, and equal keys
+  /// leave in segment order — the pick a first-minimum scan makes.
+  std::uint64_t merge(
+      const Query& query, std::uint64_t limit,
+      const std::function<void(const EventKey&, std::string_view)>& fn) {
+    std::vector<SegmentCursor> cursors;
+    cursors.reserve(manifest.segments.size());
+    for (const SegmentInfo& seg : manifest.segments) {
+      SegmentCursor cursor;
+      cursor.seg = &seg;
+      collect_leaves(seg, query.lo, query.hi, cursor.leaves);
+      refill(cursor, query);
+      if (!cursor.exhausted()) cursors.push_back(std::move(cursor));
+    }
+    // Cursors are in segment order, so their index breaks key ties.
+    const auto before = [&cursors](std::size_t a, std::size_t b) {
+      const EventKey& ka = cursors[a].head_key();
+      const EventKey& kb = cursors[b].head_key();
+      return ka < kb || (ka == kb && a < b);
+    };
+    std::vector<std::size_t> heap(cursors.size());
+    for (std::size_t i = 0; i < heap.size(); ++i) heap[i] = i;
+    const auto sift_down = [&heap, &before](std::size_t at) {
+      const std::size_t item = heap[at];
+      for (;;) {
+        std::size_t child = 2 * at + 1;
+        if (child >= heap.size()) break;
+        if (child + 1 < heap.size() && before(heap[child + 1], heap[child])) {
+          ++child;
+        }
+        if (!before(heap[child], item)) break;
+        heap[at] = heap[child];
+        at = child;
+      }
+      heap[at] = item;
+    };
+    for (std::size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
     std::uint64_t delivered = 0;
-    while (!streams.empty()) {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < streams.size(); ++i) {
-        if (streams[i].head().key < streams[best].head().key) best = i;
-      }
-      SegmentStream& stream = streams[best];
-      fn(stream.head());
+    while (!heap.empty() && delivered < limit) {
+      SegmentCursor& cursor = cursors[heap.front()];
+      fn(cursor.head_key(), cursor.head());
       ++delivered;
-      ++stream.pos;
-      refill(stream, lo, hi, bs_filter);
-      if (stream.exhausted()) {
-        streams.erase(streams.begin() +
-                      static_cast<std::ptrdiff_t>(best));
+      ++cursor.pos;
+      refill(cursor, query);
+      if (cursor.exhausted()) {
+        heap.front() = heap.back();
+        heap.pop_back();
       }
+      if (!heap.empty()) sift_down(0);
     }
     return delivered;
+  }
+
+  /// The merge decoding each record into an event for `fn`.
+  std::uint64_t merge_events(
+      const Query& query, std::uint64_t limit,
+      const std::function<void(const StreamEvent&)>& fn) {
+    return merge(query, limit,
+                 [this, &fn](const EventKey&, std::string_view record) {
+                   ByteCursor cursor(record.substr(4), 0, context);
+                   StreamEvent event;
+                   (void)decode_event_payload(cursor, event);
+                   fn(event);
+                 });
   }
 };
 
@@ -289,22 +405,13 @@ const StoreManifest& TraceStore::manifest() const noexcept {
 
 std::optional<StreamEvent> TraceStore::get(const EventKey& key) {
   ++impl_->telemetry.point_lookups;
-  std::vector<std::uint64_t> leaves;
-  std::vector<StreamEvent> events;
-  for (const SegmentInfo& seg : impl_->manifest.segments) {
-    impl_->collect_leaves(seg, key, key, leaves);
-    for (const std::uint64_t leaf : leaves) {
-      if (!impl_->bloom_maybe_contains(seg, leaf - seg.first_leaf, key.bs)) {
-        ++impl_->telemetry.leaves_skipped_bloom;
-        continue;
-      }
-      impl_->decode_leaf(leaf, events);
-      for (StreamEvent& event : events) {
-        if (event.key == key) return std::move(event);
-      }
-    }
-  }
-  return std::nullopt;
+  // The first event of the merge over [key, key]: equal keys in several
+  // segments resolve to the earliest segment.
+  std::optional<StreamEvent> found;
+  (void)impl_->merge_events(
+      {key, key, key.bs}, 1,
+      [&found](const StreamEvent& event) { found = event; });
+  return found;
 }
 
 std::uint64_t TraceStore::scan(
@@ -313,15 +420,21 @@ std::uint64_t TraceStore::scan(
   ++impl_->telemetry.range_scans;
   const EventKey lo{bs, day_lo, 0, 0};
   const EventKey hi{bs, day_hi, 0xffff, ~std::uint64_t{0}};
-  return impl_->merge(lo, hi, bs, fn);
+  return impl_->merge_events({lo, hi, bs}, ~std::uint64_t{0}, fn);
 }
 
 std::uint64_t TraceStore::replay(EventSink& sink) {
   ++impl_->telemetry.range_scans;
-  return impl_->merge(EventKey{}, max_key(), std::nullopt,
-                      [&sink](const StreamEvent& event) {
-                        sink.on_event(event);
-                      });
+  return impl_->merge_events(Impl::everything(), ~std::uint64_t{0},
+                             [&sink](const StreamEvent& event) {
+                               sink.on_event(event);
+                             });
+}
+
+std::uint64_t TraceStore::replay_records(
+    const std::function<void(const EventKey&, std::string_view)>& fn) {
+  ++impl_->telemetry.range_scans;
+  return impl_->merge(Impl::everything(), ~std::uint64_t{0}, fn);
 }
 
 StoreVerifyReport TraceStore::verify() {
@@ -331,14 +444,16 @@ StoreVerifyReport TraceStore::verify() {
   // superseded segments' bytes, which no live index references — they are
   // accounted, not walked.
   std::uint64_t accounted = 1 + impl_->manifest.dead_pages;
-  std::vector<StreamEvent> events;
+  std::vector<Impl::SegmentCursor::Record> records;
   for (const SegmentInfo& seg : impl_->manifest.segments) {
     std::uint64_t counted = 0;
     for (std::uint64_t i = 0; i < seg.num_leaves; ++i) {
       const Impl::Page page =
           impl_->load_page(seg.first_leaf + i, PageType::kLeaf);
       counted += page.header.entry_count;
-      impl_->decode_leaf(seg.first_leaf + i, events);
+      records.clear();
+      impl_->index_leaf(page, impl_->page_buf, kPageHeaderBytes,
+                        Impl::everything(), records);
     }
     if (counted != seg.events) {
       throw ParseError(impl_->context + ": segment at page " +

@@ -2,7 +2,9 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -26,6 +28,221 @@ std::string context_of(const std::string& pages_path) {
   return "trace store '" + pages_path + "'";
 }
 
+/// Compaction hands finished pages to the file in chunks of about this
+/// size, so its buffer holds a chunk rather than the merged segment.
+constexpr std::size_t kSpillBytes = std::size_t{1} << 20;
+
+/// Packs records, added in canonical key order, into one segment: leaf
+/// page images are built in place in `out` and checksummed four at a time;
+/// finish() then derives the bloom and fence pages from what it kept of
+/// each leaf — its fences and distinct BS ids, never its records.
+class SegmentBuilder {
+ public:
+  /// With `spill` set, finished pages are handed to it whenever `out`
+  /// holds at least kSpillBytes of them, and the rest at finish();
+  /// otherwise every page of the segment stays in `out`.
+  SegmentBuilder(const StoreOptions& options, std::uint64_t first_page,
+                 std::string& out,
+                 std::function<void(std::string_view)> spill = {})
+      : options_(options),
+        capacity_(options.page_size - kPageHeaderBytes),
+        first_page_(first_page),
+        out_(out),
+        spill_(std::move(spill)) {
+    out_.clear();
+  }
+
+  /// Appends one record: its key and its stored bytes (u32 length prefix
+  /// + payload).
+  void add(const EventKey& key, std::string_view record) {
+    if (leaves_.empty() || payload_ + record.size() > capacity_ ||
+        entries_ == 0xffff) {
+      open_leaf(key);
+    }
+    record.copy(out_.data() + leaf_at_ + kPageHeaderBytes + payload_,
+                record.size());
+    payload_ += record.size();
+    ++entries_;
+    ++events_;
+    leaves_.back().max_key = key;
+    if (bss_.size() == leaves_.back().bss_begin || bss_.back() != key.bs) {
+      bss_.push_back(key.bs);
+    }
+  }
+
+  /// Seals the last leaf, appends the bloom and fence pages and returns
+  /// the segment's index entry. At least one record must have been added.
+  SegmentInfo finish();
+
+ private:
+  struct Leaf {
+    EventKey min_key;
+    EventKey max_key;
+    std::size_t bss_begin = 0;  ///< first of its distinct BS ids in bss_
+  };
+
+  void open_leaf(const EventKey& key) {
+    if (!leaves_.empty()) seal_leaf();
+    leaves_.push_back({key, key, bss_.size()});
+    leaf_at_ = out_.size();
+    out_.resize(leaf_at_ + options_.page_size, '\0');
+    payload_ = 0;
+    entries_ = 0;
+  }
+
+  /// Queues the open leaf for checksumming; every fourth leaf runs the
+  /// four-lane kernel over the queue.
+  void seal_leaf() {
+    PageHeader& header = sealed_[num_sealed_].header;
+    header.page_id = first_page_ + leaves_.size() - 1;
+    header.type = PageType::kLeaf;
+    header.entry_count = entries_;
+    header.payload_bytes = static_cast<std::uint32_t>(payload_);
+    sealed_[num_sealed_].at = leaf_at_;
+    if (++num_sealed_ == sealed_.size()) checksum_sealed();
+  }
+
+  void checksum_sealed() {
+    std::array<std::string_view, 4> lanes{};
+    for (std::size_t i = 0; i < num_sealed_; ++i) {
+      lanes[i] = std::string_view(out_).substr(
+          sealed_[i].at + kPageHeaderBytes, sealed_[i].header.payload_bytes);
+    }
+    const std::array<std::uint64_t, 4> sums = fnv1a64_x4(lanes);
+    for (std::size_t i = 0; i < num_sealed_; ++i) {
+      sealed_[i].header.checksum = sums[i];
+      encode_page_header(sealed_[i].header, out_.data() + sealed_[i].at);
+    }
+    num_sealed_ = 0;
+    if (spill_ && out_.size() >= kSpillBytes) {
+      spill_(out_);
+      out_.clear();
+    }
+  }
+
+  struct Sealed {
+    std::size_t at = 0;
+    PageHeader header;
+  };
+
+  StoreOptions options_;
+  std::size_t capacity_;
+  std::uint64_t first_page_;
+  std::string& out_;
+  std::function<void(std::string_view)> spill_;
+  std::vector<Leaf> leaves_;
+  std::vector<std::uint32_t> bss_;
+  std::uint64_t events_ = 0;
+  std::size_t leaf_at_ = 0;  ///< offset of the open leaf's page in out_
+  std::size_t payload_ = 0;
+  std::uint16_t entries_ = 0;
+  std::array<Sealed, 4> sealed_{};
+  std::size_t num_sealed_ = 0;
+};
+
+SegmentInfo SegmentBuilder::finish() {
+  seal_leaf();
+  if (num_sealed_ > 0) checksum_sealed();
+  const std::size_t page_size = options_.page_size;
+
+  // One bloom width per segment, sized for its densest leaf (filters must
+  // be fixed-width so the reader can locate leaf L's filter by arithmetic).
+  const auto bss_end = [this](std::size_t leaf) {
+    return leaf + 1 < leaves_.size() ? leaves_[leaf + 1].bss_begin
+                                     : bss_.size();
+  };
+  std::size_t max_distinct = 1;
+  for (std::size_t i = 0; i < leaves_.size(); ++i) {
+    max_distinct = std::max(max_distinct, bss_end(i) - leaves_[i].bss_begin);
+  }
+  const std::size_t bloom_bytes = std::min(
+      bloom_bytes_for(max_distinct, options_.bloom_bits_per_key), capacity_);
+  const std::size_t bloom_hashes =
+      bloom_hashes_for(options_.bloom_bits_per_key);
+  const std::size_t filters_per_page =
+      bloom_filters_per_page(page_size, bloom_bytes);
+
+  SegmentInfo seg;
+  seg.first_page = first_page_;
+  seg.first_leaf = seg.first_page;
+  seg.num_leaves = leaves_.size();
+  seg.bloom_bytes = static_cast<std::uint32_t>(bloom_bytes);
+  seg.bloom_hashes = static_cast<std::uint32_t>(bloom_hashes);
+  seg.events = events_;
+  seg.min_key = leaves_.front().min_key;
+  seg.max_key = leaves_.back().max_key;
+
+  std::uint64_t next_id = seg.first_page + leaves_.size();
+  seg.first_bloom_page = next_id;
+  {
+    std::string payload;
+    std::uint16_t entries = 0;
+    for (std::size_t i = 0; i < leaves_.size(); ++i) {
+      BsBloom bloom(bloom_bytes, bloom_hashes);
+      for (std::size_t b = leaves_[i].bss_begin; b < bss_end(i); ++b) {
+        bloom.add(bss_[b]);
+      }
+      payload.append(reinterpret_cast<const char*>(bloom.bytes().data()),
+                     bloom_bytes);
+      if (++entries == filters_per_page || i + 1 == leaves_.size()) {
+        append_page(out_, next_id++, PageType::kBloom, entries, payload,
+                    page_size);
+        payload.clear();
+        entries = 0;
+      }
+    }
+  }
+  seg.num_bloom_pages = next_id - seg.first_bloom_page;
+
+  // Fence levels, bottom-up: each level packs (min, max, child) entries of
+  // the level below until a single root remains.
+  struct Fence {
+    EventKey min_key;
+    EventKey max_key;
+    std::uint64_t child = 0;
+  };
+  std::vector<Fence> level;
+  level.reserve(leaves_.size());
+  for (std::size_t i = 0; i < leaves_.size(); ++i) {
+    level.push_back({leaves_[i].min_key, leaves_[i].max_key,
+                     seg.first_leaf + i});
+  }
+  const std::size_t fences_per_page = fence_entries_per_page(page_size);
+  seg.depth = 0;
+  while (level.size() > 1) {
+    ++seg.depth;
+    std::vector<Fence> parents;
+    std::size_t begin = 0;
+    while (begin < level.size()) {
+      const std::size_t count =
+          std::min(fences_per_page, level.size() - begin);
+      std::string payload(count * kFenceEntryBytes, '\0');
+      char* p = payload.data();
+      for (std::size_t i = 0; i < count; ++i) {
+        const Fence& f = level[begin + i];
+        encode_key(f.min_key, p);
+        encode_key(f.max_key, p + kKeyBytes);
+        (void)store_le(p + 2 * kKeyBytes, f.child);
+        p += kFenceEntryBytes;
+      }
+      const std::uint64_t id = next_id++;
+      append_page(out_, id, PageType::kInternal,
+                  static_cast<std::uint16_t>(count), payload, page_size);
+      parents.push_back(
+          {level[begin].min_key, level[begin + count - 1].max_key, id});
+      begin += count;
+    }
+    level = std::move(parents);
+  }
+  seg.root = level.front().child;
+  seg.num_pages = next_id - seg.first_page;
+  if (spill_) {
+    spill_(out_);
+    out_.clear();
+  }
+  return seg;
+}
+
 }  // namespace
 
 struct TraceStoreWriter::Impl {
@@ -35,16 +252,37 @@ struct TraceStoreWriter::Impl {
   std::fstream file;
   FaultInjector* fault = nullptr;
   StoreManifest manifest;
-  std::vector<StreamEvent> pending;
+  /// Pending events, encoded on arrival exactly as a leaf stores them:
+  /// `pending_bytes` holds the records back to back (u32 length prefix +
+  /// payload), `pending` each record's key and offset, and `runs` where
+  /// each maximal stretch of key-ascending arrivals from one BS begins.
+  struct PendingRecord {
+    EventKey key;
+    std::uint64_t offset = 0;
+  };
+  struct Run {
+    std::uint32_t bs = 0;
+    std::size_t begin = 0;  ///< first record (index into `pending`)
+    std::size_t end = 0;    ///< one past the last; set at commit
+  };
+  std::string pending_bytes;
+  std::vector<PendingRecord> pending;
+  std::vector<Run> runs;
   std::array<std::uint64_t, kNumEventKinds> pending_by_kind{};
   std::int64_t pending_cursor = kNoCursor;
   std::optional<std::string> pending_checkpoint;
   bool open = false;
+  /// Page images of the segment being built; reused across commits.
+  std::string pages;
+  /// Commit scratch, reused: the runs grouped by BS, and one BS's
+  /// records in emission order.
+  std::vector<Run> run_order;
+  std::vector<std::size_t> group;
 
+  void add(const StreamEvent& event);
+  void emit_pending(SegmentBuilder& builder);
   void commit();
   CompactionReport compact();
-  SegmentInfo build_segment(const std::vector<StreamEvent>& events,
-                            std::uint64_t first_page, std::string& buf) const;
 };
 
 TraceStoreWriter::TraceStoreWriter(std::unique_ptr<Impl> impl)
@@ -169,8 +407,7 @@ TraceStoreWriter TraceStoreWriter::append(const std::string& path,
 }
 
 void TraceStoreWriter::on_event(const StreamEvent& event) {
-  ++impl_->pending_by_kind[static_cast<std::size_t>(event.kind())];
-  impl_->pending.push_back(event);
+  impl_->add(event);
 }
 
 void TraceStoreWriter::close() {
@@ -204,6 +441,64 @@ std::uint64_t TraceStoreWriter::events_committed() const noexcept {
   return impl_->manifest.events;
 }
 
+void TraceStoreWriter::Impl::add(const StreamEvent& event) {
+  ++pending_by_kind[static_cast<std::size_t>(event.kind())];
+  char record[4 + kMaxEventPayloadBytes];
+  const std::size_t len = encode_event_payload(event, record + 4);
+  (void)store_le(record, static_cast<std::uint32_t>(len));
+  if (pending.empty() || event.key.bs != pending.back().key.bs ||
+      event.key < pending.back().key) {
+    runs.push_back({event.key.bs, pending.size(), 0});
+  }
+  pending.push_back({event.key, pending_bytes.size()});
+  pending_bytes.append(record, 4 + len);
+}
+
+void TraceStoreWriter::Impl::emit_pending(SegmentBuilder& builder) {
+  // Canonical key order without sorting the records. Every run ascends by
+  // construction, so grouping the runs by BS (a stable sort of the run
+  // table) and concatenating each BS's runs in arrival order gives exactly
+  // what a stable sort of all records gives, as long as each run starts at
+  // or above the key where the BS's previous run ended. That holds for
+  // engine streams, which emit each BS in generation order; a BS whose
+  // runs interleave is stable-sorted on its own.
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    runs[i].end = i + 1 < runs.size() ? runs[i + 1].begin : pending.size();
+  }
+  run_order.assign(runs.begin(), runs.end());
+  std::stable_sort(run_order.begin(), run_order.end(),
+                   [](const Run& a, const Run& b) { return a.bs < b.bs; });
+  const auto emit = [this, &builder](std::size_t i) {
+    const std::uint64_t end = i + 1 < pending.size() ? pending[i + 1].offset
+                                                     : pending_bytes.size();
+    builder.add(pending[i].key,
+                std::string_view(pending_bytes)
+                    .substr(pending[i].offset, end - pending[i].offset));
+  };
+  for (std::size_t g = 0; g < run_order.size();) {
+    std::size_t h = g + 1;
+    bool ordered = true;
+    for (; h < run_order.size() && run_order[h].bs == run_order[g].bs; ++h) {
+      ordered = ordered && !(pending[run_order[h].begin].key <
+                             pending[run_order[h - 1].end - 1].key);
+    }
+    group.clear();
+    for (std::size_t r = g; r < h; ++r) {
+      for (std::size_t i = run_order[r].begin; i < run_order[r].end; ++i) {
+        group.push_back(i);
+      }
+    }
+    if (!ordered) {
+      std::stable_sort(group.begin(), group.end(),
+                       [this](std::size_t a, std::size_t b) {
+                         return pending[a].key < pending[b].key;
+                       });
+    }
+    for (const std::size_t i : group) emit(i);
+    g = h;
+  }
+}
+
 void TraceStoreWriter::Impl::commit() {
   const bool cursor_dirty =
       pending_cursor != kNoCursor && pending_cursor != manifest.engine_next_day;
@@ -222,15 +517,13 @@ void TraceStoreWriter::Impl::commit() {
     next.engine_checkpoint = *pending_checkpoint;
   }
 
-  std::string buf;
+  pages.clear();
   if (!pending.empty()) {
-    // Canonical trace order; stable so equal keys (which do not occur in
-    // engine streams, but are not rejected) keep arrival order.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const StreamEvent& a, const StreamEvent& b) {
-                       return a.key < b.key;
-                     });
-    SegmentInfo seg = build_segment(pending, manifest.committed_pages, buf);
+    // Canonical trace order; equal keys (which do not occur in engine
+    // streams, but are not rejected) keep arrival order.
+    SegmentBuilder builder(manifest.options, manifest.committed_pages, pages);
+    emit_pending(builder);
+    SegmentInfo seg = builder.finish();
     next.committed_pages += seg.num_pages;
     next.events += seg.events;
     for (std::size_t k = 0; k < kNumEventKinds; ++k) {
@@ -245,10 +538,10 @@ void TraceStoreWriter::Impl::commit() {
   // place — the appended bytes are invisible garbage and the pending
   // events are kept for a retry.
   fault_fire(fault, "store.commit.pages");
-  if (!buf.empty()) {
+  if (!pages.empty()) {
     file.clear();
     file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
-    file.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    file.write(pages.data(), static_cast<std::streamsize>(pages.size()));
   }
   fault_fire(fault, "store.commit.sync");
   file.flush();
@@ -262,6 +555,8 @@ void TraceStoreWriter::Impl::commit() {
 
   manifest = std::move(next);
   pending.clear();
+  pending_bytes.clear();
+  runs.clear();
   pending_by_kind = {};
   pending_cursor = kNoCursor;
   pending_checkpoint.reset();
@@ -277,52 +572,50 @@ CompactionReport TraceStoreWriter::Impl::compact() {
                   "'", false);
   }
 
-  // Drain the committed snapshot through a reader: the on-disk manifest is
-  // exactly `manifest` (pending events are invisible until their commit),
-  // and replay() delivers the k-way merge in canonical key order — the
-  // merged segment's record order equals what any reader already observes.
-  std::vector<StreamEvent> merged;
-  merged.reserve(manifest.events);
+  StoreManifest next = manifest;
+  std::uint64_t retired = 0;
+  for (const SegmentInfo& seg : manifest.segments) retired += seg.num_pages;
+
+  // Same publication discipline as commit(): the merged segment is
+  // appended past the committed length, flushed, then the manifest that
+  // swaps it in (and retires the old segments) lands atomically. A crash
+  // anywhere leaves the previous manifest, under which the old segments
+  // are still the live index and the appended bytes are invisible. The
+  // pages stream to the file as the k-way merge of the committed records
+  // fills them: the merged segment is never held whole.
+  fault_fire(fault, "store.compact.pages");
+  file.clear();
+  file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
+  SegmentBuilder builder(
+      manifest.options, manifest.committed_pages, pages,
+      [this](std::string_view bytes) {
+        file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      });
   {
-    struct Collect final : EventSink {
-      std::vector<StreamEvent>* out;
-      void on_event(const StreamEvent& event) override {
-        out->push_back(event);
-      }
-    } sink;
-    sink.out = &merged;
+    // The on-disk manifest is exactly `manifest` (pending events are
+    // invisible until their commit), and the reader's merge yields the
+    // records in canonical key order — the merged segment's record order
+    // equals what any reader already observes.
     TraceStore reader(path);
-    const std::uint64_t replayed = reader.replay(sink);
+    const std::uint64_t replayed = reader.replay_records(
+        [&builder](const EventKey& key, std::string_view record) {
+          builder.add(key, record);
+        });
     if (replayed != manifest.events) {
       throw ParseError(context + ": compaction replayed " +
                        std::to_string(replayed) + " events but the manifest "
                        "commits " + std::to_string(manifest.events));
     }
   }
-
-  StoreManifest next = manifest;
-  std::uint64_t retired = 0;
-  for (const SegmentInfo& seg : manifest.segments) retired += seg.num_pages;
-  std::string buf;
-  SegmentInfo seg = build_segment(merged, manifest.committed_pages, buf);
+  const SegmentInfo seg = builder.finish();
   next.committed_pages += seg.num_pages;
   next.dead_pages += retired;
-  next.segments.clear();
-  next.segments.push_back(seg);
+  next.segments.assign(1, seg);
   report.segments_after = 1;
   report.events = seg.events;
   report.pages_written = seg.num_pages;
   report.pages_retired = retired;
 
-  // Same publication discipline as commit(): the merged segment is
-  // appended past the committed length, flushed, then the manifest that
-  // swaps it in (and retires the old segments) lands atomically. A crash
-  // anywhere leaves the previous manifest, under which the old segments
-  // are still the live index and the appended bytes are invisible.
-  fault_fire(fault, "store.compact.pages");
-  file.clear();
-  file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
-  file.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   fault_fire(fault, "store.compact.sync");
   file.flush();
   if (file.fail()) {
@@ -335,139 +628,6 @@ CompactionReport TraceStoreWriter::Impl::compact() {
 
   manifest = std::move(next);
   return report;
-}
-
-SegmentInfo TraceStoreWriter::Impl::build_segment(
-    const std::vector<StreamEvent>& events, std::uint64_t first_page,
-    std::string& buf) const {
-  const std::size_t page_size = manifest.options.page_size;
-  const std::size_t capacity = page_size - kPageHeaderBytes;
-
-  // Pack the sorted records into leaves, tracking each leaf's key fences
-  // and (sorted, hence run-length) distinct BS ids for its bloom filter.
-  struct Leaf {
-    std::string payload;
-    std::uint16_t entries = 0;
-    EventKey min_key;
-    EventKey max_key;
-    std::vector<std::uint32_t> bss;
-  };
-  std::vector<Leaf> leaves;
-  char scratch[4 + kMaxEventPayloadBytes];
-  for (const StreamEvent& event : events) {
-    const std::size_t len = encode_event_payload(event, scratch + 4);
-    (void)store_le(scratch, static_cast<std::uint32_t>(len));
-    const std::size_t record = 4 + len;
-    if (leaves.empty() || leaves.back().payload.size() + record > capacity ||
-        leaves.back().entries == 0xffff) {
-      leaves.emplace_back();
-      leaves.back().min_key = event.key;
-    }
-    Leaf& leaf = leaves.back();
-    leaf.payload.append(scratch, record);
-    leaf.max_key = event.key;
-    if (leaf.bss.empty() || leaf.bss.back() != event.key.bs) {
-      leaf.bss.push_back(event.key.bs);
-    }
-    ++leaf.entries;
-  }
-
-  // One bloom width per segment, sized for its densest leaf (filters must
-  // be fixed-width so the reader can locate leaf L's filter by arithmetic).
-  std::size_t max_distinct = 1;
-  for (const Leaf& leaf : leaves) {
-    max_distinct = std::max(max_distinct, leaf.bss.size());
-  }
-  const std::size_t bloom_bytes = std::min(
-      bloom_bytes_for(max_distinct, manifest.options.bloom_bits_per_key),
-      capacity);
-  const std::size_t bloom_hashes =
-      bloom_hashes_for(manifest.options.bloom_bits_per_key);
-  const std::size_t filters_per_page =
-      bloom_filters_per_page(page_size, bloom_bytes);
-
-  SegmentInfo seg;
-  seg.first_page = first_page;
-  seg.first_leaf = seg.first_page;
-  seg.num_leaves = leaves.size();
-  seg.bloom_bytes = static_cast<std::uint32_t>(bloom_bytes);
-  seg.bloom_hashes = static_cast<std::uint32_t>(bloom_hashes);
-  seg.events = events.size();
-  seg.min_key = leaves.front().min_key;
-  seg.max_key = leaves.back().max_key;
-
-  std::uint64_t next_id = seg.first_page;
-  for (const Leaf& leaf : leaves) {
-    buf += build_page(next_id++, PageType::kLeaf, leaf.entries, leaf.payload,
-                      page_size);
-  }
-
-  seg.first_bloom_page = next_id;
-  {
-    std::string payload;
-    std::uint16_t entries = 0;
-    for (const Leaf& leaf : leaves) {
-      BsBloom bloom(bloom_bytes, bloom_hashes);
-      for (const std::uint32_t bs : leaf.bss) bloom.add(bs);
-      payload.append(reinterpret_cast<const char*>(bloom.bytes().data()),
-                     bloom_bytes);
-      if (++entries == filters_per_page) {
-        buf += build_page(next_id++, PageType::kBloom, entries, payload,
-                          page_size);
-        payload.clear();
-        entries = 0;
-      }
-    }
-    if (entries > 0) {
-      buf += build_page(next_id++, PageType::kBloom, entries, payload,
-                        page_size);
-    }
-  }
-  seg.num_bloom_pages = next_id - seg.first_bloom_page;
-
-  // Fence levels, bottom-up: each level packs (min, max, child) entries of
-  // the level below until a single root remains.
-  struct Fence {
-    EventKey min_key;
-    EventKey max_key;
-    std::uint64_t child = 0;
-  };
-  std::vector<Fence> level;
-  level.reserve(leaves.size());
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    level.push_back(
-        {leaves[i].min_key, leaves[i].max_key, seg.first_leaf + i});
-  }
-  const std::size_t fences_per_page = fence_entries_per_page(page_size);
-  seg.depth = 0;
-  while (level.size() > 1) {
-    ++seg.depth;
-    std::vector<Fence> parents;
-    std::size_t begin = 0;
-    while (begin < level.size()) {
-      const std::size_t count =
-          std::min(fences_per_page, level.size() - begin);
-      std::string payload(count * kFenceEntryBytes, '\0');
-      char* p = payload.data();
-      for (std::size_t i = 0; i < count; ++i) {
-        const Fence& f = level[begin + i];
-        encode_key(f.min_key, p);
-        encode_key(f.max_key, p + kKeyBytes);
-        (void)store_le(p + 2 * kKeyBytes, f.child);
-        p += kFenceEntryBytes;
-      }
-      const std::uint64_t id = next_id++;
-      buf += build_page(id, PageType::kInternal,
-                        static_cast<std::uint16_t>(count), payload, page_size);
-      parents.push_back(
-          {level[begin].min_key, level[begin + count - 1].max_key, id});
-      begin += count;
-    }
-    level = std::move(parents);
-  }
-  seg.root = level.front().child;
-  seg.num_pages = next_id - seg.first_page;
-  return seg;
 }
 
 }  // namespace mtd::store

@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "events/event_sink.hpp"
@@ -236,6 +237,14 @@ class TraceStore {
   /// the aggregation layer reproduces a direct generation run bit-exactly
   /// (per-cell event order is preserved; see MeasurementDataset::finalize).
   [[nodiscard]] std::uint64_t replay(EventSink& sink);
+
+  /// replay() without decoding: streams every committed record, in the
+  /// same order, to `fn` as its key and its stored bytes (u32 length
+  /// prefix + payload, exactly as held in a leaf). Each record's kind, key
+  /// and length are validated; a corrupt one raises the ParseError a
+  /// decoding read would. The compaction path.
+  [[nodiscard]] std::uint64_t replay_records(
+      const std::function<void(const EventKey&, std::string_view)>& fn);
 
   /// Walks every committed page and validates header + checksum; decodes
   /// every leaf and recounts events per segment. Throws ParseError with

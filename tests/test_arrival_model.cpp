@@ -131,6 +131,28 @@ TEST(ArrivalModel, FromPartsValidatesInput) {
                InvalidArgument);
 }
 
+// At a low rate_scale some decile sees no daytime arrivals at all: its
+// peak_mu clamps to 1e-3 and the fitted Gaussian underflows at every bin
+// centre. The fit must still succeed and score the class against a
+// point mass at its peak.
+TEST(ArrivalModel, FitSurvivesDecileWithNoDaytimeArrivals) {
+  NetworkConfig net_config;
+  net_config.num_bs = 30;
+  Rng rng(5);
+  const Network network = Network::build(net_config, rng);
+  TraceConfig trace;
+  trace.num_days = 2;
+  trace.rate_scale = 0.25;
+  const MeasurementDataset dataset = collect_dataset(network, trace);
+  ASSERT_EQ(dataset.decile_arrivals(0).day_stats.mean(), 0.0);
+
+  const ArrivalModel model = ArrivalModel::fit(dataset);
+  const ArrivalFitReport& quiet = model.classes()[0];
+  EXPECT_DOUBLE_EQ(quiet.model.peak_mu, 1e-3);
+  EXPECT_TRUE(std::isfinite(quiet.day_emd));
+  EXPECT_GE(quiet.day_emd, 0.0);
+}
+
 TEST(ArrivalModel, BadDecileThrows) {
   EXPECT_THROW(fitted_model().class_model(10), InvalidArgument);
 }

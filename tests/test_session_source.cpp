@@ -5,9 +5,12 @@
 // bit-identical use-case and analysis outputs — Table 2 slicing, the
 // Fig. 12/13 vRAN figures, and the Fig. 8 EMD/SED invariance boxplots.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/bs_level.hpp"
@@ -70,11 +73,29 @@ MemorySessionSource& memory_source() {
   return source;
 }
 
+/// A store file pair removed when the test process exits.
+struct ScratchStore {
+  explicit ScratchStore(std::string p) : path(std::move(p)) {}
+  ScratchStore(const ScratchStore&) = delete;
+  ScratchStore& operator=(const ScratchStore&) = delete;
+  ~ScratchStore() {
+    std::error_code ignored;
+    std::filesystem::remove(path, ignored);
+    std::filesystem::remove(path + ".pages", ignored);
+  }
+  std::string path;
+};
+
 /// The store half: the same realization written by a 3-worker engine run
-/// (different interleaving, same canonical order once committed).
+/// (different interleaving, same canonical order once committed). Named
+/// per process: ctest runs each test of this file in its own process, and
+/// each builds this fixture, so a shared name would let one process
+/// truncate the store another is reading.
 const std::string& store_path() {
-  static const std::string path = [] {
-    const std::string p = temp_path("mtd_parity.store");
+  static const ScratchStore store{[] {
+    const std::string p =
+        temp_path(("mtd_parity_" + std::to_string(::getpid()) + ".store")
+                      .c_str());
     EngineConfig config;
     config.num_workers = 3;
     config.batch_size = 16;
@@ -84,8 +105,8 @@ const std::string& store_path() {
     EXPECT_TRUE(result.checkpoint.complete());
     writer.close();
     return p;
-  }();
-  return path;
+  }()};
+  return store.path;
 }
 
 const ModelRegistry& parity_registry() {

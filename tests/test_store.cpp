@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataset/measurement.hpp"
 #include "engine/engine.hpp"
 #include "engine/store_runner.hpp"
 #include "events/event_sink.hpp"
+#include "io/json.hpp"
 #include "store/bloom.hpp"
 #include "store/trace_store.hpp"
 
@@ -156,6 +160,159 @@ TEST(TraceStore, MergesMultipleSegmentsInKeyOrder) {
                         }),
             2u);
   EXPECT_EQ(days, (std::vector<std::uint16_t>{2, 3}));
+}
+
+// Equal keys in several segments (not produced by the engine, but not
+// rejected) leave the k-way merge in segment order, for replay, scans,
+// point lookups and the undecoded record replay compaction uses.
+TEST(TraceStore, EqualKeysAcrossSegmentsReplayInSegmentOrder) {
+  const std::string path = temp_path("mtd_store_equal_keys.store");
+  constexpr std::uint32_t kSegments = 5;
+  {
+    TraceStoreWriter writer = TraceStoreWriter::create(path);
+    for (std::uint32_t seg = 0; seg < kSegments; ++seg) {
+      // Every segment holds the same three keys; the arrival count names
+      // the segment. A second BS gives the heap more than one key.
+      writer.on_event(minute_event(4, 0, 1, 0, 100 + seg));
+      writer.on_event(minute_event(4, 0, 1, 1, 200 + seg));
+      writer.on_event(minute_event(8, 0, 0, 0, 300 + seg));
+      writer.commit();
+    }
+    writer.close();
+  }
+
+  TraceStore reader(path);
+  ASSERT_EQ(reader.manifest().segments.size(), kSegments);
+  struct Collect final : EventSink {
+    std::vector<std::uint32_t> arrivals;
+    void on_event(const StreamEvent& event) override {
+      arrivals.push_back(std::get<MinuteEvent>(event.payload).arrivals);
+    }
+  } sink;
+  EXPECT_EQ(reader.replay(sink), 3u * kSegments);
+  std::vector<std::uint32_t> expected;
+  for (const std::uint32_t base : {100u, 200u, 300u}) {
+    for (std::uint32_t seg = 0; seg < kSegments; ++seg) {
+      expected.push_back(base + seg);
+    }
+  }
+  EXPECT_EQ(sink.arrivals, expected);
+
+  std::vector<std::uint32_t> scanned;
+  (void)reader.scan(4, 0, 0, [&scanned](const StreamEvent& event) {
+    scanned.push_back(std::get<MinuteEvent>(event.payload).arrivals);
+  });
+  EXPECT_EQ(scanned, std::vector<std::uint32_t>(expected.begin(),
+                                                expected.begin() +
+                                                    2 * kSegments));
+
+  const auto first = reader.get(EventKey{8, 0, 0, 0});
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(std::get<MinuteEvent>(first->payload).arrivals, 300u);
+
+  std::vector<EventKey> keys;
+  EXPECT_EQ(reader.replay_records(
+                [&keys](const EventKey& key, std::string_view record) {
+                  keys.push_back(key);
+                  EXPECT_EQ(record.size(),
+                            4 + event_payload_bytes(EventKind::kMinute));
+                }),
+            3u * kSegments);
+  ASSERT_EQ(keys.size(), 3u * kSegments);
+  EXPECT_EQ(keys.front(), (EventKey{4, 0, 1, 0}));
+  EXPECT_EQ(keys.back(), (EventKey{8, 0, 0, 0}));
+}
+
+// The commit orders records by grouping BS runs rather than sorting; for
+// arrivals whose runs interleave, go backwards and repeat keys, the
+// segment must be byte-identical to one written from the same events
+// stable-sorted up front.
+TEST(TraceStore, UnsortedRunsCommitLikeAStableSort) {
+  std::vector<StreamEvent> events;
+  Rng rng(31);
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    const auto bs = static_cast<std::uint32_t>(rng.uniform_index(7));
+    const auto day = static_cast<std::uint16_t>(rng.uniform_index(3));
+    const auto minute = static_cast<std::uint16_t>(rng.uniform_index(41));
+    // Few distinct seqs, so equal keys recur with different payloads.
+    const std::uint64_t seq = rng.uniform_index(4);
+    events.push_back(i % 2 == 0
+                         ? minute_event(bs, day, minute, seq,
+                                        static_cast<std::uint32_t>(i))
+                         : session_event(bs, day, minute, seq, 0.5 * i));
+  }
+  // One BS arrives in order, split into runs by the other BSs: the run
+  // path. The rest do not: the fallback path.
+  std::vector<StreamEvent> ordered_bs;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    ordered_bs.push_back(minute_event(9, 0, static_cast<std::uint16_t>(i), i,
+                                      static_cast<std::uint32_t>(i)));
+  }
+  std::vector<StreamEvent> arrivals;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    arrivals.push_back(events[i]);
+    if (i % 15 == 0 && i / 15 < ordered_bs.size()) {
+      arrivals.push_back(ordered_bs[i / 15]);
+    }
+  }
+  std::vector<StreamEvent> sorted = arrivals;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const StreamEvent& a, const StreamEvent& b) {
+                     return a.key < b.key;
+                   });
+
+  const auto write = [](const std::string& path,
+                        const std::vector<StreamEvent>& in) {
+    StoreOptions options;
+    options.page_size = 1024;
+    TraceStoreWriter writer = TraceStoreWriter::create(path, options);
+    for (const StreamEvent& event : in) writer.on_event(event);
+    writer.close();
+    return read_file(path + ".pages");
+  };
+  const std::string a = write(temp_path("mtd_store_runs_a.store"), arrivals);
+  const std::string b = write(temp_path("mtd_store_runs_b.store"), sorted);
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_TRUE(a == b);
+}
+
+// Compaction and reads take a record whose length matches its kind's
+// entry as canonical; the table must agree with the encoder for every
+// kind.
+TEST(StoreFormat, PayloadSizeTableMatchesTheEncoder) {
+  std::vector<StreamEvent> events = {minute_event(1, 0, 0, 0, 5),
+                                     session_event(1, 0, 0, 1, 2.5)};
+  events.push_back(StreamEvent{{1, 0, 0, 2}, SegmentEvent{}});
+  events.push_back(StreamEvent{{1, 0, 0, 3}, PacketEvent{}});
+  for (const StreamEvent& event : events) {
+    char buf[kMaxEventPayloadBytes];
+    EXPECT_EQ(encode_event_payload(event, buf),
+              event_payload_bytes(event.kind()))
+        << to_string(event.kind());
+  }
+}
+
+TEST(StoreFormat, LaneFnvEqualsScalarFnv) {
+  std::string bytes(9000, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) % 251);
+  }
+  const std::string_view all(bytes);
+  const std::array<std::size_t, 4> lengths[] = {
+      {4056, 0, 0, 0},      {0, 4056, 0, 0},   {17, 4056, 0, 0},
+      {4000, 3999, 4056, 0}, {1, 2, 3, 4},      {4056, 4056, 4056, 4056},
+      {0, 0, 0, 0},         {100, 0, 9000, 1}, {3, 4055, 0, 2048}};
+  for (const auto& len : lengths) {
+    std::array<std::string_view, 4> lanes{};
+    for (std::size_t i = 0; i < 4; ++i) {
+      lanes[i] = all.substr(i * 11, std::min(len[i], all.size() - i * 11));
+    }
+    const std::array<std::uint64_t, 4> sums = store::fnv1a64_x4(lanes);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(sums[i], store::fnv1a64(lanes[i]))
+          << "lane " << i << " of length " << lanes[i].size();
+    }
+  }
 }
 
 TEST(TraceStore, AppendReopensAndExtends) {
@@ -400,6 +557,51 @@ TEST(TraceStore, CursorMismatchIsRejected) {
         (void)resume_engine_into_store(engine, wrong, writer),
         InvalidArgument);
   }
+}
+
+// Byte-identity golden for the write path: a fixed engine -> store run
+// (hourly commits, periodic compaction) and a standalone compact() of the
+// result must produce exactly these page files and manifests. The digests
+// were recorded before the streaming write path replaced the sort-and-
+// rebuild one; any change to record order, page packing, bloom sizing,
+// fence layout or manifest text shows up here.
+TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
+  std::vector<BaseStation> bss(6);
+  for (std::size_t i = 0; i < bss.size(); ++i) {
+    bss[i].decile = static_cast<std::uint8_t>(i);
+    bss[i].peak_rate = 4.0 + 2.5 * static_cast<double>(i);
+    bss[i].offpeak_scale = 0.3;
+  }
+  const Network network = Network::from_base_stations(std::move(bss));
+  TraceConfig trace;
+  trace.num_days = 3;
+  trace.seed = 20231024;
+  EngineConfig config;
+  config.num_workers = 2;
+  config.kernel = GeneratorKernel::kBatch;
+  config.checkpoint_interval_minutes = 60;
+
+  const std::string path = temp_path("mtd_store_golden.store");
+  {
+    StreamEngine engine(network, trace, config);
+    TraceStoreWriter writer = TraceStoreWriter::create(path);
+    (void)run_engine_into_store(engine, writer,
+                                StoreRunPolicy{.compact_every_days = 2});
+    writer.close();
+  }
+  EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
+            0x566bdc3f08a977deULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0xc440c9d4a4ed9ac6ULL);
+
+  {
+    TraceStoreWriter writer = TraceStoreWriter::append(path);
+    const store::CompactionReport report = writer.compact();
+    EXPECT_EQ(report.segments_after, 1u);
+    writer.close();
+  }
+  EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
+            0x5ead6f4df94c9052ULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x8005973cf89d97b7ULL);
 }
 
 }  // namespace

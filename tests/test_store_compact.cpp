@@ -273,6 +273,56 @@ TEST(TraceStoreCompact, EveryCompactionPhaseFailureKeepsPreviousState) {
   }
 }
 
+// Compaction streams the merged segment's pages to the file before the
+// sync point. A fault there must still publish nothing: the previous
+// manifest stays live over the streamed tail, append() reclaims the tail,
+// and the retried compaction writes exactly the bytes a clean one does.
+TEST(TraceStoreCompact, StreamedSyncFaultReclaimsAndRetriesIdentically) {
+  const std::string clean = temp_path("mtd_compact_stream_clean.store");
+  const std::string faulted = temp_path("mtd_compact_stream_fault.store");
+  build_segmented_store(clean, 6);
+  build_segmented_store(faulted, 6);
+  {
+    TraceStoreWriter writer = TraceStoreWriter::append(clean);
+    (void)writer.compact();
+    writer.close();
+  }
+
+  Collect before;
+  (void)TraceStore(faulted).replay(before);
+  const std::uint64_t committed_bytes =
+      TraceStore(faulted).manifest().committed_bytes();
+  const std::string manifest_before = read_file(faulted);
+  {
+    FaultInjector fault;
+    TraceStoreWriter writer = TraceStoreWriter::append(faulted, &fault);
+    fault.arm("store.compact.sync", FaultSpec{.action = FaultAction::kError});
+    EXPECT_THROW((void)writer.compact(), InjectedFault);
+    EXPECT_EQ(writer.manifest().segments.size(), 6u);
+  }
+  // The merged pages reached the file, past the committed length ...
+  EXPECT_GT(std::filesystem::file_size(faulted + ".pages"), committed_bytes);
+  // ... under the untouched previous manifest.
+  EXPECT_EQ(read_file(faulted), manifest_before);
+  {
+    TraceStore reader(faulted);
+    EXPECT_EQ(reader.manifest().segments.size(), 6u);
+    Collect after_crash;
+    (void)reader.replay(after_crash);
+    expect_identical_replay(before.events, after_crash.events);
+  }
+
+  {
+    TraceStoreWriter writer = TraceStoreWriter::append(faulted);
+    EXPECT_EQ(std::filesystem::file_size(faulted + ".pages"),
+              committed_bytes);
+    (void)writer.compact();
+    writer.close();
+  }
+  EXPECT_EQ(read_file(faulted + ".pages"), read_file(clean + ".pages"));
+  EXPECT_EQ(read_file(faulted), read_file(clean));
+}
+
 // A dead_pages count the page accounting cannot explain is corruption and
 // must be diagnosed at manifest load, not silently accepted.
 TEST(TraceStoreCompact, ImplausibleDeadPagesIsDiagnosed) {
