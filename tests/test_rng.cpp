@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -205,6 +206,10 @@ struct DistributionCase {
   double expected_mean;
   double tolerance;
 };
+
+// Print a case as its label. The default printer dumps the struct's bytes,
+// label pointer included, so the listed test names would change per process.
+void PrintTo(const DistributionCase& c, std::ostream* os) { *os << c.name; }
 
 class RngDistributionMeans : public ::testing::TestWithParam<DistributionCase> {};
 
