@@ -36,20 +36,25 @@ using namespace mtd;
 
 /// Counts deliveries; deliberately near-zero per-event work so the bench
 /// measures engine overhead, not sink cost.
-struct CountingSink final : TraceSink {
+struct CountingSink final : EventSink {
   std::uint64_t minutes = 0;
   std::uint64_t sessions = 0;
   double volume_mb = 0.0;
 
-  void on_minute(const BaseStation&, std::size_t, std::size_t,
-                 std::uint32_t) override {
-    ++minutes;
-  }
-  void on_session(const Session& session) override {
-    ++sessions;
-    volume_mb += session.volume_mb;
+  void on_event(const StreamEvent& event) override {
+    if (const auto* s = std::get_if<SessionEvent>(&event.payload)) {
+      ++sessions;
+      volume_mb += s->session.volume_mb;
+    } else if (event.kind() == EventKind::kMinute) {
+      ++minutes;
+    }
   }
 };
+
+/// Minute and session events shed by backpressure.
+std::uint64_t dropped(const TelemetrySnapshot& t) {
+  return t.of(EventKind::kMinute).dropped + t.of(EventKind::kSession).dropped;
+}
 
 JsonArray throughput_sweep();
 JsonArray batch_sweep();
@@ -83,7 +88,7 @@ JsonArray throughput_sweep() {
                 << " workers\n";
       std::exit(1);
     }
-    if (t.dropped_sessions + t.dropped_minutes != 0) {
+    if (dropped(t) != 0) {
       std::cerr << "FATAL: blocking backpressure dropped events\n";
       std::exit(1);
     }
@@ -97,8 +102,7 @@ JsonArray throughput_sweep() {
     row.emplace("wall_s", t.wall_seconds);
     row.emplace("sessions_per_s", t.sessions_per_second);
     row.emplace("mbytes_per_s", t.mbytes_per_second);
-    row.emplace("dropped",
-                static_cast<double>(t.dropped_sessions + t.dropped_minutes));
+    row.emplace("dropped", static_cast<double>(dropped(t)));
     row.emplace("stall_s", t.producer_stall_seconds);
     row.emplace("speedup_vs_1", reference_rate > 0.0
                                     ? t.sessions_per_second / reference_rate
@@ -210,7 +214,7 @@ JsonArray kernel_sweep() {
                   << " session count diverged at " << workers << " workers\n";
         std::exit(1);
       }
-      if (t.dropped_sessions + t.dropped_minutes != 0) {
+      if (dropped(t) != 0) {
         std::cerr << "FATAL: blocking backpressure dropped events\n";
         std::exit(1);
       }
@@ -227,8 +231,7 @@ JsonArray kernel_sweep() {
       row.emplace("wall_s", t.wall_seconds);
       row.emplace("sessions_per_s", t.sessions_per_second);
       row.emplace("mbytes_per_s", t.mbytes_per_second);
-      row.emplace("dropped",
-                  static_cast<double>(t.dropped_sessions + t.dropped_minutes));
+      row.emplace("dropped", static_cast<double>(dropped(t)));
       row.emplace("speedup_vs_scalar",
                   scalar_rate > 0.0 ? t.sessions_per_second / scalar_rate
                                     : 1.0);

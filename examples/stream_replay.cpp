@@ -2,8 +2,9 @@
 // engine under Supervisor fault tolerance instead of the batch collector.
 //
 // Streams the scenario's trace through a supervised StreamEngine into an
-// aggregating MeasurementDataset sink (optionally teeing every session to a
-// CSV file), printing one telemetry JSON line per snapshot period. The
+// aggregating MeasurementDataset (optionally teeing every session to a CSV
+// file through a FanOutSink; the tee must hold exactly the dataset's
+// sessions or the binary exits 1), printing one telemetry JSON line per snapshot period. The
 // Supervisor restarts from the last good day-boundary checkpoint on
 // retryable failures (worker faults, watchdog stalls, transient checkpoint
 // I/O) and its RunReport — attempts, failure causes, recovered day ranges —
@@ -15,9 +16,10 @@
 // Run:  ./stream_replay [scenario.json] [trace.csv]
 #include <iostream>
 #include <memory>
+#include <vector>
 
-#include "dataset/trace_io.hpp"
 #include "engine/supervisor.hpp"
+#include "events/event_sink.hpp"
 #include "scenario/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -58,11 +60,16 @@ int main(int argc, char** argv) {
   });
 
   MeasurementDataset dataset(network, scenario.trace.num_days);
-  std::unique_ptr<SessionCsvWriter> csv;
-  TraceSink* sink = &dataset;
+  TraceSinkAdapter to_dataset(network, dataset);
+  std::unique_ptr<SessionCsvEventSink> csv;
+  std::unique_ptr<FanOutSink> tee;
+  EventSink* sink = &to_dataset;
   if (argc > 2) {
-    csv = std::make_unique<SessionCsvWriter>(argv[2], &dataset);
-    sink = csv.get();
+    csv = std::make_unique<SessionCsvEventSink>(network, argv[2]);
+    tee = std::make_unique<FanOutSink>(
+        std::vector<EventSink*>{&to_dataset, csv.get()},
+        SinkErrorPolicy::kFailFast);
+    sink = tee.get();
     std::cout << "Teeing sessions to " << argv[2] << "\n";
   }
 
@@ -84,7 +91,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   dataset.finalize();
-  if (csv) csv->close();
+  if (csv) {
+    csv->close();
+    if (csv->writer().sessions_written() != dataset.total_sessions()) {
+      std::cerr << "FATAL: the CSV tee holds "
+                << csv->writer().sessions_written()
+                << " sessions, the dataset " << dataset.total_sessions()
+                << "\n";
+      return 1;
+    }
+  }
 
   std::cout << "\nRun report: " << report.to_json().dump() << "\n";
   std::cout << "Dataset: " << dataset.total_sessions() << " sessions, "

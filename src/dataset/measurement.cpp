@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <thread>
-
-#include "common/mutex.hpp"
 
 #include "common/error.hpp"
 #include "common/time_utils.hpp"
@@ -316,51 +313,6 @@ std::vector<CellKey> MeasurementDataset::cell_keys(
   return out;
 }
 
-void MeasurementDataset::merge(const MeasurementDataset& other) {
-  require(network_ == other.network_,
-          "MeasurementDataset::merge: different networks");
-  require(num_days_ == other.num_days_,
-          "MeasurementDataset::merge: different horizons");
-  require(config_.store_per_cell == other.config_.store_per_cell,
-          "MeasurementDataset::merge: per-cell store mismatch");
-  require(pending_.empty() && other.pending_.empty(),
-          "MeasurementDataset::merge: finalize both datasets first");
-
-  for (std::size_t s = 0; s < slice_stats_.size(); ++s) {
-    for (std::size_t i = 0; i < kNumSlices; ++i) {
-      ServiceSliceStats& mine = slice_stats_[s][i];
-      const ServiceSliceStats& theirs = other.slice_stats_[s][i];
-      mine.volume_pdf.accumulate(theirs.volume_pdf, 1.0);
-      mine.dv_curve.accumulate(theirs.dv_curve, 1.0);
-      mine.sessions += theirs.sessions;
-      mine.volume_mb += theirs.volume_mb;
-    }
-    duration_pdfs_[s].accumulate(other.duration_pdfs_[s], 1.0);
-    session_share_stats_[s].merge(other.session_share_stats_[s]);
-    traffic_share_stats_[s].merge(other.traffic_share_stats_[s]);
-  }
-  for (std::size_t d = 0; d < decile_stats_.size(); ++d) {
-    DecileArrivalStats& mine = decile_stats_[d];
-    const DecileArrivalStats& theirs = other.decile_stats_[d];
-    mine.count_pdf.accumulate(theirs.count_pdf, 1.0);
-    mine.day_pdf.accumulate(theirs.day_pdf, 1.0);
-    mine.night_pdf.accumulate(theirs.night_pdf, 1.0);
-    mine.day_stats.merge(theirs.day_stats);
-    mine.night_stats.merge(theirs.night_stats);
-  }
-  total_sessions_ += other.total_sessions_;
-  total_volume_ += other.total_volume_;
-  if (config_.store_per_cell) {
-    for (const auto& [key, cell] : other.cells_) {
-      CellStats& mine = cells_[key];
-      mine.sessions += cell.sessions;
-      mine.volume_mb += cell.volume_mb;
-      mine.volume_pdf.accumulate(cell.volume_pdf, 1.0);
-      mine.dv_curve.accumulate(cell.dv_curve, 1.0);
-    }
-  }
-}
-
 MeasurementDataset collect_dataset(const Network& network,
                                    const TraceConfig& trace_config,
                                    MeasurementConfig measurement_config) {
@@ -368,127 +320,6 @@ MeasurementDataset collect_dataset(const Network& network,
                              measurement_config);
   const TraceGenerator generator(network, trace_config);
   generator.run(dataset);
-  dataset.finalize();
-  return dataset;
-}
-
-namespace {
-
-/// One generated (BS, day), recorded for ordered replay: the per-minute
-/// arrival counts plus the sessions in generation order.
-struct RecordedUnit {
-  std::vector<std::uint32_t> counts;
-  std::vector<Session> sessions;
-};
-
-class RecordingSink final : public TraceSink {
- public:
-  explicit RecordingSink(RecordedUnit& unit) : unit_(&unit) {}
-  void on_minute(const BaseStation&, std::size_t, std::size_t,
-                 std::uint32_t count) override {
-    unit_->counts.push_back(count);
-  }
-  void on_session(const Session& session) override {
-    unit_->sessions.push_back(session);
-  }
-
- private:
-  RecordedUnit* unit_;
-};
-
-}  // namespace
-
-MeasurementDataset collect_dataset_parallel(
-    const Network& network, const TraceConfig& trace_config,
-    std::size_t threads, MeasurementConfig measurement_config) {
-  if (threads == 0) {
-    // Auto: one worker per hardware thread. hardware_concurrency() may
-    // report 0 on exotic platforms; fall back to serial then.
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, network.size());
-  if (threads == 1) {
-    return collect_dataset(network, trace_config, measurement_config);
-  }
-
-  // Parallel generation, strictly serial aggregation: workers record
-  // (BS, day) units out of order, the calling thread replays them into one
-  // dataset in exactly collect_dataset's (BS-major, then day) order and
-  // event interleaving. Every accumulated double therefore sees the same
-  // additions in the same order as the serial path — the result is
-  // bit-identical for any thread count, not merely equal to rounding.
-  // A bounded look-ahead window caps the memory of buffered units.
-  const std::size_t num_days = trace_config.num_days;
-  const std::size_t units = network.size() * num_days;
-  MeasurementDataset dataset(network, num_days, measurement_config);
-  if (units == 0) {
-    dataset.finalize();
-    return dataset;
-  }
-
-  const TraceGenerator generator(network, trace_config);
-  const std::size_t window = threads * 4;
-
-  Mutex mu;
-  ConditionVariable ready_cv;         // consumer waits for the next unit
-  ConditionVariable space_cv;         // workers wait for window space
-  std::map<std::size_t, RecordedUnit> ready;  // guarded by mu
-  std::size_t claim_cursor = 0;               // guarded by mu
-  std::size_t replay_cursor = 0;              // guarded by mu
-
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&] {
-      for (;;) {
-        std::size_t unit_index;
-        {
-          MutexLock lock(mu);
-          space_cv.wait(mu, [&] {
-            return claim_cursor >= units ||
-                   claim_cursor < replay_cursor + window;
-          });
-          if (claim_cursor >= units) return;
-          unit_index = claim_cursor++;
-        }
-        RecordedUnit unit;
-        unit.counts.reserve(kMinutesPerDay);
-        RecordingSink recorder(unit);
-        generator.run_bs_day(network[unit_index / num_days],
-                             unit_index % num_days, recorder);
-        {
-          MutexLock lock(mu);
-          ready.emplace(unit_index, std::move(unit));
-        }
-        ready_cv.notify_one();
-      }
-    });
-  }
-
-  for (std::size_t u = 0; u < units; ++u) {
-    RecordedUnit unit;
-    {
-      MutexLock lock(mu);
-      ready_cv.wait(mu, [&] { return ready.count(u) != 0; });
-      unit = std::move(ready.find(u)->second);
-      ready.erase(u);
-      replay_cursor = u + 1;
-    }
-    space_cv.notify_all();
-
-    const BaseStation& bs = network[u / num_days];
-    const std::size_t day = u % num_days;
-    std::size_t cursor = 0;
-    for (std::size_t minute = 0; minute < unit.counts.size(); ++minute) {
-      dataset.on_minute(bs, day, minute, unit.counts[minute]);
-      while (cursor < unit.sessions.size() &&
-             unit.sessions[cursor].minute_of_day == minute) {
-        dataset.on_session(unit.sessions[cursor++]);
-      }
-    }
-  }
-  for (std::thread& worker : workers) worker.join();
-
   dataset.finalize();
   return dataset;
 }

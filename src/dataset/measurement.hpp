@@ -129,12 +129,6 @@ class MeasurementDataset final : public TraceSink {
   /// runs, volume totals and share statistics read as zero.
   void finalize();
 
-  /// Merges another dataset built over the same network and horizon (e.g.
-  /// a partition of the BSs processed by another thread). Both datasets
-  /// must be finalized. All aggregates - slices, arrival statistics, share
-  /// statistics, totals and the optional per-cell store - are combined.
-  void merge(const MeasurementDataset& other);
-
   // -- accessors ------------------------------------------------------------
 
   [[nodiscard]] const Network& network() const noexcept { return *network_; }
@@ -234,17 +228,5 @@ class MeasurementDataset final : public TraceSink {
 [[nodiscard]] MeasurementDataset collect_dataset(
     const Network& network, const TraceConfig& trace_config,
     MeasurementConfig measurement_config = {});
-
-/// Parallel variant: workers generate (BS, day) units concurrently (the
-/// per-(BS, day) generator streams are independent) while the calling
-/// thread replays them into one dataset in exactly the serial path's order
-/// and event interleaving — the result is bit-identical to
-/// collect_dataset() for any thread count. A bounded look-ahead window
-/// (4 units per worker) caps buffering memory.
-/// `threads == 0` selects one worker per hardware thread; thread counts
-/// beyond the number of BSs are clamped.
-[[nodiscard]] MeasurementDataset collect_dataset_parallel(
-    const Network& network, const TraceConfig& trace_config,
-    std::size_t threads, MeasurementConfig measurement_config = {});
 
 }  // namespace mtd

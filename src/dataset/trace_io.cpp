@@ -32,8 +32,8 @@ struct SessionCsvWriter::Impl {
   }
 };
 
-SessionCsvWriter::SessionCsvWriter(const std::string& path, TraceSink* forward)
-    : impl_(std::make_unique<Impl>()), path_(path), forward_(forward) {
+SessionCsvWriter::SessionCsvWriter(const std::string& path)
+    : impl_(std::make_unique<Impl>()), path_(path) {
   impl_->out.open(path, std::ios::binary | std::ios::trunc);
   if (!impl_->out) throw Error("SessionCsvWriter: cannot open " + path);
   impl_->buf.reserve(kCsvFlushBytes + 256);
@@ -67,12 +67,6 @@ void SessionCsvWriter::close() {
   }
 }
 
-void SessionCsvWriter::on_minute(const BaseStation& bs, std::size_t day,
-                                 std::size_t minute_of_day,
-                                 std::uint32_t count) {
-  if (forward_ != nullptr) forward_->on_minute(bs, day, minute_of_day, count);
-}
-
 void SessionCsvWriter::on_session(const Session& session) {
   const std::string& name = service_catalog()[session.service].name;
   const bool quote = name.find(',') != std::string::npos;
@@ -100,7 +94,6 @@ void SessionCsvWriter::on_session(const Session& session) {
   buf += '\n';
   if (buf.size() >= kCsvFlushBytes) impl_->flush_buf();
   ++sessions_;
-  if (forward_ != nullptr) forward_->on_session(session);
 }
 
 namespace {

@@ -19,21 +19,19 @@
 
 namespace mtd {
 
-/// Writes sessions to CSV as they arrive; also forwards per-minute counts
-/// when chained in front of another sink.
+/// Writes sessions to CSV as they arrive; per-minute counts are not part
+/// of the schema and are ignored.
 class SessionCsvWriter final : public TraceSink {
  public:
-  /// Opens `path` for writing and emits the header. `forward` (optional)
-  /// receives every callback after it is recorded.
-  explicit SessionCsvWriter(const std::string& path,
-                            TraceSink* forward = nullptr);
+  /// Opens `path` for writing and emits the header.
+  explicit SessionCsvWriter(const std::string& path);
   ~SessionCsvWriter() override;
 
   SessionCsvWriter(const SessionCsvWriter&) = delete;
   SessionCsvWriter& operator=(const SessionCsvWriter&) = delete;
 
-  void on_minute(const BaseStation& bs, std::size_t day,
-                 std::size_t minute_of_day, std::uint32_t count) override;
+  void on_minute(const BaseStation&, std::size_t, std::size_t,
+                 std::uint32_t) override {}
   void on_session(const Session& session) override;
 
   /// Flushes and closes the file (also done by the destructor). Throws
@@ -54,7 +52,6 @@ class SessionCsvWriter final : public TraceSink {
   struct Impl;
   std::unique_ptr<Impl> impl_;
   std::string path_;
-  TraceSink* forward_;
   std::uint64_t sessions_ = 0;
 };
 

@@ -11,7 +11,6 @@ namespace mtd {
 
 namespace {
 
-constexpr const char* kFormatV1 = "mtd-engine-checkpoint-v1";
 constexpr const char* kFormatV2 = "mtd-engine-checkpoint-v2";
 
 /// 64-bit values (seeds, fingerprints) are stored as hex strings: JSON
@@ -94,8 +93,10 @@ Rng::FullState rng_state_from_json(const Json& json, const char* what) {
 void parse_shards(const Json& json, EngineCheckpoint& cp) {
   for (const Json& sh : json.at("shards").as_array()) {
     EngineShardCursor cursor;
-    cursor.shard = static_cast<std::size_t>(sh.at("shard").as_number());
-    cursor.next_day = static_cast<std::size_t>(sh.at("next_day").as_number());
+    cursor.shard =
+        json_uint<std::size_t>(sh.at("shard"), "EngineShardCursor.shard");
+    cursor.next_day = json_uint<std::size_t>(sh.at("next_day"),
+                                             "EngineShardCursor.next_day");
     cursor.sessions_produced = from_hex(
         sh.at("sessions_produced").as_string(), "EngineShardCursor.sessions");
     if (cursor.next_day != cp.next_day) {
@@ -107,32 +108,28 @@ void parse_shards(const Json& json, EngineCheckpoint& cp) {
   }
 }
 
-/// Fields shared by the v1 and v2 documents (identity, cursor, counters).
+/// Identity, cursor and counters.
 void parse_common(const Json& json, EngineCheckpoint& cp) {
   cp.seed = from_hex(json.at("seed").as_string(), "EngineCheckpoint.seed");
-  cp.num_days = static_cast<std::size_t>(json.at("num_days").as_number());
+  cp.num_days = json_uint<std::size_t>(json.at("num_days"),
+                                       "EngineCheckpoint.num_days");
   cp.rate_scale = json.at("rate_scale").as_number();
   cp.weekend_rate_factor = json.at("weekend_rate_factor").as_number();
   cp.network_fingerprint =
       from_hex(json.at("network_fingerprint").as_string(),
                "EngineCheckpoint.network_fingerprint");
-  cp.next_day = static_cast<std::size_t>(json.at("next_day").as_number());
-  cp.clock_minute =
-      static_cast<std::uint64_t>(json.at("clock_minute").as_number());
+  cp.next_day = json_uint<std::size_t>(json.at("next_day"),
+                                       "EngineCheckpoint.next_day");
+  cp.clock_minute = json_uint<std::uint64_t>(json.at("clock_minute"),
+                                             "EngineCheckpoint.clock_minute");
   cp.sessions_emitted = from_hex(json.at("sessions_emitted").as_string(),
                                  "EngineCheckpoint.sessions_emitted");
   cp.minutes_emitted = from_hex(json.at("minutes_emitted").as_string(),
                                 "EngineCheckpoint.minutes_emitted");
-  // Absent in files written before the typed event plane; those replays
-  // streamed no segment or packet events.
-  if (json.contains("segments_emitted")) {
-    cp.segments_emitted = from_hex(json.at("segments_emitted").as_string(),
-                                   "EngineCheckpoint.segments_emitted");
-  }
-  if (json.contains("packets_emitted")) {
-    cp.packets_emitted = from_hex(json.at("packets_emitted").as_string(),
-                                  "EngineCheckpoint.packets_emitted");
-  }
+  cp.segments_emitted = from_hex(json.at("segments_emitted").as_string(),
+                                 "EngineCheckpoint.segments_emitted");
+  cp.packets_emitted = from_hex(json.at("packets_emitted").as_string(),
+                                "EngineCheckpoint.packets_emitted");
   cp.volume_mb = json.at("volume_mb").as_number();
 }
 
@@ -189,28 +186,14 @@ Json EngineCheckpoint::to_json() const {
 }
 
 EngineCheckpoint EngineCheckpoint::from_json(const Json& json) {
-  if (!json.contains("format")) {
+  if (!json.contains("format") ||
+      json.at("format").as_string() != kFormatV2) {
     throw ParseError(std::string("EngineCheckpoint: not a ") + kFormatV2 +
-                     " (or " + kFormatV1 + ") file");
-  }
-  const std::string& format = json.at("format").as_string();
-  if (format != kFormatV1 && format != kFormatV2) {
-    throw ParseError(std::string("EngineCheckpoint: not a ") + kFormatV2 +
-                     " (or " + kFormatV1 + ") file");
+                     " file");
   }
   EngineCheckpoint cp;
   parse_common(json, cp);
-  if (format == kFormatV1) {
-    // v1 checkpoints are day-boundary only; the clock must sit exactly on
-    // the next_day boundary and no raw stream state may be present.
-    if (cp.clock_minute != cp.next_day * kMinutesPerDay) {
-      throw ParseError(
-          "EngineCheckpoint: clock_minute is not at the next_day boundary");
-    }
-    parse_shards(json, cp);
-    return cp;
-  }
-  // v2: the clock may sit anywhere inside day next_day.
+  // The clock may sit anywhere inside day next_day.
   if (cp.clock_minute / kMinutesPerDay != cp.next_day) {
     throw ParseError(
         "EngineCheckpoint: clock_minute is not inside day next_day");
@@ -219,7 +202,7 @@ EngineCheckpoint EngineCheckpoint::from_json(const Json& json) {
   if (json.contains("bs_states")) {
     for (const Json& bs : json.at("bs_states").as_array()) {
       EngineBsCursor c;
-      c.bs = static_cast<std::uint32_t>(bs.at("bs").as_number());
+      c.bs = json_uint<std::uint32_t>(bs.at("bs"), "EngineBsCursor.bs");
       c.session_rng = rng_state_from_json(bs.at("session_rng"),
                                           "EngineBsCursor.session_rng");
       c.segment_rng = rng_state_from_json(bs.at("segment_rng"),

@@ -452,11 +452,6 @@ EngineResult StreamEngine::run(EventSink& sink) {
   return run_days(sink, 0, 0, nullptr, {}, 0.0);
 }
 
-EngineResult StreamEngine::run(TraceSink& sink) {
-  TraceSinkAdapter adapter(network(), sink);
-  return run(adapter);
-}
-
 EngineResult StreamEngine::resume(const EngineCheckpoint& from,
                                   EventSink& sink) {
   const TraceConfig& trace = generator_.config();
@@ -543,12 +538,6 @@ EngineResult StreamEngine::resume(const EngineCheckpoint& from,
   prior[static_cast<std::size_t>(EventKind::kPacket)] = from.packets_emitted;
   return run_days(sink, from.next_day, from.minute_of_day(), &from.bs_states,
                   prior, from.volume_mb);
-}
-
-EngineResult StreamEngine::resume(const EngineCheckpoint& from,
-                                  TraceSink& sink) {
-  TraceSinkAdapter adapter(network(), sink);
-  return resume(from, adapter);
 }
 
 EngineResult StreamEngine::run_days(

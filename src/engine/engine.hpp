@@ -138,11 +138,6 @@ class StreamEngine {
   /// call; returns once producers and consumer have drained.
   [[nodiscard]] EngineResult run(EventSink& sink);
 
-  /// Legacy entry point: wraps `sink` in a TraceSinkAdapter (minute and
-  /// session events only; segment/packet events are dropped by the
-  /// adapter, so pair it with a session_replay() event mask).
-  [[nodiscard]] EngineResult run(TraceSink& sink);
-
   /// Continues a run from a checkpoint — a day boundary, or any mid-day
   /// minute for v2 checkpoints carrying per-BS stream state. Throws
   /// InvalidArgument when the checkpoint does not match this engine's
@@ -151,8 +146,6 @@ class StreamEngine {
   /// the sharding.
   [[nodiscard]] EngineResult resume(const EngineCheckpoint& from,
                                     EventSink& sink);
-  [[nodiscard]] EngineResult resume(const EngineCheckpoint& from,
-                                    TraceSink& sink);
 
   /// Called with every periodic telemetry snapshot (consumer thread). The
   /// final snapshot is always delivered — also on the failure path, as the

@@ -1,87 +1,14 @@
 #include "engine/supervisor.hpp"
 
 #include <chrono>
-#include <map>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/time_utils.hpp"
+#include "events/commit_buffer.hpp"
 
 namespace mtd {
-
-namespace {
-
-/// Holds every delivered event of the not-yet-checkpointed simulated
-/// minutes and replays them downstream in minute order once they commit.
-/// Within a minute events flush in arrival order, so each BS's subsequence
-/// is exactly its generation order — the downstream sink cannot tell it
-/// apart from an unfailed direct run. Keying by absolute minute (not day)
-/// lets mid-day checkpoints flush a partial day's committed prefix while
-/// holding back only the tail past the checkpoint.
-class CommitBuffer final : public TraceSink {
- public:
-  explicit CommitBuffer(TraceSink& downstream) : downstream_(&downstream) {}
-
-  void on_minute(const BaseStation& bs, std::size_t day,
-                 std::size_t minute_of_day, std::uint32_t count) override {
-    Event ev;
-    ev.is_minute = true;
-    ev.bs = &bs;
-    ev.day = day;
-    ev.minute_of_day = minute_of_day;
-    ev.count = count;
-    pending_[key(day, minute_of_day)].push_back(std::move(ev));
-  }
-
-  void on_session(const Session& session) override {
-    Event ev;
-    ev.is_minute = false;
-    ev.session = session;
-    pending_[key(session.day, session.minute_of_day)].push_back(
-        std::move(ev));
-  }
-
-  /// Flushes every buffered minute below the checkpoint's clock_minute
-  /// downstream, oldest first.
-  void commit_through(std::uint64_t clock_minute) {
-    while (!pending_.empty() && pending_.begin()->first < clock_minute) {
-      for (const Event& ev : pending_.begin()->second) {
-        if (ev.is_minute) {
-          downstream_->on_minute(*ev.bs, ev.day, ev.minute_of_day, ev.count);
-        } else {
-          downstream_->on_session(ev.session);
-        }
-      }
-      pending_.erase(pending_.begin());
-    }
-  }
-
-  /// Drops the uncommitted tail after a failed attempt; the resume
-  /// regenerates it from the checkpoint.
-  void discard() { pending_.clear(); }
-
- private:
-  struct Event {
-    bool is_minute = false;
-    const BaseStation* bs = nullptr;  // minutes only; network-owned
-    std::size_t day = 0;
-    std::size_t minute_of_day = 0;
-    std::uint32_t count = 0;
-    Session session;
-  };
-
-  static std::uint64_t key(std::size_t day, std::size_t minute_of_day) {
-    return static_cast<std::uint64_t>(day) * kMinutesPerDay + minute_of_day;
-  }
-
-  TraceSink* downstream_;
-  std::map<std::uint64_t, std::vector<Event>> pending_;
-};
-
-}  // namespace
 
 Json RunReport::to_json() const {
   JsonObject obj;
@@ -124,20 +51,18 @@ Supervisor::Supervisor(const Network& network, const TraceConfig& trace,
           "Supervisor: backoff_jitter must be >= 0");
 }
 
-RunReport Supervisor::run(TraceSink& sink) {
+RunReport Supervisor::run(EventSink& sink) {
   return supervise(std::nullopt, sink);
 }
 
-RunReport Supervisor::resume(const EngineCheckpoint& from, TraceSink& sink) {
+RunReport Supervisor::resume(const EngineCheckpoint& from, EventSink& sink) {
   return supervise(from, sink);
 }
 
 RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
-                                TraceSink& sink) {
+                                EventSink& sink) {
   RunReport report;
-  CommitBuffer buffer(sink);
-  TraceSink& engine_sink =
-      config_.buffer_uncommitted ? static_cast<TraceSink&>(buffer) : sink;
+  MinuteCommitBuffer buffer(sink);
   std::optional<EngineCheckpoint> last_good = std::move(from);
   Rng backoff_rng(
       config_.backoff_seed.value_or(trace_.seed ^ 0x73757076ULL /* "supv" */));
@@ -158,15 +83,15 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
       // Flush committed minutes downstream BEFORE adopting the checkpoint
       // as the restart point: a resume must never skip a minute the
       // downstream sink has not fully received.
-      if (config_.buffer_uncommitted) buffer.commit_through(cp.clock_minute);
+      buffer.commit_through(cp.clock_minute);
       last_good = cp;
       record.reached_day = cp.next_day;
       record.reached_minute = cp.clock_minute;
     });
 
     try {
-      report.result = last_good ? engine.resume(*last_good, engine_sink)
-                                : engine.run(engine_sink);
+      report.result =
+          last_good ? engine.resume(*last_good, buffer) : engine.run(buffer);
       report.succeeded = true;
       report.attempts.push_back(std::move(record));
       return report;
@@ -180,7 +105,7 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
       record.retryable = false;
     }
 
-    if (config_.buffer_uncommitted) buffer.discard();
+    buffer.discard();
     const bool retry = record.retryable && attempt < max_attempts;
     if (retry) {
       record.backoff_ms =

@@ -13,11 +13,12 @@
 // Exactly-once delivery across restarts: the engine's sink sees events
 // past the last checkpoint before the next one commits, so a naive restart
 // would replay that tail into the downstream sink twice. The Supervisor
-// therefore interposes a commit buffer — events are held per simulated
-// minute and flushed downstream only when the engine checkpoints past that
-// minute; on failure the uncommitted tail is discarded and regenerated
-// from the checkpoint. Minute granularity makes the buffered window the
-// checkpoint interval, not a whole day. The one hole is the downstream
+// therefore interposes a MinuteCommitBuffer (events/commit_buffer.hpp) —
+// events are held per simulated minute and flushed downstream only when
+// the engine checkpoints past that minute; on failure the uncommitted tail
+// is discarded and regenerated from the checkpoint. Minute granularity
+// makes the buffered window the checkpoint interval, not a whole day.
+// Every event kind passes through it. The one hole is the downstream
 // sink itself throwing mid-flush (its state is then unknown); such errors
 // are foreign/non-retryable and end supervision.
 //
@@ -50,11 +51,6 @@ struct SupervisorConfig {
   /// identical backoff sequences (asserted in tests), which keeps chaos
   /// runs reproducible end to end.
   std::optional<std::uint64_t> backoff_seed;
-  /// Buffer sink output per simulated minute and flush on checkpoint
-  /// commit (see file header). Disable only for idempotent sinks that
-  /// tolerate replayed uncommitted tails; the recovered stream then
-  /// degrades to at-least-once.
-  bool buffer_uncommitted = true;
 };
 
 /// One engine attempt inside a supervised run.
@@ -97,10 +93,10 @@ class Supervisor {
   /// retryable engine failures while restart budget remains; when the
   /// budget is exhausted or the failure is not retryable, the report
   /// records every attempt and `succeeded` is false.
-  [[nodiscard]] RunReport run(TraceSink& sink);
+  [[nodiscard]] RunReport run(EventSink& sink);
 
   /// Supervised equivalent of StreamEngine::resume.
-  [[nodiscard]] RunReport resume(const EngineCheckpoint& from, TraceSink& sink);
+  [[nodiscard]] RunReport resume(const EngineCheckpoint& from, EventSink& sink);
 
   /// Telemetry passthrough, re-registered on every attempt's engine.
   void on_snapshot(std::function<void(const TelemetrySnapshot&)> callback) {
@@ -113,7 +109,7 @@ class Supervisor {
 
  private:
   [[nodiscard]] RunReport supervise(std::optional<EngineCheckpoint> from,
-                                    TraceSink& sink);
+                                    EventSink& sink);
 
   const Network* network_;
   TraceConfig trace_;

@@ -50,7 +50,6 @@ TelemetrySnapshot Telemetry::snapshot(std::uint64_t queue_depth) const {
   snap.volume_mb =
       base_volume_mb_ + volume_mb_.load(std::memory_order_relaxed);
   snap.producer_stall_seconds = static_cast<double>(stall_ns) * 1e-9;
-  snap.sync_legacy_fields();
   if (snap.wall_seconds > 0.0) {
     const std::size_t session = static_cast<std::size_t>(EventKind::kSession);
     snap.sessions_per_second =
@@ -65,35 +64,12 @@ TelemetrySnapshot Telemetry::snapshot(std::uint64_t queue_depth) const {
   return snap;
 }
 
-void TelemetrySnapshot::sync_legacy_fields() noexcept {
-  const EventKindCounters& minute = of(EventKind::kMinute);
-  const EventKindCounters& session = of(EventKind::kSession);
-  sessions_produced = session.produced;
-  sessions_consumed = session.consumed;
-  minutes_consumed = minute.consumed;
-  dropped_sessions = session.dropped;
-  dropped_minutes = minute.dropped;
-  sink_errors = session.sink_errors;
-  sink_error_minutes = minute.sink_errors;
-  discarded_sessions = session.discarded;
-  discarded_minutes = minute.discarded;
-}
-
 Json TelemetrySnapshot::to_json() const {
   JsonObject obj;
   obj.emplace("wall_s", wall_seconds);
   obj.emplace("clock_minute", static_cast<double>(clock_minute));
-  obj.emplace("sessions_produced", static_cast<double>(sessions_produced));
-  obj.emplace("sessions_consumed", static_cast<double>(sessions_consumed));
-  obj.emplace("minutes_consumed", static_cast<double>(minutes_consumed));
   obj.emplace("volume_mb", volume_mb);
   obj.emplace("queue_depth", static_cast<double>(queue_depth));
-  obj.emplace("dropped_sessions", static_cast<double>(dropped_sessions));
-  obj.emplace("dropped_minutes", static_cast<double>(dropped_minutes));
-  obj.emplace("sink_errors", static_cast<double>(sink_errors));
-  obj.emplace("sink_error_minutes", static_cast<double>(sink_error_minutes));
-  obj.emplace("discarded_sessions", static_cast<double>(discarded_sessions));
-  obj.emplace("discarded_minutes", static_cast<double>(discarded_minutes));
   obj.emplace("producer_stall_s", producer_stall_seconds);
   obj.emplace("sessions_per_s", sessions_per_second);
   obj.emplace("events_per_s", events_per_second);
@@ -117,7 +93,7 @@ Json TelemetrySnapshot::to_json() const {
 TelemetrySnapshot TelemetrySnapshot::from_json(const Json& json) {
   TelemetrySnapshot snap;
   auto u64 = [&](const Json& node, const char* key) {
-    return static_cast<std::uint64_t>(node.at(key).as_number());
+    return json_uint<std::uint64_t>(node.at(key), key);
   };
   snap.wall_seconds = json.at("wall_s").as_number();
   snap.clock_minute = u64(json, "clock_minute");
@@ -137,7 +113,6 @@ TelemetrySnapshot TelemetrySnapshot::from_json(const Json& json) {
     snap.kinds[k].sink_errors = u64(kind_obj, "sink_errors");
     snap.kinds[k].discarded = u64(kind_obj, "discarded");
   }
-  snap.sync_legacy_fields();
   return snap;
 }
 

@@ -52,25 +52,9 @@ struct TelemetrySnapshot {
   double events_per_second = 0.0;      // consumed, all kinds / wall
   double mbytes_per_second = 0.0;      // delivered volume / wall
 
-  // Legacy scalar views of the per-kind counters; kept as first-class
-  // fields (and JSON keys) for downstream tooling written before events
-  // became typed. Always equal to the corresponding kinds[] entries.
-  std::uint64_t sessions_produced = 0;
-  std::uint64_t sessions_consumed = 0;
-  std::uint64_t minutes_consumed = 0;
-  std::uint64_t dropped_sessions = 0;
-  std::uint64_t dropped_minutes = 0;
-  std::uint64_t sink_errors = 0;          // failed session deliveries
-  std::uint64_t sink_error_minutes = 0;   // failed minute deliveries
-  std::uint64_t discarded_sessions = 0;
-  std::uint64_t discarded_minutes = 0;
-
   [[nodiscard]] const EventKindCounters& of(EventKind kind) const noexcept {
     return kinds[static_cast<std::size_t>(kind)];
   }
-
-  /// Re-derives the legacy scalar fields from kinds[].
-  void sync_legacy_fields() noexcept;
 
   [[nodiscard]] bool sessions_accounted_for() const noexcept {
     return of(EventKind::kSession).accounted_for();
@@ -83,8 +67,8 @@ struct TelemetrySnapshot {
     return true;
   }
 
-  /// Flat JSON object; legacy keys are stable for downstream tooling, the
-  /// "kinds" member carries the per-kind counter blocks.
+  /// Flat JSON object of the scalar fields; the "kinds" member carries the
+  /// per-kind counter blocks.
   [[nodiscard]] Json to_json() const;
   /// Inverse of to_json (round-trip exact for counters below 2^53).
   [[nodiscard]] static TelemetrySnapshot from_json(const Json& json);

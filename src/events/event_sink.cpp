@@ -46,23 +46,7 @@ void TraceSinkAdapter::on_event(const StreamEvent& event) {
 
 SessionCsvEventSink::SessionCsvEventSink(const Network& network,
                                          const std::string& path)
-    : network_(&network), writer_(path) {}
-
-void SessionCsvEventSink::on_event(const StreamEvent& event) {
-  switch (event.kind()) {
-    case EventKind::kMinute:
-      writer_.on_minute((*network_)[event.key.bs], event.key.day,
-                        event.key.minute_of_day,
-                        std::get<MinuteEvent>(event.payload).arrivals);
-      break;
-    case EventKind::kSession:
-      writer_.on_session(std::get<SessionEvent>(event.payload).session);
-      break;
-    case EventKind::kSegment:
-    case EventKind::kPacket:
-      break;  // not part of the CSV schema
-  }
-}
+    : writer_(path), adapter_(network, writer_) {}
 
 // ---------------------------------------------------------------------------
 // ndjson

@@ -41,10 +41,12 @@ class EventSink {
   virtual void close() {}
 };
 
-/// Adapts the typed stream back onto the legacy TraceSink interface:
-/// minute events become on_minute, session events on_session, segment and
-/// packet events are ignored (TraceSink predates them). `network` supplies
-/// the BaseStation metadata on_minute requires.
+/// The one bridge from the typed stream to the TraceSink interface
+/// (MeasurementDataset, SessionCsvWriter): minute events become on_minute,
+/// session events on_session, segment and packet events are ignored
+/// (TraceSink predates them). `network` supplies the BaseStation metadata
+/// on_minute requires. StreamEngine and Supervisor take only EventSinks,
+/// so a caller filling a dataset wraps it in one of these.
 class TraceSinkAdapter final : public EventSink {
  public:
   TraceSinkAdapter(const Network& network, TraceSink& sink)
@@ -58,22 +60,23 @@ class TraceSinkAdapter final : public EventSink {
 };
 
 /// Writes session events to the CSV schema of SessionCsvWriter
-/// (bit-identical to the pre-refactor session replay path). Minute,
-/// segment and packet events are accepted and skipped, so the sink can sit
-/// directly on a full multi-kind stream. close() surfaces buffered write
-/// failures exactly as SessionCsvWriter::close does.
+/// (bit-identical to the pre-refactor session replay path), through a
+/// TraceSinkAdapter over the writer. Minute, segment and packet events are
+/// accepted and skipped, so the sink can sit directly on a full multi-kind
+/// stream. close() surfaces buffered write failures exactly as
+/// SessionCsvWriter::close does.
 class SessionCsvEventSink final : public EventSink {
  public:
   SessionCsvEventSink(const Network& network, const std::string& path);
 
-  void on_event(const StreamEvent& event) override;
+  void on_event(const StreamEvent& event) override { adapter_.on_event(event); }
   void close() override { writer_.close(); }
 
   [[nodiscard]] SessionCsvWriter& writer() noexcept { return writer_; }
 
  private:
-  const Network* network_;
   SessionCsvWriter writer_;
+  TraceSinkAdapter adapter_;
 };
 
 /// Writes every event as one JSON object per line (ndjson). Schema per

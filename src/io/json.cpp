@@ -19,6 +19,24 @@ double Json::as_number() const {
   throw ParseError("Json: not a number");
 }
 
+std::uint64_t json_uint(const Json& value, std::string_view field,
+                        std::uint64_t max) {
+  if (!value.is_number()) {
+    throw ParseError(std::string(field) + ": not a number");
+  }
+  const double d = value.as_number();
+  // 2^64 is exact as a double, and every integral double below it converts
+  // to uint64 exactly; NaN fails the first comparison.
+  if (d >= 0.0 && d < 0x1p64 && d == std::floor(d) &&
+      static_cast<std::uint64_t>(d) <= max) {
+    return static_cast<std::uint64_t>(d);
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  throw ParseError(std::string(field) + ": expected an integer in [0, " +
+                   std::to_string(max) + "], got " + buf);
+}
+
 const std::string& Json::as_string() const {
   if (const std::string* s = std::get_if<std::string>(&value_)) return *s;
   throw ParseError("Json: not a string");

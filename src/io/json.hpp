@@ -6,7 +6,10 @@
 // surrogate pairs outside the BMP.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -81,6 +84,21 @@ class Json {
                JsonObject>
       value_;
 };
+
+/// `value` as an integer in [0, max]. Throws ParseError naming `field` when
+/// it is not a number, or is negative, non-integral or above `max`. Every
+/// count, index or size read from a file goes through this: casting an
+/// out-of-range double straight to an integer is undefined behaviour.
+[[nodiscard]] std::uint64_t json_uint(const Json& value, std::string_view field,
+                                      std::uint64_t max);
+
+/// json_uint bounded by the range of T.
+template <std::integral T>
+[[nodiscard]] T json_uint(const Json& value, std::string_view field) {
+  return static_cast<T>(json_uint(
+      value, field,
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+}
 
 /// Reads an entire file into a string. Throws IoError when unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);

@@ -40,13 +40,13 @@ Json key_to_json(const EventKey& key) {
   return Json(std::move(obj));
 }
 
-EventKey key_from_json(const Json& json, const char* what) {
+EventKey key_from_json(const Json& json, const std::string& what) {
   EventKey key;
-  key.bs = static_cast<std::uint32_t>(json.at("bs").as_number());
-  key.day = static_cast<std::uint16_t>(json.at("day").as_number());
+  key.bs = json_uint<std::uint32_t>(json.at("bs"), what + ".bs");
+  key.day = json_uint<std::uint16_t>(json.at("day"), what + ".day");
   key.minute_of_day =
-      static_cast<std::uint16_t>(json.at("minute").as_number());
-  key.seq = from_hex(json.at("seq").as_string(), what);
+      json_uint<std::uint16_t>(json.at("minute"), what + ".minute");
+  key.seq = from_hex(json.at("seq").as_string(), what.c_str());
   return key;
 }
 
@@ -82,13 +82,14 @@ SegmentInfo segment_from_json(const Json& json) {
                                   "StoreManifest.segment.first_bloom_page");
   seg.num_bloom_pages = from_hex(json.at("num_bloom_pages").as_string(),
                                  "StoreManifest.segment.num_bloom_pages");
-  seg.bloom_bytes =
-      static_cast<std::uint32_t>(json.at("bloom_bytes").as_number());
-  seg.bloom_hashes =
-      static_cast<std::uint32_t>(json.at("bloom_hashes").as_number());
+  seg.bloom_bytes = json_uint<std::uint32_t>(
+      json.at("bloom_bytes"), "StoreManifest.segment.bloom_bytes");
+  seg.bloom_hashes = json_uint<std::uint32_t>(
+      json.at("bloom_hashes"), "StoreManifest.segment.bloom_hashes");
   seg.root = from_hex(json.at("root").as_string(),
                       "StoreManifest.segment.root");
-  seg.depth = static_cast<std::uint32_t>(json.at("depth").as_number());
+  seg.depth = json_uint<std::uint32_t>(json.at("depth"),
+                                      "StoreManifest.segment.depth");
   seg.events = from_hex(json.at("events").as_string(),
                         "StoreManifest.segment.events");
   seg.min_key =
@@ -138,7 +139,7 @@ StoreManifest StoreManifest::from_text(std::string_view text) {
   }
   StoreManifest manifest;
   manifest.options.page_size =
-      static_cast<std::size_t>(json.at("page_size").as_number());
+      json_uint<std::size_t>(json.at("page_size"), "StoreManifest.page_size");
   if (manifest.options.page_size < kMinPageSize) {
     throw ParseError("StoreManifest: page_size " +
                      std::to_string(manifest.options.page_size) +
@@ -172,8 +173,13 @@ StoreManifest StoreManifest::from_text(std::string_view text) {
     manifest.events_by_kind[k] =
         from_hex(by_kind.at(name).as_string(), name);
   }
+  // -1 is the "never set" cursor; any other value is a day count.
+  const Json& next_day = json.at("engine_next_day");
   manifest.engine_next_day =
-      static_cast<std::int64_t>(json.at("engine_next_day").as_number());
+      next_day.is_number() && next_day.as_number() == -1.0
+          ? -1
+          : json_uint<std::int64_t>(next_day,
+                                    "StoreManifest.engine_next_day");
   if (json.contains("engine_checkpoint")) {
     manifest.engine_checkpoint = json.at("engine_checkpoint").as_string();
   }

@@ -9,6 +9,7 @@
 #include "common/time_utils.hpp"
 #include "dataset/measurement.hpp"
 #include "engine/engine.hpp"
+#include "events/event_sink.hpp"
 
 namespace mtd {
 namespace {
@@ -37,72 +38,118 @@ TraceConfig make_trace(std::size_t days = 2, std::uint64_t seed = 33) {
   return trace;
 }
 
-/// Sink that counts everything it sees, with an optional per-event delay to
-/// simulate a slow consumer.
-struct CountingSink final : TraceSink {
+/// Sink that counts everything it sees, with an optional per-minute-event
+/// delay to simulate a slow consumer.
+struct CountingSink final : EventSink {
   std::uint64_t minutes = 0;
   std::uint64_t sessions = 0;
   double volume_mb = 0.0;
   std::chrono::microseconds delay{0};
 
-  void on_minute(const BaseStation&, std::size_t, std::size_t,
-                 std::uint32_t) override {
-    ++minutes;
-    if (delay.count() > 0) std::this_thread::sleep_for(delay);
-  }
-  void on_session(const Session& session) override {
-    ++sessions;
-    volume_mb += session.volume_mb;
+  void on_event(const StreamEvent& event) override {
+    if (const auto* s = std::get_if<SessionEvent>(&event.payload)) {
+      ++sessions;
+      volume_mb += s->session.volume_mb;
+    } else if (event.kind() == EventKind::kMinute) {
+      ++minutes;
+      if (delay.count() > 0) std::this_thread::sleep_for(delay);
+    }
   }
 };
 
 // The tentpole determinism guarantee: streaming through the engine at any
 // worker count produces a dataset identical to the batch collector — not
-// approximately, bit for bit.
+// approximately, bit for bit — including the optional per-cell store.
 TEST(StreamEngine, DeterministicAcrossWorkerCounts) {
   const Network network = make_network();
   const TraceConfig trace = make_trace();
-  const MeasurementDataset serial = collect_dataset(network, trace);
+  for (const MeasurementConfig measurement :
+       {MeasurementConfig{}, MeasurementConfig{.store_per_cell = true}}) {
+    const MeasurementDataset serial =
+        collect_dataset(network, trace, measurement);
 
-  for (std::size_t workers : {1u, 2u, 8u}) {
-    EngineConfig config;
-    config.num_workers = workers;
-    config.queue_capacity = 64;  // small: exercise wraparound + blocking
-    StreamEngine engine(network, trace, config);
-    MeasurementDataset streamed(network, trace.num_days);
-    const EngineResult result = engine.run(streamed);
-    streamed.finalize();
+    for (std::size_t workers : {1u, 2u, 8u}) {
+      EngineConfig config;
+      config.num_workers = workers;
+      config.queue_capacity = 64;  // small: exercise wraparound + blocking
+      StreamEngine engine(network, trace, config);
+      MeasurementDataset streamed(network, trace.num_days, measurement);
+      TraceSinkAdapter adapter(network, streamed);
+      const EngineResult result = engine.run(adapter);
+      streamed.finalize();
 
-    EXPECT_EQ(streamed.total_sessions(), serial.total_sessions())
-        << workers << " workers";
-    EXPECT_DOUBLE_EQ(streamed.total_volume_mb(), serial.total_volume_mb());
-    const auto a = serial.session_shares();
-    const auto b = streamed.session_shares();
-    for (std::size_t s = 0; s < a.size(); ++s) EXPECT_DOUBLE_EQ(b[s], a[s]);
-    for (std::size_t s = 0; s < serial.num_services(); ++s) {
-      const auto& sa = serial.slice(s, Slice::kTotal);
-      const auto& sb = streamed.slice(s, Slice::kTotal);
-      EXPECT_EQ(sa.sessions, sb.sessions);
-      EXPECT_DOUBLE_EQ(sa.volume_mb, sb.volume_mb);
-      for (std::size_t i = 0; i < sa.volume_pdf.size(); ++i) {
-        EXPECT_DOUBLE_EQ(sa.volume_pdf[i], sb.volume_pdf[i]);
+      EXPECT_EQ(streamed.total_sessions(), serial.total_sessions())
+          << workers << " workers";
+      EXPECT_DOUBLE_EQ(streamed.total_volume_mb(), serial.total_volume_mb());
+      const auto a = serial.session_shares();
+      const auto b = streamed.session_shares();
+      for (std::size_t s = 0; s < a.size(); ++s) EXPECT_DOUBLE_EQ(b[s], a[s]);
+      for (std::size_t s = 0; s < serial.num_services(); ++s) {
+        const auto& sa = serial.slice(s, Slice::kTotal);
+        const auto& sb = streamed.slice(s, Slice::kTotal);
+        EXPECT_EQ(sa.sessions, sb.sessions);
+        EXPECT_DOUBLE_EQ(sa.volume_mb, sb.volume_mb);
+        for (std::size_t i = 0; i < sa.volume_pdf.size(); ++i) {
+          EXPECT_DOUBLE_EQ(sa.volume_pdf[i], sb.volume_pdf[i]);
+        }
       }
-    }
-    for (std::uint8_t d = 0; d < kNumDeciles; ++d) {
-      EXPECT_EQ(streamed.decile_arrivals(d).day_stats.count(),
-                serial.decile_arrivals(d).day_stats.count());
-      EXPECT_DOUBLE_EQ(streamed.decile_arrivals(d).day_stats.mean(),
-                       serial.decile_arrivals(d).day_stats.mean());
-    }
+      for (std::uint8_t d = 0; d < kNumDeciles; ++d) {
+        EXPECT_EQ(streamed.decile_arrivals(d).day_stats.count(),
+                  serial.decile_arrivals(d).day_stats.count());
+        EXPECT_DOUBLE_EQ(streamed.decile_arrivals(d).day_stats.mean(),
+                         serial.decile_arrivals(d).day_stats.mean());
+      }
 
-    // Telemetry totals agree with what the sink saw.
-    EXPECT_EQ(result.telemetry.sessions_consumed, serial.total_sessions());
-    EXPECT_EQ(result.telemetry.sessions_produced, serial.total_sessions());
-    EXPECT_EQ(result.telemetry.dropped_sessions, 0u);
-    EXPECT_EQ(result.telemetry.dropped_minutes, 0u);
-    EXPECT_EQ(result.telemetry.minutes_consumed,
-              std::uint64_t(network.size()) * kMinutesPerDay * trace.num_days);
-    EXPECT_TRUE(result.checkpoint.complete());
+      if (measurement.store_per_cell) {
+        EXPECT_EQ(streamed.total_volume_mb(), serial.total_volume_mb());
+        ASSERT_EQ(streamed.cells().size(), serial.cells().size());
+        for (const auto& [key, cell] : serial.cells()) {
+          const auto it = streamed.cells().find(key);
+          ASSERT_NE(it, streamed.cells().end());
+          EXPECT_EQ(it->second.sessions, cell.sessions);
+          EXPECT_EQ(it->second.volume_mb, cell.volume_mb);
+        }
+      }
+
+      // Telemetry totals agree with what the sink saw.
+      const TelemetrySnapshot& t = result.telemetry;
+      EXPECT_EQ(t.of(EventKind::kSession).consumed, serial.total_sessions());
+      EXPECT_EQ(t.of(EventKind::kSession).produced, serial.total_sessions());
+      EXPECT_EQ(t.of(EventKind::kSession).dropped, 0u);
+      EXPECT_EQ(t.of(EventKind::kMinute).dropped, 0u);
+      EXPECT_EQ(t.of(EventKind::kMinute).consumed,
+                std::uint64_t(network.size()) * kMinutesPerDay *
+                    trace.num_days);
+      EXPECT_TRUE(result.checkpoint.complete());
+    }
+  }
+}
+
+// The engine is the parallel collector: its per-cell store, merged from
+// several workers, matches the serial store cell for cell.
+TEST(ParallelDataset, PerCellStoreMergesExactly) {
+  const Network network = make_network(12);
+  const TraceConfig trace = make_trace(1, 44);
+  MeasurementConfig mc;
+  mc.store_per_cell = true;
+
+  const MeasurementDataset serial = collect_dataset(network, trace, mc);
+  EngineConfig config;
+  config.num_workers = 3;
+  StreamEngine engine(network, trace, config);
+  MeasurementDataset parallel(network, trace.num_days, mc);
+  TraceSinkAdapter adapter(network, parallel);
+  const EngineResult result = engine.run(adapter);
+  parallel.finalize();
+  EXPECT_TRUE(result.checkpoint.complete());
+
+  ASSERT_TRUE(parallel.has_per_cell_store());
+  EXPECT_EQ(parallel.cells().size(), serial.cells().size());
+  for (const auto& [key, cell] : serial.cells()) {
+    const auto it = parallel.cells().find(key);
+    ASSERT_NE(it, parallel.cells().end());
+    EXPECT_EQ(it->second.sessions, cell.sessions);
+    EXPECT_DOUBLE_EQ(it->second.volume_mb, cell.volume_mb);
   }
 }
 
@@ -121,8 +168,8 @@ TEST(StreamEngine, BlockingBackpressureIsLossless) {
   const EngineResult result = engine.run(sink);
 
   EXPECT_EQ(sink.sessions, serial.total_sessions());
-  EXPECT_EQ(result.telemetry.dropped_sessions, 0u);
-  EXPECT_EQ(result.telemetry.dropped_minutes, 0u);
+  EXPECT_EQ(result.telemetry.of(EventKind::kSession).dropped, 0u);
+  EXPECT_EQ(result.telemetry.of(EventKind::kMinute).dropped, 0u);
   EXPECT_GT(result.telemetry.producer_stall_seconds, 0.0);
 }
 
@@ -142,11 +189,11 @@ TEST(StreamEngine, DropPolicyCountsWhatItSheds) {
 
   // Production is deterministic regardless of policy; every generated
   // session was either delivered or counted as dropped.
-  EXPECT_EQ(result.telemetry.sessions_produced, serial.total_sessions());
-  EXPECT_EQ(sink.sessions + result.telemetry.dropped_sessions,
-            serial.total_sessions());
-  EXPECT_GT(result.telemetry.dropped_sessions +
-                result.telemetry.dropped_minutes,
+  const EventKindCounters& sessions = result.telemetry.of(EventKind::kSession);
+  EXPECT_EQ(sessions.produced, serial.total_sessions());
+  EXPECT_EQ(sink.sessions + sessions.dropped, serial.total_sessions());
+  EXPECT_GT(sessions.dropped +
+                result.telemetry.of(EventKind::kMinute).dropped,
             0u);
 }
 
@@ -184,8 +231,8 @@ TEST(StreamEngine, PeriodicSnapshotsReachTheCallback) {
   engine.on_snapshot([&](const TelemetrySnapshot& snap) {
     ++snapshots;
     // Cumulative counters never move backwards across snapshots.
-    EXPECT_GE(snap.sessions_consumed, last_consumed);
-    last_consumed = snap.sessions_consumed;
+    EXPECT_GE(snap.of(EventKind::kSession).consumed, last_consumed);
+    last_consumed = snap.of(EventKind::kSession).consumed;
   });
   CountingSink sink;
   static_cast<void>(engine.run(sink));
@@ -201,14 +248,11 @@ TEST(StreamEngine, SnapshotJsonHasStableKeys) {
   const EngineResult result = engine.run(sink);
   const Json json = result.telemetry.to_json();
   for (const char* key :
-       {"wall_s", "clock_minute", "sessions_produced", "sessions_consumed",
-        "minutes_consumed", "volume_mb", "queue_depth", "dropped_sessions",
-        "dropped_minutes", "producer_stall_s", "sessions_per_s",
-        "mbytes_per_s", "events_per_s", "kinds"}) {
+       {"wall_s", "clock_minute", "volume_mb", "queue_depth",
+        "producer_stall_s", "sessions_per_s", "mbytes_per_s", "events_per_s",
+        "kinds"}) {
     EXPECT_TRUE(json.contains(key)) << key;
   }
-  EXPECT_DOUBLE_EQ(json.at("sessions_consumed").as_number(),
-                   static_cast<double>(sink.sessions));
   // The per-kind object carries one counter block per event kind.
   const Json& kinds = json.at("kinds");
   for (const char* kind : {"minute", "session", "segment", "packet"}) {
@@ -237,9 +281,6 @@ TEST(StreamEngine, TelemetrySnapshotJsonRoundTrips) {
     EXPECT_EQ(back.kinds[k].sink_errors, t.kinds[k].sink_errors) << k;
     EXPECT_EQ(back.kinds[k].discarded, t.kinds[k].discarded) << k;
   }
-  EXPECT_EQ(back.sessions_produced, t.sessions_produced);
-  EXPECT_EQ(back.sessions_consumed, t.sessions_consumed);
-  EXPECT_EQ(back.minutes_consumed, t.minutes_consumed);
   EXPECT_EQ(back.clock_minute, t.clock_minute);
   EXPECT_DOUBLE_EQ(back.volume_mb, t.volume_mb);
   EXPECT_DOUBLE_EQ(back.wall_seconds, t.wall_seconds);
@@ -271,12 +312,12 @@ TEST(StreamEngine, SinkExceptionPropagatesAndThreadsShutDown) {
   const Network network = make_network(8);
   const TraceConfig trace = make_trace(2);
 
-  struct ThrowingSink final : TraceSink {
+  struct ThrowingSink final : EventSink {
     std::uint64_t sessions = 0;
-    void on_minute(const BaseStation&, std::size_t, std::size_t,
-                   std::uint32_t) override {}
-    void on_session(const Session&) override {
-      if (++sessions == 100) throw std::runtime_error("sink failed");
+    void on_event(const StreamEvent& event) override {
+      if (event.kind() == EventKind::kSession && ++sessions == 100) {
+        throw std::runtime_error("sink failed");
+      }
     }
   };
 

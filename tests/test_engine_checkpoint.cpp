@@ -16,6 +16,7 @@
 #include "events/commit_buffer.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
+#include "test_helpers.hpp"
 
 namespace mtd {
 namespace {
@@ -46,15 +47,15 @@ TraceConfig make_trace(std::size_t days = 3, std::uint64_t seed = 77) {
 
 /// Records the full per-BS session sequence so runs can be compared for
 /// bit-identical content and order.
-struct RecordingSink final : TraceSink {
+struct RecordingSink final : EventSink {
   std::vector<std::vector<Session>> per_bs;
 
   explicit RecordingSink(std::size_t num_bs) : per_bs(num_bs) {}
 
-  void on_minute(const BaseStation&, std::size_t, std::size_t,
-                 std::uint32_t) override {}
-  void on_session(const Session& session) override {
-    per_bs[session.bs].push_back(session);
+  void on_event(const StreamEvent& event) override {
+    if (const auto* s = std::get_if<SessionEvent>(&event.payload)) {
+      per_bs[s->session.bs].push_back(s->session);
+    }
   }
 };
 
@@ -127,9 +128,10 @@ TEST(EngineCheckpoint, ResumedRunMatchesBatchDataset) {
   config.stop_after_days = 1;
   StreamEngine engine(network, trace, config);
   MeasurementDataset streamed(network, trace.num_days);
-  EngineResult result = engine.run(streamed);
+  TraceSinkAdapter adapter(network, streamed);
+  EngineResult result = engine.run(adapter);
   while (!result.checkpoint.complete()) {
-    result = engine.resume(result.checkpoint, streamed);
+    result = engine.resume(result.checkpoint, adapter);
   }
   streamed.finalize();
 
@@ -589,9 +591,9 @@ TEST(EngineCheckpoint, MidDayJsonRoundTripPreservesRawStreams) {
   EXPECT_EQ(back.bs_states[1].next_seq, 17u);
 }
 
-// Files written by the retired v1 day-boundary format (hand-built here
-// byte-for-byte as the old writer emitted them) must keep loading.
-TEST(EngineCheckpoint, V1DayBoundaryDocumentsStillLoad) {
+// The retired v1 day-boundary format no longer loads: the same document the
+// old writer emitted is a ParseError naming the one accepted format.
+TEST(EngineCheckpoint, V1DocumentsAreRejected) {
   const char* doc = R"json({
     "format": "mtd-engine-checkpoint-v1",
     "seed": "0x4d",
@@ -609,27 +611,55 @@ TEST(EngineCheckpoint, V1DayBoundaryDocumentsStillLoad) {
       {"shard": 1, "next_day": 2, "sessions_produced": "0x32"}
     ]
   })json";
-  const EngineCheckpoint cp = EngineCheckpoint::from_json(Json::parse(doc));
-  EXPECT_EQ(cp.seed, 0x4du);
-  EXPECT_EQ(cp.num_days, 3u);
-  EXPECT_DOUBLE_EQ(cp.rate_scale, 1.5);
-  EXPECT_EQ(cp.network_fingerprint, 0xfeedfaceu);
-  EXPECT_EQ(cp.next_day, 2u);
-  EXPECT_EQ(cp.clock_minute, 2u * kMinutesPerDay);
-  EXPECT_EQ(cp.sessions_emitted, 0x64u);
-  EXPECT_EQ(cp.minutes_emitted, 0x5a0u);
-  EXPECT_EQ(cp.segments_emitted, 0u);  // v1 predates segment expansion
-  EXPECT_EQ(cp.packets_emitted, 0u);
-  EXPECT_TRUE(cp.bs_states.empty());  // v1 is day-boundary only
-  EXPECT_FALSE(cp.mid_day());
-  ASSERT_EQ(cp.shards.size(), 2u);
-  EXPECT_EQ(cp.shards[1].sessions_produced, 0x32u);
+  try {
+    (void)EngineCheckpoint::from_json(Json::parse(doc));
+    FAIL() << "a v1 checkpoint loaded";
+  } catch (const ParseError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("mtd-engine-checkpoint-v2"), std::string::npos)
+        << what;
+  }
+}
 
-  // A v1 cursor off a day boundary is rejected: the format cannot express
-  // mid-day state, so such a file can only be corrupt.
-  Json bad = Json::parse(doc);
-  bad.as_object().at("clock_minute") = Json(std::size_t(2879));
-  EXPECT_THROW(EngineCheckpoint::from_json(bad), ParseError);
+// Every integer field is range-checked before the cast: a negative,
+// fractional or huge number is a ParseError naming the field, never a
+// wrapped or truncated value.
+TEST(EngineCheckpoint, IntegerFieldsAreRangeChecked) {
+  EngineCheckpoint cp;
+  cp.num_days = 2;
+  cp.next_day = 0;
+  cp.clock_minute = 311;
+  cp.shards = {{0, 0, 5}};
+  EngineBsCursor s0;
+  s0.bs = 0;
+  cp.bs_states = {s0};
+  const Json good = cp.to_json();
+  ASSERT_EQ(EngineCheckpoint::from_json(good).clock_minute, 311u);
+
+  const std::vector<std::pair<std::string, std::vector<const char*>>>
+      fields = {
+          {"EngineCheckpoint.num_days", {"num_days"}},
+          {"EngineCheckpoint.next_day", {"next_day"}},
+          {"EngineCheckpoint.clock_minute", {"clock_minute"}},
+          {"EngineShardCursor.shard", {"shards", "shard"}},
+          {"EngineShardCursor.next_day", {"shards", "next_day"}},
+          {"EngineBsCursor.bs", {"bs_states", "bs"}},
+      };
+  for (const auto& [name, path] : fields) {
+    for (const double value : {-1.0, 0.5, 1e300}) {
+      Json bad = good;
+      test::json_node(bad, path) = Json(value);
+      try {
+        (void)EngineCheckpoint::from_json(bad);
+        ADD_FAILURE() << name << " = " << value << " loaded";
+      } catch (const ParseError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(name + ": expected an integer"),
+                  std::string::npos)
+            << name << " = " << value << ": " << what;
+      }
+    }
+  }
 }
 
 // The v2 consistency rules: a mid-day cursor needs raw stream state, a

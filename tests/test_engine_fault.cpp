@@ -4,8 +4,10 @@
 // that is bit-identical to an unfailed run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +16,8 @@
 #include "dataset/measurement.hpp"
 #include "common/fault.hpp"
 #include "engine/supervisor.hpp"
+#include "events/event_codec.hpp"
+#include "events/event_sink.hpp"
 
 namespace mtd {
 namespace {
@@ -42,29 +46,48 @@ TraceConfig make_trace(std::size_t days = 2, std::uint64_t seed = 55) {
   return trace;
 }
 
-struct CountingSink final : TraceSink {
+struct CountingSink final : EventSink {
   std::uint64_t minutes = 0;
   std::uint64_t sessions = 0;
-  void on_minute(const BaseStation&, std::size_t, std::size_t,
-                 std::uint32_t) override {
-    ++minutes;
+  void on_event(const StreamEvent& event) override {
+    if (event.kind() == EventKind::kMinute) ++minutes;
+    if (event.kind() == EventKind::kSession) ++sessions;
   }
-  void on_session(const Session&) override { ++sessions; }
 };
 
 /// Records the full per-BS session sequence for bit-identity comparisons.
-struct RecordingSink final : TraceSink {
+struct RecordingSink final : EventSink {
   std::vector<std::vector<Session>> per_bs;
   std::uint64_t minutes = 0;
 
   explicit RecordingSink(std::size_t num_bs) : per_bs(num_bs) {}
 
-  void on_minute(const BaseStation&, std::size_t, std::size_t,
-                 std::uint32_t) override {
-    ++minutes;
+  void on_event(const StreamEvent& event) override {
+    if (const auto* s = std::get_if<SessionEvent>(&event.payload)) {
+      per_bs[s->session.bs].push_back(s->session);
+    } else if (event.kind() == EventKind::kMinute) {
+      ++minutes;
+    }
   }
-  void on_session(const Session& session) override {
-    per_bs[session.bs].push_back(session);
+};
+
+/// Per-kind event counts plus one FNV-1a digest per BS over the wire
+/// encoding of that BS's events in delivery order. How BSs interleave
+/// depends on thread timing; each BS's own subsequence does not.
+struct DigestSink final : EventSink {
+  std::array<std::uint64_t, kNumEventKinds> counts{};
+  std::map<std::uint32_t, std::uint64_t> per_bs;
+
+  void on_event(const StreamEvent& event) override {
+    ++counts[static_cast<std::size_t>(event.kind())];
+    char buf[kMaxEventPayloadBytes];
+    const std::size_t len = encode_event_payload(event, buf);
+    std::uint64_t& hash =
+        per_bs.try_emplace(event.key.bs, 0xcbf29ce484222325ULL).first->second;
+    for (std::size_t i = 0; i < len; ++i) {
+      hash ^= static_cast<unsigned char>(buf[i]);
+      hash *= 0x100000001b3ULL;
+    }
   }
 };
 
@@ -184,8 +207,8 @@ TEST(EngineFault, SinkThrowUnderBlockJoinsAllProducersWithExactAccounting) {
   EXPECT_EQ(fault.fired("sink.session"), 1u);
   // The final diagnostic snapshot closes the books: every produced session
   // was delivered, shed, rejected, or discarded while aborting.
-  EXPECT_GT(last.sessions_produced, 0u);
-  EXPECT_GT(last.discarded_sessions, 0u);
+  EXPECT_GT(last.of(EventKind::kSession).produced, 0u);
+  EXPECT_GT(last.of(EventKind::kSession).discarded, 0u);
   EXPECT_TRUE(last.sessions_accounted_for())
       << last.to_json().dump(2);
 }
@@ -240,18 +263,21 @@ TEST(EngineFault, DegradePolicyKeepsDropAccountingExact) {
   const EngineResult result = engine.run(sink);
   const TelemetrySnapshot& t = result.telemetry;
 
+  const EventKindCounters& sessions = t.of(EventKind::kSession);
+  const EventKindCounters& minutes = t.of(EventKind::kMinute);
+
   // Production is deterministic regardless of failures downstream.
-  EXPECT_EQ(t.sessions_produced, serial.total_sessions());
-  EXPECT_GT(t.sink_errors, 0u);
-  EXPECT_EQ(t.discarded_sessions, 0u);  // no abort: nothing discarded
-  EXPECT_EQ(t.sessions_consumed + t.dropped_sessions + t.sink_errors,
-            t.sessions_produced)
+  EXPECT_EQ(sessions.produced, serial.total_sessions());
+  EXPECT_GT(sessions.sink_errors, 0u);
+  EXPECT_EQ(sessions.discarded, 0u);  // no abort: nothing discarded
+  EXPECT_EQ(sessions.consumed + sessions.dropped + sessions.sink_errors,
+            sessions.produced)
       << t.to_json().dump(2);
   EXPECT_TRUE(t.sessions_accounted_for());
   // The sink saw exactly the consumed events.
-  EXPECT_EQ(sink.sessions, t.sessions_consumed);
-  EXPECT_EQ(sink.minutes, t.minutes_consumed);
-  EXPECT_GT(t.sink_error_minutes, 0u);
+  EXPECT_EQ(sink.sessions, sessions.consumed);
+  EXPECT_EQ(sink.minutes, minutes.consumed);
+  EXPECT_GT(minutes.sink_errors, 0u);
 }
 
 TEST(EngineFault, WatchdogDetectsAStalledConsumer) {
@@ -594,6 +620,66 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   EXPECT_EQ(recovered.minutes, clean.minutes);
 }
 
+// The Supervisor's commit buffer carries every event kind: with segment
+// and packet expansion on and a worker fault deep inside day 0, the
+// recovered stream has the per-kind counts and per-BS wire digests of an
+// unsupervised clean run.
+TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
+  const Network network = make_network(6);
+  const TraceConfig trace = make_trace(2);
+  EngineConfig config;
+  config.num_workers = 2;
+  // Small rings keep the producers' lead over the consumer short, so the
+  // fault lands after the consumer has committed a mid-day mark.
+  config.queue_capacity = 64;
+  config.checkpoint_interval_minutes = 173;  // does not divide 1440
+  config.event_kinds = EventKindMask::session_replay()
+                           .set(EventKind::kSegment)
+                           .set(EventKind::kPacket);
+  config.packet.max_packets = 16;  // bound the heavy-tail expansion
+
+  DigestSink clean;
+  StreamEngine reference(network, trace, config);
+  const EngineResult clean_result = reference.run(clean);
+  EXPECT_GT(clean.counts[static_cast<std::size_t>(EventKind::kSegment)], 0u);
+  EXPECT_GT(clean.counts[static_cast<std::size_t>(EventKind::kPacket)], 0u);
+
+  const std::uint64_t day0_sessions = [&] {
+    EngineConfig probe_config = config;
+    probe_config.stop_after_days = 1;
+    StreamEngine probe(network, trace, probe_config);
+    CountingSink counter;
+    static_cast<void>(probe.run(counter));
+    return counter.sessions;
+  }();
+  ASSERT_GT(day0_sessions, 8u);
+
+  FaultInjector fault;
+  FaultSpec spec;
+  spec.after = (day0_sessions / 4) * 3;
+  fault.arm("worker.session", spec);
+  config.fault = &fault;
+  SupervisorConfig sup;
+  sup.max_restarts = 1;
+  sup.backoff_initial_ms = 1.0;
+  Supervisor supervisor(network, trace, config, sup);
+  DigestSink recovered;
+  const RunReport report = supervisor.run(recovered);
+
+  ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
+  ASSERT_EQ(report.attempts.size(), 2u);
+  EXPECT_NE(report.attempts[0].error.find("worker.session"),
+            std::string::npos);
+  EXPECT_NE(report.attempts[1].start_minute % kMinutesPerDay, 0u);
+
+  EXPECT_EQ(recovered.counts, clean.counts);
+  EXPECT_EQ(recovered.per_bs, clean.per_bs);
+  EXPECT_EQ(report.result.checkpoint.segments_emitted,
+            clean_result.checkpoint.segments_emitted);
+  EXPECT_EQ(report.result.checkpoint.packets_emitted,
+            clean_result.checkpoint.packets_emitted);
+}
+
 TEST(Supervisor, CleanRunReportsOneAttempt) {
   const Network network = make_network(6);
   const TraceConfig trace = make_trace(2);
@@ -601,7 +687,8 @@ TEST(Supervisor, CleanRunReportsOneAttempt) {
 
   Supervisor supervisor(network, trace);
   MeasurementDataset streamed(network, trace.num_days);
-  const RunReport report = supervisor.run(streamed);
+  TraceSinkAdapter adapter(network, streamed);
+  const RunReport report = supervisor.run(adapter);
   streamed.finalize();
 
   ASSERT_TRUE(report.succeeded);

@@ -5,7 +5,10 @@
 // and hand out const references.
 #pragma once
 
+#include <vector>
+
 #include "dataset/measurement.hpp"
+#include "io/json.hpp"
 
 namespace mtd::test {
 
@@ -48,5 +51,16 @@ inline const MeasurementDataset& small_dataset() {
 
 /// The network backing small_dataset().
 inline const Network& small_network() { return small_dataset().network(); }
+
+/// The node of `doc` at `path`: object keys, where an array value steps
+/// into its first element. For tests that mutate one field of a document.
+inline Json& json_node(Json& doc, const std::vector<const char*>& path) {
+  Json* node = &doc;
+  for (const char* key : path) {
+    node = &node->as_object().at(key);
+    if (node->is_array()) node = &node->as_array().at(0);
+  }
+  return *node;
+}
 
 }  // namespace mtd::test

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 namespace mtd {
@@ -27,6 +28,35 @@ TEST(Json, WrongTypeAccessThrows) {
   EXPECT_THROW(static_cast<void>(j.as_array()), ParseError);
   EXPECT_THROW(static_cast<void>(j.as_object()), ParseError);
   EXPECT_THROW(static_cast<void>(j.at("x")), ParseError);
+}
+
+TEST(Json, UintAccessorChecksRangeBeforeTheCast) {
+  EXPECT_EQ(json_uint<std::uint32_t>(Json(0.0), "f"), 0u);
+  EXPECT_EQ(json_uint<std::uint32_t>(Json(4294967295.0), "f"), 4294967295u);
+  EXPECT_EQ(json_uint<std::uint64_t>(Json(0x1p63), "f"), 1ull << 63);
+  EXPECT_EQ(json_uint<std::int64_t>(Json(7.0), "f"), 7);
+  for (const double bad : {-1.0, -1e-300, 0.5, 4294967296.0, 1e300}) {
+    EXPECT_THROW(static_cast<void>(json_uint<std::uint32_t>(Json(bad), "f")),
+                 ParseError)
+        << bad;
+  }
+  // 2^64 itself does not fit, nor do infinities and NaN.
+  for (const double bad : {0x1p64, HUGE_VAL, -HUGE_VAL, std::nan("")}) {
+    EXPECT_THROW(static_cast<void>(json_uint<std::uint64_t>(Json(bad), "f")),
+                 ParseError)
+        << bad;
+  }
+  EXPECT_THROW(static_cast<void>(json_uint<std::int64_t>(Json(-1.0), "f")),
+               ParseError);
+  try {
+    static_cast<void>(json_uint<std::uint16_t>(Json(65536.0), "Doc.field"));
+    FAIL() << "65536 fit a uint16";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(),
+                 "Doc.field: expected an integer in [0, 65535], got 65536");
+  }
+  EXPECT_THROW(static_cast<void>(json_uint<std::uint32_t>(Json("1"), "f")),
+               ParseError);
 }
 
 TEST(Json, ParseScalars) {

@@ -15,6 +15,7 @@
 #include "io/json.hpp"
 #include "store/format.hpp"
 #include "store/trace_store.hpp"
+#include "test_helpers.hpp"
 
 namespace mtd {
 namespace {
@@ -207,6 +208,57 @@ TEST(TraceStoreCrash, ManifestPrefixTruncationIsDiagnosed) {
   }
   write_file(path, manifest_bytes);
   EXPECT_EQ(TraceStore(path).verify().events, 1u);
+}
+
+// Every integer field of the manifest is range-checked before the cast: a
+// negative, fractional or huge number is a ParseError naming the field,
+// never a wrapped value (a page_size of -1 used to load as 2^64 - 1).
+TEST(TraceStoreCrash, ManifestIntegerFieldsAreRangeChecked) {
+  const std::string path = temp_path("mtd_store_manifest_ints.store");
+  {
+    TraceStoreWriter writer = TraceStoreWriter::create(path);
+    writer.on_event(minute_event(1, 0, 0, 0, 1));
+    writer.set_engine_cursor(1);
+    writer.close();
+  }
+  const Json good = Json::parse(read_file(path));
+  ASSERT_EQ(store::StoreManifest::from_text(good.dump(2)).engine_next_day, 1);
+
+  const std::vector<std::pair<std::string, std::vector<const char*>>>
+      fields = {
+          {"StoreManifest.page_size", {"page_size"}},
+          {"StoreManifest.engine_next_day", {"engine_next_day"}},
+          {"StoreManifest.segment.bloom_bytes", {"segments", "bloom_bytes"}},
+          {"StoreManifest.segment.bloom_hashes", {"segments", "bloom_hashes"}},
+          {"StoreManifest.segment.depth", {"segments", "depth"}},
+          {"StoreManifest.segment.min_key.bs", {"segments", "min_key", "bs"}},
+          {"StoreManifest.segment.min_key.day", {"segments", "min_key", "day"}},
+          {"StoreManifest.segment.min_key.minute",
+           {"segments", "min_key", "minute"}},
+          {"StoreManifest.segment.max_key.bs", {"segments", "max_key", "bs"}},
+          {"StoreManifest.segment.max_key.day", {"segments", "max_key", "day"}},
+          {"StoreManifest.segment.max_key.minute",
+           {"segments", "max_key", "minute"}},
+      };
+  for (const auto& [name, path] : fields) {
+    for (double value : {-1.0, 0.5, 1e300}) {
+      // -1 is engine_next_day's "never set" cursor, so probe -2 there.
+      if (name == "StoreManifest.engine_next_day" && value == -1.0) {
+        value = -2.0;
+      }
+      Json bad = good;
+      test::json_node(bad, path) = Json(value);
+      try {
+        (void)store::StoreManifest::from_text(bad.dump(2));
+        ADD_FAILURE() << name << " = " << value << " loaded";
+      } catch (const ParseError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(name + ": expected an integer"),
+                  std::string::npos)
+            << name << " = " << value << ": " << what;
+      }
+    }
+  }
 }
 
 // A flipped byte inside a committed leaf page is caught by the page

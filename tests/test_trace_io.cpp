@@ -95,20 +95,21 @@ TEST(SessionCsvWriter, DestructorSwallowsTheFailureButReportsIt) {
 }
 
 TEST(TraceIo, RoundTripPreservesTheDataset) {
-  // Generate a trace, tee it to CSV + a dataset, replay the CSV into a
-  // second dataset, and compare the aggregates.
+  // Generate a trace into CSV and, separately, into a dataset; replay the
+  // CSV into a second dataset, and compare the aggregates.
   const Network network = tiny_network();
   TraceConfig trace;
   trace.num_days = 1;
   trace.seed = 77;
   const std::string path = temp_path("mtd_trace_roundtrip.csv");
 
+  const TraceGenerator generator(network, trace);
   MeasurementDataset original(network, trace.num_days);
+  generator.run(original);
+  original.finalize();
   {
-    SessionCsvWriter writer(path, &original);
-    const TraceGenerator generator(network, trace);
+    SessionCsvWriter writer(path);
     generator.run(writer);
-    original.finalize();
   }
 
   MeasurementDataset replayed(network, trace.num_days);

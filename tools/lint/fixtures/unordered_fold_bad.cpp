@@ -1,7 +1,7 @@
 // Fixture: seeded-bad input for the unordered-fold rule. Never compiled.
-// This is the bug class collect_dataset_parallel once had: floating-point
-// addition is not associative, so an unspecified iteration order makes the
-// fold differ run to run.
+// The bug class: a parallel aggregation path merging per-worker partial
+// sums in hash order. Floating-point addition is not associative, so an
+// unspecified iteration order makes the fold differ run to run.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>

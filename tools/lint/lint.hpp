@@ -4,9 +4,9 @@
 // worker count, fault schedule, or stop/resume split — is easy to break
 // with one innocent line: a std::random_device seed, a wall-clock read
 // folded into results, an iteration over an unordered container feeding an
-// order-sensitive sum (the exact bug class collect_dataset_parallel once
-// had). These are correctness bugs that compile cleanly and pass tests
-// until the thread schedule shifts. mtd-lint bans them at analysis time.
+// order-sensitive sum (a parallel collector merging per-worker partials in
+// hash order). These are correctness bugs that compile cleanly and pass
+// tests until the thread schedule shifts. mtd-lint bans them at analysis time.
 //
 // Architecture: a two-pass analyzer. Pass 1 builds a ProjectModel
 // (project_model.hpp) — include graph, struct fields, function bodies,
