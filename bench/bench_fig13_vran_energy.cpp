@@ -57,15 +57,15 @@ void print_fig13() {
   series.print(std::cout);
 }
 
-void bm_first_fit_decreasing(benchmark::State& state) {
+void bm_pack_loads_first_fit(benchmark::State& state) {
   Rng rng(1);
   std::vector<double> loads(static_cast<std::size_t>(state.range(0)));
   for (double& l : loads) l = rng.uniform(0.0, 60.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(first_fit_decreasing(loads, 100.0));
+    benchmark::DoNotOptimize(pack_loads(loads, 100.0));
   }
 }
-BENCHMARK(bm_first_fit_decreasing)->Arg(16)->Arg(100)->Arg(400);
+BENCHMARK(bm_pack_loads_first_fit)->Arg(16)->Arg(100)->Arg(400);
 
 }  // namespace
 

@@ -4,14 +4,15 @@
 // Streams the scenario's trace through a supervised StreamEngine into an
 // aggregating MeasurementDataset (optionally teeing every session to a CSV
 // file through a FanOutSink; the tee must hold exactly the dataset's
-// sessions or the binary exits 1), printing one telemetry JSON line per snapshot period. The
-// Supervisor restarts from the last good day-boundary checkpoint on
-// retryable failures (worker faults, watchdog stalls, transient checkpoint
-// I/O) and its RunReport — attempts, failure causes, recovered day ranges —
-// is printed at the end. When the scenario sets engine.stop_after_days, the
-// run suspends at that day boundary and this binary resumes from the
-// checkpoint to demonstrate stop/resume; the session stream stays
-// bit-identical to an uninterrupted run in both cases.
+// sessions or the binary exits 1), printing one telemetry JSON line per
+// snapshot period. The Supervisor restarts from the last good in-memory
+// checkpoint on retryable failures (worker faults, watchdog stalls,
+// retryable sink errors) and its RunReport — attempts, failure causes,
+// recovered day ranges — is printed at the end. When the scenario sets
+// engine.stop_after_days, the run suspends at that day boundary and this
+// binary resumes from the checkpoint to demonstrate stop/resume; the
+// session stream stays bit-identical to an uninterrupted run in both
+// cases.
 //
 // Run:  ./stream_replay [scenario.json] [trace.csv]
 #include <iostream>

@@ -148,12 +148,4 @@ InvarianceReport analyze_invariance(const MeasurementDataset& dataset,
   return report;
 }
 
-InvarianceReport analyze_invariance_from_source(
-    SessionSource& source, const Network& network, std::size_t num_days,
-    const InvarianceOptions& options) {
-  const MeasurementDataset dataset =
-      dataset_from_source(source, network, num_days);
-  return analyze_invariance(dataset, options);
-}
-
 }  // namespace mtd

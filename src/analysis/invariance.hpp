@@ -12,7 +12,6 @@
 
 #include "common/stats.hpp"
 #include "dataset/measurement.hpp"
-#include "events/session_source.hpp"
 
 namespace mtd {
 
@@ -40,14 +39,5 @@ struct InvarianceOptions {
 
 [[nodiscard]] InvarianceReport analyze_invariance(
     const MeasurementDataset& dataset, const InvarianceOptions& options = {});
-
-/// Same study with the dataset re-aggregated in one pass from a
-/// SessionSource (dataset_from_source) instead of handed in whole — the
-/// incremental path for store-backed traces. MeasurementDataset::finalize
-/// folds cells in deterministic order, so the report is bit-identical to
-/// analyze_invariance over any dataset built from the same events.
-[[nodiscard]] InvarianceReport analyze_invariance_from_source(
-    SessionSource& source, const Network& network, std::size_t num_days,
-    const InvarianceOptions& options = {});
 
 }  // namespace mtd

@@ -258,21 +258,6 @@ Session TraceGenerator::sample_session(const BaseStation& bs, std::size_t day,
   return session;
 }
 
-void TraceGenerator::run_bs_day(const BaseStation& bs, std::size_t day,
-                                TraceSink& sink) const {
-  Rng rng = bs_day_rng(bs, day);
-  const BaseStation scaled = day_scaled(bs, day);
-  const ArrivalProcess arrivals(scaled);
-
-  for (std::size_t minute = 0; minute < kMinutesPerDay; ++minute) {
-    const std::uint32_t count = arrivals.sample(minute, rng);
-    sink.on_minute(bs, day, minute, count);
-    for (std::uint32_t k = 0; k < count; ++k) {
-      sink.on_session(sample_session(bs, day, minute, rng));
-    }
-  }
-}
-
 void TraceGenerator::sample_minute_block(const BaseStation& day_scaled_bs,
                                          std::size_t day,
                                          std::size_t minute_of_day,
@@ -285,20 +270,39 @@ void TraceGenerator::sample_minute_block(const BaseStation& day_scaled_bs,
   block_kernel_.fill(rng, service_alias_, 60.0 * minute_of_day, count, out);
 }
 
+void TraceGenerator::sample_minute(const BaseStation& day_scaled_bs,
+                                   std::size_t day, std::size_t minute_of_day,
+                                   Rng& rng, GeneratorKernel kernel,
+                                   MinuteBlock& out) const {
+  if (kernel == GeneratorKernel::kBatch) {
+    sample_minute_block(day_scaled_bs, day, minute_of_day, out);
+    return;
+  }
+  const std::uint32_t count =
+      ArrivalProcess(day_scaled_bs).sample(minute_of_day, rng);
+  out.resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const Session session =
+        sample_session(day_scaled_bs, day, minute_of_day, rng);
+    out.service[i] = session.service;
+    out.volume_mb[i] = session.volume_mb;
+    out.duration_s[i] = session.duration_s;
+    out.start_s[i] = 60.0 * static_cast<double>(minute_of_day);
+    out.transient[i] = session.transient ? 1 : 0;
+  }
+}
+
 void TraceGenerator::run_bs_day(const BaseStation& bs, std::size_t day,
                                 TraceSink& sink,
                                 GeneratorKernel kernel) const {
-  if (kernel == GeneratorKernel::kScalar) {
-    run_bs_day(bs, day, sink);
-    return;
-  }
+  Rng rng = bs_day_rng(bs, day);
   const BaseStation scaled = day_scaled(bs, day);
   MinuteBlock block;
   Session session;
   session.bs = bs.id;
   session.day = static_cast<std::uint16_t>(day);
   for (std::size_t minute = 0; minute < kMinutesPerDay; ++minute) {
-    sample_minute_block(scaled, day, minute, block);
+    sample_minute(scaled, day, minute, rng, kernel, block);
     sink.on_minute(bs, day, minute, block.count);
     session.minute_of_day = static_cast<std::uint16_t>(minute);
     for (std::uint32_t i = 0; i < block.count; ++i) {

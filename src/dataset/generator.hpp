@@ -211,16 +211,12 @@ class TraceGenerator {
   /// seed and network.
   void run(TraceSink& sink) const;
 
-  /// Generates only one (BS, day); used by streaming consumers and tests.
-  void run_bs_day(const BaseStation& bs, std::size_t day,
-                  TraceSink& sink) const;
-
-  /// Same, through the selected kernel: kScalar is run_bs_day above,
-  /// kBatch drives sample_minute_block and forwards every column as a
-  /// Session. The two streams differ bit-wise but agree statistically
-  /// (tests/test_kernel_parity.cpp).
+  /// Generates only one (BS, day) through the selected kernel: every
+  /// minute goes through sample_minute and each column is forwarded as a
+  /// Session. The two kernels' streams differ bit-wise but agree
+  /// statistically (tests/test_kernel_parity.cpp).
   void run_bs_day(const BaseStation& bs, std::size_t day, TraceSink& sink,
-                  GeneratorKernel kernel) const;
+                  GeneratorKernel kernel = GeneratorKernel::kScalar) const;
 
   // -- streaming primitives ---------------------------------------------------
   // The per-(BS, day) generation stream is defined by three pieces that the
@@ -244,6 +240,17 @@ class TraceGenerator {
   [[nodiscard]] Session sample_session(const BaseStation& bs, std::size_t day,
                                        std::size_t minute_of_day,
                                        Rng& rng) const;
+
+  /// Fills `out` with every session of (bs, day, minute) under `kernel` —
+  /// the one place generation branches on the kernel. `day_scaled_bs` must
+  /// be day_scaled(bs, day). kScalar draws the arrival count and then that
+  /// many sample_session draws from `rng`, the (BS, day) stream positioned
+  /// at this minute; kBatch is sample_minute_block and leaves `rng`
+  /// untouched (parked at the day base state, so mid-day stream cursors
+  /// are kernel-agnostic).
+  void sample_minute(const BaseStation& day_scaled_bs, std::size_t day,
+                     std::size_t minute_of_day, Rng& rng,
+                     GeneratorKernel kernel, MinuteBlock& out) const;
 
   // -- batch kernel (SoA minute path) -----------------------------------------
 

@@ -77,27 +77,22 @@ class StopState {
 };
 
 /// One ring slot. kBatch carries up to batch_size data events in
-/// generation order. At each day boundary a worker emits one kBsDayVolume
-/// per BS (the volume that BS produced that day) followed by a kDayEnd
-/// with its cumulative per-kind produced counters: the consumer commits
-/// the day's volume as a fold over BSs in canonical index order, which
-/// keeps the checkpoint's counters bit-identical across worker counts,
-/// batch sizes, and stop/resume splits. When checkpoint_interval_minutes
-/// is set, workers additionally emit a kMinuteMark after every minute on
-/// the absolute mark grid, carrying the raw per-BS stream cursors of the
-/// shard; once every worker's mark for the same minute has arrived, the
-/// consumer records a mid-day v2 checkpoint. Control items always block,
-/// never drop.
+/// generation order. A kMinuteMark follows every minute on one absolute
+/// grid — every day boundary, plus every multiple of
+/// checkpoint_interval_minutes when that is set — carrying the shard's
+/// cumulative per-kind produced counters and its per-BS stream cursors
+/// (day_volume_mb always filled). Once every worker's mark for the same
+/// minute has arrived, the consumer records a checkpoint; at a day
+/// boundary it first commits the day's volume as a fold over BSs in
+/// canonical index order, which keeps the checkpoint's counters
+/// bit-identical across worker counts, batch sizes, and stop/resume
+/// splits. Marks always block, never drop.
 struct RingItem {
-  enum class Kind : std::uint8_t { kBatch, kBsDayVolume, kDayEnd,
-                                   kMinuteMark };
+  enum class Kind : std::uint8_t { kBatch, kMinuteMark };
   Kind kind = Kind::kBatch;
   EventBatch batch;                   // kBatch
-  std::uint32_t bs = 0;               // kBsDayVolume
-  std::uint16_t day = 0;              // kBsDayVolume, kDayEnd
-  double bs_day_volume_mb = 0.0;      // kBsDayVolume
   std::uint64_t minute_end = 0;       // kMinuteMark: first unproduced minute
-  std::array<std::uint64_t, kNumEventKinds> shard_produced{};  // kDayEnd/Mark
+  std::array<std::uint64_t, kNumEventKinds> shard_produced{};  // kMinuteMark
   std::vector<EngineBsCursor> bs_states;  // kMinuteMark, in bss_ order
 };
 
@@ -206,41 +201,28 @@ class ShardWorker {
         if (abort.load(std::memory_order_relaxed)) return;
         for (std::size_t i = 0; i < bss_.size(); ++i) {
           const BaseStation& bs = network[bss_[i]];
-          // kBatch fills the SoA minute block in one go (its own
-          // per-minute RNG stream; rngs[i] stays parked at the day base
-          // state, which keeps mid-day cursors kernel-agnostic); kScalar
-          // draws sessions one by one below, advancing rngs[i].
-          const bool batch = kernel_ == GeneratorKernel::kBatch;
-          if (batch) {
-            generator_->sample_minute_block(scaled[i], day, minute, block_);
-          }
-          const std::uint32_t count =
-              batch ? block_.count
-                    : ArrivalProcess(scaled[i]).sample(minute, rngs[i]);
+          generator_->sample_minute(scaled[i], day, minute, rngs[i], kernel_,
+                                    block_);
           const EventKey base_key{bs.id, static_cast<std::uint16_t>(day),
                                   static_cast<std::uint16_t>(minute), 0};
           if (emit_minutes) {
             StreamEvent ev;
             ev.key = base_key;
             ev.key.seq = seqs[i]++;
-            ev.payload = MinuteEvent{count};
+            ev.payload = MinuteEvent{block_.count};
             if (!append(std::move(ev), policy, tel)) return;
           }
-          for (std::uint32_t k = 0; k < count; ++k) {
+          Session session;
+          session.bs = bs.id;
+          session.day = static_cast<std::uint16_t>(day);
+          session.minute_of_day = static_cast<std::uint16_t>(minute);
+          for (std::uint32_t k = 0; k < block_.count; ++k) {
             fault_fire(fault, "worker.session");
-            Session session;
-            if (batch) {
-              // Column k of the minute block becomes the event payload.
-              session.bs = bs.id;
-              session.day = static_cast<std::uint16_t>(day);
-              session.minute_of_day = static_cast<std::uint16_t>(minute);
-              session.service = block_.service[k];
-              session.transient = block_.transient[k] != 0;
-              session.volume_mb = block_.volume_mb[k];
-              session.duration_s = block_.duration_s[k];
-            } else {
-              session = generator_->sample_session(bs, day, minute, rngs[i]);
-            }
+            // Column k of the minute block becomes the event payload.
+            session.service = block_.service[k];
+            session.transient = block_.transient[k] != 0;
+            session.volume_mb = block_.volume_mb[k];
+            session.duration_s = block_.duration_s[k];
             day_volume[i] += session.volume_mb;
             // The session's slot in the (BS, day) order is allocated even
             // when session events are masked out, so segment and packet
@@ -283,13 +265,12 @@ class ShardWorker {
         }
         publish_produced(tel);
         tel.produced_minute.store(abs_minute + 1, std::memory_order_relaxed);
-        // Minute-interval mark: the grid is absolute minutes, so a resumed
-        // run marks the same minutes the original would have. Marks on a
-        // day boundary are skipped — the kDayEnd checkpoint covers them
-        // (and is cheaper: no raw stream state).
+        // Mark grid: every day boundary plus the interval multiples. The
+        // grid is absolute minutes, so a resumed run marks the same
+        // minutes the original would have.
         const std::uint64_t next_minute = abs_minute + 1;
-        if (interval_ > 0 && next_minute % interval_ == 0 &&
-            next_minute % kMinutesPerDay != 0) {
+        if (next_minute % kMinutesPerDay == 0 ||
+            (interval_ > 0 && next_minute % interval_ == 0)) {
           // Flush first so every event before the mark precedes it in the
           // FIFO ring; the cursors then describe exactly the post-flush
           // stream positions.
@@ -313,26 +294,6 @@ class ShardWorker {
             return;
           }
         }
-      }
-      // Flush the partial batch, then the per-BS day volumes and the
-      // day-end marker that gates checkpoints; controls always block.
-      if (!flush(policy, tel)) return;
-      for (std::size_t i = 0; i < bss_.size(); ++i) {
-        RingItem dv;
-        dv.kind = RingItem::Kind::kBsDayVolume;
-        dv.bs = bss_[i];
-        dv.day = static_cast<std::uint16_t>(day);
-        dv.bs_day_volume_mb = day_volume[i];
-        if (!push_item(std::move(dv), BackpressurePolicy::kBlock, tel)) {
-          return;
-        }
-      }
-      RingItem end;
-      end.kind = RingItem::Kind::kDayEnd;
-      end.day = static_cast<std::uint16_t>(day);
-      end.shard_produced = produced_;
-      if (!push_item(std::move(end), BackpressurePolicy::kBlock, tel)) {
-        return;
       }
     }
   }
@@ -418,7 +379,7 @@ class ShardWorker {
   GeneratorKernel kernel_;
   std::size_t interval_;
   EventKindMask kinds_;
-  MinuteBlock block_;  // reused SoA buffers of the kBatch path
+  MinuteBlock block_;  // reused per-minute session columns
   HandoverChainGenerator mobility_;
   PacketScheduleGenerator packet_;
   EventBatch pending_;
@@ -444,8 +405,6 @@ StreamEngine::StreamEngine(const Network& network, const TraceConfig& trace,
           "StreamEngine: queue_capacity must be at least 2");
   require(config_.batch_size >= 1,
           "StreamEngine: batch_size must be at least 1");
-  require(config_.checkpoint_max_attempts >= 1,
-          "StreamEngine: checkpoint_max_attempts must be at least 1");
 }
 
 EngineResult StreamEngine::run(EventSink& sink) {
@@ -627,10 +586,6 @@ EngineResult StreamEngine::run_days(
                      start_minute};
   StopState stop;
   std::atomic<std::size_t> active{num_workers};
-  // Deterministic backoff jitter for checkpoint-write retries: seeded from
-  // the trace, not the wall clock, so a replayed failure schedule produces
-  // the same retry timing.
-  Rng backoff_rng(trace.seed ^ 0x636b7074ULL /* "ckpt" */);
 
   std::vector<std::thread> threads;
   threads.reserve(num_workers);
@@ -703,24 +658,18 @@ EngineResult StreamEngine::run_days(
 
   // Consumer: this thread drains every ring into the sink.
   EngineResult result;
-  std::vector<std::size_t> shard_next_day(num_workers, first_day);
-  std::vector<KindTotals> shard_produced(num_workers);
-  // Per-BS volumes of each not-yet-committed day; folded into
-  // committed_volume in (day, BS) order once every shard passes the day.
-  std::map<std::size_t, std::vector<double>> day_volumes;
   double committed_volume = prior_volume;
-  std::size_t checkpointed_day = first_day;  // next_day of the last checkpoint
-  // Minute-interval marks in flight: a mid-day checkpoint is recorded once
-  // every worker's mark for the same minute has been popped (a consistent
-  // cut — FIFO rings guarantee each shard's events up to that minute
-  // precede its mark).
+  // Marks in flight, keyed by minute: a checkpoint is recorded once every
+  // worker's mark for the minute has been popped (a consistent cut — FIFO
+  // rings guarantee each shard's events up to that minute precede its
+  // mark). Each worker pushes its marks in minute order, so marks complete
+  // in minute order.
   struct PendingMark {
     std::size_t workers = 0;
     std::vector<EngineBsCursor> bs_states;
     std::vector<KindTotals> per_shard;
   };
   std::map<std::uint64_t, PendingMark> pending_marks;
-  std::uint64_t checkpointed_minute = start_minute;
   auto last_snapshot = std::chrono::steady_clock::now();
   std::uint64_t delivered_since_check = 0;
 
@@ -733,25 +682,6 @@ EngineResult StreamEngine::run_days(
     }
     last_snapshot = now;
     snapshot_callback_(telemetry.snapshot(queue_depth()));
-  };
-
-  // Checkpoint writes retry with exponential backoff on retryable errors
-  // (transient I/O); foreign or non-retryable exceptions propagate at once.
-  auto save_checkpoint = [&](const EngineCheckpoint& cp) {
-    double backoff_ms = std::max(0.0, config_.checkpoint_backoff_ms);
-    for (std::size_t attempt = 1;; ++attempt) {
-      try {
-        cp.save(config_.checkpoint_path, config_.fault);
-        return;
-      } catch (const Error& e) {
-        if (!e.retryable() || attempt >= config_.checkpoint_max_attempts) {
-          throw;
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          backoff_ms * (1.0 + 0.25 * backoff_rng.uniform())));
-      backoff_ms *= 2.0;
-    }
   };
 
   // Returns true when the event reached the sink, false when the failure
@@ -805,70 +735,15 @@ EngineResult StreamEngine::run_days(
         telemetry.count_consumed_bulk(consumed, volume);
         break;
       }
-      case RingItem::Kind::kBsDayVolume: {
-        auto& volumes = day_volumes[item.day];
-        if (volumes.empty()) volumes.assign(network.size(), 0.0);
-        volumes[item.bs] = item.bs_day_volume_mb;
-        break;
-      }
-      case RingItem::Kind::kDayEnd: {
-        shard_next_day[w] = static_cast<std::size_t>(item.day) + 1;
-        shard_produced[w] = item.shard_produced;
-        const std::size_t day_low_water =
-            *std::min_element(shard_next_day.begin(), shard_next_day.end());
-        if (day_low_water > checkpointed_day) {
-          // Rings are FIFO and every kBsDayVolume precedes its shard's
-          // kDayEnd, so all per-BS volumes of the finished days are here.
-          for (std::size_t d = checkpointed_day; d < day_low_water; ++d) {
-            const auto it = day_volumes.find(d);
-            double day_total = 0.0;
-            if (it != day_volumes.end()) {
-              for (double v : it->second) day_total += v;
-              day_volumes.erase(it);
-            }
-            committed_volume += day_total;
-          }
-          checkpointed_day = day_low_water;
-          KindTotals totals{};
-          for (std::size_t i = 0; i < num_workers; ++i) {
-            for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-              totals[k] += shard_produced[i][k];
-            }
-          }
-          checkpointed_minute =
-              static_cast<std::uint64_t>(checkpointed_day) * kMinutesPerDay;
-          // Marks inside the now-checkpointed range are obsolete: a
-          // day-boundary checkpoint supersedes any mid-day cut before it.
-          pending_marks.erase(pending_marks.begin(),
-                              pending_marks.upper_bound(checkpointed_minute));
-          result.checkpoint = make_checkpoint(checkpointed_minute, totals,
-                                              committed_volume,
-                                              shard_produced);
-          // Commit order matters for exactly-once recovery: the callback
-          // (the Supervisor flushing buffered minutes downstream) runs
-          // before the checkpoint is persisted, so a failed save leaves the
-          // downstream state covered by the in-memory checkpoint, never
-          // ahead of it.
-          if (checkpoint_callback_) checkpoint_callback_(result.checkpoint);
-          if (!config_.checkpoint_path.empty()) {
-            save_checkpoint(result.checkpoint);
-          }
-        }
-        break;
-      }
       case RingItem::Kind::kMinuteMark: {
-        if (item.minute_end <= checkpointed_minute) break;  // superseded
-        PendingMark& mark = pending_marks[item.minute_end];
+        const auto it = pending_marks.try_emplace(item.minute_end).first;
+        PendingMark& mark = it->second;
         if (mark.per_shard.empty()) mark.per_shard.assign(num_workers, {});
         mark.per_shard[w] = item.shard_produced;
         mark.bs_states.insert(mark.bs_states.end(),
                               item.bs_states.begin(), item.bs_states.end());
         if (++mark.workers < num_workers) break;
-        // Every shard has crossed the mark: take the mid-day checkpoint.
-        // committed_volume is exact through the last fully finished day —
-        // each worker's kDayEnd for that day precedes its mark in the FIFO
-        // ring — and the in-progress day's partial volumes ride in the
-        // per-BS cursors.
+        // Every shard has crossed the mark: take the checkpoint.
         std::sort(mark.bs_states.begin(), mark.bs_states.end(),
                   [](const EngineBsCursor& a, const EngineBsCursor& b) {
                     return a.bs < b.bs;
@@ -879,16 +754,23 @@ EngineResult StreamEngine::run_days(
             totals[k] += mark.per_shard[i][k];
           }
         }
-        checkpointed_minute = item.minute_end;
-        result.checkpoint =
-            make_checkpoint(checkpointed_minute, totals, committed_volume,
-                            mark.per_shard, std::move(mark.bs_states));
-        pending_marks.erase(pending_marks.begin(),
-                            pending_marks.upper_bound(checkpointed_minute));
-        if (checkpoint_callback_) checkpoint_callback_(result.checkpoint);
-        if (!config_.checkpoint_path.empty()) {
-          save_checkpoint(result.checkpoint);
+        if (item.minute_end % kMinutesPerDay == 0) {
+          // Day boundary: commit the finished day's volume as one per-day
+          // sum over BSs in index order; the checkpoint needs no cursors,
+          // since every (BS, day) stream re-seeds. A mid-day checkpoint
+          // carries the in-progress day's partial volumes in its cursors.
+          double day_total = 0.0;
+          for (const EngineBsCursor& c : mark.bs_states) {
+            day_total += c.day_volume_mb;
+          }
+          committed_volume += day_total;
+          mark.bs_states.clear();
         }
+        result.checkpoint =
+            make_checkpoint(item.minute_end, totals, committed_volume,
+                            mark.per_shard, std::move(mark.bs_states));
+        pending_marks.erase(it);
+        if (checkpoint_callback_) checkpoint_callback_(result.checkpoint);
         break;
       }
     }
@@ -904,8 +786,7 @@ EngineResult StreamEngine::run_days(
         while (shards[w]->ring().try_pop(item)) {
           any = true;
           deliver(item, w);
-          delivered_since_check += std::max<std::size_t>(
-              1, item.kind == RingItem::Kind::kBatch ? item.batch.size() : 1);
+          delivered_since_check += std::max<std::size_t>(1, item.batch.size());
           if (delivered_since_check >= 4096) {
             delivered_since_check = 0;
             maybe_snapshot();
@@ -927,8 +808,7 @@ EngineResult StreamEngine::run_days(
       }
     }
   } catch (...) {
-    // Sink failure under kFailFast, checkpoint save that exhausted its
-    // retries, or a checkpoint-callback error.
+    // Sink failure under kFailFast or a checkpoint-callback error.
     stop.signal(std::current_exception());
   }
   if (stop.requested()) {

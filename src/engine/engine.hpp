@@ -18,15 +18,14 @@
 // per wall second) for live replay, or max-throughput (time_scale <= 0).
 // When the consumer falls behind, the configured backpressure policy either
 // blocks the producers (lossless; stall time is metered) or drops events
-// (per-kind drop counters in telemetry). Day boundaries act as global
-// barriers at which the engine records a checkpoint (engine/checkpoint.hpp)
-// from which a later run resumes bit-identically.
+// (per-kind drop counters in telemetry). Day boundaries (and, optionally,
+// a minute interval) are marks at which the engine records a checkpoint
+// (engine/checkpoint.hpp) from which a later run resumes bit-identically.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "dataset/generator.hpp"
 #include "dataset/network.hpp"
@@ -90,16 +89,12 @@ struct EngineConfig {
   /// Stop after this many days of this run (0 = run to the trace horizon).
   /// The engine returns a resumable checkpoint either way.
   std::size_t stop_after_days = 0;
-  /// When non-empty, the latest checkpoint JSON is (re)written here at
-  /// every completed day boundary (crash-safe: tmp file + atomic rename).
-  std::string checkpoint_path;
   /// When > 0, the engine additionally checkpoints every time the replay
   /// clock crosses a multiple of this many minutes (absolute simulated
   /// minutes, so the mark grid is stable across stop/resume splits).
   /// Mid-day marks produce v2 checkpoints carrying raw per-BS RNG state
-  /// (see EngineBsCursor); marks landing exactly on a day boundary defer
-  /// to the regular day-boundary checkpoint. 0 checkpoints at day
-  /// boundaries only.
+  /// (see EngineBsCursor); a multiple landing on a day boundary is that
+  /// day boundary's checkpoint. 0 checkpoints at day boundaries only.
   std::size_t checkpoint_interval_minutes = 0;
   /// How a throwing sink is handled (see SinkErrorPolicy). Under kDegrade
   /// the per-kind accounting identity produced == consumed + dropped +
@@ -112,11 +107,6 @@ struct EngineConfig {
   /// deadline well above one virtual-minute interval when pacing with
   /// time_scale, or the idle wait between minutes will trip it.
   double watchdog_timeout_s = 0.0;
-  /// Checkpoint writes are retried with exponential backoff on retryable
-  /// I/O errors: total attempts (>= 1) and initial backoff. The backoff
-  /// jitter is drawn from a trace-seeded RNG, so runs stay reproducible.
-  std::size_t checkpoint_max_attempts = 3;
-  double checkpoint_backoff_ms = 10.0;
   /// Optional failure-injection registry (non-owning; tests). Null in
   /// production: every fault point is then a single branch.
   FaultInjector* fault = nullptr;
@@ -155,10 +145,12 @@ class StreamEngine {
   }
 
   /// Called (consumer thread) every time a checkpoint — day-boundary or
-  /// minute-interval — is recorded, before it is persisted to
-  /// checkpoint_path. The Supervisor uses this to commit buffered output
-  /// downstream exactly once; an exception from the callback aborts the
-  /// run like a sink failure.
+  /// minute-interval — is recorded; the engine itself persists nothing.
+  /// This is the one commit hook: the Supervisor commits buffered output
+  /// downstream here exactly once, the store runners publish the
+  /// checkpoint into the manifest, and a caller that wants a checkpoint
+  /// file writes it here (EngineCheckpoint::save). An exception from the
+  /// callback aborts the run like a sink failure.
   void on_checkpoint(std::function<void(const EngineCheckpoint&)> callback) {
     checkpoint_callback_ = std::move(callback);
   }

@@ -2,9 +2,9 @@
 // with store commits aligned to the engine's checkpoints (day-boundary
 // and, when checkpoint_interval_minutes is set, mid-day minute marks).
 //
-// The engine's on_checkpoint callback fires on the consumer thread before
-// the checkpoint file is persisted — exactly the point where buffered
-// downstream output must become durable. These runners interpose a
+// The engine's on_checkpoint callback, its one commit hook, fires on the
+// consumer thread — exactly the point where buffered downstream output
+// must become durable. These runners interpose a
 // MinuteCommitBuffer so the store never holds events past the checkpoint
 // (fast workers deliver ahead of the checkpoint cut; persisting that tail
 // would make a crash + resume ingest it twice), then commit the buffered

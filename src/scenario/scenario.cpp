@@ -22,6 +22,16 @@ double num_or(const Json& json, const char* key, double fallback) {
   return json.contains(key) ? json.at(key).as_number() : fallback;
 }
 
+/// `fallback` when `key` is absent, else the value range-checked into T
+/// (json_uint): a ParseError naming `what.key` for a negative, fractional
+/// or out-of-range number.
+template <std::integral T>
+T uint_or(const Json& json, const char* key, T fallback, const char* what) {
+  return json.contains(key)
+             ? json_uint<T>(json.at(key), std::string(what) + "." + key)
+             : fallback;
+}
+
 }  // namespace
 
 Json to_json(const NetworkConfig& config) {
@@ -40,8 +50,7 @@ void from_json(const Json& json, NetworkConfig& config) {
              {"num_bs", "fraction_5g", "first_decile_rate",
               "last_decile_rate", "offpeak_scale_ratio", "rate_jitter"},
              "NetworkConfig");
-  config.num_bs = static_cast<std::size_t>(
-      num_or(json, "num_bs", static_cast<double>(config.num_bs)));
+  config.num_bs = uint_or(json, "num_bs", config.num_bs, "NetworkConfig");
   config.fraction_5g = num_or(json, "fraction_5g", config.fraction_5g);
   config.first_decile_rate =
       num_or(json, "first_decile_rate", config.first_decile_rate);
@@ -65,10 +74,8 @@ void from_json(const Json& json, TraceConfig& config) {
   check_keys(json,
              {"num_days", "seed", "rate_scale", "weekend_rate_factor"},
              "TraceConfig");
-  config.num_days = static_cast<std::size_t>(
-      num_or(json, "num_days", static_cast<double>(config.num_days)));
-  config.seed = static_cast<std::uint64_t>(
-      num_or(json, "seed", static_cast<double>(config.seed)));
+  config.num_days = uint_or(json, "num_days", config.num_days, "TraceConfig");
+  config.seed = uint_or(json, "seed", config.seed, "TraceConfig");
   config.rate_scale = num_or(json, "rate_scale", config.rate_scale);
   config.weekend_rate_factor =
       num_or(json, "weekend_rate_factor", config.weekend_rate_factor);
@@ -93,22 +100,22 @@ void from_json(const Json& json, SlicingConfig& config) {
               "antenna_decile", "sla_quantile", "seed", "fig12_service",
               "fig12_antenna"},
              "SlicingConfig");
-  config.num_antennas = static_cast<std::size_t>(
-      num_or(json, "num_antennas", static_cast<double>(config.num_antennas)));
-  config.eval_days = static_cast<std::size_t>(
-      num_or(json, "eval_days", static_cast<double>(config.eval_days)));
-  config.calibration_days = static_cast<std::size_t>(num_or(
-      json, "calibration_days", static_cast<double>(config.calibration_days)));
-  config.antenna_decile = static_cast<std::uint8_t>(num_or(
-      json, "antenna_decile", static_cast<double>(config.antenna_decile)));
+  config.num_antennas =
+      uint_or(json, "num_antennas", config.num_antennas, "SlicingConfig");
+  config.eval_days =
+      uint_or(json, "eval_days", config.eval_days, "SlicingConfig");
+  config.calibration_days =
+      uint_or(json, "calibration_days",
+              config.calibration_days, "SlicingConfig");
+  config.antenna_decile =
+      uint_or(json, "antenna_decile", config.antenna_decile, "SlicingConfig");
   config.sla_quantile = num_or(json, "sla_quantile", config.sla_quantile);
-  config.seed = static_cast<std::uint64_t>(
-      num_or(json, "seed", static_cast<double>(config.seed)));
+  config.seed = uint_or(json, "seed", config.seed, "SlicingConfig");
   if (json.contains("fig12_service")) {
     config.fig12_service = json.at("fig12_service").as_string();
   }
-  config.fig12_antenna = static_cast<std::size_t>(num_or(
-      json, "fig12_antenna", static_cast<double>(config.fig12_antenna)));
+  config.fig12_antenna =
+      uint_or(json, "fig12_antenna", config.fig12_antenna, "SlicingConfig");
 }
 
 namespace {
@@ -159,16 +166,13 @@ void from_json(const Json& json, VranConfig& config) {
               "seed", "ps_capacity_mbps", "ps_idle_w", "ps_max_w", "packing",
               "series_start_minute", "series_seconds"},
              "VranConfig");
-  config.num_edge_sites = static_cast<std::size_t>(num_or(
-      json, "num_edge_sites", static_cast<double>(config.num_edge_sites)));
-  config.rus_per_site = static_cast<std::size_t>(
-      num_or(json, "rus_per_site", static_cast<double>(config.rus_per_site)));
-  config.num_days = static_cast<std::size_t>(
-      num_or(json, "num_days", static_cast<double>(config.num_days)));
-  config.ru_decile = static_cast<std::uint8_t>(
-      num_or(json, "ru_decile", static_cast<double>(config.ru_decile)));
-  config.seed = static_cast<std::uint64_t>(
-      num_or(json, "seed", static_cast<double>(config.seed)));
+  config.num_edge_sites =
+      uint_or(json, "num_edge_sites", config.num_edge_sites, "VranConfig");
+  config.rus_per_site =
+      uint_or(json, "rus_per_site", config.rus_per_site, "VranConfig");
+  config.num_days = uint_or(json, "num_days", config.num_days, "VranConfig");
+  config.ru_decile = uint_or(json, "ru_decile", config.ru_decile, "VranConfig");
+  config.seed = uint_or(json, "seed", config.seed, "VranConfig");
   config.ps.capacity_mbps =
       num_or(json, "ps_capacity_mbps", config.ps.capacity_mbps);
   config.ps.idle_w = num_or(json, "ps_idle_w", config.ps.idle_w);
@@ -176,11 +180,11 @@ void from_json(const Json& json, VranConfig& config) {
   if (json.contains("packing")) {
     config.packing = packing_from(json.at("packing").as_string());
   }
-  config.series_start_minute = static_cast<std::size_t>(
-      num_or(json, "series_start_minute",
-             static_cast<double>(config.series_start_minute)));
-  config.series_seconds = static_cast<std::size_t>(num_or(
-      json, "series_seconds", static_cast<double>(config.series_seconds)));
+  config.series_start_minute =
+      uint_or(json, "series_start_minute",
+              config.series_start_minute, "VranConfig");
+  config.series_seconds =
+      uint_or(json, "series_seconds", config.series_seconds, "VranConfig");
 }
 
 Json to_json(const MobilityConfig& config) {
@@ -211,8 +215,8 @@ void from_json(const Json& json, MobilityConfig& config) {
       json, "vehicular_dwell_median_s", config.vehicular_dwell_median_s);
   config.dwell_sigma_log10 =
       num_or(json, "dwell_sigma_log10", config.dwell_sigma_log10);
-  config.max_segments = static_cast<std::size_t>(
-      num_or(json, "max_segments", static_cast<double>(config.max_segments)));
+  config.max_segments =
+      uint_or(json, "max_segments", config.max_segments, "MobilityConfig");
 }
 
 Json to_json(const PacketScheduleConfig& config) {
@@ -228,13 +232,13 @@ void from_json(const Json& json, PacketScheduleConfig& config) {
   check_keys(json,
              {"mtu_bytes", "mean_burst_packets", "duty_cycle", "max_packets"},
              "PacketScheduleConfig");
-  config.mtu_bytes = static_cast<std::uint32_t>(
-      num_or(json, "mtu_bytes", static_cast<double>(config.mtu_bytes)));
+  config.mtu_bytes =
+      uint_or(json, "mtu_bytes", config.mtu_bytes, "PacketScheduleConfig");
   config.mean_burst_packets =
       num_or(json, "mean_burst_packets", config.mean_burst_packets);
   config.duty_cycle = num_or(json, "duty_cycle", config.duty_cycle);
-  config.max_packets = static_cast<std::size_t>(
-      num_or(json, "max_packets", static_cast<double>(config.max_packets)));
+  config.max_packets =
+      uint_or(json, "max_packets", config.max_packets, "PacketScheduleConfig");
 }
 
 namespace {
@@ -280,12 +284,9 @@ Json to_json(const EngineConfig& config) {
   obj.emplace("time_scale", config.time_scale);
   obj.emplace("telemetry_period_s", config.telemetry_period_s);
   obj.emplace("stop_after_days", config.stop_after_days);
-  obj.emplace("checkpoint_path", config.checkpoint_path);
   obj.emplace("checkpoint_interval_minutes", config.checkpoint_interval_minutes);
   obj.emplace("sink_error_policy", to_string(config.sink_error_policy));
   obj.emplace("watchdog_timeout_s", config.watchdog_timeout_s);
-  obj.emplace("checkpoint_max_attempts", config.checkpoint_max_attempts);
-  obj.emplace("checkpoint_backoff_ms", config.checkpoint_backoff_ms);
   // config.fault (a live injector pointer) is intentionally not serialized.
   return Json(std::move(obj));
 }
@@ -295,17 +296,16 @@ void from_json(const Json& json, EngineConfig& config) {
              {"num_workers", "queue_capacity", "batch_size",
               "generator_kernel", "event_kinds",
               "mobility", "packet_schedule", "backpressure", "time_scale",
-              "telemetry_period_s", "stop_after_days", "checkpoint_path",
+              "telemetry_period_s", "stop_after_days",
               "checkpoint_interval_minutes", "sink_error_policy",
-              "watchdog_timeout_s", "checkpoint_max_attempts",
-              "checkpoint_backoff_ms"},
+              "watchdog_timeout_s"},
              "EngineConfig");
-  config.num_workers = static_cast<std::size_t>(
-      num_or(json, "num_workers", static_cast<double>(config.num_workers)));
-  config.queue_capacity = static_cast<std::size_t>(num_or(
-      json, "queue_capacity", static_cast<double>(config.queue_capacity)));
-  config.batch_size = static_cast<std::size_t>(
-      num_or(json, "batch_size", static_cast<double>(config.batch_size)));
+  config.num_workers =
+      uint_or(json, "num_workers", config.num_workers, "EngineConfig");
+  config.queue_capacity =
+      uint_or(json, "queue_capacity", config.queue_capacity, "EngineConfig");
+  config.batch_size =
+      uint_or(json, "batch_size", config.batch_size, "EngineConfig");
   if (json.contains("generator_kernel")) {
     config.kernel =
         generator_kernel_from(json.at("generator_kernel").as_string());
@@ -330,25 +330,17 @@ void from_json(const Json& json, EngineConfig& config) {
   config.time_scale = num_or(json, "time_scale", config.time_scale);
   config.telemetry_period_s =
       num_or(json, "telemetry_period_s", config.telemetry_period_s);
-  config.stop_after_days = static_cast<std::size_t>(num_or(
-      json, "stop_after_days", static_cast<double>(config.stop_after_days)));
-  if (json.contains("checkpoint_path")) {
-    config.checkpoint_path = json.at("checkpoint_path").as_string();
-  }
-  config.checkpoint_interval_minutes = static_cast<std::size_t>(
-      num_or(json, "checkpoint_interval_minutes",
-             static_cast<double>(config.checkpoint_interval_minutes)));
+  config.stop_after_days =
+      uint_or(json, "stop_after_days", config.stop_after_days, "EngineConfig");
+  config.checkpoint_interval_minutes =
+      uint_or(json, "checkpoint_interval_minutes",
+              config.checkpoint_interval_minutes, "EngineConfig");
   if (json.contains("sink_error_policy")) {
     config.sink_error_policy =
         sink_error_policy_from(json.at("sink_error_policy").as_string());
   }
   config.watchdog_timeout_s =
       num_or(json, "watchdog_timeout_s", config.watchdog_timeout_s);
-  config.checkpoint_max_attempts = static_cast<std::size_t>(
-      num_or(json, "checkpoint_max_attempts",
-             static_cast<double>(config.checkpoint_max_attempts)));
-  config.checkpoint_backoff_ms =
-      num_or(json, "checkpoint_backoff_ms", config.checkpoint_backoff_ms);
 }
 
 Json Scenario::to_json() const {

@@ -80,12 +80,6 @@ PackingResult pack_loads(std::vector<double> loads, double capacity,
   return result;
 }
 
-PackingResult first_fit_decreasing(std::vector<double> loads,
-                                   double capacity) {
-  return pack_loads(std::move(loads), capacity,
-                    PackingPolicy::kFirstFitDecreasing);
-}
-
 namespace {
 
 /// One scheduled session arrival, shared across strategies. The measured

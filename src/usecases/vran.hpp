@@ -58,10 +58,6 @@ struct PackingResult {
     std::vector<double> loads, double capacity,
     PackingPolicy policy = PackingPolicy::kFirstFitDecreasing);
 
-/// The paper's heuristic; equivalent to pack_loads(..., kFirstFitDecreasing).
-[[nodiscard]] PackingResult first_fit_decreasing(std::vector<double> loads,
-                                                 double capacity);
-
 struct VranConfig {
   std::size_t num_edge_sites = 20;
   std::size_t rus_per_site = 20;

@@ -180,8 +180,11 @@ TEST(EngineCheckpoint, SaveLoadRoundTrip) {
 
   EngineConfig config;
   config.stop_after_days = 1;
-  config.checkpoint_path = path;
   StreamEngine engine(network, trace, config);
+  // The engine persists nothing itself: a caller that wants a checkpoint
+  // file writes it from the commit hook.
+  engine.on_checkpoint(
+      [&path](const EngineCheckpoint& cp) { cp.save(path); });
   RecordingSink sink(network.size());
   const EngineResult result = engine.run(sink);
 
@@ -542,6 +545,66 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
             full_result.checkpoint.minutes_emitted);
   EXPECT_DOUBLE_EQ(result.checkpoint.volume_mb,
                    full_result.checkpoint.volume_mb);
+}
+
+// The commit hook sees exactly one checkpoint per minute of the mark grid —
+// every day boundary plus every interval multiple, once where the two
+// coincide — in minute order. Day-boundary checkpoints carry no cursors;
+// mid-day ones carry one per BS, sorted by BS. The committed counters at
+// every position do not depend on the worker count.
+TEST(EngineCheckpoint, CheckpointSequenceFollowsTheMarkGrid) {
+  const Network network = make_network(8);
+  TraceConfig trace = make_trace(3);
+  trace.rate_scale = 0.25;  // the sequence, not the volume, is under test
+
+  struct NullSink final : EventSink {
+    void on_event(const StreamEvent&) override {}
+  };
+  for (const std::size_t interval : {std::size_t{0}, std::size_t{173},
+                                     std::size_t{360}}) {
+    SCOPED_TRACE("interval " + std::to_string(interval));
+    std::vector<std::uint64_t> grid;
+    for (std::uint64_t m = 1; m <= trace.num_days * kMinutesPerDay; ++m) {
+      if (m % kMinutesPerDay == 0 || (interval > 0 && m % interval == 0)) {
+        grid.push_back(m);
+      }
+    }
+    std::vector<std::vector<EngineCheckpoint>> runs;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE("workers " + std::to_string(workers));
+      EngineConfig config;
+      config.num_workers = workers;
+      config.checkpoint_interval_minutes = interval;
+      StreamEngine engine(network, trace, config);
+      std::vector<EngineCheckpoint> seen;
+      engine.on_checkpoint(
+          [&seen](const EngineCheckpoint& cp) { seen.push_back(cp); });
+      NullSink sink;
+      static_cast<void>(engine.run(sink));
+
+      std::vector<std::uint64_t> minutes;
+      for (const EngineCheckpoint& cp : seen) {
+        minutes.push_back(cp.clock_minute);
+        if (!cp.mid_day()) {
+          EXPECT_TRUE(cp.bs_states.empty()) << "minute " << cp.clock_minute;
+          continue;
+        }
+        ASSERT_EQ(cp.bs_states.size(), network.size())
+            << "minute " << cp.clock_minute;
+        for (std::size_t i = 0; i < cp.bs_states.size(); ++i) {
+          EXPECT_EQ(cp.bs_states[i].bs, i) << "minute " << cp.clock_minute;
+        }
+      }
+      EXPECT_EQ(minutes, grid);
+      runs.push_back(std::move(seen));
+    }
+    ASSERT_EQ(runs[0].size(), runs[1].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[0][i].volume_mb, runs[1][i].volume_mb) << "index " << i;
+      EXPECT_EQ(runs[0][i].sessions_emitted, runs[1][i].sessions_emitted)
+          << "index " << i;
+    }
+  }
 }
 
 TEST(EngineCheckpoint, MidDayJsonRoundTripPreservesRawStreams) {

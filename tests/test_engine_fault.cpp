@@ -6,7 +6,6 @@
 
 #include <array>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -90,6 +89,18 @@ struct DigestSink final : EventSink {
     }
   }
 };
+
+/// Sessions in `sink` that arrived before `minute_of_day` of their day.
+std::uint64_t sessions_before(const RecordingSink& sink,
+                              std::size_t minute_of_day) {
+  std::uint64_t n = 0;
+  for (const std::vector<Session>& sessions : sink.per_bs) {
+    for (const Session& session : sessions) {
+      if (session.minute_of_day < minute_of_day) ++n;
+    }
+  }
+  return n;
+}
 
 void expect_identical_streams(const RecordingSink& a, const RecordingSink& b) {
   ASSERT_EQ(a.per_bs.size(), b.per_bs.size());
@@ -311,56 +322,6 @@ TEST(EngineFault, WatchdogDetectsAStalledConsumer) {
             10.0);
 }
 
-TEST(EngineFault, CheckpointWriteRetriesTransientFailures) {
-  const Network network = make_network(4);
-  const TraceConfig trace = make_trace(2);
-  const std::string path = "test_fault_checkpoint.json";
-  FaultInjector fault;
-  FaultSpec spec;
-  spec.times = 2;  // two transient failures, third attempt succeeds
-  fault.arm("checkpoint.write", spec);
-
-  EngineConfig config;
-  config.checkpoint_path = path;
-  config.checkpoint_max_attempts = 3;
-  config.checkpoint_backoff_ms = 1.0;
-  config.fault = &fault;
-  StreamEngine engine(network, trace, config);
-  CountingSink sink;
-  const EngineResult result = engine.run(sink);
-  EXPECT_TRUE(result.checkpoint.complete());
-  EXPECT_GE(fault.fired("checkpoint.write"), 2u);
-  const EngineCheckpoint loaded = EngineCheckpoint::load(path);
-  EXPECT_EQ(loaded.next_day, trace.num_days);
-  std::remove(path.c_str());
-}
-
-TEST(EngineFault, CheckpointWriteExhaustedRetriesAbortTheRun) {
-  const Network network = make_network(4);
-  const TraceConfig trace = make_trace(2);
-  const std::string path = "test_fault_checkpoint_fatal.json";
-  FaultInjector fault;
-  FaultSpec spec;
-  spec.times = FaultSpec::kUnlimited;  // persistent I/O failure
-  fault.arm("checkpoint.write", spec);
-
-  EngineConfig config;
-  config.checkpoint_path = path;
-  config.checkpoint_max_attempts = 2;
-  config.checkpoint_backoff_ms = 1.0;
-  config.fault = &fault;
-  StreamEngine engine(network, trace, config);
-  CountingSink sink;
-  try {
-    static_cast<void>(engine.run(sink));
-    FAIL() << "persistent checkpoint failure did not propagate";
-  } catch (const Error& e) {
-    EXPECT_TRUE(e.retryable());  // the Supervisor may restart elsewhere
-  }
-  EXPECT_EQ(fault.fired("checkpoint.write"), 2u);
-  std::remove(path.c_str());
-}
-
 // The headline recovery guarantee: a supervised run that loses a worker
 // mid-replay restarts from the last good checkpoint and delivers a stream
 // bit-identical to a run that never failed.
@@ -403,44 +364,6 @@ TEST(Supervisor, RecoveryFromWorkerFaultIsBitIdentical) {
             clean_result.checkpoint.sessions_emitted);
   EXPECT_DOUBLE_EQ(report.result.checkpoint.volume_mb,
                    clean_result.checkpoint.volume_mb);
-}
-
-// Checkpoint persistence fails once; the commit-before-save ordering means
-// the supervisor resumes past the already-flushed day without duplicating
-// it downstream.
-TEST(Supervisor, RecoveryFromCheckpointWriteFailureIsBitIdentical) {
-  const Network network = make_network(8);
-  const TraceConfig trace = make_trace(3);
-  const std::string path = "test_supervisor_checkpoint.json";
-
-  RecordingSink clean(network.size());
-  StreamEngine reference(network, trace);
-  static_cast<void>(reference.run(clean));
-
-  FaultInjector fault;
-  fault.arm("checkpoint.write", FaultSpec{});  // one failure, then healthy
-  EngineConfig config;
-  config.num_workers = 2;
-  config.checkpoint_path = path;
-  config.checkpoint_max_attempts = 1;  // no engine-level retry: force the
-                                       // supervisor to handle it
-  config.fault = &fault;
-  SupervisorConfig sup;
-  sup.max_restarts = 2;
-  sup.backoff_initial_ms = 1.0;
-  Supervisor supervisor(network, trace, config, sup);
-  RecordingSink recovered(network.size());
-  const RunReport report = supervisor.run(recovered);
-
-  ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
-  ASSERT_EQ(report.attempts.size(), 2u);
-  EXPECT_TRUE(report.attempts[0].retryable);
-  // The first attempt committed day 0 before the failed save.
-  EXPECT_EQ(report.attempts[0].reached_day, 1u);
-  EXPECT_EQ(report.attempts[1].start_day, 1u);
-  expect_identical_streams(recovered, clean);
-  EXPECT_EQ(recovered.minutes, clean.minutes);
-  std::remove(path.c_str());
 }
 
 TEST(Supervisor, RecoveryFromWatchdogStallIsBitIdentical) {
@@ -565,8 +488,14 @@ TEST(Supervisor, BackoffJitterIsSeededAndReproducible) {
 }
 
 // Minute-granularity recovery: with checkpoint_interval_minutes set, a
-// worker fault deep inside day 0 resumes from the last mid-day mark — not
+// sink fault deep inside day 0 resumes from the last mid-day mark — not
 // from the day boundary — and the recovered stream is still bit-identical.
+//
+// The fault must land after a mid-day mark has committed, and the code,
+// not thread timing, guarantees that: with one worker, its FIFO ring
+// carries every session before the mark ahead of the mark, so the consumer
+// commits the mark before it delivers the next session — the one the
+// consumer-side fault is armed on.
 TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   const Network network = make_network(10);
   const TraceConfig trace = make_trace(2);
@@ -576,24 +505,27 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   static_cast<void>(reference.run(clean));
 
   // Probe day 0's session count so the fault can be pinned deep inside the
-  // day (three quarters in — far past the first 173-minute mark, with the
-  // diurnal profile concentrating arrivals in the afternoon and evening).
-  const std::uint64_t day0_sessions = [&] {
+  // day: on the first session at or after the fifth 173-minute mark
+  // (mid-afternoon, with arrivals still to come before the day ends).
+  RecordingSink day0(network.size());
+  {
     EngineConfig probe_config;
     probe_config.stop_after_days = 1;
     StreamEngine probe(network, trace, probe_config);
-    CountingSink counter;
-    static_cast<void>(probe.run(counter));
-    return counter.sessions;
-  }();
+    static_cast<void>(probe.run(day0));
+  }
+  const std::uint64_t day0_sessions = sessions_before(day0, kMinutesPerDay);
   ASSERT_GT(day0_sessions, 8u);
+  const std::uint64_t before_mark = sessions_before(day0, 5 * 173);
+  ASSERT_GT(before_mark, 0u);
+  ASSERT_LT(before_mark, day0_sessions);
 
   FaultInjector fault;
   FaultSpec spec;
-  spec.after = (day0_sessions / 4) * 3;
-  fault.arm("worker.session", spec);
+  spec.after = before_mark;
+  fault.arm("sink.session", spec);
   EngineConfig config;
-  config.num_workers = 2;
+  config.num_workers = 1;
   config.checkpoint_interval_minutes = 173;  // does not divide 1440
   config.fault = &fault;
   SupervisorConfig sup;
@@ -605,7 +537,7 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
   ASSERT_EQ(report.attempts.size(), 2u);
-  EXPECT_NE(report.attempts[0].error.find("worker.session"),
+  EXPECT_NE(report.attempts[0].error.find("sink.session"),
             std::string::npos);
   // The restart picked up at a committed minute mark strictly inside day 0.
   EXPECT_EQ(report.attempts[0].reached_day, 0u);
@@ -621,17 +553,15 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
 }
 
 // The Supervisor's commit buffer carries every event kind: with segment
-// and packet expansion on and a worker fault deep inside day 0, the
+// and packet expansion on and a sink fault deep inside day 0, the
 // recovered stream has the per-kind counts and per-BS wire digests of an
-// unsupervised clean run.
+// unsupervised clean run. One worker orders the fault after a committed
+// mid-day mark, as above.
 TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
   const Network network = make_network(6);
   const TraceConfig trace = make_trace(2);
   EngineConfig config;
-  config.num_workers = 2;
-  // Small rings keep the producers' lead over the consumer short, so the
-  // fault lands after the consumer has committed a mid-day mark.
-  config.queue_capacity = 64;
+  config.num_workers = 1;
   config.checkpoint_interval_minutes = 173;  // does not divide 1440
   config.event_kinds = EventKindMask::session_replay()
                            .set(EventKind::kSegment)
@@ -644,20 +574,23 @@ TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
   EXPECT_GT(clean.counts[static_cast<std::size_t>(EventKind::kSegment)], 0u);
   EXPECT_GT(clean.counts[static_cast<std::size_t>(EventKind::kPacket)], 0u);
 
-  const std::uint64_t day0_sessions = [&] {
+  RecordingSink day0(network.size());
+  {
     EngineConfig probe_config = config;
     probe_config.stop_after_days = 1;
     StreamEngine probe(network, trace, probe_config);
-    CountingSink counter;
-    static_cast<void>(probe.run(counter));
-    return counter.sessions;
-  }();
+    static_cast<void>(probe.run(day0));
+  }
+  const std::uint64_t day0_sessions = sessions_before(day0, kMinutesPerDay);
   ASSERT_GT(day0_sessions, 8u);
+  const std::uint64_t before_mark = sessions_before(day0, 5 * 173);
+  ASSERT_GT(before_mark, 0u);
+  ASSERT_LT(before_mark, day0_sessions);
 
   FaultInjector fault;
   FaultSpec spec;
-  spec.after = (day0_sessions / 4) * 3;
-  fault.arm("worker.session", spec);
+  spec.after = before_mark;
+  fault.arm("sink.session", spec);
   config.fault = &fault;
   SupervisorConfig sup;
   sup.max_restarts = 1;
@@ -668,7 +601,7 @@ TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
   ASSERT_EQ(report.attempts.size(), 2u);
-  EXPECT_NE(report.attempts[0].error.find("worker.session"),
+  EXPECT_NE(report.attempts[0].error.find("sink.session"),
             std::string::npos);
   EXPECT_NE(report.attempts[1].start_minute % kMinutesPerDay, 0u);
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 namespace mtd {
 namespace {
@@ -98,7 +100,6 @@ TEST(ScenarioJson, EngineConfigRoundTrip) {
   config.time_scale = 60.0;
   config.telemetry_period_s = 2.5;
   config.stop_after_days = 3;
-  config.checkpoint_path = "out/cp.json";
   config.checkpoint_interval_minutes = 173;
   EngineConfig restored;
   from_json(to_json(config), restored);
@@ -113,7 +114,6 @@ TEST(ScenarioJson, EngineConfigRoundTrip) {
   EXPECT_DOUBLE_EQ(restored.time_scale, 60.0);
   EXPECT_DOUBLE_EQ(restored.telemetry_period_s, 2.5);
   EXPECT_EQ(restored.stop_after_days, 3u);
-  EXPECT_EQ(restored.checkpoint_path, "out/cp.json");
   EXPECT_EQ(restored.checkpoint_interval_minutes, 173u);
 }
 
@@ -146,6 +146,101 @@ TEST(ScenarioJson, EngineConfigRejectsBadInput) {
                ParseError);
   EXPECT_THROW(from_json(Json::parse(R"({"num_wrkers": 2})"), config),
                ParseError);
+}
+
+// Every integer field goes through a range check: a negative, fractional
+// or out-of-range number is a ParseError naming the field, never a silent
+// wrap or truncation (casting such a double to an integer is undefined).
+TEST(ScenarioJson, IntegerFieldsAreRangeChecked) {
+  struct Field {
+    const char* section;
+    const char* key;
+    bool is_uint8;
+  };
+  const Field fields[] = {
+      {"NetworkConfig", "num_bs", false},
+      {"TraceConfig", "num_days", false},
+      {"TraceConfig", "seed", false},
+      {"SlicingConfig", "num_antennas", false},
+      {"SlicingConfig", "eval_days", false},
+      {"SlicingConfig", "calibration_days", false},
+      {"SlicingConfig", "antenna_decile", true},
+      {"SlicingConfig", "seed", false},
+      {"SlicingConfig", "fig12_antenna", false},
+      {"VranConfig", "num_edge_sites", false},
+      {"VranConfig", "rus_per_site", false},
+      {"VranConfig", "num_days", false},
+      {"VranConfig", "ru_decile", true},
+      {"VranConfig", "seed", false},
+      {"VranConfig", "series_start_minute", false},
+      {"VranConfig", "series_seconds", false},
+      {"MobilityConfig", "max_segments", false},
+      {"PacketScheduleConfig", "mtu_bytes", false},
+      {"PacketScheduleConfig", "max_packets", false},
+      {"EngineConfig", "num_workers", false},
+      {"EngineConfig", "queue_capacity", false},
+      {"EngineConfig", "batch_size", false},
+      {"EngineConfig", "stop_after_days", false},
+      {"EngineConfig", "checkpoint_interval_minutes", false},
+  };
+  const auto load = [](const std::string& section, const Json& json) {
+    if (section == "NetworkConfig") {
+      NetworkConfig c;
+      from_json(json, c);
+    } else if (section == "TraceConfig") {
+      TraceConfig c;
+      from_json(json, c);
+    } else if (section == "SlicingConfig") {
+      SlicingConfig c;
+      from_json(json, c);
+    } else if (section == "VranConfig") {
+      VranConfig c;
+      from_json(json, c);
+    } else if (section == "MobilityConfig") {
+      MobilityConfig c;
+      from_json(json, c);
+    } else if (section == "PacketScheduleConfig") {
+      PacketScheduleConfig c;
+      from_json(json, c);
+    } else {
+      EngineConfig c;
+      from_json(json, c);
+    }
+  };
+  for (const Field& field : fields) {
+    std::vector<std::string> values = {"-1", "0.5", "1e300"};
+    if (field.is_uint8) values.emplace_back("256");
+    for (const std::string& value : values) {
+      const std::string name = std::string(field.section) + "." + field.key;
+      SCOPED_TRACE(name + " = " + value);
+      const Json json =
+          Json::parse("{\"" + std::string(field.key) + "\": " + value + "}");
+      try {
+        load(field.section, json);
+        ADD_FAILURE() << "accepted";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// The engine persists no checkpoint file and runs no write-retry loop of
+// its own, so scenario files naming those retired options are rejected.
+TEST(ScenarioJson, RetiredCheckpointFileKeysAreRejected) {
+  for (const char* key : {"checkpoint_path", "checkpoint_max_attempts",
+                          "checkpoint_backoff_ms"}) {
+    SCOPED_TRACE(key);
+    EngineConfig config;
+    try {
+      from_json(Json::parse("{\"" + std::string(key) + "\": 1}"), config);
+      ADD_FAILURE() << "accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioJson, EngineBackpressureNamesAreStable) {

@@ -320,12 +320,14 @@ TEST(SessionSource, VranParityMemoryVsStore) {
 TEST(SessionSource, InvarianceParityMemoryVsStore) {
   InvarianceOptions options;
   options.min_sessions = 20;  // small 2-day fixture
-  const InvarianceReport from_memory = analyze_invariance_from_source(
-      memory_source(), parity_network(), kNumDays, options);
+  const InvarianceReport from_memory = analyze_invariance(
+      dataset_from_source(memory_source(), parity_network(), kNumDays),
+      options);
   TraceStore reader(store_path());
   StoreSessionSource store_source(reader);
-  const InvarianceReport from_store = analyze_invariance_from_source(
-      store_source, parity_network(), kNumDays, options);
+  const InvarianceReport from_store = analyze_invariance(
+      dataset_from_source(store_source, parity_network(), kNumDays),
+      options);
   expect_invariance_identical(from_memory, from_store);
 }
 
@@ -360,8 +362,9 @@ TEST(SessionSource, ParitySurvivesCompactionAndCompactionCrash) {
                               slicing_config());
   InvarianceOptions options;
   options.min_sessions = 20;
-  const InvarianceReport golden_invariance = analyze_invariance_from_source(
-      memory_source(), parity_network(), kNumDays, options);
+  const InvarianceReport golden_invariance = analyze_invariance(
+      dataset_from_source(memory_source(), parity_network(), kNumDays),
+      options);
 
   // A private copy of the committed store, so compaction here cannot
   // interfere with the shared fixture.
@@ -416,8 +419,9 @@ TEST(SessionSource, ParitySurvivesCompactionAndCompactionCrash) {
       run_slicing_from_source(compacted, parity_registry(), slicing_config()));
   expect_invariance_identical(
       golden_invariance,
-      analyze_invariance_from_source(compacted, parity_network(), kNumDays,
-                                     options));
+      analyze_invariance(
+          dataset_from_source(compacted, parity_network(), kNumDays),
+          options));
 }
 
 }  // namespace

@@ -11,26 +11,26 @@ namespace {
 // ---- bin packing (unit) -----------------------------------------------------
 
 TEST(FirstFitDecreasing, EmptyAndZeroLoads) {
-  EXPECT_EQ(first_fit_decreasing({}, 100.0).bins, 0u);
-  EXPECT_EQ(first_fit_decreasing({0.0, 0.0}, 100.0).bins, 0u);
+  EXPECT_EQ(pack_loads({}, 100.0).bins, 0u);
+  EXPECT_EQ(pack_loads({0.0, 0.0}, 100.0).bins, 0u);
 }
 
 TEST(FirstFitDecreasing, SingleBinWhenEverythingFits) {
-  const PackingResult r = first_fit_decreasing({30.0, 20.0, 40.0}, 100.0);
+  const PackingResult r = pack_loads({30.0, 20.0, 40.0}, 100.0);
   EXPECT_EQ(r.bins, 1u);
   EXPECT_DOUBLE_EQ(r.bin_loads[0], 90.0);
 }
 
 TEST(FirstFitDecreasing, RespectsCapacity) {
   const PackingResult r =
-      first_fit_decreasing({60.0, 50.0, 40.0, 30.0}, 100.0);
+      pack_loads({60.0, 50.0, 40.0, 30.0}, 100.0);
   EXPECT_EQ(r.bins, 2u);
   for (double load : r.bin_loads) EXPECT_LE(load, 100.0 + 1e-9);
 }
 
 TEST(FirstFitDecreasing, ConservesTotalLoad) {
   const std::vector<double> loads{33.0, 12.5, 87.0, 4.0, 55.5, 61.0};
-  const PackingResult r = first_fit_decreasing(loads, 100.0);
+  const PackingResult r = pack_loads(loads, 100.0);
   double total_in = 0.0, total_out = 0.0;
   for (double l : loads) total_in += l;
   for (double l : r.bin_loads) total_out += l;
@@ -38,7 +38,7 @@ TEST(FirstFitDecreasing, ConservesTotalLoad) {
 }
 
 TEST(FirstFitDecreasing, SplitsOversizedItems) {
-  const PackingResult r = first_fit_decreasing({250.0}, 100.0);
+  const PackingResult r = pack_loads({250.0}, 100.0);
   EXPECT_EQ(r.bins, 3u);
   EXPECT_DOUBLE_EQ(r.bin_loads[0], 100.0);
   EXPECT_DOUBLE_EQ(r.bin_loads[1], 100.0);
@@ -55,7 +55,7 @@ TEST(FirstFitDecreasing, BoundedByVolumeAndItemCount) {
       loads.push_back(rng.uniform(1.0, 90.0));
       total += loads.back();
     }
-    const PackingResult r = first_fit_decreasing(loads, 100.0);
+    const PackingResult r = pack_loads(loads, 100.0);
     // Volume lower bound and one-item-per-bin upper bound.
     EXPECT_GE(static_cast<double>(r.bins), std::ceil(total / 100.0));
     EXPECT_LE(r.bins, n);
@@ -74,14 +74,14 @@ TEST(FirstFitDecreasing, MoreCapacityNeverNeedsMoreBins) {
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> loads;
     for (int i = 0; i < 25; ++i) loads.push_back(rng.uniform(1.0, 80.0));
-    const PackingResult small = first_fit_decreasing(loads, 100.0);
-    const PackingResult large = first_fit_decreasing(loads, 200.0);
+    const PackingResult small = pack_loads(loads, 100.0);
+    const PackingResult large = pack_loads(loads, 200.0);
     EXPECT_LE(large.bins, small.bins);
   }
 }
 
 TEST(FirstFitDecreasing, RejectsBadCapacity) {
-  EXPECT_THROW(first_fit_decreasing({1.0}, 0.0), InvalidArgument);
+  EXPECT_THROW(pack_loads({1.0}, 0.0), InvalidArgument);
 }
 
 TEST(PackLoads, PoliciesRespectCapacityAndConserveLoad) {

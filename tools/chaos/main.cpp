@@ -310,13 +310,11 @@ struct ChaosOutcome {
   EngineCheckpoint final_checkpoint;
 };
 
-EngineConfig make_engine_config(const Options& opt, FaultInjector* fault,
-                                const std::string& checkpoint_path) {
+EngineConfig make_engine_config(const Options& opt, FaultInjector* fault) {
   EngineConfig config;
   config.num_workers = opt.workers;
   config.event_kinds = kinds_mask(opt.kinds);
   config.checkpoint_interval_minutes = opt.interval_minutes;
-  config.checkpoint_path = checkpoint_path;
   config.queue_capacity = 256;
   config.batch_size = 32;
   config.fault = fault;
@@ -365,7 +363,6 @@ void tamper_store(const std::string& store_path, Rng& rng) {
 /// the replay ran to the horizon.
 bool run_incarnation(const Options& opt, const Network& network,
                      const TraceConfig& trace, const std::string& store_path,
-                     const std::string& checkpoint_path,
                      FaultInjector* injector, std::size_t incarnation,
                      ChaosOutcome& outcome) {
   for (std::size_t attempt = 1; attempt <= opt.max_restarts + 1; ++attempt) {
@@ -374,7 +371,7 @@ bool run_incarnation(const Options& opt, const Network& network,
     record.attempt = attempt;
 
     StreamEngine engine(network, trace,
-                        make_engine_config(opt, injector, checkpoint_path));
+                        make_engine_config(opt, injector));
     TelemetrySnapshot last_snapshot;
     engine.on_snapshot([&last_snapshot](const TelemetrySnapshot& snapshot) {
       last_snapshot = snapshot;
@@ -436,7 +433,6 @@ int run_soak(const Options& opt) {
   fs::create_directories(dir);
   const std::string clean_path = (dir / "clean.store").string();
   const std::string chaos_path = (dir / "chaos.store").string();
-  const std::string checkpoint_path = (dir / "engine.ckpt").string();
 
   const Network network = make_network(opt.num_bs);
   const TraceConfig trace = make_trace(opt);
@@ -454,7 +450,7 @@ int run_soak(const Options& opt) {
     auto writer = mtd::store::TraceStoreWriter::create(clean_path, {},
                                                        &counting);
     StreamEngine engine(network, trace,
-                        make_engine_config(opt, &counting, ""));
+                        make_engine_config(opt, &counting));
     const mtd::EngineResult result = run_engine_into_store(engine, writer);
     writer.close();
     if (!result.telemetry.accounted_for()) {
@@ -534,8 +530,7 @@ int run_soak(const Options& opt) {
       ++outcome.kills;
     }
     completed = run_incarnation(opt, network, trace, chaos_path,
-                                checkpoint_path, opt.faults ? &injector
-                                                            : nullptr,
+                                opt.faults ? &injector : nullptr,
                                 inc, outcome);
     for (const std::string& point : points) {
       outcome.fired[point] += injector.fired(point);
@@ -551,8 +546,7 @@ int run_soak(const Options& opt) {
     ++outcome.incarnations;
     arm_error_faults();
     completed = run_incarnation(opt, network, trace, chaos_path,
-                                checkpoint_path, opt.faults ? &injector
-                                                            : nullptr,
+                                opt.faults ? &injector : nullptr,
                                 outcome.incarnations, outcome);
     for (const std::string& point : points) {
       outcome.fired[point] += injector.fired(point);
