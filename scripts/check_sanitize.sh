@@ -41,8 +41,9 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # Engine-side tests gated under TSan: everything with cross-thread
 # synchronization (rings, the typed event plane, engine, checkpoint/resume,
 # faults, supervision) plus the trace store, whose writer is fed from the
-# engine's consumer thread and whose fault points fire under load.
-TSAN_FILTER='SpscRing|EventPlane|StreamEngine|EngineCheckpoint|EngineFault|Supervisor|NetworkFingerprint|TraceStore'
+# engine's consumer thread and whose fault points fire under load, and
+# the store runner's kill-and-resume suite.
+TSAN_FILTER='SpscRing|EventPlane|StreamEngine|EngineCheckpoint|EngineFault|Supervisor|StoreSupervised|NetworkFingerprint|TraceStore'
 
 if [[ "${MTD_SKIP_ASAN:-0}" == "1" ]]; then
   echo "skipping asan/ubsan stage (MTD_SKIP_ASAN=1)"

@@ -41,28 +41,6 @@ double RunningStats::cv() const noexcept {
   return mean_ != 0.0 ? stddev() / std::abs(mean_) : 0.0;
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  const double delta = other.mean_ - mean_;
-  const double m2 = m2_ + other.m2_ + delta * delta * na * nb / n;
-  const double m3 = m3_ + other.m3_ +
-                    delta * delta * delta * na * nb * (na - nb) / (n * n) +
-                    3.0 * delta * (na * other.m2_ - nb * m2_) / n;
-  mean_ = (na * mean_ + nb * other.mean_) / n;
-  m2_ = m2;
-  m3_ = m3;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double mean(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
   double s = 0.0;

@@ -263,10 +263,6 @@ class TraceGenerator {
   void sample_minute_block(const BaseStation& day_scaled_bs, std::size_t day,
                            std::size_t minute_of_day, MinuteBlock& out) const;
 
-  [[nodiscard]] const SessionBlockKernel& block_kernel() const noexcept {
-    return block_kernel_;
-  }
-
   [[nodiscard]] const Network& network() const noexcept { return *network_; }
   [[nodiscard]] const TraceConfig& config() const noexcept { return config_; }
 

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <chrono>
 #include <exception>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -659,17 +658,19 @@ EngineResult StreamEngine::run_days(
   // Consumer: this thread drains every ring into the sink.
   EngineResult result;
   double committed_volume = prior_volume;
-  // Marks in flight, keyed by minute: a checkpoint is recorded once every
-  // worker's mark for the minute has been popped (a consistent cut — FIFO
-  // rings guarantee each shard's events up to that minute precede its
-  // mark). Each worker pushes its marks in minute order, so marks complete
-  // in minute order.
+  // The one mark in flight. Once the consumer pops worker w's mark it
+  // holds w's ring until every worker's mark for that minute has arrived,
+  // so the checkpoint is an exact cut at the sink: FIFO rings put each
+  // shard's events below the minute ahead of its mark, and its events at
+  // or after the minute behind it. A held worker keeps producing into its
+  // ring until that fills, so ring capacity bounds its lead.
   struct PendingMark {
     std::size_t workers = 0;
     std::vector<EngineBsCursor> bs_states;
     std::vector<KindTotals> per_shard;
   };
-  std::map<std::uint64_t, PendingMark> pending_marks;
+  PendingMark pending;
+  std::vector<char> held(num_workers, 0);
   auto last_snapshot = std::chrono::steady_clock::now();
   std::uint64_t delivered_since_check = 0;
 
@@ -736,22 +737,23 @@ EngineResult StreamEngine::run_days(
         break;
       }
       case RingItem::Kind::kMinuteMark: {
-        const auto it = pending_marks.try_emplace(item.minute_end).first;
-        PendingMark& mark = it->second;
-        if (mark.per_shard.empty()) mark.per_shard.assign(num_workers, {});
-        mark.per_shard[w] = item.shard_produced;
-        mark.bs_states.insert(mark.bs_states.end(),
-                              item.bs_states.begin(), item.bs_states.end());
-        if (++mark.workers < num_workers) break;
+        held[w] = 1;
+        if (pending.per_shard.empty()) {
+          pending.per_shard.assign(num_workers, {});
+        }
+        pending.per_shard[w] = item.shard_produced;
+        pending.bs_states.insert(pending.bs_states.end(),
+                                 item.bs_states.begin(), item.bs_states.end());
+        if (++pending.workers < num_workers) break;
         // Every shard has crossed the mark: take the checkpoint.
-        std::sort(mark.bs_states.begin(), mark.bs_states.end(),
+        std::sort(pending.bs_states.begin(), pending.bs_states.end(),
                   [](const EngineBsCursor& a, const EngineBsCursor& b) {
                     return a.bs < b.bs;
                   });
         KindTotals totals{};
         for (std::size_t i = 0; i < num_workers; ++i) {
           for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-            totals[k] += mark.per_shard[i][k];
+            totals[k] += pending.per_shard[i][k];
           }
         }
         if (item.minute_end % kMinutesPerDay == 0) {
@@ -760,17 +762,18 @@ EngineResult StreamEngine::run_days(
           // since every (BS, day) stream re-seeds. A mid-day checkpoint
           // carries the in-progress day's partial volumes in its cursors.
           double day_total = 0.0;
-          for (const EngineBsCursor& c : mark.bs_states) {
+          for (const EngineBsCursor& c : pending.bs_states) {
             day_total += c.day_volume_mb;
           }
           committed_volume += day_total;
-          mark.bs_states.clear();
+          pending.bs_states.clear();
         }
         result.checkpoint =
             make_checkpoint(item.minute_end, totals, committed_volume,
-                            mark.per_shard, std::move(mark.bs_states));
-        pending_marks.erase(it);
+                            pending.per_shard, std::move(pending.bs_states));
+        pending = PendingMark();
         if (checkpoint_callback_) checkpoint_callback_(result.checkpoint);
+        std::fill(held.begin(), held.end(), 0);
         break;
       }
     }
@@ -780,10 +783,14 @@ EngineResult StreamEngine::run_days(
     for (;;) {
       if (stop.requested()) break;  // worker fault or watchdog stall
       fault_fire(config_.fault, "consumer.loop");
+      // Read before the sweep: once every worker has exited, a sweep that
+      // pops nothing proves the rings are drained (a held ring can still
+      // hold items behind its mark until the last mark releases it).
+      const bool workers_done = active.load(std::memory_order_acquire) == 0;
       bool any = false;
       for (std::size_t w = 0; w < num_workers; ++w) {
         RingItem item;
-        while (shards[w]->ring().try_pop(item)) {
+        while (held[w] == 0 && shards[w]->ring().try_pop(item)) {
           any = true;
           deliver(item, w);
           delivered_since_check += std::max<std::size_t>(1, item.batch.size());
@@ -794,15 +801,7 @@ EngineResult StreamEngine::run_days(
         }
       }
       if (!any) {
-        if (active.load(std::memory_order_acquire) == 0) {
-          // Workers are done; one final sweep drains anything pushed
-          // between our empty check and their exit.
-          for (std::size_t w = 0; w < num_workers; ++w) {
-            RingItem item;
-            while (shards[w]->ring().try_pop(item)) deliver(item, w);
-          }
-          break;
-        }
+        if (workers_done) break;
         maybe_snapshot();
         std::this_thread::yield();
       }

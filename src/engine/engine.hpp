@@ -21,6 +21,12 @@
 // (per-kind drop counters in telemetry). Day boundaries (and, optionally,
 // a minute interval) are marks at which the engine records a checkpoint
 // (engine/checkpoint.hpp) from which a later run resumes bit-identically.
+// Every checkpoint is an exact cut at the sink: the consumer stops draining
+// a worker's ring at that worker's mark until every worker's mark for the
+// same minute has arrived. A worker held at a mark keeps producing until
+// its ring is full, so ring capacity bounds how far it runs ahead; under
+// kDropNewest it then sheds batches exactly as it would in front of a
+// slow consumer.
 #pragma once
 
 #include <array>
@@ -146,11 +152,16 @@ class StreamEngine {
 
   /// Called (consumer thread) every time a checkpoint — day-boundary or
   /// minute-interval — is recorded; the engine itself persists nothing.
-  /// This is the one commit hook: the Supervisor commits buffered output
-  /// downstream here exactly once, the store runners publish the
-  /// checkpoint into the manifest, and a caller that wants a checkpoint
-  /// file writes it here (EngineCheckpoint::save). An exception from the
-  /// callback aborts the run like a sink failure.
+  /// Contract: when the callback runs for `cp`, the sink has received every
+  /// event of this run below `cp.clock_minute` (less any shed under
+  /// kDropNewest or absorbed as sink errors under kDegrade) and none at or
+  /// after it, so whatever the sink holds is exactly what `cp` covers.
+  /// This is the one commit hook: the Supervisor commits held output
+  /// downstream here exactly once, the store runners commit the writer's
+  /// pending events together with the checkpoint, and a caller that wants
+  /// a checkpoint file writes it here (EngineCheckpoint::save). An
+  /// exception from the callback aborts the run like a sink failure; no
+  /// event reaches the sink after it.
   void on_checkpoint(std::function<void(const EngineCheckpoint&)> callback) {
     checkpoint_callback_ = std::move(callback);
   }

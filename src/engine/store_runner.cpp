@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "events/commit_buffer.hpp"
 
 namespace mtd {
 
@@ -13,44 +12,33 @@ EngineResult run_into_store(StreamEngine& engine,
                             store::TraceStoreWriter& writer,
                             const EngineCheckpoint* from,
                             const StoreRunPolicy& policy) {
-  // Exactly-once across crashes: the writer must never persist events the
-  // checkpoint does not cover, so the stream is held back per minute and
-  // released only when a checkpoint commits that minute.
-  MinuteCommitBuffer buffer(writer);
   // Day the last compaction pass covered: compaction triggers once
   // compact_every_days NEW days landed since (resumes start counting from
   // the store's cursor, not from zero).
   std::int64_t compacted_through =
       std::max<std::int64_t>(writer.manifest().engine_next_day, 0);
-  const auto maybe_compact = [&writer, &policy,
-                              &compacted_through](std::size_t next_day) {
-    if (policy.compact_every_days == 0) return;
-    if (static_cast<std::int64_t>(next_day) - compacted_through <
-        static_cast<std::int64_t>(policy.compact_every_days)) {
-      return;
-    }
-    if (writer.manifest().segments.size() > 1) (void)writer.compact();
-    compacted_through = static_cast<std::int64_t>(next_day);
-  };
-  engine.on_checkpoint([&buffer, &writer,
-                        &maybe_compact](const EngineCheckpoint& checkpoint) {
-    buffer.commit_through(checkpoint.clock_minute);
+  // Every checkpoint is an exact cut at the sink, so the writer's pending
+  // events are exactly the interval the checkpoint closes: data, cursor
+  // and checkpoint publish in one commit.
+  const auto publish = [&](const EngineCheckpoint& checkpoint) {
     writer.set_engine_cursor(checkpoint.next_day);
     writer.set_engine_checkpoint(checkpoint.to_json().dump(2));
     writer.commit();
-    maybe_compact(checkpoint.next_day);
-  });
+    if (policy.compact_every_days == 0 ||
+        static_cast<std::int64_t>(checkpoint.next_day) - compacted_through <
+            static_cast<std::int64_t>(policy.compact_every_days)) {
+      return;
+    }
+    if (writer.manifest().segments.size() > 1) (void)writer.compact();
+    compacted_through = static_cast<std::int64_t>(checkpoint.next_day);
+  };
+  engine.on_checkpoint(publish);
   EngineResult result =
-      from != nullptr ? engine.resume(*from, buffer) : engine.run(buffer);
+      from != nullptr ? engine.resume(*from, writer) : engine.run(writer);
   // A zero-day run fires no checkpoint callback; publish the final cursor
   // and checkpoint either way (a no-op commit when the last checkpoint
-  // already did). A successful run always ends on a day-boundary
-  // checkpoint, so commit_through releases every buffered event here.
-  buffer.commit_through(result.checkpoint.clock_minute);
-  writer.set_engine_cursor(result.checkpoint.next_day);
-  writer.set_engine_checkpoint(result.checkpoint.to_json().dump(2));
-  writer.commit();
-  maybe_compact(result.checkpoint.next_day);
+  // already did).
+  publish(result.checkpoint);
   return result;
 }
 

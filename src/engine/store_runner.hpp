@@ -3,15 +3,17 @@
 // and, when checkpoint_interval_minutes is set, mid-day minute marks).
 //
 // The engine's on_checkpoint callback, its one commit hook, fires on the
-// consumer thread — exactly the point where buffered downstream output
-// must become durable. These runners interpose a
-// MinuteCommitBuffer so the store never holds events past the checkpoint
-// (fast workers deliver ahead of the checkpoint cut; persisting that tail
-// would make a crash + resume ingest it twice), then commit the buffered
-// prefix, the day cursor, AND the full checkpoint JSON into the manifest
-// in one atomic manifest replace. After a crash the store alone carries
-// everything a resume needs — data, cursor and checkpoint can never
-// drift apart, because they publish together or not at all.
+// consumer thread at an exact cut: the writer has received every event
+// below the checkpoint's minute and none past it. The writer is therefore
+// the engine's sink directly — its pending events are exactly what the
+// checkpoint covers — and each hook commits them, the day cursor AND the
+// full checkpoint JSON into the manifest in one atomic manifest replace.
+// After a crash the store alone carries everything a resume needs — data,
+// cursor and checkpoint can never drift apart, because they publish
+// together or not at all. When a run fails, the writer still holds the
+// uncommitted tail past the last checkpoint: drop the writer (or reopen
+// the store) rather than close() it, or that tail would be committed
+// under the old cursor and ingested twice by the resume.
 #pragma once
 
 #include <optional>

@@ -3,12 +3,25 @@
 #include <chrono>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "events/commit_buffer.hpp"
 
 namespace mtd {
+
+namespace {
+
+/// Holds one attempt's events until the engine checkpoints them. Every
+/// checkpoint is an exact cut at the engine's sink, so at the hook the
+/// list is exactly the interval the checkpoint covers, in arrival order
+/// (each BS's events in generation order).
+struct HoldUntilCommit final : EventSink {
+  std::vector<StreamEvent> events;
+  void on_event(const StreamEvent& event) override { events.push_back(event); }
+};
+
+}  // namespace
 
 Json RunReport::to_json() const {
   JsonObject obj;
@@ -62,7 +75,7 @@ RunReport Supervisor::resume(const EngineCheckpoint& from, EventSink& sink) {
 RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
                                 EventSink& sink) {
   RunReport report;
-  MinuteCommitBuffer buffer(sink);
+  HoldUntilCommit held;
   std::optional<EngineCheckpoint> last_good = std::move(from);
   Rng backoff_rng(
       config_.backoff_seed.value_or(trace_.seed ^ 0x73757076ULL /* "supv" */));
@@ -80,10 +93,11 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
     StreamEngine engine(*network_, trace_, engine_config_);
     if (snapshot_callback_) engine.on_snapshot(snapshot_callback_);
     engine.on_checkpoint([&](const EngineCheckpoint& cp) {
-      // Flush committed minutes downstream BEFORE adopting the checkpoint
+      // Flush the held interval downstream BEFORE adopting the checkpoint
       // as the restart point: a resume must never skip a minute the
       // downstream sink has not fully received.
-      buffer.commit_through(cp.clock_minute);
+      for (const StreamEvent& event : held.events) sink.on_event(event);
+      held.events.clear();
       last_good = cp;
       record.reached_day = cp.next_day;
       record.reached_minute = cp.clock_minute;
@@ -91,7 +105,7 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
 
     try {
       report.result =
-          last_good ? engine.resume(*last_good, buffer) : engine.run(buffer);
+          last_good ? engine.resume(*last_good, held) : engine.run(held);
       report.succeeded = true;
       report.attempts.push_back(std::move(record));
       return report;
@@ -105,7 +119,7 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
       record.retryable = false;
     }
 
-    buffer.discard();
+    held.events.clear();  // the uncommitted tail regenerates from last_good
     const bool retry = record.retryable && attempt < max_attempts;
     if (retry) {
       record.backoff_ms =

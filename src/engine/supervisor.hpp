@@ -10,17 +10,18 @@
 // and mid-day checkpoints carry the raw stream cursors, the recovered
 // stream is bit-identical to an unfailed run either way.
 //
-// Exactly-once delivery across restarts: the engine's sink sees events
-// past the last checkpoint before the next one commits, so a naive restart
-// would replay that tail into the downstream sink twice. The Supervisor
-// therefore interposes a MinuteCommitBuffer (events/commit_buffer.hpp) —
-// events are held per simulated minute and flushed downstream only when
-// the engine checkpoints past that minute; on failure the uncommitted tail
-// is discarded and regenerated from the checkpoint. Minute granularity
-// makes the buffered window the checkpoint interval, not a whole day.
-// Every event kind passes through it. The one hole is the downstream
-// sink itself throwing mid-flush (its state is then unknown); such errors
-// are foreign/non-retryable and end supervision.
+// Exactly-once delivery across restarts: every checkpoint is an exact cut
+// at the engine's sink, but a run that fails between two checkpoints has
+// already delivered events past the last one, and a naive restart would
+// replay that tail into the downstream sink twice. The Supervisor
+// therefore holds each attempt's events in a private list and hands them
+// downstream only from the checkpoint hook, where the list is exactly the
+// interval the checkpoint covers; on failure the list is cleared and the
+// tail regenerated from the checkpoint. The held window is one checkpoint
+// interval (a day, or checkpoint_interval_minutes). Every event kind
+// passes through it. The one hole is the downstream sink itself throwing
+// mid-flush (its state is then unknown); such errors are
+// foreign/non-retryable and end supervision.
 //
 // The product of a supervised run is a RunReport: every attempt with its
 // day range, failure cause, retryability, and the backoff applied — the

@@ -97,7 +97,7 @@ struct EventKey {
   std::uint64_t seq = 0;
 
   /// Absolute simulated minute of the event — the granularity engine
-  /// checkpoints and exactly-once commit buffers cut the stream at.
+  /// checkpoints cut the stream at.
   [[nodiscard]] constexpr std::uint64_t clock_minute() const noexcept {
     return static_cast<std::uint64_t>(day) * kMinutesPerDay + minute_of_day;
   }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -150,6 +152,85 @@ TEST(ParallelDataset, PerCellStoreMergesExactly) {
     ASSERT_NE(it, parallel.cells().end());
     EXPECT_EQ(it->second.sessions, cell.sessions);
     EXPECT_DOUBLE_EQ(it->second.volume_mb, cell.volume_mb);
+  }
+}
+
+// Every checkpoint is an exact cut at the sink: when on_checkpoint(cp)
+// runs, the sink has received every event of the run below
+// cp.clock_minute and none at or after it — at any worker count, on an
+// hourly and a non-dividing mark grid, across a mid-day resume, and when
+// stop_after_days ends the run early.
+TEST(StreamEngine, CheckpointIsAConsistentCutAtTheSink) {
+  const Network network = make_network(40);
+  TraceConfig trace = make_trace(2);
+  trace.rate_scale = 0.2;  // the cut, not the volume, is under test
+
+  struct CutSink final : EventSink {
+    bool any = false;
+    std::uint64_t max_minute = 0;  // largest clock minute delivered
+    std::uint64_t minutes = 0;
+    std::uint64_t sessions = 0;
+    void on_event(const StreamEvent& event) override {
+      any = true;
+      max_minute = std::max(max_minute, event.key.clock_minute());
+      if (event.kind() == EventKind::kMinute) ++minutes;
+      if (event.kind() == EventKind::kSession) ++sessions;
+    }
+  };
+
+  // Runs one leg, checking the cut at every checkpoint it records.
+  const auto run_leg = [&](const EngineConfig& config,
+                           const EngineCheckpoint* from) {
+    StreamEngine engine(network, trace, config);
+    CutSink sink;
+    std::vector<EngineCheckpoint> checkpoints;
+    engine.on_checkpoint([&](const EngineCheckpoint& cp) {
+      if (sink.any) {
+        EXPECT_LT(sink.max_minute, cp.clock_minute)
+            << "event at or past the checkpoint minute";
+      }
+      // Under kBlock nothing is shed: everything below the cut arrived.
+      EXPECT_EQ((from ? from->minutes_emitted : 0) + sink.minutes,
+                cp.minutes_emitted);
+      EXPECT_EQ((from ? from->sessions_emitted : 0) + sink.sessions,
+                cp.sessions_emitted);
+      checkpoints.push_back(cp);
+    });
+    const EngineResult result =
+        from ? engine.resume(*from, sink) : engine.run(sink);
+    EXPECT_FALSE(checkpoints.empty());
+    if (!checkpoints.empty()) {
+      EXPECT_EQ(checkpoints.back().clock_minute,
+                result.checkpoint.clock_minute);
+    }
+    return checkpoints;
+  };
+
+  for (const std::size_t workers : {1u, 3u, 4u}) {
+    for (const std::size_t interval : {60u, 311u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " interval=" + std::to_string(interval));
+      EngineConfig config;
+      config.num_workers = workers;
+      config.checkpoint_interval_minutes = interval;
+      const std::vector<EngineCheckpoint> full = run_leg(config, nullptr);
+      ASSERT_FALSE(full.empty());
+      EXPECT_TRUE(full.back().complete());
+
+      // Resume from a mid-day checkpoint of the second day.
+      const auto mid = std::find_if(
+          full.begin(), full.end(), [](const EngineCheckpoint& cp) {
+            return cp.mid_day() && cp.next_day == 1;
+          });
+      ASSERT_NE(mid, full.end());
+      EXPECT_TRUE(run_leg(config, &*mid).back().complete());
+
+      EngineConfig one_day = config;
+      one_day.stop_after_days = 1;
+      const std::vector<EngineCheckpoint> partial = run_leg(one_day, nullptr);
+      ASSERT_FALSE(partial.empty());
+      EXPECT_EQ(partial.back().clock_minute, kMinutesPerDay);
+    }
   }
 }
 

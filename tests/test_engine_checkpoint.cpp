@@ -13,7 +13,6 @@
 #include "engine/checkpoint.hpp"
 #include "engine/engine.hpp"
 #include "common/fault.hpp"
-#include "events/commit_buffer.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
 #include "test_helpers.hpp"
@@ -479,9 +478,10 @@ void expect_identical_events(const SessionEventRecorder& a,
 // The tentpole mid-day guarantee: crash at a minute-interval mark strictly
 // inside a day, resume from the v2 checkpoint with a different worker
 // count, and the committed-prefix + regenerated-tail stream is
-// bit-identical to an uninterrupted run. The crash leg follows the
-// supervisor's protocol: commit the buffered prefix through the mark,
-// discard the uncommitted tail, resume through a JSON round trip.
+// bit-identical to an uninterrupted run. The checkpoint is an exact cut
+// at the sink, so the crash leg records straight into the recorder, dies
+// in the commit hook, and the resume (through a JSON round trip) appends
+// the tail to the same recorder.
 TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   const Network network = make_network();
   const TraceConfig trace = make_trace(2);
@@ -492,10 +492,9 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
       full.run(static_cast<EventSink&>(uninterrupted));
   EXPECT_TRUE(full_result.checkpoint.complete());
 
-  // Leg 1: crash at the FIRST mid-day mark, after committing minutes
-  // strictly below it (exactly what the store runner does per mark).
+  // Leg 1: crash at the FIRST mid-day mark; the recorder then holds
+  // exactly the minutes strictly below it.
   SessionEventRecorder resumed(network.size());
-  MinuteCommitBuffer buffer(resumed);
   EngineConfig first_leg;
   first_leg.num_workers = 2;
   first_leg.checkpoint_interval_minutes = 311;  // does not divide 1440
@@ -503,7 +502,6 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   EngineCheckpoint saved;
   bool have_mark = false;
   leg1.on_checkpoint([&](const EngineCheckpoint& cp) {
-    buffer.commit_through(cp.clock_minute);
     if (cp.mid_day() && !have_mark) {
       saved = cp;
       have_mark = true;
@@ -512,7 +510,7 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   });
   bool crashed = false;
   try {
-    static_cast<void>(leg1.run(buffer));
+    static_cast<void>(leg1.run(resumed));
   } catch (const std::exception&) {
     crashed = true;
   }
@@ -522,7 +520,8 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   EXPECT_EQ(saved.next_day, 0u);
   ASSERT_TRUE(saved.mid_day());
   ASSERT_EQ(saved.bs_states.size(), network.size());
-  buffer.discard();  // the uncommitted tail regenerates from the mark
+  // Nothing at or past the mark reached the sink.
+  EXPECT_EQ(resumed.minutes, saved.minutes_emitted);
 
   // Leg 2: different sharding, checkpoint reloaded from its serialized
   // text — the same path a post-crash recovery takes.
@@ -532,11 +531,8 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   StreamEngine leg2(network, trace, second_leg);
   const EngineCheckpoint reloaded =
       EngineCheckpoint::from_json(Json::parse(saved.to_json().dump(2)));
-  MinuteCommitBuffer tail(resumed);
-  const EngineResult result = leg2.resume(reloaded, tail);
-  tail.close();
+  const EngineResult result = leg2.resume(reloaded, resumed);
   EXPECT_TRUE(result.checkpoint.complete());
-  EXPECT_EQ(tail.events_buffered(), 0u);
 
   expect_identical_events(resumed, uninterrupted);
   EXPECT_EQ(result.checkpoint.sessions_emitted,

@@ -552,7 +552,7 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   EXPECT_EQ(recovered.minutes, clean.minutes);
 }
 
-// The Supervisor's commit buffer carries every event kind: with segment
+// The Supervisor's hold list carries every event kind: with segment
 // and packet expansion on and a sink fault deep inside day 0, the
 // recovered stream has the per-kind counts and per-BS wire digests of an
 // unsupervised clean run. One worker orders the fault after a committed

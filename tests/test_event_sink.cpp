@@ -16,7 +16,6 @@
 #include "common/error.hpp"
 #include "common/time_utils.hpp"
 #include "dataset/service_catalog.hpp"
-#include "events/commit_buffer.hpp"
 #include "io/json.hpp"
 
 namespace mtd {
@@ -416,75 +415,6 @@ TEST(BinaryEvents, EveryTruncationPointIsAParseErrorNamingTheFile) {
     }
   }
   std::remove(path.c_str());
-}
-
-// MinuteCommitBuffer releases whole minutes in minute order, each in
-// arrival order, whatever order the minutes arrive in: workers deliver
-// interleaved minutes, earlier than the first buffered one, and with gaps.
-TEST(MinuteCommitBuffer, ReleasesMinutesInOrderAcrossOutOfOrderArrivals) {
-  CaptureSink out;
-  MinuteCommitBuffer buffer(out);
-  // Two "workers": BS 1 runs ahead to day 1, BS 2 lags behind on day 0,
-  // and BS 3 arrives below the first buffered minute.
-  buffer.on_event(minute_event(1, 0, 10, 0, 1));
-  buffer.on_event(minute_event(1, 0, 11, 1, 2));
-  buffer.on_event(minute_event(1, 1, 0, 0, 3));  // a day-sized gap
-  buffer.on_event(minute_event(2, 0, 10, 0, 4));
-  buffer.on_event(minute_event(3, 0, 4, 0, 5));  // before minute 10
-  buffer.on_event(minute_event(2, 0, 11, 1, 6));
-  buffer.on_event(minute_event(3, 0, 4, 1, 7));
-  EXPECT_EQ(buffer.events_buffered(), 7u);
-
-  buffer.commit_through(5);  // minute 4 only
-  ASSERT_EQ(out.events.size(), 2u);
-  EXPECT_EQ(std::get<MinuteEvent>(out.events[0].payload).arrivals, 5u);
-  EXPECT_EQ(std::get<MinuteEvent>(out.events[1].payload).arrivals, 7u);
-  EXPECT_EQ(buffer.events_buffered(), 5u);
-
-  buffer.commit_through(5);  // idempotent
-  EXPECT_EQ(out.events.size(), 2u);
-  buffer.on_event(minute_event(4, 0, 2, 0, 8));  // below every cursor so far
-  buffer.commit_through(12);
-  std::vector<std::uint32_t> arrivals;
-  for (const StreamEvent& event : out.events) {
-    arrivals.push_back(std::get<MinuteEvent>(event.payload).arrivals);
-  }
-  EXPECT_EQ(arrivals, (std::vector<std::uint32_t>{5, 7, 8, 1, 4, 2, 6}));
-  EXPECT_EQ(buffer.events_buffered(), 1u);
-
-  buffer.close();
-  ASSERT_EQ(out.events.size(), 8u);
-  EXPECT_EQ(std::get<MinuteEvent>(out.events.back().payload).arrivals, 3u);
-  EXPECT_EQ(buffer.events_buffered(), 0u);
-}
-
-TEST(MinuteCommitBuffer, DiscardDropsTheTailAndTheBufferIsReusable) {
-  CaptureSink out;
-  MinuteCommitBuffer buffer(out);
-  for (std::uint16_t m = 0; m < 30; ++m) {
-    buffer.on_event(minute_event(1, 2, m, m, m));
-  }
-  buffer.commit_through(2 * kMinutesPerDay + 10);
-  EXPECT_EQ(out.events.size(), 10u);
-  buffer.discard();
-  EXPECT_EQ(buffer.events_buffered(), 0u);
-  buffer.close();
-  EXPECT_EQ(out.events.size(), 10u);  // the discarded tail never leaves
-
-  // A resumed attempt regenerates from the checkpoint, starting at an
-  // earlier minute than anything buffered before the discard.
-  out.events.clear();
-  buffer.on_event(minute_event(1, 0, 7, 0, 70));
-  buffer.on_event(minute_event(1, 0, 5, 0, 50));
-  buffer.on_event(minute_event(1, 2, 20, 20, 20));
-  EXPECT_EQ(buffer.events_buffered(), 3u);
-  buffer.commit_through(8);
-  ASSERT_EQ(out.events.size(), 2u);
-  EXPECT_EQ(std::get<MinuteEvent>(out.events[0].payload).arrivals, 50u);
-  EXPECT_EQ(std::get<MinuteEvent>(out.events[1].payload).arrivals, 70u);
-  buffer.close();
-  ASSERT_EQ(out.events.size(), 3u);
-  EXPECT_EQ(std::get<MinuteEvent>(out.events[2].payload).arrivals, 20u);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@
 #include "dataset/service_catalog.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/engine.hpp"
-#include "events/commit_buffer.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
 
@@ -218,11 +217,13 @@ void expect_identical(const Recorder& a, const Recorder& b) {
   }
 }
 
-// Mid-day crash/resume under kBatch: commit the prefix at a minute mark,
-// crash, resume from the serialized v2 checkpoint with a different worker
-// count, and match an uninterrupted kBatch run bit-for-bit. The batch
-// path makes this cheap — BlockRng streams are per-minute functions of
-// the day base state, so the checkpoint carries no batch RNG cursor.
+// Mid-day crash/resume under kBatch: crash in the commit hook at a minute
+// mark (an exact cut, so the recorder holds exactly the prefix), resume
+// into the same recorder from the serialized v2 checkpoint with a
+// different worker count, and match an uninterrupted kBatch run
+// bit-for-bit. The batch path makes this cheap — BlockRng streams are
+// per-minute functions of the day base state, so the checkpoint carries
+// no batch RNG cursor.
 TEST(KernelParity, BatchKernelMidDayResumeIsBitIdentical) {
   const Network network = parity_network();
   const TraceConfig trace = parity_trace(2, 77);
@@ -236,7 +237,6 @@ TEST(KernelParity, BatchKernelMidDayResumeIsBitIdentical) {
   EXPECT_TRUE(full_result.checkpoint.complete());
 
   Recorder resumed(network.size());
-  MinuteCommitBuffer buffer(resumed);
   EngineConfig first_leg = batch_config;
   first_leg.num_workers = 2;
   first_leg.checkpoint_interval_minutes = 311;  // does not divide 1440
@@ -244,7 +244,6 @@ TEST(KernelParity, BatchKernelMidDayResumeIsBitIdentical) {
   EngineCheckpoint saved;
   bool have_mark = false;
   leg1.on_checkpoint([&](const EngineCheckpoint& cp) {
-    buffer.commit_through(cp.clock_minute);
     if (cp.mid_day() && !have_mark) {
       saved = cp;
       have_mark = true;
@@ -253,14 +252,19 @@ TEST(KernelParity, BatchKernelMidDayResumeIsBitIdentical) {
   });
   bool crashed = false;
   try {
-    static_cast<void>(leg1.run(buffer));
+    static_cast<void>(leg1.run(resumed));
   } catch (const std::exception&) {
     crashed = true;
   }
   ASSERT_TRUE(crashed);
   ASSERT_TRUE(have_mark);
   ASSERT_TRUE(saved.mid_day());
-  buffer.discard();
+  // Nothing at or past the mark reached the sink.
+  std::uint64_t prefix_sessions = 0;
+  for (const std::vector<Session>& sessions : resumed.per_bs) {
+    prefix_sessions += sessions.size();
+  }
+  EXPECT_EQ(prefix_sessions, saved.sessions_emitted);
 
   EngineConfig second_leg = batch_config;
   second_leg.num_workers = 4;
@@ -268,11 +272,8 @@ TEST(KernelParity, BatchKernelMidDayResumeIsBitIdentical) {
   StreamEngine leg2(network, trace, second_leg);
   const EngineCheckpoint reloaded =
       EngineCheckpoint::from_json(Json::parse(saved.to_json().dump(2)));
-  MinuteCommitBuffer tail(resumed);
-  const EngineResult result = leg2.resume(reloaded, tail);
-  tail.close();
+  const EngineResult result = leg2.resume(reloaded, resumed);
   EXPECT_TRUE(result.checkpoint.complete());
-  EXPECT_EQ(tail.events_buffered(), 0u);
 
   expect_identical(resumed, uninterrupted);
   EXPECT_EQ(result.checkpoint.sessions_emitted,

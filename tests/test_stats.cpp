@@ -56,38 +56,6 @@ TEST(RunningStats, CvIsStdOverMean) {
   EXPECT_NEAR(stats.cv(), 2.0 / 10.0, 1e-12);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(5);
-  RunningStats all, part_a, part_b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? part_a : part_b).add(x);
-  }
-  part_a.merge(part_b);
-  EXPECT_EQ(part_a.count(), all.count());
-  EXPECT_NEAR(part_a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(part_a.variance(), all.variance(), 1e-9);
-  EXPECT_NEAR(part_a.skewness(), all.skewness(), 1e-6);
-  EXPECT_DOUBLE_EQ(part_a.min(), all.min());
-  EXPECT_DOUBLE_EQ(part_a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsNoop) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-
-  RunningStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), mean_before);
-}
-
 TEST(Quantile, MedianOfOddSample) {
   const std::vector<double> xs{3.0, 1.0, 2.0};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 2.0);

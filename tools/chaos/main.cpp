@@ -2,7 +2,7 @@
 //
 // Proves the whole recovery stack — minute-granularity v2 checkpoints,
 // supervised restarts, the trace store's crash-safe commit protocol, and
-// the exactly-once minute commit buffer — by running the paper's 45-day
+// exactly-once commits at checkpoint cuts — by running the paper's 45-day
 // replay twice with the same seed:
 //
 //   1. a clean, fault-free run into a reference store (also counting how
