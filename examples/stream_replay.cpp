@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   RunReport report = supervisor.run(*sink);
   while (report.succeeded && !report.result.checkpoint.complete()) {
     std::cout << "Suspended at day boundary "
-              << report.result.checkpoint.next_day
+              << report.result.checkpoint.next_day()
               << "; resuming from the checkpoint...\n";
     // A JSON round trip stands in for the checkpoint file a long-lived
     // replay would reload after a crash or migration.

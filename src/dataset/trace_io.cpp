@@ -4,7 +4,6 @@
 #include <array>
 #include <charconv>
 #include <fstream>
-#include <iostream>
 #include <map>
 
 #include "common/error.hpp"
@@ -13,58 +12,9 @@
 
 namespace mtd {
 
-namespace {
-
-/// Pending formatted rows are handed to the stream in blocks of this size
-/// instead of once per session.
-constexpr std::size_t kCsvFlushBytes = 1 << 16;
-
-}  // namespace
-
-struct SessionCsvWriter::Impl {
-  std::ofstream out;
-  std::string buf;  // formatted rows awaiting a block write
-
-  void flush_buf() {
-    if (buf.empty()) return;
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    buf.clear();
-  }
-};
-
 SessionCsvWriter::SessionCsvWriter(const std::string& path)
-    : impl_(std::make_unique<Impl>()), path_(path) {
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!impl_->out) throw Error("SessionCsvWriter: cannot open " + path);
-  impl_->buf.reserve(kCsvFlushBytes + 256);
-  impl_->out << "bs,service,day,minute_of_day,volume_mb,duration_s\n";
-}
-
-SessionCsvWriter::~SessionCsvWriter() {
-  // A destructor must not throw; surface the failure instead of hiding it.
-  try {
-    close();
-  } catch (const Error& e) {
-    std::cerr << "SessionCsvWriter: " << e.what() << "\n";
-  }
-}
-
-bool SessionCsvWriter::write_failed() const noexcept {
-  return impl_ && impl_->out.fail();
-}
-
-void SessionCsvWriter::close() {
-  if (!impl_ || !impl_->out.is_open()) return;
-  impl_->flush_buf();
-  impl_->out.flush();
-  bool failed = impl_->out.fail();
-  impl_->out.close();
-  failed = failed || impl_->out.fail();
-  if (failed) {
-    throw Error("SessionCsvWriter: write failure on " + path_ + " after " +
-                std::to_string(sessions_) +
-                " sessions (disk full or I/O error); trace is incomplete");
-  }
+    : file_("SessionCsvWriter", path, "sessions") {
+  file_.buf() += "bs,service,day,minute_of_day,volume_mb,duration_s\n";
 }
 
 void SessionCsvWriter::on_session(const Session& session) {
@@ -73,7 +23,7 @@ void SessionCsvWriter::on_session(const Session& session) {
   // Rows are formatted with std::to_chars into the reusable buffer; the
   // doubles use %g/precision-6 semantics, byte-identical to the ostream
   // formatting this path used before.
-  std::string& buf = impl_->buf;
+  std::string& buf = file_.buf();
   append_uint(buf, session.bs);
   buf += ',';
   if (quote) {
@@ -92,8 +42,7 @@ void SessionCsvWriter::on_session(const Session& session) {
   buf += ',';
   append_double_g6(buf, session.duration_s);
   buf += '\n';
-  if (buf.size() >= kCsvFlushBytes) impl_->flush_buf();
-  ++sessions_;
+  file_.end_record();
 }
 
 namespace {

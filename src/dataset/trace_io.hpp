@@ -11,9 +11,9 @@
 // `service` is the catalogue name (quoted if it contains commas).
 #pragma once
 
-#include <memory>
 #include <string>
 
+#include "common/buffered_file.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/measurement.hpp"
 
@@ -25,10 +25,6 @@ class SessionCsvWriter final : public TraceSink {
  public:
   /// Opens `path` for writing and emits the header.
   explicit SessionCsvWriter(const std::string& path);
-  ~SessionCsvWriter() override;
-
-  SessionCsvWriter(const SessionCsvWriter&) = delete;
-  SessionCsvWriter& operator=(const SessionCsvWriter&) = delete;
 
   void on_minute(const BaseStation&, std::size_t, std::size_t,
                  std::uint32_t) override {}
@@ -39,20 +35,17 @@ class SessionCsvWriter final : public TraceSink {
   /// error) — a silently truncated trace must not pass for a complete one.
   /// The destructor cannot throw; it reports the failure to stderr instead,
   /// so call close() explicitly wherever the trace matters.
-  void close();
+  void close() { file_.close(); }
 
   /// True once any write on the underlying stream has failed.
-  [[nodiscard]] bool write_failed() const noexcept;
+  [[nodiscard]] bool write_failed() const noexcept { return file_.failed(); }
 
   [[nodiscard]] std::uint64_t sessions_written() const noexcept {
-    return sessions_;
+    return file_.records();
   }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  std::string path_;
-  std::uint64_t sessions_ = 0;
+  BufferedFileWriter file_;
 };
 
 /// Streams a session CSV into a TraceSink. Per-minute arrival counts are

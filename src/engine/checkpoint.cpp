@@ -4,7 +4,6 @@
 #include <charconv>
 
 #include "common/error.hpp"
-#include "common/time_utils.hpp"
 #include "common/fault.hpp"
 
 namespace mtd {
@@ -90,24 +89,6 @@ Rng::FullState rng_state_from_json(const Json& json, const char* what) {
   return state;
 }
 
-void parse_shards(const Json& json, EngineCheckpoint& cp) {
-  for (const Json& sh : json.at("shards").as_array()) {
-    EngineShardCursor cursor;
-    cursor.shard =
-        json_uint<std::size_t>(sh.at("shard"), "EngineShardCursor.shard");
-    cursor.next_day = json_uint<std::size_t>(sh.at("next_day"),
-                                             "EngineShardCursor.next_day");
-    cursor.sessions_produced = from_hex(
-        sh.at("sessions_produced").as_string(), "EngineShardCursor.sessions");
-    if (cursor.next_day != cp.next_day) {
-      throw ParseError("EngineCheckpoint: shard " +
-                       std::to_string(cursor.shard) +
-                       " is not at the global cursor day");
-    }
-    cp.shards.push_back(cursor);
-  }
-}
-
 /// Identity, cursor and counters.
 void parse_common(const Json& json, EngineCheckpoint& cp) {
   cp.seed = from_hex(json.at("seed").as_string(), "EngineCheckpoint.seed");
@@ -118,8 +99,6 @@ void parse_common(const Json& json, EngineCheckpoint& cp) {
   cp.network_fingerprint =
       from_hex(json.at("network_fingerprint").as_string(),
                "EngineCheckpoint.network_fingerprint");
-  cp.next_day = json_uint<std::size_t>(json.at("next_day"),
-                                       "EngineCheckpoint.next_day");
   cp.clock_minute = json_uint<std::uint64_t>(json.at("clock_minute"),
                                              "EngineCheckpoint.clock_minute");
   cp.sessions_emitted = from_hex(json.at("sessions_emitted").as_string(),
@@ -143,7 +122,6 @@ Json EngineCheckpoint::to_json() const {
   obj.emplace("rate_scale", rate_scale);
   obj.emplace("weekend_rate_factor", weekend_rate_factor);
   obj.emplace("network_fingerprint", to_hex(network_fingerprint));
-  obj.emplace("next_day", next_day);
   obj.emplace("clock_minute", static_cast<double>(clock_minute));
   // Cumulative counters are hex-encoded like the seeds: a long-lived engine
   // can push them past 2^53, where JSON doubles silently round.
@@ -152,22 +130,6 @@ Json EngineCheckpoint::to_json() const {
   obj.emplace("segments_emitted", to_hex(segments_emitted));
   obj.emplace("packets_emitted", to_hex(packets_emitted));
   obj.emplace("volume_mb", volume_mb);
-  // How a resume re-derives the generation streams: at a day boundary they
-  // re-seed from (seed, next_day); mid-day the raw words live in bs_states.
-  JsonObject rng;
-  rng.emplace("kind", mid_day() ? "raw-xoshiro" : "per-bs-day-reseed");
-  rng.emplace("seed", to_hex(seed));
-  rng.emplace("next_day", next_day);
-  obj.emplace("rng_streams", Json(std::move(rng)));
-  JsonArray shard_arr;
-  for (const EngineShardCursor& s : shards) {
-    JsonObject sh;
-    sh.emplace("shard", s.shard);
-    sh.emplace("next_day", s.next_day);
-    sh.emplace("sessions_produced", to_hex(s.sessions_produced));
-    shard_arr.emplace_back(std::move(sh));
-  }
-  obj.emplace("shards", Json(std::move(shard_arr)));
   if (!bs_states.empty()) {
     JsonArray bs_arr;
     for (const EngineBsCursor& c : bs_states) {
@@ -193,12 +155,6 @@ EngineCheckpoint EngineCheckpoint::from_json(const Json& json) {
   }
   EngineCheckpoint cp;
   parse_common(json, cp);
-  // The clock may sit anywhere inside day next_day.
-  if (cp.clock_minute / kMinutesPerDay != cp.next_day) {
-    throw ParseError(
-        "EngineCheckpoint: clock_minute is not inside day next_day");
-  }
-  parse_shards(json, cp);
   if (json.contains("bs_states")) {
     for (const Json& bs : json.at("bs_states").as_array()) {
       EngineBsCursor c;

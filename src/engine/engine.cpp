@@ -138,10 +138,9 @@ class ShardWorker {
     return pending_;
   }
 
-  void run(std::size_t first_day, std::size_t first_minute,
-           std::size_t last_day, const VirtualClock& clock,
-           BackpressurePolicy policy, Telemetry::PerWorker& tel,
-           const std::atomic<bool>& abort,
+  void run(std::uint64_t start_minute, std::size_t last_day,
+           const VirtualClock& clock, BackpressurePolicy policy,
+           Telemetry::PerWorker& tel, const std::atomic<bool>& abort,
            const std::vector<EngineBsCursor>* resume_states,
            FaultInjector* fault) {
     abort_ = &abort;
@@ -164,6 +163,10 @@ class ShardWorker {
     std::vector<Rng> pkt_rngs(bss_.size(), Rng(0));
     std::vector<double> day_volume(bss_.size(), 0.0);
     std::vector<std::uint64_t> seqs(bss_.size(), 0);
+    const auto first_day =
+        static_cast<std::size_t>(start_minute / kMinutesPerDay);
+    const auto first_minute =
+        static_cast<std::size_t>(start_minute % kMinutesPerDay);
 
     for (std::size_t day = first_day; day < last_day; ++day) {
       fault_fire(fault, "worker.day");
@@ -407,7 +410,7 @@ StreamEngine::StreamEngine(const Network& network, const TraceConfig& trace,
 }
 
 EngineResult StreamEngine::run(EventSink& sink) {
-  return run_days(sink, 0, 0, nullptr, {}, 0.0);
+  return run_days(sink, 0, nullptr, {}, 0.0);
 }
 
 EngineResult StreamEngine::resume(const EngineCheckpoint& from,
@@ -440,32 +443,14 @@ EngineResult StreamEngine::resume(const EngineCheckpoint& from,
     throw mismatch("network_fingerprint", hex_str(fingerprint_),
                    hex_str(from.network_fingerprint));
   }
-  if (from.next_day > trace.num_days) {
+  if (from.clock_minute >
+      static_cast<std::uint64_t>(trace.num_days) * kMinutesPerDay) {
     throw InvalidArgument(
-        "StreamEngine::resume: checkpoint cursor (next_day=" +
-        std::to_string(from.next_day) + ") is beyond the horizon (num_days=" +
+        "StreamEngine::resume: checkpoint cursor (clock_minute=" +
+        std::to_string(from.clock_minute) +
+        ", next_day=" + std::to_string(from.next_day()) +
+        ") is beyond the horizon (num_days=" +
         std::to_string(trace.num_days) + ")");
-  }
-  // from_json enforces these internal-consistency invariants at load time,
-  // but resume() also accepts checkpoints built in memory; a clock or shard
-  // cursor disagreeing with next_day would re-enter the minute loop at a
-  // different point than the counters describe and diverge silently.
-  if (from.clock_minute / kMinutesPerDay != from.next_day) {
-    throw InvalidArgument(
-        "StreamEngine::resume: checkpoint clock (clock_minute=" +
-        std::to_string(from.clock_minute) + " is in day " +
-        std::to_string(from.clock_minute / kMinutesPerDay) +
-        ") disagrees with its cursor (next_day=" +
-        std::to_string(from.next_day) + ")");
-  }
-  for (const EngineShardCursor& shard : from.shards) {
-    if (shard.next_day != from.next_day) {
-      throw InvalidArgument(
-          "StreamEngine::resume: shard " + std::to_string(shard.shard) +
-          " cursor (next_day=" + std::to_string(shard.next_day) +
-          ") disagrees with the checkpoint cursor (next_day=" +
-          std::to_string(from.next_day) + ")");
-    }
   }
   if (from.mid_day()) {
     // A mid-day resume restores raw per-BS streams; the cursor set must
@@ -494,17 +479,19 @@ EngineResult StreamEngine::resume(const EngineCheckpoint& from,
   prior[static_cast<std::size_t>(EventKind::kSegment)] =
       from.segments_emitted;
   prior[static_cast<std::size_t>(EventKind::kPacket)] = from.packets_emitted;
-  return run_days(sink, from.next_day, from.minute_of_day(), &from.bs_states,
-                  prior, from.volume_mb);
+  return run_days(sink, from.clock_minute, &from.bs_states, prior,
+                  from.volume_mb);
 }
 
 EngineResult StreamEngine::run_days(
-    EventSink& sink, std::size_t first_day, std::size_t first_minute,
+    EventSink& sink, std::uint64_t start_minute,
     const std::vector<EngineBsCursor>* resume_states,
     const std::array<std::uint64_t, kNumEventKinds>& prior,
     double prior_volume) {
   const Network& network = generator_.network();
   const TraceConfig& trace = generator_.config();
+  const auto first_day =
+      static_cast<std::size_t>(start_minute / kMinutesPerDay);
   const std::size_t budget =
       config_.stop_after_days == 0 ? trace.num_days : config_.stop_after_days;
   const std::size_t last_day =
@@ -519,7 +506,6 @@ EngineResult StreamEngine::run_days(
   // splits.
   auto make_checkpoint = [&](std::uint64_t clock_minute,
                              const KindTotals& totals, double volume_mb,
-                             const std::vector<KindTotals>& per_shard,
                              std::vector<EngineBsCursor> bs_states =
                                  std::vector<EngineBsCursor>()) {
     EngineCheckpoint cp;
@@ -528,7 +514,6 @@ EngineResult StreamEngine::run_days(
     cp.rate_scale = trace.rate_scale;
     cp.weekend_rate_factor = trace.weekend_rate_factor;
     cp.network_fingerprint = fingerprint_;
-    cp.next_day = static_cast<std::size_t>(clock_minute / kMinutesPerDay);
     cp.clock_minute = clock_minute;
     cp.bs_states = std::move(bs_states);
     const auto idx = [](EventKind k) { return static_cast<std::size_t>(k); };
@@ -541,15 +526,8 @@ EngineResult StreamEngine::run_days(
     cp.packets_emitted =
         prior[idx(EventKind::kPacket)] + totals[idx(EventKind::kPacket)];
     cp.volume_mb = volume_mb;
-    for (std::size_t w = 0; w < per_shard.size(); ++w) {
-      cp.shards.push_back(EngineShardCursor{
-          w, cp.next_day, per_shard[w][idx(EventKind::kSession)]});
-    }
     return cp;
   };
-
-  const std::uint64_t start_minute =
-      static_cast<std::uint64_t>(first_day) * kMinutesPerDay + first_minute;
 
   Telemetry telemetry(num_workers);
   telemetry.start(prior, prior_volume);
@@ -562,8 +540,7 @@ EngineResult StreamEngine::run_days(
   if (first_day >= last_day) {
     EngineResult result;
     result.checkpoint =
-        make_checkpoint(start_minute, KindTotals{}, prior_volume,
-                        std::vector<KindTotals>(num_workers));
+        make_checkpoint(start_minute, KindTotals{}, prior_volume);
     result.telemetry = telemetry.snapshot(0);
     return result;
   }
@@ -591,9 +568,9 @@ EngineResult StreamEngine::run_days(
   for (std::size_t w = 0; w < num_workers; ++w) {
     threads.emplace_back([&, w] {
       try {
-        shards[w]->run(first_day, first_minute, last_day, clock,
-                       config_.backpressure, telemetry.worker(w), stop.flag,
-                       resume_states, config_.fault);
+        shards[w]->run(start_minute, last_day, clock, config_.backpressure,
+                       telemetry.worker(w), stop.flag, resume_states,
+                       config_.fault);
       } catch (...) {
         // First-exception capture: a worker fault stops the whole engine;
         // the consumer notices, drains, joins, and rethrows this.
@@ -667,7 +644,7 @@ EngineResult StreamEngine::run_days(
   struct PendingMark {
     std::size_t workers = 0;
     std::vector<EngineBsCursor> bs_states;
-    std::vector<KindTotals> per_shard;
+    KindTotals totals{};
   };
   PendingMark pending;
   std::vector<char> held(num_workers, 0);
@@ -738,10 +715,9 @@ EngineResult StreamEngine::run_days(
       }
       case RingItem::Kind::kMinuteMark: {
         held[w] = 1;
-        if (pending.per_shard.empty()) {
-          pending.per_shard.assign(num_workers, {});
+        for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+          pending.totals[k] += item.shard_produced[k];
         }
-        pending.per_shard[w] = item.shard_produced;
         pending.bs_states.insert(pending.bs_states.end(),
                                  item.bs_states.begin(), item.bs_states.end());
         if (++pending.workers < num_workers) break;
@@ -750,12 +726,6 @@ EngineResult StreamEngine::run_days(
                   [](const EngineBsCursor& a, const EngineBsCursor& b) {
                     return a.bs < b.bs;
                   });
-        KindTotals totals{};
-        for (std::size_t i = 0; i < num_workers; ++i) {
-          for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-            totals[k] += pending.per_shard[i][k];
-          }
-        }
         if (item.minute_end % kMinutesPerDay == 0) {
           // Day boundary: commit the finished day's volume as one per-day
           // sum over BSs in index order; the checkpoint needs no cursors,
@@ -769,8 +739,8 @@ EngineResult StreamEngine::run_days(
           pending.bs_states.clear();
         }
         result.checkpoint =
-            make_checkpoint(item.minute_end, totals, committed_volume,
-                            pending.per_shard, std::move(pending.bs_states));
+            make_checkpoint(item.minute_end, pending.totals, committed_volume,
+                            std::move(pending.bs_states));
         pending = PendingMark();
         if (checkpoint_callback_) checkpoint_callback_(result.checkpoint);
         std::fill(held.begin(), held.end(), 0);

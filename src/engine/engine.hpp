@@ -157,10 +157,10 @@ class StreamEngine {
   /// kDropNewest or absorbed as sink errors under kDegrade) and none at or
   /// after it, so whatever the sink holds is exactly what `cp` covers.
   /// This is the one commit hook: the Supervisor commits held output
-  /// downstream here exactly once, the store runners commit the writer's
-  /// pending events together with the checkpoint, and a caller that wants
-  /// a checkpoint file writes it here (EngineCheckpoint::save). An
-  /// exception from the callback aborts the run like a sink failure; no
+  /// downstream here exactly once, run_engine_into_store commits the
+  /// writer's pending events together with the checkpoint, and a caller
+  /// that wants a checkpoint file writes it here (EngineCheckpoint::save).
+  /// An exception from the callback aborts the run like a sink failure; no
   /// event reaches the sink after it.
   void on_checkpoint(std::function<void(const EngineCheckpoint&)> callback) {
     checkpoint_callback_ = std::move(callback);
@@ -172,11 +172,11 @@ class StreamEngine {
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
  private:
-  /// `first_minute` is the minute of day `first_day` to start at; when
-  /// non-zero, `resume_states` must hold one EngineBsCursor per BS
-  /// (indexed by network index) to restore the mid-day streams from.
+  /// Streams from absolute minute `start_minute`; when it sits inside a
+  /// day, `resume_states` must hold one EngineBsCursor per BS (indexed by
+  /// network index) to restore the mid-day streams from.
   [[nodiscard]] EngineResult run_days(
-      EventSink& sink, std::size_t first_day, std::size_t first_minute,
+      EventSink& sink, std::uint64_t start_minute,
       const std::vector<EngineBsCursor>* resume_states,
       const std::array<std::uint64_t, kNumEventKinds>& prior,
       double prior_volume);

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/time_utils.hpp"
 
 namespace mtd {
 
@@ -32,8 +33,10 @@ Json RunReport::to_json() const {
   for (const SupervisorAttempt& a : attempts) {
     JsonObject at;
     at.emplace("attempt", a.attempt);
-    at.emplace("start_day", a.start_day);
-    at.emplace("reached_day", a.reached_day);
+    at.emplace("start_day",
+               static_cast<std::size_t>(a.start_minute / kMinutesPerDay));
+    at.emplace("reached_day",
+               static_cast<std::size_t>(a.reached_minute / kMinutesPerDay));
     at.emplace("start_minute", static_cast<double>(a.start_minute));
     at.emplace("reached_minute", static_cast<double>(a.reached_minute));
     at.emplace("error", a.error);
@@ -44,7 +47,7 @@ Json RunReport::to_json() const {
   obj.emplace("attempt_log", Json(std::move(arr)));
   if (succeeded) {
     obj.emplace("telemetry", result.telemetry.to_json());
-    obj.emplace("next_day", result.checkpoint.next_day);
+    obj.emplace("next_day", result.checkpoint.next_day());
     obj.emplace("clock_minute",
                 static_cast<double>(result.checkpoint.clock_minute));
     obj.emplace("complete", result.checkpoint.complete());
@@ -85,8 +88,6 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
   for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
     SupervisorAttempt record;
     record.attempt = attempt;
-    record.start_day = last_good ? last_good->next_day : 0;
-    record.reached_day = record.start_day;
     record.start_minute = last_good ? last_good->clock_minute : 0;
     record.reached_minute = record.start_minute;
 
@@ -99,7 +100,6 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
       for (const StreamEvent& event : held.events) sink.on_event(event);
       held.events.clear();
       last_good = cp;
-      record.reached_day = cp.next_day;
       record.reached_minute = cp.clock_minute;
     });
 

@@ -57,12 +57,9 @@ struct SupervisorConfig {
 /// One engine attempt inside a supervised run.
 struct SupervisorAttempt {
   std::size_t attempt = 0;      ///< 1-based
-  std::size_t start_day = 0;    ///< day the attempt started/resumed from
-  std::size_t reached_day = 0;  ///< day of the last committed checkpoint
-  /// Simulated-minute resolution of the same cursors: which absolute
-  /// minute the attempt resumed from and the clock_minute of its last
-  /// committed checkpoint (equal to the day cursors * 1440 when the engine
-  /// checkpoints at day boundaries only).
+  /// Absolute minute the attempt started/resumed from, and the
+  /// clock_minute of its last committed checkpoint. RunReport::to_json
+  /// also reports them as days (minute / 1440).
   std::uint64_t start_minute = 0;
   std::uint64_t reached_minute = 0;
   std::string error;            ///< empty when the attempt succeeded

@@ -85,10 +85,6 @@ class Telemetry {
     /// Absolute virtual minute this worker has fully produced, +1 (0 = none).
     std::atomic<std::uint64_t> produced_minute{0};
 
-    void count_produced(EventKind kind, std::uint64_t n = 1) noexcept {
-      produced[static_cast<std::size_t>(kind)].fetch_add(
-          n, std::memory_order_relaxed);
-    }
     void count_dropped(EventKind kind) noexcept {
       dropped[static_cast<std::size_t>(kind)].fetch_add(
           1, std::memory_order_relaxed);
@@ -105,20 +101,11 @@ class Telemetry {
              double prior_volume_mb);
 
   [[nodiscard]] PerWorker& worker(std::size_t i) { return workers_[i]; }
-  [[nodiscard]] std::size_t num_workers() const noexcept {
-    return workers_.size();
-  }
 
   // Consumer-side counters (single writer).
-  void count_consumed(EventKind kind, double volume_mb = 0.0) noexcept {
-    consumed_[static_cast<std::size_t>(kind)].fetch_add(
-        1, std::memory_order_relaxed);
-    add_volume(volume_mb);
-  }
-  /// Batched form: one atomic add per non-zero kind instead of one per
-  /// event. The consumer aggregates a whole ring batch locally first —
-  /// per-event fetch_add was measurable at the 10M events/s the batch
-  /// kernel sustains.
+  /// Counts one delivered ring batch: one atomic add per non-zero kind
+  /// instead of one per event — per-event fetch_add was measurable at the
+  /// 10M events/s the batch kernel sustains.
   void count_consumed_bulk(
       const std::array<std::uint64_t, kNumEventKinds>& counts,
       double volume_mb) noexcept {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iostream>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -11,14 +10,6 @@
 #include "io/json.hpp"
 
 namespace mtd {
-
-namespace {
-
-/// Pending serialized events are handed to the stream in blocks of this
-/// size instead of once per event.
-constexpr std::size_t kSinkFlushBytes = 1 << 16;
-
-}  // namespace
 
 const char* to_string(SinkErrorPolicy p) noexcept {
   switch (p) {
@@ -51,31 +42,8 @@ SessionCsvEventSink::SessionCsvEventSink(const Network& network,
 // ---------------------------------------------------------------------------
 // ndjson
 
-struct NdjsonEventWriter::Impl {
-  std::ofstream out;
-  std::string buf;  // serialized lines awaiting a block write
-
-  void flush_buf() {
-    if (buf.empty()) return;
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    buf.clear();
-  }
-};
-
 NdjsonEventWriter::NdjsonEventWriter(const std::string& path)
-    : impl_(std::make_unique<Impl>()), path_(path) {
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!impl_->out) throw Error("NdjsonEventWriter: cannot open " + path);
-  impl_->buf.reserve(kSinkFlushBytes + 512);
-}
-
-NdjsonEventWriter::~NdjsonEventWriter() {
-  try {
-    close();
-  } catch (const Error& e) {
-    std::cerr << "NdjsonEventWriter: " << e.what() << "\n";
-  }
-}
+    : file_("NdjsonEventWriter", path, "events") {}
 
 void NdjsonEventWriter::on_event(const StreamEvent& event) {
   // Serialized by hand into the reusable buffer: no JsonObject (a std::map
@@ -83,7 +51,7 @@ void NdjsonEventWriter::on_event(const StreamEvent& event) {
   // emitted in the alphabetical order the map-based serializer produced,
   // and every numeric field goes through the same double cast and
   // Json-number encoding, so the output is byte-identical to the old path.
-  std::string& buf = impl_->buf;
+  std::string& buf = file_.buf();
   const auto num = [&buf](const char* key, double v) {
     buf += ",\"";
     buf += key;
@@ -165,52 +133,15 @@ void NdjsonEventWriter::on_event(const StreamEvent& event) {
     }
   }
   buf += "}\n";
-  if (buf.size() >= kSinkFlushBytes) impl_->flush_buf();
-  ++events_;
-}
-
-void NdjsonEventWriter::close() {
-  if (!impl_ || !impl_->out.is_open()) return;
-  impl_->flush_buf();
-  impl_->out.flush();
-  bool failed = impl_->out.fail();
-  impl_->out.close();
-  failed = failed || impl_->out.fail();
-  if (failed) {
-    throw Error("NdjsonEventWriter: write failure on " + path_ + " after " +
-                std::to_string(events_) +
-                " events (disk full or I/O error); stream is incomplete");
-  }
+  file_.end_record();
 }
 
 // ---------------------------------------------------------------------------
 // length-prefixed binary
 
-struct BinaryEventWriter::Impl {
-  std::ofstream out;
-  std::string buf;  // framed records awaiting a block write
-
-  void flush_buf() {
-    if (buf.empty()) return;
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    buf.clear();
-  }
-};
-
 BinaryEventWriter::BinaryEventWriter(const std::string& path)
-    : impl_(std::make_unique<Impl>()), path_(path) {
-  impl_->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!impl_->out) throw Error("BinaryEventWriter: cannot open " + path);
-  impl_->buf.reserve(kSinkFlushBytes + 128);
-  impl_->out.write(kMagic, sizeof(kMagic));
-}
-
-BinaryEventWriter::~BinaryEventWriter() {
-  try {
-    close();
-  } catch (const Error& e) {
-    std::cerr << "BinaryEventWriter: " << e.what() << "\n";
-  }
+    : file_("BinaryEventWriter", path, "events") {
+  file_.buf().append(kMagic, sizeof(kMagic));
 }
 
 void BinaryEventWriter::on_event(const StreamEvent& event) {
@@ -220,26 +151,14 @@ void BinaryEventWriter::on_event(const StreamEvent& event) {
   char scratch[4 + kMaxEventPayloadBytes];
   const std::size_t len = encode_event_payload(event, scratch + 4);
   (void)store_le(scratch, static_cast<std::uint32_t>(len));
-  impl_->buf.append(scratch, 4 + len);
-  if (impl_->buf.size() >= kSinkFlushBytes) impl_->flush_buf();
-  ++events_;
-}
-
-void BinaryEventWriter::close() {
-  if (!impl_ || !impl_->out.is_open()) return;
-  impl_->flush_buf();
-  impl_->out.flush();
-  bool failed = impl_->out.fail();
-  impl_->out.close();
-  failed = failed || impl_->out.fail();
-  if (failed) {
-    throw Error("BinaryEventWriter: write failure on " + path_ + " after " +
-                std::to_string(events_) +
-                " events (disk full or I/O error); log is incomplete");
-  }
+  file_.buf().append(scratch, 4 + len);
+  file_.end_record();
 }
 
 struct BinaryEventReader::Impl {
+  /// Bytes pulled from the file per refill (at least).
+  static constexpr std::size_t kRefillBytes = 1 << 16;
+
   std::ifstream in;
   std::string context;       // "binary event log '<path>'" error prefix
   std::uint64_t file_size = 0;
@@ -263,7 +182,7 @@ struct BinaryEventReader::Impl {
     buf_pos = 0;
     while (buf.size() < n) {
       const std::size_t want =
-          std::max<std::size_t>(kSinkFlushBytes, n - buf.size());
+          std::max<std::size_t>(kRefillBytes, n - buf.size());
       const std::size_t old = buf.size();
       buf.resize(old + want);
       in.read(buf.data() + old, static_cast<std::streamsize>(want));

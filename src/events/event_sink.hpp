@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/buffered_file.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/network.hpp"
 #include "dataset/trace_io.hpp"
@@ -85,23 +86,16 @@ class SessionCsvEventSink final : public EventSink {
 class NdjsonEventWriter final : public EventSink {
  public:
   explicit NdjsonEventWriter(const std::string& path);
-  ~NdjsonEventWriter() override;
-
-  NdjsonEventWriter(const NdjsonEventWriter&) = delete;
-  NdjsonEventWriter& operator=(const NdjsonEventWriter&) = delete;
 
   void on_event(const StreamEvent& event) override;
-  void close() override;
+  void close() override { file_.close(); }
 
   [[nodiscard]] std::uint64_t events_written() const noexcept {
-    return events_;
+    return file_.records();
   }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  std::string path_;
-  std::uint64_t events_ = 0;
+  BufferedFileWriter file_;
 };
 
 /// Length-prefixed binary event log — the on-disk form of the wire format a
@@ -117,23 +111,16 @@ class BinaryEventWriter final : public EventSink {
   static constexpr char kMagic[8] = {'M', 'T', 'D', 'E', 'V', 'T', '1', '\n'};
 
   explicit BinaryEventWriter(const std::string& path);
-  ~BinaryEventWriter() override;
-
-  BinaryEventWriter(const BinaryEventWriter&) = delete;
-  BinaryEventWriter& operator=(const BinaryEventWriter&) = delete;
 
   void on_event(const StreamEvent& event) override;
-  void close() override;
+  void close() override { file_.close(); }
 
   [[nodiscard]] std::uint64_t events_written() const noexcept {
-    return events_;
+    return file_.records();
   }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  std::string path_;
-  std::uint64_t events_ = 0;
+  BufferedFileWriter file_;
 };
 
 /// Incremental reader over a BinaryEventWriter file: one record per next()

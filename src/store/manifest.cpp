@@ -117,7 +117,6 @@ std::string StoreManifest::to_text() const {
                     to_hex(events_by_kind[k]));
   }
   obj.emplace("events_by_kind", Json(std::move(by_kind)));
-  obj.emplace("engine_next_day", static_cast<double>(engine_next_day));
   // Opaque blob, written only when set — older manifests stay readable and
   // stores never touched by the engine runner carry no dead field.
   if (!engine_checkpoint.empty()) {
@@ -173,13 +172,8 @@ StoreManifest StoreManifest::from_text(std::string_view text) {
     manifest.events_by_kind[k] =
         from_hex(by_kind.at(name).as_string(), name);
   }
-  // -1 is the "never set" cursor; any other value is a day count.
-  const Json& next_day = json.at("engine_next_day");
-  manifest.engine_next_day =
-      next_day.is_number() && next_day.as_number() == -1.0
-          ? -1
-          : json_uint<std::int64_t>(next_day,
-                                    "StoreManifest.engine_next_day");
+  // Older manifests also carry a day cursor next to the checkpoint; the
+  // checkpoint's clock_minute is the one resume point, so it is ignored.
   if (json.contains("engine_checkpoint")) {
     manifest.engine_checkpoint = json.at("engine_checkpoint").as_string();
   }

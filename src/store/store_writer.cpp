@@ -19,9 +19,6 @@ namespace mtd::store {
 
 namespace {
 
-/// Sentinel for "no cursor update pending" (valid cursors are >= -1).
-constexpr std::int64_t kNoCursor = -2;
-
 std::string pages_path_of(const std::string& path) { return path + ".pages"; }
 
 std::string context_of(const std::string& pages_path) {
@@ -269,7 +266,6 @@ struct TraceStoreWriter::Impl {
   std::vector<PendingRecord> pending;
   std::vector<Run> runs;
   std::array<std::uint64_t, kNumEventKinds> pending_by_kind{};
-  std::int64_t pending_cursor = kNoCursor;
   std::optional<std::string> pending_checkpoint;
   bool open = false;
   /// Page images of the segment being built; reused across commits.
@@ -421,10 +417,6 @@ void TraceStoreWriter::commit() { impl_->commit(); }
 
 CompactionReport TraceStoreWriter::compact() { return impl_->compact(); }
 
-void TraceStoreWriter::set_engine_cursor(std::size_t next_day) {
-  impl_->pending_cursor = static_cast<std::int64_t>(next_day);
-}
-
 void TraceStoreWriter::set_engine_checkpoint(std::string checkpoint_json) {
   impl_->pending_checkpoint = std::move(checkpoint_json);
 }
@@ -500,19 +492,16 @@ void TraceStoreWriter::Impl::emit_pending(SegmentBuilder& builder) {
 }
 
 void TraceStoreWriter::Impl::commit() {
-  const bool cursor_dirty =
-      pending_cursor != kNoCursor && pending_cursor != manifest.engine_next_day;
   const bool checkpoint_dirty =
       pending_checkpoint.has_value() &&
       *pending_checkpoint != manifest.engine_checkpoint;
-  if (pending.empty() && !cursor_dirty && !checkpoint_dirty) return;
+  if (pending.empty() && !checkpoint_dirty) return;
   if (!open) {
     throw IoError("TraceStoreWriter: commit on a closed store '" + path + "'",
                   false);
   }
 
   StoreManifest next = manifest;
-  if (pending_cursor != kNoCursor) next.engine_next_day = pending_cursor;
   if (pending_checkpoint.has_value()) {
     next.engine_checkpoint = *pending_checkpoint;
   }
@@ -558,7 +547,6 @@ void TraceStoreWriter::Impl::commit() {
   pending_bytes.clear();
   runs.clear();
   pending_by_kind = {};
-  pending_cursor = kNoCursor;
   pending_checkpoint.reset();
 }
 

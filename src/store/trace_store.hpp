@@ -81,16 +81,13 @@ struct StoreManifest {
   std::uint64_t dead_pages = 0;
   std::uint64_t events = 0;
   std::array<std::uint64_t, kNumEventKinds> events_by_kind{};
-  /// Engine resume cursor: first day not yet ingested (-1 = never set).
-  /// Kept by run_engine_into_store so a resumed engine and its store agree
-  /// on where the stream stopped.
-  std::int64_t engine_next_day = -1;
   /// Opaque engine checkpoint document (JSON text), published atomically
   /// with the data it covers: run_engine_into_store records the engine's
   /// checkpoint here at every commit, so after a crash the store itself
-  /// carries the exact resume point for its committed events — no separate
-  /// checkpoint file can drift from the data. Empty = never set. The store
-  /// layer treats it as a blob; serialized only when non-empty.
+  /// carries the exact resume point for its committed events, and it is
+  /// the only resume point a store run reads — no separate checkpoint file
+  /// or cursor can drift from the data. Empty = never set. The store layer
+  /// treats it as a blob; serialized only when non-empty.
   std::string engine_checkpoint;
   std::vector<SegmentInfo> segments;
 
@@ -176,7 +173,7 @@ class TraceStoreWriter final : public EventSink {
   /// append pages → flush → atomically replace the manifest. On any
   /// failure the store stays at its previous committed state and the
   /// buffered events are kept, so a caller may retry. No-op when nothing
-  /// is pending and the cursor is unchanged.
+  /// is pending and the engine checkpoint is unchanged.
   void commit();
 
   /// Merges every committed segment into one — rebuilt leaves, blooms and
@@ -188,9 +185,6 @@ class TraceStoreWriter final : public EventSink {
   /// is still live. Pending (uncommitted) events are untouched. No-op when
   /// fewer than two segments are committed.
   CompactionReport compact();
-
-  /// Records the engine resume cursor; published by the next commit().
-  void set_engine_cursor(std::size_t next_day);
 
   /// Records the engine checkpoint blob (JSON text) to publish with the
   /// next commit(); data and resume point then become durable in the same

@@ -220,7 +220,7 @@ TEST(StreamEngine, CheckpointIsAConsistentCutAtTheSink) {
       // Resume from a mid-day checkpoint of the second day.
       const auto mid = std::find_if(
           full.begin(), full.end(), [](const EngineCheckpoint& cp) {
-            return cp.mid_day() && cp.next_day == 1;
+            return cp.mid_day() && cp.next_day() == 1;
           });
       ASSERT_NE(mid, full.end());
       EXPECT_TRUE(run_leg(config, &*mid).back().complete());

@@ -540,8 +540,8 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   EXPECT_NE(report.attempts[0].error.find("sink.session"),
             std::string::npos);
   // The restart picked up at a committed minute mark strictly inside day 0.
-  EXPECT_EQ(report.attempts[0].reached_day, 0u);
-  EXPECT_EQ(report.attempts[1].start_day, 0u);
+  EXPECT_EQ(report.attempts[0].reached_minute / kMinutesPerDay, 0u);
+  EXPECT_EQ(report.attempts[1].start_minute / kMinutesPerDay, 0u);
   const std::uint64_t resumed_at = report.attempts[1].start_minute;
   EXPECT_GT(resumed_at, 0u);
   EXPECT_NE(resumed_at % kMinutesPerDay, 0u);

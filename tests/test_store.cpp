@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -447,8 +448,10 @@ TEST(TraceStore, ReplayFromStoreMatchesDirectGenerationBitExact) {
       const EngineResult result = run_engine_into_store(engine, writer);
       EXPECT_TRUE(result.checkpoint.complete());
       writer.close();
-      EXPECT_EQ(writer.manifest().engine_next_day,
-                static_cast<std::int64_t>(trace.num_days));
+      const std::optional<EngineCheckpoint> stored =
+          load_store_checkpoint(writer.manifest());
+      ASSERT_TRUE(stored.has_value());
+      EXPECT_EQ(stored->clock_minute, trace.num_days * kMinutesPerDay);
     }
 
     TraceStore reader(path);
@@ -480,35 +483,90 @@ TEST(TraceStore, ReplayFromStoreMatchesDirectGenerationBitExact) {
   }
 }
 
-// A run split across a stop + resume lands in the same store as one
-// uninterrupted run: the store's engine cursor and the checkpoint must
-// agree, and the merged segments replay to the identical aggregates.
-TEST(TraceStore, ResumeIntoStoreContinuesWhereItStopped) {
+// The store's embedded checkpoint is the only way back in. A run stopped
+// after one day continues on the reopened store through a second plain
+// run_engine_into_store, and the merged segments replay to the aggregates
+// of one uninterrupted run. A third call on the complete store commits
+// nothing, and an engine under another seed is refused the store.
+TEST(TraceStore, RunIntoStoreResumesFromTheStoresOwnCheckpoint) {
   const Network network = make_network();
   TraceConfig trace;
   trace.num_days = 2;
   trace.seed = 33;
   const std::string path = temp_path("mtd_store_resume.store");
+  const auto run_into = [&](const TraceConfig& config_trace,
+                            std::size_t stop_after_days) {
+    EngineConfig config;
+    config.stop_after_days = stop_after_days;
+    StreamEngine engine(network, config_trace, config);
+    TraceStoreWriter writer = TraceStoreWriter::append(path);
+    const EngineResult result = run_engine_into_store(engine, writer);
+    writer.close();
+    return result.checkpoint;
+  };
 
-  EngineCheckpoint checkpoint;
+  TraceStoreWriter::create(path).close();
+  EXPECT_EQ(run_into(trace, 1).clock_minute, kMinutesPerDay);
+  const EngineCheckpoint done = run_into(trace, 0);
+  EXPECT_TRUE(done.complete());
+
   {
+    TraceStore reader(path);
+    MeasurementDataset replayed(network, trace.num_days);
+    TraceSinkAdapter adapter(network, replayed);
+    (void)reader.replay(adapter);
+    replayed.finalize();
+    const MeasurementDataset direct = collect_dataset(network, trace);
+    EXPECT_EQ(replayed.total_sessions(), direct.total_sessions());
+    EXPECT_DOUBLE_EQ(replayed.total_volume_mb(), direct.total_volume_mb());
+    const auto a = direct.session_shares();
+    const auto b = replayed.session_shares();
+    for (std::size_t s = 0; s < a.size(); ++s) EXPECT_DOUBLE_EQ(b[s], a[s]);
+  }
+
+  const std::string manifest = read_file(path);
+  EXPECT_EQ(run_into(trace, 0).sessions_emitted, done.sessions_emitted);
+  EXPECT_EQ(read_file(path), manifest);
+
+  TraceConfig other = trace;
+  other.seed = 34;
+  try {
+    (void)run_into(other, 0);
+    ADD_FAILURE() << "a seed-34 engine resumed a seed-33 store";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("trace.seed"), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_file(path), manifest);
+}
+
+// A run stopped one day at a time continues where it stopped: after every
+// call the checkpoint embedded in the store is the one the run returned,
+// its clock sits on the next day boundary, and once the horizon is reached
+// the store replays the same sessions as one uninterrupted run.
+TEST(TraceStore, ResumeIntoStoreContinuesWhereItStopped) {
+  const Network network = make_network();
+  TraceConfig trace;
+  trace.num_days = 3;
+  trace.seed = 33;
+  const std::string path = temp_path("mtd_store_stepwise.store");
+
+  TraceStoreWriter::create(path).close();
+  for (std::size_t day = 1; day <= trace.num_days; ++day) {
     EngineConfig config;
     config.stop_after_days = 1;
     StreamEngine engine(network, trace, config);
-    TraceStoreWriter writer = TraceStoreWriter::create(path);
-    const EngineResult result = run_engine_into_store(engine, writer);
-    checkpoint = result.checkpoint;
-    writer.close();
-    EXPECT_FALSE(checkpoint.complete());
-    EXPECT_EQ(writer.manifest().engine_next_day, 1);
-  }
-  {
-    StreamEngine engine(network, trace);
     TraceStoreWriter writer = TraceStoreWriter::append(path);
-    const EngineResult result =
-        resume_engine_into_store(engine, checkpoint, writer);
-    EXPECT_TRUE(result.checkpoint.complete());
+    const EngineCheckpoint returned =
+        run_engine_into_store(engine, writer).checkpoint;
     writer.close();
+    EXPECT_EQ(returned.clock_minute, day * kMinutesPerDay);
+    EXPECT_EQ(returned.complete(), day == trace.num_days);
+
+    const std::optional<EngineCheckpoint> stored =
+        load_store_checkpoint(TraceStore(path).manifest());
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(stored->to_json().dump(), returned.to_json().dump());
   }
 
   TraceStore reader(path);
@@ -516,55 +574,54 @@ TEST(TraceStore, ResumeIntoStoreContinuesWhereItStopped) {
   TraceSinkAdapter adapter(network, replayed);
   (void)reader.replay(adapter);
   replayed.finalize();
-
   const MeasurementDataset direct = collect_dataset(network, trace);
   EXPECT_EQ(replayed.total_sessions(), direct.total_sessions());
   EXPECT_DOUBLE_EQ(replayed.total_volume_mb(), direct.total_volume_mb());
 }
 
+// The checkpoint embedded in a store is also its cursor: an engine whose
+// horizon disagrees with it is refused, and the refused run leaves the
+// manifest bytes untouched.
 TEST(TraceStore, CursorMismatchIsRejected) {
   const Network network = make_network();
   TraceConfig trace;
   trace.num_days = 2;
   trace.seed = 33;
   const std::string path = temp_path("mtd_store_cursor.store");
-
-  EngineCheckpoint checkpoint;
   {
     EngineConfig config;
     config.stop_after_days = 1;
     StreamEngine engine(network, trace, config);
     TraceStoreWriter writer = TraceStoreWriter::create(path);
-    checkpoint = run_engine_into_store(engine, writer).checkpoint;
+    EXPECT_FALSE(run_engine_into_store(engine, writer).checkpoint.complete());
     writer.close();
   }
+  const std::string manifest = read_file(path);
 
-  // A fresh run into a store that already holds days must be rejected …
+  TraceConfig other = trace;
+  other.num_days = 3;
   {
-    StreamEngine engine(network, trace);
+    StreamEngine engine(network, other);
     TraceStoreWriter writer = TraceStoreWriter::append(path);
-    EXPECT_THROW((void)run_engine_into_store(engine, writer),
-                 InvalidArgument);
+    try {
+      (void)run_engine_into_store(engine, writer);
+      ADD_FAILURE() << "a 3-day engine resumed a 2-day store";
+    } catch (const InvalidArgument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("trace.num_days"), std::string::npos) << what;
+    }
   }
-  // … as must resuming from a checkpoint that disagrees with the cursor.
-  {
-    StreamEngine engine(network, trace);
-    TraceStoreWriter writer = TraceStoreWriter::append(path);
-    EngineCheckpoint wrong = checkpoint;
-    wrong.next_day = 0;
-    wrong.clock_minute = 0;
-    EXPECT_THROW(
-        (void)resume_engine_into_store(engine, wrong, writer),
-        InvalidArgument);
-  }
+  EXPECT_EQ(read_file(path), manifest);
 }
 
 // Byte-identity golden for the write path: a fixed engine -> store run
 // (hourly commits, periodic compaction) and a standalone compact() of the
-// result must produce exactly these page files and manifests. The digests
-// were recorded before the streaming write path replaced the sort-and-
-// rebuild one; any change to record order, page packing, bloom sizing,
-// fence layout or manifest text shows up here.
+// result must produce exactly these page files and manifests. The page
+// digests were recorded before the streaming write path replaced the
+// sort-and-rebuild one; the manifest digests were re-pinned when the
+// manifest dropped its day cursor and the embedded checkpoint its
+// redundant cursor keys. Any change to record order, page packing, bloom
+// sizing, fence layout or manifest text shows up here.
 TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   std::vector<BaseStation> bss(6);
   for (std::size_t i = 0; i < bss.size(); ++i) {
@@ -591,7 +648,7 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   }
   EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
             0x566bdc3f08a977deULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0xc440c9d4a4ed9ac6ULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x596be9dd1fc9890eULL);
 
   {
     TraceStoreWriter writer = TraceStoreWriter::append(path);
@@ -601,7 +658,7 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   }
   EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
             0x5ead6f4df94c9052ULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x8005973cf89d97b7ULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x54d8aa41b5a6aff7ULL);
 }
 
 }  // namespace

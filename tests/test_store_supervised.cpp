@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,9 +103,9 @@ EngineConfig make_engine_config(FaultInjector* fault) {
 }
 
 /// The crash-recovery loop an operator (or the Supervisor-backed chaos
-/// driver) runs: reopen the store, pull the resume point from its
-/// manifest, resume, repeat. Returns the number of attempts used, or 0
-/// when the horizon was never completed.
+/// driver) runs: reopen the store and run into it again — the store's own
+/// checkpoint is the resume point — until the horizon is reached. Returns
+/// the number of attempts used, or 0 when the horizon was never completed.
 std::size_t run_supervised_into_store(const std::string& path,
                                       const Network& network,
                                       const TraceConfig& trace,
@@ -115,13 +114,9 @@ std::size_t run_supervised_into_store(const std::string& path,
   store::TraceStoreWriter::create(path).close();
   for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
     auto writer = store::TraceStoreWriter::append(path, &fault);
-    const std::optional<EngineCheckpoint> from =
-        load_store_checkpoint(writer.manifest());
     StreamEngine engine(network, trace, make_engine_config(&fault));
     try {
-      const EngineResult result =
-          from.has_value() ? resume_engine_into_store(engine, *from, writer)
-                           : run_engine_into_store(engine, writer);
+      const EngineResult result = run_engine_into_store(engine, writer);
       writer.close();
       if (result.checkpoint.complete()) return attempt;
     } catch (const Error&) {

@@ -222,8 +222,7 @@ const std::vector<CoverageSpec>& coverage_specs() {
       {"EngineCheckpoint",
        {
            {"serialize", {"EngineCheckpoint::to_json"}},
-           {"load",
-            {"EngineCheckpoint::from_json", "parse_common", "parse_shards"}},
+           {"load", {"EngineCheckpoint::from_json", "parse_common"}},
            {"resume-compare", {"StreamEngine::resume"}},
        }},
       {"StoreManifest",

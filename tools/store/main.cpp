@@ -13,10 +13,12 @@
 // stderr before the usage text.
 #include <charconv>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "common/error.hpp"
+#include "engine/store_runner.hpp"
 #include "store/trace_store.hpp"
 
 namespace {
@@ -100,9 +102,11 @@ int cmd_stats(const std::string& path) {
     std::printf("  %-9s      %llu\n", to_string(static_cast<EventKind>(k)),
                 static_cast<unsigned long long>(m.events_by_kind[k]));
   }
-  if (m.engine_next_day >= 0) {
-    std::printf("engine cursor:   next day %lld\n",
-                static_cast<long long>(m.engine_next_day));
+  if (const std::optional<mtd::EngineCheckpoint> cp =
+          mtd::load_store_checkpoint(m)) {
+    std::printf("engine cursor:   clock minute %llu, day %zu, %s\n",
+                static_cast<unsigned long long>(cp->clock_minute),
+                cp->next_day(), cp->complete() ? "complete" : "incomplete");
   } else {
     std::printf("engine cursor:   (not set)\n");
   }
