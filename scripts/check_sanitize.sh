@@ -5,8 +5,8 @@
 #      test suite.
 #   2. MTD_TSAN=ON (ThreadSanitizer), build, run the engine-side suites —
 #      the tests that exercise the SPSC rings, the stop-token/watchdog
-#      synchronization, fault-injection shutdown paths, and supervised
-#      recovery.
+#      synchronization, fault-injection shutdown paths, supervised
+#      recovery, and the use cases' parallel Monte-Carlo jobs.
 #   3. MTD_UBSAN=ON (UBSan alone, no ASan), build, run the full suite.
 #      ASan's shadow memory and interceptors perturb layout and timing
 #      enough to mask some UB; this lane checks the code the way the
@@ -41,9 +41,11 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # Engine-side tests gated under TSan: everything with cross-thread
 # synchronization (rings, the typed event plane, engine, checkpoint/resume,
 # faults, supervision) plus the trace store, whose writer is fed from the
-# engine's consumer thread and whose fault points fire under load, and
-# the store runner's kill-and-resume suite.
-TSAN_FILTER='SpscRing|EventPlane|StreamEngine|EngineCheckpoint|EngineFault|Supervisor|StoreSupervised|NetworkFingerprint|TraceStore'
+# engine's consumer thread and whose fault points fire under load, the
+# store runner's kill-and-resume suite, the session-source parity suite
+# (engine runs feeding both sources), and parallel_for with the use cases
+# whose Monte-Carlo jobs it runs concurrently.
+TSAN_FILTER='SpscRing|EventPlane|StreamEngine|EngineCheckpoint|EngineFault|Supervisor|StoreSupervised|NetworkFingerprint|TraceStore|SessionSource|ParallelFor|Slicing|Vran|UseCaseGolden'
 
 if [[ "${MTD_SKIP_ASAN:-0}" == "1" ]]; then
   echo "skipping asan/ubsan stage (MTD_SKIP_ASAN=1)"

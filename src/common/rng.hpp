@@ -127,7 +127,8 @@ class Rng {
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
   /// Derives an independent child generator; stable given (seed, stream id).
-  Rng split(std::uint64_t stream) noexcept {
+  /// Reads only the state, so concurrent jobs may split one shared root.
+  [[nodiscard]] Rng split(std::uint64_t stream) const noexcept {
     SplitMix64 sm(state_[0] ^ (0x9e3779b97f4a7c15ULL * (stream + 1)));
     return Rng(sm.next());
   }

@@ -1,9 +1,11 @@
 #include "usecases/slicing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "common/time_utils.hpp"
 #include "events/session_source.hpp"
@@ -42,6 +44,20 @@ std::vector<std::uint8_t> antenna_deciles(const SlicingConfig& config) {
     out.push_back(static_cast<std::uint8_t>(decile));
   }
   return out;
+}
+
+/// Rejects configs that would index out of range or compute nothing,
+/// before any job starts. `where` names the entry point.
+void validate(const SlicingConfig& config, const std::string& where) {
+  require(config.num_antennas >= 1, where + ": num_antennas must be >= 1");
+  require(config.eval_days >= 1, where + ": eval_days must be >= 1");
+  require(config.calibration_days >= 1,
+          where + ": calibration_days must be >= 1");
+  require(config.sla_quantile >= 0.0 && config.sla_quantile <= 1.0,
+          where + ": sla_quantile must be in [0, 1]");
+  require(config.fig12_antenna < config.num_antennas,
+          where + ": fig12_antenna must be < num_antennas");
+  static_cast<void>(service_index(config.fig12_service));
 }
 
 /// Per-minute, per-service ground-truth demand of one antenna over the
@@ -144,26 +160,22 @@ SlicingResult evaluate_strategies(
 
   // split() derives children from the seed alone, so this root yields the
   // same strategy streams whichever entry point built the demand tensor.
-  Rng root(config.seed);
+  const Rng root(config.seed);
 
-  std::vector<StrategyAllocations> strategies;
+  std::vector<StrategyAllocations> strategies{
+      {"model (ours)", {}},
+      {"bm a (3 categories, Table-1 shares)", {}},
+      {"bm b (3 categories, literature shares)", {}},
+  };
+  for (StrategyAllocations& strategy : strategies) {
+    strategy.per_service.resize(config.num_antennas);
+  }
 
   // Ours: per-service Monte-Carlo with the fitted models.
-  {
-    const ModelDrawSource source(registry);
-    StrategyAllocations ours;
-    ours.name = "model (ours)";
-    for (std::size_t a = 0; a < config.num_antennas; ++a) {
-      Rng rng = root.split(2000 + a);
-      ours.per_service.push_back(allocate_by_quantile(
-          arrivals.class_model(deciles[a]), arrivals.service_shares(),
-          [&source](std::size_t service, Rng& r) {
-            return source.sample(service, r);
-          },
-          config, rng));
-    }
-    strategies.push_back(std::move(ours));
-  }
+  const ModelDrawSource model(registry);
+  const auto model_draw = [&model](std::size_t service, Rng& r) {
+    return model.sample(service, r);
+  };
 
   // Benchmarks: the operator knows the *total* antenna demand (BS-level
   // counters exist without any session-level instrumentation) and provisions
@@ -171,42 +183,41 @@ SlicingResult evaluate_strategies(
   // session shares - uniformly within each category, since no intra-category
   // information is available (Sec. 6.1.1). bm a uses Table-1-aggregated
   // category shares, bm b the literature shares.
-  const auto category_strategy = [&](const std::string& name,
-                                     const std::array<double, 3>& shares,
-                                     std::uint64_t stream) {
-    const GroundTruthDrawSource measured;
-    std::array<std::size_t, 3> members{0, 0, 0};
-    for (const auto& profile : catalog) {
-      ++members[static_cast<std::size_t>(profile.category)];
-    }
-    StrategyAllocations result;
-    result.name = name;
-    for (std::size_t a = 0; a < config.num_antennas; ++a) {
-      Rng rng = root.split(stream + a);
-      // Total-demand calibration: one aggregate entity fed by all services.
-      const std::array<double, 1> total_share{1.0};
-      const std::vector<double> total_alloc = allocate_by_quantile(
-          arrivals.class_model(deciles[a]),
-          std::span<const double>(total_share.data(), total_share.size()),
-          [&measured, &arrivals](std::size_t, Rng& r) {
-            return measured.sample(arrivals.sample_service(r), r);
-          },
-          config, rng);
-      std::vector<double> per_service(num_services, 0.0);
-      for (std::size_t s = 0; s < num_services; ++s) {
-        const auto cat = static_cast<std::size_t>(catalog[s].category);
-        per_service[s] = total_alloc[0] * shares[cat] /
-                         static_cast<double>(members[cat]);
-      }
-      result.per_service.push_back(std::move(per_service));
-    }
-    return result;
+  const GroundTruthDrawSource measured;
+  const auto total_draw = [&measured, &arrivals](std::size_t, Rng& r) {
+    return measured.sample(arrivals.sample_service(r), r);
   };
-  strategies.push_back(
-      category_strategy("bm a (3 categories, Table-1 shares)",
-                        table1_category_shares(), 3000));
-  strategies.push_back(category_strategy(
-      "bm b (3 categories, literature shares)", literature_shares(), 4000));
+  const std::array<std::array<double, 3>, 2> category_shares{
+      table1_category_shares(), literature_shares()};
+  std::array<std::size_t, 3> members{0, 0, 0};
+  for (const auto& profile : catalog) {
+    ++members[static_cast<std::size_t>(profile.category)];
+  }
+
+  // One calibration job per (strategy, antenna), on the stream
+  // root.split(2000 | 3000 | 4000 + antenna) of its strategy.
+  parallel_for(strategies.size() * config.num_antennas, [&](std::size_t job) {
+    const std::size_t k = job / config.num_antennas;
+    const std::size_t a = job % config.num_antennas;
+    const ArrivalClassModel& arrival = arrivals.class_model(deciles[a]);
+    Rng rng = root.split(2000 + 1000 * k + a);
+    std::vector<double>& out = strategies[k].per_service[a];
+    if (k == 0) {
+      out = allocate_by_quantile(arrival, arrivals.service_shares(),
+                                 model_draw, config, rng);
+      return;
+    }
+    // Total-demand calibration: one aggregate entity fed by all services.
+    const std::array<double, 1> total_share{1.0};
+    const double total = allocate_by_quantile(arrival, total_share, total_draw,
+                                              config, rng)[0];
+    const std::array<double, 3>& shares = category_shares[k - 1];
+    out.resize(num_services);
+    for (std::size_t s = 0; s < num_services; ++s) {
+      const auto cat = static_cast<std::size_t>(catalog[s].category);
+      out[s] = total * shares[cat] / static_cast<double>(members[cat]);
+    }
+  });
 
   // ---- evaluation -----------------------------------------------------------
   SlicingResult result;
@@ -257,20 +268,20 @@ SlicingResult evaluate_strategies(
 
 SlicingResult run_slicing(const ModelRegistry& registry,
                           const SlicingConfig& config) {
-  require(config.num_antennas >= 1, "run_slicing: need antennas");
+  validate(config, "run_slicing");
   const std::vector<std::uint8_t> deciles = antenna_deciles(config);
   const ArrivalModel& arrivals = registry.arrivals();
 
-  Rng root(config.seed);
+  const Rng root(config.seed);
 
-  // ---- ground-truth demand per antenna -------------------------------------
-  std::vector<std::vector<std::vector<double>>> demand;  // [a][s][minute]
-  demand.reserve(config.num_antennas);
-  for (std::size_t a = 0; a < config.num_antennas; ++a) {
+  // ---- ground-truth demand per antenna, one job each -----------------------
+  std::vector<std::vector<std::vector<double>>> demand(
+      config.num_antennas);  // [a][s][minute]
+  parallel_for(config.num_antennas, [&](std::size_t a) {
     Rng rng = root.split(1000 + a);
-    demand.push_back(real_demand(arrivals.class_model(deciles[a]), arrivals,
-                                 config, rng));
-  }
+    demand[a] =
+        real_demand(arrivals.class_model(deciles[a]), arrivals, config, rng);
+  });
 
   return evaluate_strategies(registry, config, demand);
 }
@@ -278,7 +289,10 @@ SlicingResult run_slicing(const ModelRegistry& registry,
 SlicingResult run_slicing_from_source(SessionSource& source,
                                       const ModelRegistry& registry,
                                       const SlicingConfig& config) {
-  require(config.num_antennas >= 1, "run_slicing_from_source: need antennas");
+  validate(config, "run_slicing_from_source");
+  // Scan days are 16-bit: the last one, eval_days - 1, must fit.
+  require(config.eval_days <= std::size_t{1} << 16,
+          "run_slicing_from_source: eval_days must be <= 65536");
   const std::size_t num_services = service_catalog().size();
   const std::size_t horizon = config.eval_days * kMinutesPerDay;
 

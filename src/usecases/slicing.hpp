@@ -11,6 +11,11 @@
 // and evaluated against ground-truth demand (the % of peak minutes in which
 // the slice's allocated capacity covers its actual demand -> Table 2; the
 // demand-vs-allocation time series of one slice -> Fig. 12).
+//
+// The Monte-Carlo jobs (one per antenna for the ground truth, one per
+// strategy and antenna for the calibration) run concurrently, each on a
+// stream fixed by the seed and its index; results do not depend on the
+// thread count (DESIGN.md section 17).
 #pragma once
 
 #include <string>
@@ -61,7 +66,10 @@ struct SlicingResult {
 
 /// Runs the full use case. `registry` provides our fitted models (and the
 /// fitted arrival classes used by every strategy so that arrival knowledge
-/// is equal across them).
+/// is equal across them). Throws InvalidArgument naming the field when
+/// num_antennas, eval_days or calibration_days is 0, fig12_antenna is not
+/// below num_antennas, sla_quantile is outside [0, 1] or fig12_service is
+/// not a catalogue service.
 [[nodiscard]] SlicingResult run_slicing(const ModelRegistry& registry,
                                         const SlicingConfig& config = {});
 
@@ -71,7 +79,8 @@ struct SlicingResult {
 /// with sub-minute placement derived from the event key. The strategy
 /// allocations are the same calibration Monte-Carlo as run_slicing, so the
 /// result depends on the source only through the delivered event stream:
-/// two sources with the same events yield bit-identical tables.
+/// two sources with the same events yield bit-identical tables. Rejects
+/// what run_slicing rejects, and eval_days above 65536 (days are 16-bit).
 [[nodiscard]] SlicingResult run_slicing_from_source(
     SessionSource& source, const ModelRegistry& registry,
     const SlicingConfig& config = {});

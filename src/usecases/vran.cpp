@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/time_utils.hpp"
 
 namespace mtd {
@@ -96,6 +99,24 @@ struct ArrivalEvent {
 /// Session characteristics attached to one arrival by one strategy.
 using ArrivalDraw =
     std::function<SessionDrawSource::Draw(const ArrivalEvent&, Rng&)>;
+
+/// Rejects configs that would wrap a 16-bit RU index or a 32-bit slot
+/// second, or compute nothing, before any job starts. `where` names the
+/// entry point.
+void validate(const VranConfig& config, const std::string& where) {
+  constexpr std::size_t kMaxRus = std::size_t{1} << 16;
+  constexpr std::size_t kMaxDays =
+      std::numeric_limits<std::uint32_t>::max() /
+      (kMinutesPerDay * kSecondsPerMinute);
+  require(config.num_edge_sites >= 1,
+          where + ": num_edge_sites must be >= 1");
+  require(config.rus_per_site >= 1, where + ": rus_per_site must be >= 1");
+  require(config.rus_per_site <= kMaxRus / config.num_edge_sites,
+          where + ": num_edge_sites x rus_per_site must be <= 65536");
+  require(config.num_days >= 1, where + ": num_days must be >= 1");
+  require(config.num_days <= kMaxDays,
+          where + ": num_days must be <= " + std::to_string(kMaxDays));
+}
 
 /// Builds the shared realization of class-level session arrivals.
 std::vector<ArrivalEvent> build_arrival_schedule(const ArrivalModel& arrivals,
@@ -244,7 +265,8 @@ double mean_session_throughput(
 VranResult run_strategies(const ModelRegistry& registry,
                           const VranConfig& config,
                           const std::vector<ArrivalEvent>& schedule,
-                          const ArrivalDraw& measurement_draw, Rng& root) {
+                          const ArrivalDraw& measurement_draw,
+                          const Rng& root) {
   const std::size_t num_rus = config.num_edge_sites * config.rus_per_site;
   const std::size_t horizon_s =
       config.num_days * kMinutesPerDay * kSecondsPerMinute;
@@ -304,20 +326,19 @@ VranResult run_strategies(const ModelRegistry& registry,
       {"bm c (category-normalized)", bmc_draw},
   };
 
-  std::vector<VranTimeline> timelines;
-  timelines.reserve(strategies.size());
-  for (std::size_t i = 0; i < strategies.size(); ++i) {
+  // One simulation job per strategy, on the stream root.split(100 + i).
+  std::vector<VranTimeline> timelines(strategies.size());
+  parallel_for(strategies.size(), [&](std::size_t i) {
     Rng rng = root.split(100 + i);
-    timelines.push_back(simulate(strategies[i].name, schedule,
-                                 strategies[i].draw, num_rus, horizon_s,
-                                 config.ps, config.packing, rng));
-  }
+    timelines[i] = simulate(strategies[i].name, schedule, strategies[i].draw,
+                            num_rus, horizon_s, config.ps, config.packing,
+                            rng);
+  });
 
   const VranTimeline& real = timelines.front();
   VranResult result;
   const std::size_t series_start =
-      std::min(config.series_start_minute * kSecondsPerMinute,
-               horizon_s > 0 ? horizon_s - 1 : 0);
+      std::min(config.series_start_minute * kSecondsPerMinute, horizon_s - 1);
   const std::size_t series_len =
       std::min(config.series_seconds, horizon_s - series_start);
 
@@ -356,9 +377,10 @@ VranResult run_strategies(const ModelRegistry& registry,
 }  // namespace
 
 VranResult run_vran(const ModelRegistry& registry, const VranConfig& config) {
+  validate(config, "run_vran");
   const std::size_t num_rus = config.num_edge_sites * config.rus_per_site;
 
-  Rng root(config.seed);
+  const Rng root(config.seed);
   Rng arrival_rng = root.split(1);
 
   const ArrivalModel& arrivals = registry.arrivals();
@@ -376,9 +398,10 @@ VranResult run_vran(const ModelRegistry& registry, const VranConfig& config) {
 VranResult run_vran_from_source(SessionSource& source,
                                 const ModelRegistry& registry,
                                 const VranConfig& config) {
+  validate(config, "run_vran_from_source");
   const std::size_t num_rus = config.num_edge_sites * config.rus_per_site;
 
-  Rng root(config.seed);
+  const Rng root(config.seed);
 
   // The shared arrival realization streamed from the trace: RU r replays
   // the recorded sessions of BS r over days [0, num_days) — one per-BS
@@ -389,8 +412,7 @@ VranResult run_vran_from_source(SessionSource& source,
   for (std::size_t ru = 0; ru < num_rus; ++ru) {
     SourceQuery query;
     query.bs = static_cast<std::uint32_t>(ru);
-    query.day_hi = static_cast<std::uint16_t>(
-        config.num_days > 0 ? config.num_days - 1 : 0);
+    query.day_hi = static_cast<std::uint16_t>(config.num_days - 1);
     query.kinds = EventKindMask{}.set(EventKind::kSession);
     (void)source.scan(query, [&](const StreamEvent& event) {
       const Session& s = std::get<SessionEvent>(event.payload).session;

@@ -13,6 +13,10 @@
 // power consumption are compared via the absolute percentage error (APE)
 // against ground truth (Fig. 13b); a time-series window is exported for
 // Fig. 13c.
+//
+// The five strategy simulations run concurrently, each on a stream fixed
+// by the seed and its index; results do not depend on the thread count
+// (DESIGN.md section 17).
 #pragma once
 
 #include <string>
@@ -98,7 +102,10 @@ struct VranResult {
 };
 
 /// Runs the full use case with the fitted `registry` (our model and the
-/// arrival classes shared by all strategies).
+/// arrival classes shared by all strategies). Throws InvalidArgument
+/// naming the field when num_edge_sites, rus_per_site or num_days is 0,
+/// when there are more than 65536 RUs (RU ids are 16-bit), or when the
+/// horizon's seconds overflow 32 bits (num_days > 49710).
 [[nodiscard]] VranResult run_vran(const ModelRegistry& registry,
                                   const VranConfig& config = {});
 
@@ -108,7 +115,8 @@ struct VranResult {
 /// strategy replays each session's own recorded rate and duration while
 /// the model strategies attach their draws to the same arrivals. Depends
 /// on the source only through the delivered event stream, so two sources
-/// holding the same events yield bit-identical energy figures.
+/// holding the same events yield bit-identical energy figures. Rejects
+/// what run_vran rejects.
 [[nodiscard]] VranResult run_vran_from_source(SessionSource& source,
                                               const ModelRegistry& registry,
                                               const VranConfig& config = {});

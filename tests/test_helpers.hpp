@@ -5,8 +5,12 @@
 // and hand out const references.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "dataset/measurement.hpp"
 #include "io/json.hpp"
 
@@ -61,6 +65,21 @@ inline Json& json_node(Json& doc, const std::vector<const char*>& path) {
     if (node->is_array()) node = &node->as_array().at(0);
   }
   return *node;
+}
+
+/// Whether `run` throws InvalidArgument whose message names `field`.
+template <typename Run>
+::testing::AssertionResult rejects(const Run& run, const std::string& field) {
+  try {
+    run();
+  } catch (const InvalidArgument& e) {
+    if (std::string(e.what()).find(field) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "the message does not name " << field << ": " << e.what();
+  }
+  return ::testing::AssertionFailure() << "accepted a bad " << field;
 }
 
 }  // namespace mtd::test

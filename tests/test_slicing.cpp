@@ -91,6 +91,45 @@ TEST(Slicing, DeterministicForFixedSeed) {
                    quick_result().strategies[2].total_allocated_mbps);
 }
 
+TEST(Slicing, RejectsOutOfRangeConfig) {
+  // Both entry points check the config before any job starts; the source
+  // is never scanned.
+  MemorySessionSource empty({});
+  const auto check = [&](const SlicingConfig& config,
+                         const std::string& field) {
+    const auto monte_carlo = [&] { (void)run_slicing(registry(), config); };
+    const auto from_source = [&] {
+      (void)run_slicing_from_source(empty, registry(), config);
+    };
+    return test::rejects(monte_carlo, field) &&
+           test::rejects(from_source, field);
+  };
+  SlicingConfig config = quick_config();
+  config.eval_days = 0;  // an all-zero Table 2
+  ASSERT_TRUE(check(config, "eval_days"));
+  config = quick_config();
+  config.calibration_days = 0;  // no sample to take a quantile of
+  ASSERT_TRUE(check(config, "calibration_days"));
+  config = quick_config();
+  config.num_antennas = 0;
+  ASSERT_TRUE(check(config, "num_antennas"));
+  config = quick_config();
+  config.sla_quantile = 1.5;
+  ASSERT_TRUE(check(config, "sla_quantile"));
+  config = quick_config();
+  config.fig12_antenna = config.num_antennas;  // reads past the antennas
+  ASSERT_TRUE(check(config, "fig12_antenna"));
+  config = quick_config();
+  config.fig12_service = "NoSuchService";
+  ASSERT_TRUE(check(config, "NoSuchService"));
+  // Scan days are 16-bit: day 65536 would wrap to day 0.
+  config = quick_config();
+  config.eval_days = 65537;
+  ASSERT_TRUE(test::rejects(
+      [&] { (void)run_slicing_from_source(empty, registry(), config); },
+      "eval_days"));
+}
+
 TEST(Slicing, RejectsEmptyConfig) {
   SlicingConfig config = quick_config();
   config.num_antennas = 0;

@@ -176,6 +176,43 @@ const VranResult& quick_result() {
   return result;
 }
 
+TEST(Vran, RejectsOutOfRangeConfig) {
+  // Both entry points check the config before any job starts; the source
+  // is never scanned.
+  MemorySessionSource empty({});
+  const auto check = [&](const VranConfig& config, const std::string& field) {
+    const auto monte_carlo = [&] { (void)run_vran(registry(), config); };
+    const auto from_source = [&] {
+      (void)run_vran_from_source(empty, registry(), config);
+    };
+    return test::rejects(monte_carlo, field) &&
+           test::rejects(from_source, field);
+  };
+  VranConfig config = quick_config();
+  config.num_days = 0;  // an empty result
+  ASSERT_TRUE(check(config, "num_days"));
+  config = quick_config();
+  config.num_edge_sites = 0;
+  ASSERT_TRUE(check(config, "num_edge_sites"));
+  config = quick_config();
+  config.rus_per_site = 0;
+  ASSERT_TRUE(check(config, "rus_per_site"));
+  // RU ids are 16-bit: 65792 RUs would wrap onto the first 256.
+  config = quick_config();
+  config.num_edge_sites = 257;
+  config.rus_per_site = 256;
+  ASSERT_TRUE(check(config, "rus_per_site"));
+  // A product that overflows 64 bits to 0 is caught without computing it.
+  config = quick_config();
+  config.num_edge_sites = std::size_t{1} << 33;
+  config.rus_per_site = std::size_t{1} << 31;
+  ASSERT_TRUE(check(config, "rus_per_site"));
+  // Slot seconds are 32-bit: 49711 days overflow them.
+  config = quick_config();
+  config.num_days = 49711;
+  ASSERT_TRUE(check(config, "num_days"));
+}
+
 TEST(Vran, FiveStrategiesEvaluated) {
   const auto& result = quick_result();
   ASSERT_EQ(result.strategies.size(), 5u);
