@@ -11,7 +11,6 @@
 //   pow10_block      vectorized exp2 polynomial block vs scalar pow10_fast
 //   alias_sample_block batched alias lookup vs per-element pick
 //   minute_batch_fill  SoA minute kernel vs the scalar session draw chain
-//   service_model_block core fitted-model SoA draw vs ServiceModel::sample
 //   mixture_scan_k*  in-register CDF scan vs alias pick at k components
 //                    (the scan wins below the k<=4 crossover the batch
 //                    kernel uses; the alias table stays for large tables)
@@ -40,7 +39,6 @@
 #include "common/batch_rng/block_rng.hpp"
 #include "common/batch_rng/vec_math.hpp"
 #include "common/time_utils.hpp"
-#include "core/service_model.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/service_catalog.hpp"
 #include "dataset/trace_io.hpp"
@@ -410,47 +408,6 @@ JsonObject bench_mixture_scan(std::size_t k, std::uint64_t iters) {
   return make_row(name.c_str(), "picks", base, opt);
 }
 
-/// The core-layer fitted-model draw, scalar ServiceModel::sample vs the
-/// SoA sample_block (uniform + Box-Muller blocks, mixture sample_block,
-/// batched inverse power law). The block path pays one extra normal per
-/// draw (the jitter lane is always consumed) and still wins on the fused
-/// column loops.
-JsonObject bench_service_model_block(bool fast) {
-  VolumeModel volume(Log10Normal(1.2, 0.55),
-                     {ResidualPeak{0.08, 2.6, 0.12, 2.2, 3.0}});
-  const ServiceModel model("bench", std::move(volume),
-                           DurationModel(2.5, 1.3, 0.99), 0.05);
-  constexpr double kJitter = 0.08;
-  constexpr std::size_t kBlock = 512;
-  const std::size_t blocks = fast ? 8 : 64;
-  const std::uint64_t draws = blocks * kBlock;
-
-  double vol_sink = 0.0;
-  const double base = best_rate(draws, 3, [&] {
-    Rng rng(4242);
-    for (std::uint64_t i = 0; i < draws; ++i) {
-      const ServiceModel::Draw draw = model.sample(rng, kJitter);
-      vol_sink += draw.volume_mb - draw.duration_s;
-    }
-  });
-
-  std::vector<double> volume_col(kBlock);
-  std::vector<double> duration_col(kBlock);
-  ServiceModel::BlockScratch scratch;
-  const Rng base_rng(4242);
-  const double opt = best_rate(draws, 3, [&] {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      BlockRng rng(base_rng, b);
-      model.sample_block(rng, volume_col.data(), duration_col.data(), kBlock,
-                         kJitter, scratch);
-      vol_sink += volume_col[0] - duration_col[kBlock - 1];
-    }
-  });
-
-  benchmark::DoNotOptimize(vol_sink);
-  return make_row("service_model_block", "draws", base, opt);
-}
-
 // ---------------------------------------------------------------------------
 // serialization
 
@@ -716,7 +673,6 @@ int main(int argc, char** argv) {
         bench_circadian(sweeps), bench_pow10(draw_iters),
         bench_uniform_block(draw_iters), bench_pow10_block(draw_iters),
         bench_alias_sample_block(draw_iters), bench_minute_fill(fast),
-        bench_service_model_block(fast),
         bench_mixture_scan(2, draw_iters), bench_mixture_scan(4, draw_iters),
         bench_mixture_scan(8, draw_iters), bench_mixture_scan(16, draw_iters),
         bench_ndjson(events), bench_binary(events), bench_csv(events)}) {

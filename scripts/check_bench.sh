@@ -85,7 +85,7 @@ for row in rows:
 names = {row["name"] for row in rows}
 for expected in ("service_draw", "mixture_draw", "circadian_minute", "pow10",
                  "uniform_block", "pow10_block", "alias_sample_block",
-                 "minute_batch_fill", "service_model_block",
+                 "minute_batch_fill",
                  "mixture_scan_k2", "mixture_scan_k4",
                  "mixture_scan_k8", "mixture_scan_k16",
                  "ndjson_serialize", "binary_serialize", "csv_serialize"):

@@ -12,7 +12,8 @@
 #      horizon sized for CI minutes rather than the paper's 45 days. The
 #      driver exits non-zero unless the recovered store is bit-identical
 #      to the clean run and every conservation identity holds; its JSON
-#      report is written into the build dir as the CI artifact.
+#      report is written into the build dir as the CI artifact, and the
+#      gate then reads the Supervisor's attempt log out of it.
 #
 # The full-horizon endurance run (mtd_chaos --days 45 --faults all) is the
 # release gate, not a per-commit one; this script keeps every line of that
@@ -65,5 +66,32 @@ if [ -z "$PASSES" ] || [ "$PASSES" -lt 1 ]; then
   exit 1
 fi
 echo "compaction leg: $PASSES pass(es)"
+
+# Each incarnation is one Supervisor::run_into_store call, and its attempt
+# log must show that loop at work: some restart waited a seeded backoff,
+# every attempt's final telemetry closed the conservation identity, and
+# every restart resumed at the checkpoint the previous attempt committed.
+python3 - "$REPORT" <<'PYEOF'
+import json
+import sys
+
+report = json.load(open(sys.argv[1]))
+incarnations = report["incarnation_log"]
+assert incarnations, "report has no incarnations"
+attempts = [a for inc in incarnations for a in inc["attempt_log"]]
+assert any(a["backoff_ms"] > 0 for a in attempts), \
+    "no attempt records a backoff: the Supervisor never restarted"
+for i, inc in enumerate(incarnations, 1):
+    log = inc["attempt_log"]
+    for a in log:
+        assert a["conservation_ok"], f"incarnation {i}: {a}"
+    for prev, cur in zip(log, log[1:]):
+        assert cur["start_minute"] == prev["reached_minute"], (
+            f"incarnation {i}: attempt {cur['attempt']} starts at minute "
+            f"{cur['start_minute']}, attempt {prev['attempt']} committed "
+            f"through {prev['reached_minute']}")
+print(f"supervisor: {len(incarnations)} incarnation(s), "
+      f"{len(attempts)} attempt(s), restarts resume at the committed minute")
+PYEOF
 
 echo "chaos soak smoke passed"

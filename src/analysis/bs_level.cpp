@@ -44,6 +44,26 @@ double BsLevelSeries::window_fraction(std::size_t from_hour,
   return window / total;
 }
 
+namespace {
+
+/// Spreads one session's volume uniformly over its lifetime, starting at
+/// `minute_of_day`; minutes past midnight wrap back into the daily profile.
+void spread_session(BsLevelSeries& series, std::size_t minute_of_day,
+                    double duration_s, double volume_mb) {
+  const double rate_per_min =
+      volume_mb / std::max(duration_s / 60.0, 1.0 / 60.0);
+  double remaining = duration_s / 60.0;  // minutes
+  std::size_t minute = minute_of_day;
+  while (remaining > 0.0) {
+    const double here = std::min(remaining, 1.0);
+    series.volume_mb[minute % kMinutesPerDay] += rate_per_min * here;
+    remaining -= here;
+    ++minute;
+  }
+}
+
+}  // namespace
+
 BsLevelSeries aggregate_bs_series(const BsTrafficGenerator& generator,
                                   std::size_t days, Rng& rng) {
   require(days >= 1, "aggregate_bs_series: need at least one day");
@@ -52,18 +72,7 @@ BsLevelSeries aggregate_bs_series(const BsTrafficGenerator& generator,
 
   for (std::size_t day = 0; day < days; ++day) {
     generator.generate_day(rng, [&series](const GeneratedSession& s) {
-      // Spread the session volume uniformly over its lifetime (wrapping
-      // across midnight is folded back into the daily profile).
-      const double rate_per_min =
-          s.volume_mb / std::max(s.duration_s / 60.0, 1.0 / 60.0);
-      double remaining = s.duration_s / 60.0;  // minutes
-      std::size_t minute = s.minute_of_day;
-      while (remaining > 0.0) {
-        const double here = std::min(remaining, 1.0);
-        series.volume_mb[minute % kMinutesPerDay] += rate_per_min * here;
-        remaining -= here;
-        ++minute;
-      }
+      spread_session(series, s.minute_of_day, s.duration_s, s.volume_mb);
     });
   }
   for (double& v : series.volume_mb) v /= static_cast<double>(days);
@@ -82,18 +91,7 @@ BsLevelSeries bs_series_from_source(SessionSource& source, std::uint32_t bs,
   query.kinds = EventKindMask{}.set(EventKind::kSession);
   (void)source.scan(query, [&series](const StreamEvent& event) {
     const Session& s = std::get<SessionEvent>(event.payload).session;
-    // Same spreading convention as aggregate_bs_series: volume uniform
-    // over the lifetime, wrapped back into the daily profile.
-    const double rate_per_min =
-        s.volume_mb / std::max(s.duration_s / 60.0, 1.0 / 60.0);
-    double remaining = s.duration_s / 60.0;  // minutes
-    std::size_t minute = s.minute_of_day;
-    while (remaining > 0.0) {
-      const double here = std::min(remaining, 1.0);
-      series.volume_mb[minute % kMinutesPerDay] += rate_per_min * here;
-      remaining -= here;
-      ++minute;
-    }
+    spread_session(series, s.minute_of_day, s.duration_s, s.volume_mb);
   });
   for (double& v : series.volume_mb) v /= static_cast<double>(days);
   return series;

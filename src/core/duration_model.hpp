@@ -7,10 +7,6 @@
 // beta < 1 sub-linear interactive services.
 #pragma once
 
-#include <cstddef>
-
-#include "common/batch_rng/vec_math.hpp"
-#include "common/error.hpp"
 #include "common/histogram.hpp"
 #include "math/levenberg_marquardt.hpp"
 
@@ -38,23 +34,6 @@ class DurationModel {
   /// Inverse map: the duration (seconds) whose mean volume is `volume_mb`.
   [[nodiscard]] double duration(double volume_mb) const {
     return fit_.inverse(volume_mb);
-  }
-  /// Batched inverse map over a volume column: (v/alpha)^{1/beta} computed
-  /// as exp2((log2 v - log2 alpha) / beta) on the libm-free polynomial
-  /// kernels, so the loop auto-vectorizes and results are bit-stable
-  /// across compilers — at the cost of differing from the scalar
-  /// duration() in the last ulps. The batch stream owns this mapping
-  /// (BlockRng::kStreamVersion); every volume must be positive.
-  void duration_block(const double* volume_mb, double* out,
-                      std::size_t n) const {
-    require(fit_.alpha > 0.0 && fit_.beta != 0.0,
-            "DurationModel::duration_block: degenerate fit");
-    const double log2_alpha = vec::log2_poly(fit_.alpha);
-    const double inv_beta = 1.0 / fit_.beta;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = vec::exp2_poly((vec::log2_poly(volume_mb[i]) - log2_alpha) *
-                              inv_beta);
-    }
   }
   /// Mean throughput (Mbit/s) of a session lasting `duration_s` seconds.
   [[nodiscard]] double throughput_mbps(double duration_s) const {

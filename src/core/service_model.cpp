@@ -32,36 +32,6 @@ ServiceModel::Draw ServiceModel::sample(Rng& rng,
   return draw;
 }
 
-void ServiceModel::sample_block(BlockRng& rng, double* volume_mb,
-                                double* duration_s, std::size_t n,
-                                double duration_jitter_sigma,
-                                BlockScratch& scratch) const {
-  if (scratch.u.size() < n) {
-    scratch.u.resize(n);
-    scratch.bm.resize(2 * n);
-    scratch.z0.resize(n);
-    scratch.z1.resize(n);
-  }
-  rng.uniform_block(scratch.u.data(), n);
-  rng.normal_pair_block(scratch.z0.data(), scratch.z1.data(),
-                        scratch.bm.data(), n);
-  volume_.mixture().sample_block(scratch.u.data(), scratch.z0.data(),
-                                 volume_mb, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    volume_mb[i] = std::max(volume_mb[i], 1e-4);
-  }
-  duration_.duration_block(volume_mb, duration_s, n);
-  if (duration_jitter_sigma > 0.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      duration_s[i] *=
-          vec::pow10_poly(duration_jitter_sigma * scratch.z1[i]);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    duration_s[i] = std::clamp(duration_s[i], 1.0, 6.0 * 3600.0);
-  }
-}
-
 Json ServiceModel::to_json() const {
   JsonObject obj;
   obj.emplace("name", name_);

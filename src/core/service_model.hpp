@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/batch_rng/block_rng.hpp"
 #include "core/arrival_model.hpp"
 #include "core/duration_model.hpp"
 #include "core/volume_model.hpp"
@@ -55,29 +54,6 @@ class ServiceModel {
     }
   };
   [[nodiscard]] Draw sample(Rng& rng, double duration_jitter_sigma = 0.0) const;
-
-  /// Reusable scratch columns for sample_block; a reused instance stops
-  /// allocating once it has seen the largest n.
-  struct BlockScratch {
-    std::vector<double> u;   // component-pick uniforms (n)
-    std::vector<double> bm;  // Box-Muller uniforms (2 n)
-    std::vector<double> z0;  // volume deviates (n)
-    std::vector<double> z1;  // duration-jitter deviates (n)
-  };
-
-  /// n sessions through the SoA batch kernels: volumes from the mixture's
-  /// sample_block, durations from DurationModel::duration_block, optional
-  /// log-normal jitter from the second Box-Muller lane. Applies the same
-  /// clamps as sample() (volume >= 1e-4 MB, duration in [1 s, 6 h]).
-  /// Draw layout (part of the versioned batch stream,
-  /// BlockRng::kStreamVersion): one uniform_block(n) for component picks,
-  /// then one normal_pair_block(n) — z0 feeds volumes, z1 feeds jitter
-  /// (consumed from the stream even when jitter is off). Statistically
-  /// identical to a sample() loop, not bit-equal: different draw order
-  /// and polynomial kernels.
-  void sample_block(BlockRng& rng, double* volume_mb, double* duration_s,
-                    std::size_t n, double duration_jitter_sigma,
-                    BlockScratch& scratch) const;
 
   [[nodiscard]] Json to_json() const;
   static ServiceModel from_json(const Json& json);

@@ -1,10 +1,10 @@
 #include "engine/checkpoint.hpp"
 
 #include <bit>
-#include <charconv>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/fnv.hpp"
 
 namespace mtd {
 
@@ -12,48 +12,18 @@ namespace {
 
 constexpr const char* kFormatV2 = "mtd-engine-checkpoint-v2";
 
-/// 64-bit values (seeds, fingerprints) are stored as hex strings: JSON
-/// numbers are doubles and would silently lose bits above 2^53.
-std::string to_hex(std::uint64_t v) {
-  char buf[19] = "0x";
-  const auto [ptr, ec] = std::to_chars(buf + 2, buf + sizeof(buf), v, 16);
-  return std::string(buf, ptr);
-}
-
-std::uint64_t from_hex(const std::string& s, const char* what) {
-  if (s.size() < 3 || s[0] != '0' || s[1] != 'x') {
-    throw ParseError(std::string(what) + ": expected 0x-prefixed hex, got '" +
-                     s + "'");
-  }
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(std::string(what) + ": bad hex value '" + s + "'");
-  }
-  return v;
-}
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-}
-
 }  // namespace
 
 std::uint64_t network_fingerprint(const Network& network) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  fnv_mix(h, network.size());
+  std::uint64_t h = fnv1a64_word(kFnvOffsetBasis, network.size());
   for (const BaseStation& bs : network.base_stations()) {
-    fnv_mix(h, bs.id);
-    fnv_mix(h, (static_cast<std::uint64_t>(bs.decile) << 24) |
-                   (static_cast<std::uint64_t>(bs.region) << 16) |
-                   (static_cast<std::uint64_t>(bs.city) << 8) |
-                   static_cast<std::uint64_t>(bs.rat));
-    fnv_mix(h, std::bit_cast<std::uint64_t>(bs.peak_rate));
-    fnv_mix(h, std::bit_cast<std::uint64_t>(bs.offpeak_scale));
+    h = fnv1a64_word(h, bs.id);
+    h = fnv1a64_word(h, (static_cast<std::uint64_t>(bs.decile) << 24) |
+                            (static_cast<std::uint64_t>(bs.region) << 16) |
+                            (static_cast<std::uint64_t>(bs.city) << 8) |
+                            static_cast<std::uint64_t>(bs.rat));
+    h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(bs.peak_rate));
+    h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(bs.offpeak_scale));
   }
   return h;
 }

@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -27,12 +26,6 @@ const char* to_string(BackpressurePolicy p) noexcept {
 }
 
 namespace {
-
-std::string hex_str(std::uint64_t v) {
-  char buf[19] = "0x";
-  const auto [ptr, ec] = std::to_chars(buf + 2, buf + sizeof(buf), v, 16);
-  return std::string(buf, ptr);
-}
 
 /// The consumer-side fault point of each event kind.
 constexpr const char* kSinkFaultPoint[kNumEventKinds] = {
@@ -424,7 +417,7 @@ EngineResult StreamEngine::resume(const EngineCheckpoint& from,
                            ", checkpoint has " + actual);
   };
   if (from.seed != trace.seed) {
-    throw mismatch("trace.seed", hex_str(trace.seed), hex_str(from.seed));
+    throw mismatch("trace.seed", to_hex(trace.seed), to_hex(from.seed));
   }
   if (from.num_days != trace.num_days) {
     throw mismatch("trace.num_days", std::to_string(trace.num_days),
@@ -440,8 +433,8 @@ EngineResult StreamEngine::resume(const EngineCheckpoint& from,
                    std::to_string(from.weekend_rate_factor));
   }
   if (from.network_fingerprint != fingerprint_) {
-    throw mismatch("network_fingerprint", hex_str(fingerprint_),
-                   hex_str(from.network_fingerprint));
+    throw mismatch("network_fingerprint", to_hex(fingerprint_),
+                   to_hex(from.network_fingerprint));
   }
   if (from.clock_minute >
       static_cast<std::uint64_t>(trace.num_days) * kMinutesPerDay) {

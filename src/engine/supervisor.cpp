@@ -42,6 +42,7 @@ Json RunReport::to_json() const {
     at.emplace("error", a.error);
     at.emplace("retryable", a.retryable);
     at.emplace("backoff_ms", a.backoff_ms);
+    at.emplace("conservation_ok", a.telemetry.accounted_for());
     arr.emplace_back(std::move(at));
   }
   obj.emplace("attempt_log", Json(std::move(arr)));
@@ -68,31 +69,21 @@ Supervisor::Supervisor(const Network& network, const TraceConfig& trace,
 }
 
 RunReport Supervisor::run(EventSink& sink) {
-  return supervise(std::nullopt, sink);
+  return run_held(std::nullopt, sink);
 }
 
 RunReport Supervisor::resume(const EngineCheckpoint& from, EventSink& sink) {
-  return supervise(from, sink);
+  return run_held(from, sink);
 }
 
-RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
-                                EventSink& sink) {
-  RunReport report;
+RunReport Supervisor::run_held(std::optional<EngineCheckpoint> from,
+                               EventSink& sink) {
   HoldUntilCommit held;
   std::optional<EngineCheckpoint> last_good = std::move(from);
-  Rng backoff_rng(
-      config_.backoff_seed.value_or(trace_.seed ^ 0x73757076ULL /* "supv" */));
-  double backoff_ms = config_.backoff_initial_ms;
-  const std::size_t max_attempts = config_.max_restarts + 1;
-
-  for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    SupervisorAttempt record;
-    record.attempt = attempt;
+  return supervise([&](StreamEngine& engine, SupervisorAttempt& record) {
+    held.events.clear();  // a failed attempt's tail regenerates from last_good
     record.start_minute = last_good ? last_good->clock_minute : 0;
     record.reached_minute = record.start_minute;
-
-    StreamEngine engine(*network_, trace_, engine_config_);
-    if (snapshot_callback_) engine.on_snapshot(snapshot_callback_);
     engine.on_checkpoint([&](const EngineCheckpoint& cp) {
       // Flush the held interval downstream BEFORE adopting the checkpoint
       // as the restart point: a resume must never skip a minute the
@@ -102,10 +93,57 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
       last_good = cp;
       record.reached_minute = cp.clock_minute;
     });
+    return last_good ? engine.resume(*last_good, held) : engine.run(held);
+  });
+}
+
+RunReport Supervisor::run_into_store(const std::string& path,
+                                     const StoreRunPolicy& policy) {
+  return supervise([&](StreamEngine& engine, SupervisorAttempt& record) {
+    // A fresh writer per attempt, opened as a restarted process would:
+    // state crosses attempts only through the store files.
+    auto writer = store::TraceStoreWriter::append(path, engine_config_.fault);
+    const auto committed_minute = [&writer]() -> std::uint64_t {
+      const std::optional<EngineCheckpoint> cp =
+          load_store_checkpoint(writer.manifest());
+      return cp ? cp->clock_minute : 0;
+    };
+    record.start_minute = committed_minute();
+    record.reached_minute = record.start_minute;
+    try {
+      EngineResult result = run_engine_into_store(engine, writer, policy);
+      writer.close();
+      record.reached_minute = result.checkpoint.clock_minute;
+      return result;
+    } catch (...) {
+      // The writer is dropped, not closed: closing would commit the
+      // uncommitted tail under the old checkpoint. The manifest holds
+      // exactly what the store committed.
+      record.reached_minute = committed_minute();
+      throw;
+    }
+  });
+}
+
+RunReport Supervisor::supervise(const AttemptBody& body) {
+  RunReport report;
+  Rng backoff_rng(
+      config_.backoff_seed.value_or(trace_.seed ^ 0x73757076ULL /* "supv" */));
+  double backoff_ms = config_.backoff_initial_ms;
+  const std::size_t max_attempts = config_.max_restarts + 1;
+
+  for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
+    SupervisorAttempt record;
+    record.attempt = attempt;
+
+    StreamEngine engine(*network_, trace_, engine_config_);
+    engine.on_snapshot([&](const TelemetrySnapshot& snapshot) {
+      record.telemetry = snapshot;
+      if (snapshot_callback_) snapshot_callback_(snapshot);
+    });
 
     try {
-      report.result =
-          last_good ? engine.resume(*last_good, held) : engine.run(held);
+      report.result = body(engine, record);
       report.succeeded = true;
       report.attempts.push_back(std::move(record));
       return report;
@@ -119,7 +157,6 @@ RunReport Supervisor::supervise(std::optional<EngineCheckpoint> from,
       record.retryable = false;
     }
 
-    held.events.clear();  // the uncommitted tail regenerates from last_good
     const bool retry = record.retryable && attempt < max_attempts;
     if (retry) {
       record.backoff_ms =

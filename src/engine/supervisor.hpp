@@ -1,32 +1,38 @@
 // Checkpoint-based auto-recovery around StreamEngine.
 //
-// The Supervisor wraps run()/resume() in a bounded restart loop: when a run
-// fails with a retryable error (worker fault, watchdog-detected stall,
-// transient checkpoint I/O), it reloads the last good checkpoint — a day
-// boundary, or any minute-interval mark when the engine runs with
-// checkpoint_interval_minutes — and resumes, with exponential backoff
-// between attempts (jitter drawn from a seeded RNG, so failure schedules
-// replay reproducibly). Because every (BS, day) RNG stream is independent
-// and mid-day checkpoints carry the raw stream cursors, the recovered
-// stream is bit-identical to an unfailed run either way.
+// The Supervisor runs every attempt through one bounded restart loop:
+// when a run fails with a retryable error (worker fault, watchdog-detected
+// stall, transient checkpoint or store I/O), it starts a fresh engine from
+// the last committed checkpoint — a day boundary, or any minute-interval
+// mark when the engine runs with checkpoint_interval_minutes — with
+// exponential backoff between attempts (jitter drawn from a seeded RNG, so
+// failure schedules replay reproducibly). Because every (BS, day) RNG
+// stream is independent and mid-day checkpoints carry the raw stream
+// cursors, the recovered stream is bit-identical to an unfailed run.
 //
-// Exactly-once delivery across restarts: every checkpoint is an exact cut
-// at the engine's sink, but a run that fails between two checkpoints has
-// already delivered events past the last one, and a naive restart would
-// replay that tail into the downstream sink twice. The Supervisor
-// therefore holds each attempt's events in a private list and hands them
-// downstream only from the checkpoint hook, where the list is exactly the
-// interval the checkpoint covers; on failure the list is cleared and the
-// tail regenerated from the checkpoint. The held window is one checkpoint
-// interval (a day, or checkpoint_interval_minutes). Every event kind
-// passes through it. The one hole is the downstream sink itself throwing
-// mid-flush (its state is then unknown); such errors are
-// foreign/non-retryable and end supervision.
+// The loop has two attempt bodies, which differ only in where committed
+// output goes and where the restart point lives:
+//
+//  - run()/resume() deliver to an EventSink. A run that fails between two
+//    checkpoints has already delivered events past the last one, and a
+//    naive restart would replay that tail downstream twice, so each
+//    attempt's events wait in a private hold list that is handed
+//    downstream only from the checkpoint hook, where the list is exactly
+//    the interval the checkpoint covers; on failure the list is cleared and
+//    the tail regenerated from the checkpoint, which the Supervisor keeps
+//    in memory. The held window is one checkpoint interval. The one hole
+//    is the downstream sink itself throwing mid-flush (its state is then
+//    unknown); such errors are foreign/non-retryable and end supervision.
+//  - run_into_store() writes a trace store. Every attempt reopens the store
+//    from disk, as a restarted process would, and run_engine_into_store
+//    resumes from the checkpoint the store's manifest carries; data and
+//    checkpoint commit together, so a failed attempt's uncommitted tail is
+//    simply dropped with its writer.
 //
 // The product of a supervised run is a RunReport: every attempt with its
-// day range, failure cause, retryability, and the backoff applied — the
-// operational record a replay of the paper's 45-day horizon needs when
-// transient faults are a matter of when, not if.
+// minute range, failure cause, retryability, final telemetry and the
+// backoff applied — the operational record a replay of the paper's 45-day
+// horizon needs when transient faults are a matter of when, not if.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/store_runner.hpp"
 
 namespace mtd {
 
@@ -58,13 +65,20 @@ struct SupervisorConfig {
 struct SupervisorAttempt {
   std::size_t attempt = 0;      ///< 1-based
   /// Absolute minute the attempt started/resumed from, and the
-  /// clock_minute of its last committed checkpoint. RunReport::to_json
-  /// also reports them as days (minute / 1440).
+  /// clock_minute of the last checkpoint it committed (its start minute
+  /// when it committed none). The next attempt starts at this attempt's
+  /// reached_minute. RunReport::to_json also reports them as days
+  /// (minute / 1440).
   std::uint64_t start_minute = 0;
   std::uint64_t reached_minute = 0;
   std::string error;            ///< empty when the attempt succeeded
   bool retryable = false;
   double backoff_ms = 0.0;      ///< wait applied before the next attempt
+  /// The attempt's final telemetry snapshot; the engine delivers one on
+  /// the failure path too, so the conservation identity is checkable for
+  /// every attempt (all zero when the attempt failed before its engine
+  /// ran, e.g. while reopening the store).
+  TelemetrySnapshot telemetry;
 };
 
 /// Outcome of a supervised run. `result` is meaningful when `succeeded`.
@@ -83,7 +97,8 @@ struct RunReport {
 class Supervisor {
  public:
   /// `network` must outlive the Supervisor. A FaultInjector armed in
-  /// `engine_config.fault` is honored by every attempt.
+  /// `engine_config.fault` is honored by every attempt (and, under
+  /// run_into_store, by every attempt's store writer).
   Supervisor(const Network& network, const TraceConfig& trace,
              EngineConfig engine_config = {}, SupervisorConfig config = {});
 
@@ -96,6 +111,15 @@ class Supervisor {
   /// Supervised equivalent of StreamEngine::resume.
   [[nodiscard]] RunReport resume(const EngineCheckpoint& from, EventSink& sink);
 
+  /// Supervised equivalent of run_engine_into_store on the existing store
+  /// at `path`: each attempt reopens it with TraceStoreWriter::append and
+  /// resumes from the store's own checkpoint (day 0 on a store that has
+  /// none; nothing to do on a complete one). A successful attempt closes
+  /// its writer; a failed one drops it, so its uncommitted tail never
+  /// reaches the store.
+  [[nodiscard]] RunReport run_into_store(const std::string& path,
+                                         const StoreRunPolicy& policy = {});
+
   /// Telemetry passthrough, re-registered on every attempt's engine.
   void on_snapshot(std::function<void(const TelemetrySnapshot&)> callback) {
     snapshot_callback_ = std::move(callback);
@@ -106,8 +130,16 @@ class Supervisor {
   }
 
  private:
-  [[nodiscard]] RunReport supervise(std::optional<EngineCheckpoint> from,
-                                    EventSink& sink);
+  /// One attempt on a fresh engine: sets the record's start minute, keeps
+  /// its reached minute at the last committed checkpoint, and returns the
+  /// engine's result or throws.
+  using AttemptBody =
+      std::function<EngineResult(StreamEngine&, SupervisorAttempt&)>;
+
+  /// The restart loop: attempt records, retryability, seeded backoff.
+  [[nodiscard]] RunReport supervise(const AttemptBody& body);
+  [[nodiscard]] RunReport run_held(std::optional<EngineCheckpoint> from,
+                                   EventSink& sink);
 
   const Network* network_;
   TraceConfig trace_;

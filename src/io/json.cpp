@@ -37,6 +37,28 @@ std::uint64_t json_uint(const Json& value, std::string_view field,
                    std::to_string(max) + "], got " + buf);
 }
 
+std::string to_hex(std::uint64_t v) {
+  char buf[19] = "0x";
+  const auto [ptr, ec] = std::to_chars(buf + 2, buf + sizeof(buf), v, 16);
+  return std::string(buf, ptr);
+}
+
+std::uint64_t from_hex(std::string_view s, std::string_view field) {
+  if (s.size() < 3 || s[0] != '0' || s[1] != 'x') {
+    throw ParseError(std::string(field) +
+                     ": expected 0x-prefixed hex, got '" + std::string(s) +
+                     "'");
+  }
+  std::uint64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    throw ParseError(std::string(field) + ": bad hex value '" +
+                     std::string(s) + "'");
+  }
+  return v;
+}
+
 const std::string& Json::as_string() const {
   if (const std::string* s = std::get_if<std::string>(&value_)) return *s;
   throw ParseError("Json: not a string");

@@ -100,6 +100,16 @@ template <std::integral T>
       static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
 }
 
+/// 64-bit values (seeds, fingerprints, page ids, counters) are stored as
+/// 0x-prefixed hex strings: JSON numbers are doubles and would silently
+/// lose bits above 2^53.
+[[nodiscard]] std::string to_hex(std::uint64_t v);
+
+/// Inverse of to_hex. Throws ParseError naming `field` when `s` is not
+/// 0x-prefixed hex that fits in 64 bits.
+[[nodiscard]] std::uint64_t from_hex(std::string_view s,
+                                     std::string_view field);
+
 /// Reads an entire file into a string. Throws IoError when unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);
 

@@ -23,7 +23,7 @@ Log10NormalMixture::Log10NormalMixture(std::vector<double> relative_weights,
   }
   component_alias_ = AliasTable(relative_weights);
 
-  // Flattened scan parameters (see component_scan): thresholds are the
+  // Flattened scan parameters (see scan_cum): thresholds are the
   // cumulative weights of all but the last component, padded unreachable;
   // locations/scales are padded with the last component so an over-read
   // lane in a vectorized gather still produces a finite value.

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/alias_table.hpp"
-#include "common/batch_rng/vec_math.hpp"
 #include "common/rng.hpp"
 #include "math/distributions.hpp"
 
@@ -71,41 +70,14 @@ class Log10NormalMixture {
   /// mixture (main lobe + <= 3 residual peaks, Eq. 5) fits.
   static constexpr std::size_t kScanComponents = 4;
 
-  /// CDF-inversion component pick: the component k whose cumulative
-  /// weight interval contains u. This is the mapping the batch stream
-  /// uses for small mixtures; note it deliberately differs from
-  /// component_alias().pick — the scalar path keeps the alias mapping for
-  /// stream compatibility with the pre-batch releases.
-  [[nodiscard]] std::size_t component_scan(double u) const noexcept {
-    return static_cast<std::size_t>((u >= scan_cum_[0]) + (u >= scan_cum_[1]) +
-                                    (u >= scan_cum_[2]));
-  }
-
-  /// Batch-stream draw over precomputed deviates: out[i] =
-  /// 10^{mu_k + sigma_k z[i]} with k picked from u[i] — by the in-register
-  /// scan for mixtures up to kScanComponents, by the alias table above
-  /// that. Uses the polynomial pow10 of the batch path, so results differ
-  /// in the last ulps from scalar sample(); the batch stream owns this
-  /// mapping (BlockRng::kStreamVersion).
-  void sample_block(const double* u, const double* z, double* out,
-                    std::size_t n) const noexcept {
-    if (components_.size() <= kScanComponents) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t k = component_scan(u[i]);
-        out[i] = vec::pow10_poly(scan_mu_[k] + scan_sigma_[k] * z[i]);
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t k = component_alias_.pick(u[i]);
-      out[i] = vec::pow10_poly(components_[k].dist.mu() +
-                               components_[k].dist.sigma() * z[i]);
-    }
-  }
-
   /// Flattened scan parameters (cumulative thresholds / locations /
-  /// scales, see component_scan) for kernels that gather them per
-  /// session across services (dataset/generator SessionBlockKernel).
+  /// scales) for kernels that gather them per session across services
+  /// (dataset/generator SessionBlockKernel). The scan is a CDF-inversion
+  /// component pick: k = (u >= cum[0]) + (u >= cum[1]) + (u >= cum[2]),
+  /// the component whose cumulative weight interval contains u. It
+  /// deliberately differs from component_alias().pick — the scalar path
+  /// keeps the alias mapping for stream compatibility with the pre-batch
+  /// releases.
   [[nodiscard]] const std::array<double, kScanComponents>& scan_cum()
       const noexcept {
     return scan_cum_;
@@ -127,7 +99,7 @@ class Log10NormalMixture {
   AliasTable component_alias_;
   /// Flattened small-mixture parameters for the in-register scan:
   /// scan_cum_[k] is the cumulative weight through component k, padded
-  /// with an unreachable 2.0 so component_scan never over-counts; mu and
+  /// with an unreachable 2.0 so the scan never over-counts; mu and
   /// sigma are padded with the last component's values. Only meaningful
   /// for mixtures up to kScanComponents.
   std::array<double, kScanComponents> scan_cum_{2.0, 2.0, 2.0, 2.0};

@@ -365,9 +365,11 @@ Scenario Scenario::from_json(const Json& json) {
   }
   if (json.contains("slicing")) {
     mtd::from_json(json.at("slicing"), scenario.slicing);
+    validate(scenario.slicing, "Scenario.slicing");
   }
   if (json.contains("vran")) {
     mtd::from_json(json.at("vran"), scenario.vran);
+    validate(scenario.vran, "Scenario.vran");
   }
   if (json.contains("engine")) {
     mtd::from_json(json.at("engine"), scenario.engine);

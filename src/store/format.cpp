@@ -17,25 +17,6 @@ const char* to_string(PageType type) noexcept {
   return "?";
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a64_from(std::uint64_t h, std::string_view bytes) noexcept {
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  return fnv1a64_from(kFnvBasis, bytes);
-}
-
 std::array<std::uint64_t, 4> fnv1a64_x4(
     const std::array<std::string_view, 4>& lanes) noexcept {
   // Each lane is the scalar byte-serial recurrence; only the schedule is
@@ -48,20 +29,20 @@ std::array<std::uint64_t, 4> fnv1a64_x4(
   const auto byte = [&lanes](std::size_t lane, std::size_t i) {
     return static_cast<std::uint8_t>(lanes[lane][i]);
   };
-  std::uint64_t h0 = kFnvBasis;
-  std::uint64_t h1 = kFnvBasis;
-  std::uint64_t h2 = kFnvBasis;
-  std::uint64_t h3 = kFnvBasis;
+  std::uint64_t h0 = kFnvOffsetBasis;
+  std::uint64_t h1 = kFnvOffsetBasis;
+  std::uint64_t h2 = kFnvOffsetBasis;
+  std::uint64_t h3 = kFnvOffsetBasis;
   for (std::size_t i = 0; i < common; ++i) {
     h0 = (h0 ^ byte(0, i)) * kFnvPrime;
     h1 = (h1 ^ byte(1, i)) * kFnvPrime;
     h2 = (h2 ^ byte(2, i)) * kFnvPrime;
     h3 = (h3 ^ byte(3, i)) * kFnvPrime;
   }
-  return {fnv1a64_from(h0, lanes[0].substr(common)),
-          fnv1a64_from(h1, lanes[1].substr(common)),
-          fnv1a64_from(h2, lanes[2].substr(common)),
-          fnv1a64_from(h3, lanes[3].substr(common))};
+  return {fnv1a64(lanes[0].substr(common), h0),
+          fnv1a64(lanes[1].substr(common), h1),
+          fnv1a64(lanes[2].substr(common), h2),
+          fnv1a64(lanes[3].substr(common), h3)};
 }
 
 void encode_page_header(const PageHeader& header, char* out) {

@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/fnv.hpp"
 #include "events/event_codec.hpp"
 #include "events/stream_event.hpp"
 
@@ -67,8 +68,8 @@ inline constexpr std::size_t kFenceEntryBytes = 2 * kKeyBytes + 8;
 /// record, one fence entry and a minimal bloom slot with room to spare.
 inline constexpr std::size_t kMinPageSize = 512;
 
-/// FNV-1a over a byte range; the page payload checksum.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
+/// FNV-1a over a byte range (common/fnv.hpp); the page payload checksum.
+using mtd::fnv1a64;
 
 /// fnv1a64 of four independent byte ranges in one lane-interleaved pass:
 /// the four multiply chains overlap instead of running back to back, and

@@ -1,5 +1,3 @@
-#include <charconv>
-
 #include "common/error.hpp"
 #include "io/json.hpp"
 #include "store/trace_store.hpp"
@@ -7,29 +5,6 @@
 namespace mtd::store {
 
 namespace {
-
-/// 64-bit values (page ids, counters, sequence numbers) are stored as hex
-/// strings: JSON numbers are doubles and would silently lose bits above
-/// 2^53.
-std::string to_hex(std::uint64_t v) {
-  char buf[19] = "0x";
-  const auto [ptr, ec] = std::to_chars(buf + 2, buf + sizeof(buf), v, 16);
-  return std::string(buf, ptr);
-}
-
-std::uint64_t from_hex(const std::string& s, const char* what) {
-  if (s.size() < 3 || s[0] != '0' || s[1] != 'x') {
-    throw ParseError(std::string(what) + ": expected 0x-prefixed hex, got '" +
-                     s + "'");
-  }
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ParseError(std::string(what) + ": bad hex value '" + s + "'");
-  }
-  return v;
-}
 
 Json key_to_json(const EventKey& key) {
   JsonObject obj;
@@ -46,7 +21,7 @@ EventKey key_from_json(const Json& json, const std::string& what) {
   key.day = json_uint<std::uint16_t>(json.at("day"), what + ".day");
   key.minute_of_day =
       json_uint<std::uint16_t>(json.at("minute"), what + ".minute");
-  key.seq = from_hex(json.at("seq").as_string(), what.c_str());
+  key.seq = from_hex(json.at("seq").as_string(), what);
   return key;
 }
 

@@ -46,20 +46,6 @@ std::vector<std::uint8_t> antenna_deciles(const SlicingConfig& config) {
   return out;
 }
 
-/// Rejects configs that would index out of range or compute nothing,
-/// before any job starts. `where` names the entry point.
-void validate(const SlicingConfig& config, const std::string& where) {
-  require(config.num_antennas >= 1, where + ": num_antennas must be >= 1");
-  require(config.eval_days >= 1, where + ": eval_days must be >= 1");
-  require(config.calibration_days >= 1,
-          where + ": calibration_days must be >= 1");
-  require(config.sla_quantile >= 0.0 && config.sla_quantile <= 1.0,
-          where + ": sla_quantile must be in [0, 1]");
-  require(config.fig12_antenna < config.num_antennas,
-          where + ": fig12_antenna must be < num_antennas");
-  static_cast<void>(service_index(config.fig12_service));
-}
-
 /// Per-minute, per-service ground-truth demand of one antenna over the
 /// evaluation horizon.
 std::vector<std::vector<double>> real_demand(const ArrivalClassModel& arrival,
@@ -265,6 +251,18 @@ SlicingResult evaluate_strategies(
 }
 
 }  // namespace
+
+void validate(const SlicingConfig& config, const std::string& where) {
+  require(config.num_antennas >= 1, where + ": num_antennas must be >= 1");
+  require(config.eval_days >= 1, where + ": eval_days must be >= 1");
+  require(config.calibration_days >= 1,
+          where + ": calibration_days must be >= 1");
+  require(config.sla_quantile >= 0.0 && config.sla_quantile <= 1.0,
+          where + ": sla_quantile must be in [0, 1]");
+  require(config.fig12_antenna < config.num_antennas,
+          where + ": fig12_antenna must be < num_antennas");
+  static_cast<void>(service_index(config.fig12_service));
+}
 
 SlicingResult run_slicing(const ModelRegistry& registry,
                           const SlicingConfig& config) {

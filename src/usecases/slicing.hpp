@@ -64,12 +64,17 @@ struct SlicingResult {
   std::vector<double> fig12_demand_mbps;
 };
 
+/// Throws InvalidArgument, prefixed with `where` and naming the field, when
+/// num_antennas, eval_days or calibration_days is 0, fig12_antenna is not
+/// below num_antennas or sla_quantile is outside [0, 1], and with
+/// service_index's error when fig12_service is not a catalogue service.
+/// Both entry points and Scenario::from_json run it, so a bad config fails
+/// before any job (or any fit) starts.
+void validate(const SlicingConfig& config, const std::string& where);
+
 /// Runs the full use case. `registry` provides our fitted models (and the
 /// fitted arrival classes used by every strategy so that arrival knowledge
-/// is equal across them). Throws InvalidArgument naming the field when
-/// num_antennas, eval_days or calibration_days is 0, fig12_antenna is not
-/// below num_antennas, sla_quantile is outside [0, 1] or fig12_service is
-/// not a catalogue service.
+/// is equal across them). Rejects what validate rejects.
 [[nodiscard]] SlicingResult run_slicing(const ModelRegistry& registry,
                                         const SlicingConfig& config = {});
 

@@ -100,24 +100,6 @@ struct ArrivalEvent {
 using ArrivalDraw =
     std::function<SessionDrawSource::Draw(const ArrivalEvent&, Rng&)>;
 
-/// Rejects configs that would wrap a 16-bit RU index or a 32-bit slot
-/// second, or compute nothing, before any job starts. `where` names the
-/// entry point.
-void validate(const VranConfig& config, const std::string& where) {
-  constexpr std::size_t kMaxRus = std::size_t{1} << 16;
-  constexpr std::size_t kMaxDays =
-      std::numeric_limits<std::uint32_t>::max() /
-      (kMinutesPerDay * kSecondsPerMinute);
-  require(config.num_edge_sites >= 1,
-          where + ": num_edge_sites must be >= 1");
-  require(config.rus_per_site >= 1, where + ": rus_per_site must be >= 1");
-  require(config.rus_per_site <= kMaxRus / config.num_edge_sites,
-          where + ": num_edge_sites x rus_per_site must be <= 65536");
-  require(config.num_days >= 1, where + ": num_days must be >= 1");
-  require(config.num_days <= kMaxDays,
-          where + ": num_days must be <= " + std::to_string(kMaxDays));
-}
-
 /// Builds the shared realization of class-level session arrivals.
 std::vector<ArrivalEvent> build_arrival_schedule(const ArrivalModel& arrivals,
                                                  const ArrivalClassModel& cls,
@@ -375,6 +357,21 @@ VranResult run_strategies(const ModelRegistry& registry,
 }
 
 }  // namespace
+
+void validate(const VranConfig& config, const std::string& where) {
+  constexpr std::size_t kMaxRus = std::size_t{1} << 16;
+  constexpr std::size_t kMaxDays =
+      std::numeric_limits<std::uint32_t>::max() /
+      (kMinutesPerDay * kSecondsPerMinute);
+  require(config.num_edge_sites >= 1,
+          where + ": num_edge_sites must be >= 1");
+  require(config.rus_per_site >= 1, where + ": rus_per_site must be >= 1");
+  require(config.rus_per_site <= kMaxRus / config.num_edge_sites,
+          where + ": num_edge_sites x rus_per_site must be <= 65536");
+  require(config.num_days >= 1, where + ": num_days must be >= 1");
+  require(config.num_days <= kMaxDays,
+          where + ": num_days must be <= " + std::to_string(kMaxDays));
+}
 
 VranResult run_vran(const ModelRegistry& registry, const VranConfig& config) {
   validate(config, "run_vran");

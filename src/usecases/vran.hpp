@@ -101,11 +101,16 @@ struct VranResult {
   std::vector<VranStrategyResult> strategies;
 };
 
+/// Throws InvalidArgument, prefixed with `where` and naming the field, when
+/// num_edge_sites, rus_per_site or num_days is 0, when there are more than
+/// 65536 RUs (RU ids are 16-bit), or when the horizon's seconds overflow
+/// 32 bits (num_days > 49710). Both entry points and Scenario::from_json
+/// run it, so a bad config fails before any job (or any fit) starts.
+void validate(const VranConfig& config, const std::string& where);
+
 /// Runs the full use case with the fitted `registry` (our model and the
-/// arrival classes shared by all strategies). Throws InvalidArgument
-/// naming the field when num_edge_sites, rus_per_site or num_days is 0,
-/// when there are more than 65536 RUs (RU ids are 16-bit), or when the
-/// horizon's seconds overflow 32 bits (num_days > 49710).
+/// arrival classes shared by all strategies). Rejects what validate
+/// rejects.
 [[nodiscard]] VranResult run_vran(const ModelRegistry& registry,
                                   const VranConfig& config = {});
 

@@ -35,7 +35,6 @@
 #include "common/batch_rng/block_rng.hpp"
 #include "common/batch_rng/vec_math.hpp"
 #include "common/rng.hpp"
-#include "core/service_model.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/network.hpp"
 
@@ -392,101 +391,6 @@ TEST(BatchRng, NormalPairBlockMoments) {
   double cross = 0.0;
   for (std::size_t i = 0; i < kN; ++i) cross += z0[i] * z1[i];
   EXPECT_NEAR(cross / kN, 0.0, 0.02);
-}
-
-// ---------------------------------------------------------------------------
-// 4. core-layer batch surfaces (DurationModel / ServiceModel blocks)
-
-/// A hand-built fitted model: main lobe + one residual peak (the scan
-/// path, 2 components) and a super-linear power law.
-ServiceModel block_fixture_model() {
-  VolumeModel volume(Log10Normal(1.2, 0.55),
-                     {ResidualPeak{0.08, 2.6, 0.12, 2.2, 3.0}});
-  const DurationModel duration(2.5, 1.3, 0.99);
-  return {"fixture", std::move(volume), duration, 0.05};
-}
-
-TEST(CoreModelBlocks, DurationBlockMatchesScalarInverse) {
-  const DurationModel model(2.5, 1.3, 0.99);
-  std::vector<double> volumes;
-  for (double x = -4.0; x <= 6.0; x += 0.125) {
-    volumes.push_back(std::pow(10.0, x));
-  }
-  std::vector<double> batch(volumes.size());
-  model.duration_block(volumes.data(), batch.data(), volumes.size());
-  for (std::size_t i = 0; i < volumes.size(); ++i) {
-    const double want = model.duration(volumes[i]);
-    EXPECT_NEAR(batch[i], want, 1e-9 * want) << "volume " << volumes[i];
-  }
-}
-
-TEST(CoreModelBlocks, ServiceModelSampleBlockDigestIsPinned) {
-  const ServiceModel model = block_fixture_model();
-  BlockRng rng(Rng(20231024), 11);
-  constexpr std::size_t kN = 96;
-  std::vector<double> volume(kN);
-  std::vector<double> duration(kN);
-  ServiceModel::BlockScratch scratch;
-  model.sample_block(rng, volume.data(), duration.data(), kN, 0.08, scratch);
-  std::uint64_t h = digest_doubles(volume);
-  h = fnv1a(h, digest_doubles(duration));
-  EXPECT_EQ(h, UINT64_C(0xD4BBFCCB548D9BF9));
-}
-
-TEST(CoreModelBlocks, ServiceModelBlockAgreesWithScalarSampling) {
-  const ServiceModel model = block_fixture_model();
-  constexpr std::size_t kBlocks = 64;
-  constexpr std::size_t kPerBlock = 512;
-  constexpr std::size_t kN = kBlocks * kPerBlock;
-  constexpr double kJitter = 0.08;
-
-  std::vector<double> bv(kN);
-  std::vector<double> bd(kN);
-  ServiceModel::BlockScratch scratch;
-  const Rng base(555);
-  for (std::size_t b = 0; b < kBlocks; ++b) {
-    BlockRng rng(base, b);
-    model.sample_block(rng, bv.data() + b * kPerBlock,
-                       bd.data() + b * kPerBlock, kPerBlock, kJitter,
-                       scratch);
-  }
-
-  std::vector<double> sv(kN);
-  std::vector<double> sd(kN);
-  Rng rng(555);
-  for (std::size_t i = 0; i < kN; ++i) {
-    const ServiceModel::Draw draw = model.sample(rng, kJitter);
-    sv[i] = draw.volume_mb;
-    sd[i] = draw.duration_s;
-  }
-
-  const auto log_moments = [](std::span<const double> xs) {
-    double sum = 0.0;
-    double sum2 = 0.0;
-    for (const double x : xs) {
-      const double lx = std::log10(x);
-      sum += lx;
-      sum2 += lx * lx;
-    }
-    const double mean = sum / static_cast<double>(xs.size());
-    return std::pair{mean, sum2 / static_cast<double>(xs.size()) -
-                               mean * mean};
-  };
-  const auto [bvm, bvv] = log_moments(bv);
-  const auto [svm, svv] = log_moments(sv);
-  EXPECT_NEAR(bvm, svm, 0.02);
-  EXPECT_NEAR(bvv, svv, 0.03);
-  const auto [bdm, bdv] = log_moments(bd);
-  const auto [sdm, sdv] = log_moments(sd);
-  EXPECT_NEAR(bdm, sdm, 0.02);
-  EXPECT_NEAR(bdv, sdv, 0.03);
-
-  // Both paths honor the sample() clamps.
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_GE(bv[i], 1e-4);
-    EXPECT_GE(bd[i], 1.0);
-    EXPECT_LE(bd[i], 6.0 * 3600.0);
-  }
 }
 
 }  // namespace

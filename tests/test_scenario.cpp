@@ -279,6 +279,35 @@ TEST(Scenario, EmptyJsonYieldsDefaults) {
   EXPECT_EQ(scenario.vran.num_edge_sites, VranConfig{}.num_edge_sites);
 }
 
+// Use-case sections are held to the rules run_slicing and run_vran apply,
+// at load time: a scenario the use case would reject fails before any
+// dataset is collected or model fitted, with the field in the message.
+TEST(Scenario, UseCaseSectionsAreValidatedAtLoad) {
+  struct Case {
+    const char* json;
+    const char* field;
+  };
+  const Case cases[] = {
+      {R"({"slicing": {"num_antennas": 4, "fig12_antenna": 99}})",
+       "fig12_antenna"},
+      {R"({"slicing": {"sla_quantile": 1.5}})", "sla_quantile"},
+      {R"({"slicing": {"eval_days": 0}})", "eval_days"},
+      {R"({"vran": {"num_edge_sites": 0}})", "num_edge_sites"},
+      {R"({"vran": {"num_days": 60000}})", "num_days"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.json);
+    try {
+      static_cast<void>(Scenario::from_json(Json::parse(c.json)));
+      ADD_FAILURE() << "accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("Scenario."), std::string::npos) << what;
+      EXPECT_NE(what.find(c.field), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Scenario, UnknownTopLevelKeyRejected) {
   EXPECT_THROW(Scenario::from_json(Json::parse(R"({"netwrok": {}})")),
                ParseError);

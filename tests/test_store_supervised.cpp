@@ -1,22 +1,26 @@
 // Supervised recovery × trace store composition: a crash at EVERY
-// store.commit.* fault point — a retryable error or a foreign exception
-// standing in for a process kill — followed by a writer reopen and a
-// resume from the checkpoint the manifest itself carries must converge on
-// a store bit-identical to one written by a run that never failed. This is
-// the unit-test core of the mtd_chaos soak (DESIGN.md section 13): data,
-// cursor and checkpoint publish in one atomic manifest replace, so no
-// crash point can duplicate or drop events.
+// store.commit.* fault point — a retryable error, which
+// Supervisor::run_into_store retries by reopening the store, or a foreign
+// exception standing in for a process kill, after which a new supervised
+// run starts — followed by a resume from the checkpoint the manifest
+// itself carries must converge on a store bit-identical to one written by
+// a run that never failed. This is the unit-test core of the mtd_chaos
+// soak (DESIGN.md section 13): data, cursor and checkpoint publish in one
+// atomic manifest replace, so no crash point can duplicate or drop events.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/fnv.hpp"
 #include "dataset/network.hpp"
 #include "engine/store_runner.hpp"
+#include "engine/supervisor.hpp"
 #include "events/event_codec.hpp"
 #include "store/trace_store.hpp"
 
@@ -52,16 +56,13 @@ TraceConfig make_trace(std::size_t days = 2, std::uint64_t seed = 61) {
 /// FNV-1a over the wire encoding of every event, position- and
 /// content-sensitive: equal digests mean bit-identical streams.
 struct DigestSink final : EventSink {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = kFnvOffsetBasis;
   std::uint64_t count = 0;
 
   void on_event(const StreamEvent& event) override {
     char buf[kMaxEventPayloadBytes];
     const std::size_t len = encode_event_payload(event, buf);
-    for (std::size_t i = 0; i < len; ++i) {
-      hash ^= static_cast<unsigned char>(buf[i]);
-      hash *= 0x100000001b3ULL;
-    }
+    hash = fnv1a64(std::string_view(buf, len), hash);
     ++count;
   }
 };
@@ -102,28 +103,34 @@ EngineConfig make_engine_config(FaultInjector* fault) {
   return config;
 }
 
-/// The crash-recovery loop an operator (or the Supervisor-backed chaos
-/// driver) runs: reopen the store and run into it again — the store's own
-/// checkpoint is the resume point — until the horizon is reached. Returns
-/// the number of attempts used, or 0 when the horizon was never completed.
+SupervisorConfig make_supervisor_config() {
+  SupervisorConfig config;
+  config.max_restarts = 5;
+  config.backoff_initial_ms = 1.0;
+  return config;
+}
+
+/// The loop an operator runs around a killed process: start it again until
+/// the horizon is reached. Each pass is one supervised store run — the
+/// Supervisor reopens the store on every attempt, resumes from the store's
+/// own checkpoint and retries retryable faults itself; a foreign exception
+/// (the stand-in for a hard process kill) ends the pass. Returns the
+/// attempts used over all passes, or 0 when the horizon was never
+/// completed.
 std::size_t run_supervised_into_store(const std::string& path,
                                       const Network& network,
                                       const TraceConfig& trace,
                                       FaultInjector& fault,
-                                      std::size_t max_attempts) {
+                                      std::size_t max_passes) {
   store::TraceStoreWriter::create(path).close();
-  for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    auto writer = store::TraceStoreWriter::append(path, &fault);
-    StreamEngine engine(network, trace, make_engine_config(&fault));
-    try {
-      const EngineResult result = run_engine_into_store(engine, writer);
-      writer.close();
-      if (result.checkpoint.complete()) return attempt;
-    } catch (const Error&) {
-      // Injected retryable failure: the writer is dropped mid-flight, like
-      // a crash; the next attempt reopens and resumes.
-    } catch (const std::exception&) {
-      // Foreign exception: the stand-in for a hard process kill.
+  std::size_t attempts = 0;
+  for (std::size_t pass = 1; pass <= max_passes; ++pass) {
+    Supervisor supervisor(network, trace, make_engine_config(&fault),
+                          make_supervisor_config());
+    const RunReport report = supervisor.run_into_store(path);
+    attempts += report.attempts.size();
+    if (report.succeeded && report.result.checkpoint.complete()) {
+      return attempts;
     }
   }
   return 0;
@@ -181,6 +188,79 @@ TEST(StoreSupervised, KillAtEveryCommitPointResumesBitIdentical) {
       EXPECT_TRUE(recovered == clean);
     }
   }
+  fs::remove_all(dir);
+}
+
+// One run_into_store call rides out retryable faults at every
+// store.commit.* point, and one in the sink between two commits, on its
+// own: the Supervisor's restart loop reopens the store after each, every
+// attempt resumes exactly where the previous one's last commit stopped,
+// and the store ends bit-identical to a run that never failed. The sink
+// fault leaves events past the last checkpoint in the writer; only
+// dropping that writer keeps them out of the store.
+TEST(StoreSupervised, RunIntoStoreRecoversFromRetryableFaults) {
+  const Network network = make_network(6);
+  const TraceConfig trace = make_trace(2);
+  const fs::path dir =
+      fs::temp_directory_path() / "mtd_test_store_run_into_store";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  const std::string clean_path = (dir / "clean.store").string();
+  store::TraceStoreWriter::create(clean_path).close();
+  const RunReport clean_report =
+      Supervisor(network, trace, make_engine_config(nullptr))
+          .run_into_store(clean_path);
+  ASSERT_TRUE(clean_report.succeeded) << clean_report.to_json().dump(2);
+  ASSERT_EQ(clean_report.attempts.size(), 1u);
+  const StoreFingerprint clean = fingerprint_store(
+      clean_path, network.size(), static_cast<std::uint16_t>(trace.num_days));
+  ASSERT_GT(clean.replay_count, 0u);
+
+  // Each point fails once, the commit points at different commits (hits
+  // count across the attempts' writers), so the run restarts four times.
+  FaultInjector fault;
+  const std::vector<std::pair<std::string, std::uint64_t>> faults = {
+      {"store.commit.pages", 1},
+      {"store.commit.sync", 3},
+      {"store.commit.manifest", 5},
+      {"sink.session", 1000}};
+  for (const auto& [point, after] : faults) {
+    FaultSpec spec;
+    spec.after = after;
+    fault.arm(point, spec);
+  }
+  const std::string path = (dir / "chaos.store").string();
+  store::TraceStoreWriter::create(path).close();
+  Supervisor supervisor(network, trace, make_engine_config(&fault),
+                        make_supervisor_config());
+  const RunReport report = supervisor.run_into_store(path);
+
+  ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
+  EXPECT_TRUE(report.result.checkpoint.complete());
+  EXPECT_GE(report.restarts(), 1u);
+  for (const auto& [point, after] : faults) {
+    EXPECT_EQ(fault.fired(point), 1u) << point;
+  }
+  for (std::size_t k = 0; k < report.attempts.size(); ++k) {
+    const SupervisorAttempt& attempt = report.attempts[k];
+    SCOPED_TRACE("attempt " + std::to_string(attempt.attempt));
+    EXPECT_TRUE(attempt.telemetry.accounted_for());
+    if (k + 1 < report.attempts.size()) {
+      EXPECT_TRUE(attempt.retryable) << attempt.error;
+      EXPECT_GT(attempt.backoff_ms, 0.0);
+    }
+    if (k > 0) {
+      EXPECT_EQ(attempt.start_minute, report.attempts[k - 1].reached_minute);
+    }
+  }
+  // The first fault hits the second commit, after a mid-day mark landed.
+  EXPECT_GT(report.attempts[0].reached_minute, 0u);
+  EXPECT_NE(report.attempts[1].start_minute % kMinutesPerDay, 0u);
+
+  EXPECT_TRUE(fingerprint_store(path, network.size(),
+                                static_cast<std::uint16_t>(trace.num_days)) ==
+              clean);
   fs::remove_all(dir);
 }
 

@@ -16,10 +16,14 @@
 //      armed (plus one guaranteed fault-free pass at the end, so the final
 //      comparison always covers a compacted store).
 //
-// The run passes only if the chaos store ends bit-identical to the clean
-// one: same final checkpoint counters, same replay digest, same per-BS
-// scan digests, and both stores verify page-by-page. Every attempt's
-// final telemetry must satisfy the per-kind conservation identity
+// Each incarnation is one supervised store run (Supervisor::run_into_store
+// with --max-restarts as its budget): the Supervisor's restart loop retries
+// the retryable faults, reopening the store on every attempt, and the
+// simulated kill ends the incarnation. The run passes only if the chaos
+// store ends bit-identical to the clean one: same final checkpoint
+// counters, same replay digest, same per-BS scan digests, and both stores
+// verify page-by-page. Every attempt's final telemetry must satisfy the
+// per-kind conservation identity
 // produced == consumed + dropped + sink_errors + discarded.
 //
 // Usage: mtd_chaos [--days N] [--bs N] [--workers N] [--seed S]
@@ -36,18 +40,18 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/engine.hpp"
 #include "engine/store_runner.hpp"
-#include "engine/telemetry.hpp"
+#include "engine/supervisor.hpp"
 #include "events/event_codec.hpp"
 #include "io/json.hpp"
 #include "store/trace_store.hpp"
@@ -66,9 +70,9 @@ using mtd::JsonArray;
 using mtd::JsonObject;
 using mtd::Network;
 using mtd::Rng;
+using mtd::RunReport;
 using mtd::StreamEngine;
 using mtd::StreamEvent;
-using mtd::TelemetrySnapshot;
 using mtd::TraceConfig;
 
 struct Options {
@@ -238,17 +242,14 @@ class DigestSink final : public mtd::EventSink {
   void on_event(const StreamEvent& event) override {
     char buf[mtd::kMaxEventPayloadBytes];
     const std::size_t len = mtd::encode_event_payload(event, buf);
-    for (std::size_t i = 0; i < len; ++i) {
-      hash_ ^= static_cast<unsigned char>(buf[i]);
-      hash_ *= 0x100000001b3ULL;
-    }
+    hash_ = mtd::fnv1a64(std::string_view(buf, len), hash_);
     ++count_;
   }
   [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hash_ = mtd::kFnvOffsetBasis;
   std::uint64_t count_ = 0;
 };
 
@@ -284,20 +285,11 @@ RunFingerprint fingerprint_store(const std::string& path, std::size_t num_bs,
   return fp;
 }
 
-struct AttemptRecord {
-  std::size_t incarnation = 0;
-  std::size_t attempt = 0;
-  std::uint64_t start_minute = 0;
-  std::uint64_t reached_minute = 0;
-  std::string error;
-  bool retryable = false;
-  bool conservation_ok = true;
-};
-
 struct ChaosOutcome {
   bool completed = false;
   bool conservation_ok = true;
-  std::size_t incarnations = 0;
+  /// One supervised store run per incarnation, with its attempt log.
+  std::vector<RunReport> incarnations;
   std::size_t kills = 0;
   std::size_t tampers = 0;
   /// Compaction leg: maintenance passes over the chaos store between
@@ -305,9 +297,7 @@ struct ChaosOutcome {
   /// the armed store.compact.* faults killed mid-publish.
   std::size_t compaction_passes = 0;
   std::size_t compaction_crashes = 0;
-  std::vector<AttemptRecord> attempts;
   std::map<std::string, std::uint64_t> fired;
-  EngineCheckpoint final_checkpoint;
 };
 
 EngineConfig make_engine_config(const Options& opt, FaultInjector* fault) {
@@ -357,72 +347,23 @@ void tamper_store(const std::string& store_path, Rng& rng) {
   }
 }
 
-/// One "process incarnation": a bounded-restart supervision loop around
-/// run_engine_into_store, reopening the store from disk on every attempt
-/// exactly as a freshly exec'd process would; the store's own checkpoint
-/// is where each attempt resumes. Returns true when
-/// the replay ran to the horizon.
-bool run_incarnation(const Options& opt, const Network& network,
-                     const TraceConfig& trace, const std::string& store_path,
-                     FaultInjector* injector, std::size_t incarnation,
-                     ChaosOutcome& outcome) {
-  for (std::size_t attempt = 1; attempt <= opt.max_restarts + 1; ++attempt) {
-    AttemptRecord record;
-    record.incarnation = incarnation;
-    record.attempt = attempt;
-
-    StreamEngine engine(network, trace,
-                        make_engine_config(opt, injector));
-    TelemetrySnapshot last_snapshot;
-    engine.on_snapshot([&last_snapshot](const TelemetrySnapshot& snapshot) {
-      last_snapshot = snapshot;
-    });
-
-    bool retry = false;
-    try {
-      // Fresh handles per attempt: state crosses attempts only through the
-      // store files, exactly like a real crash + restart.
-      auto writer = mtd::store::TraceStoreWriter::append(store_path, injector);
-      const std::optional<EngineCheckpoint> stored =
-          mtd::load_store_checkpoint(writer.manifest());
-      record.start_minute = stored ? stored->clock_minute : 0;
-      const mtd::EngineResult result =
-          mtd::run_engine_into_store(engine, writer);
-      writer.close();
-      record.reached_minute = result.checkpoint.clock_minute;
-      record.conservation_ok = result.telemetry.accounted_for();
-      outcome.conservation_ok =
-          outcome.conservation_ok && record.conservation_ok;
-      outcome.final_checkpoint = result.checkpoint;
-      outcome.attempts.push_back(std::move(record));
-      return result.checkpoint.complete();
-    } catch (const mtd::Error& e) {
-      record.error = e.what();
-      record.retryable = e.retryable();
-      retry = e.retryable() && attempt <= opt.max_restarts;
-    } catch (const std::exception& e) {
-      // Foreign exception == the simulated process kill: this incarnation
-      // is dead; the next one starts from whatever the store committed.
-      record.error = e.what();
-      record.retryable = false;
-    }
-    record.reached_minute = last_snapshot.clock_minute;
-    // The engine delivers a final telemetry snapshot on failure paths too;
-    // the conservation identity must hold even for aborted attempts.
-    record.conservation_ok = last_snapshot.accounted_for();
-    if (!record.conservation_ok) {
-      std::fprintf(stderr,
-                   "mtd_chaos: conservation violated (incarnation %zu "
-                   "attempt %zu, %s):\n%s\n",
-                   incarnation, attempt, record.error.c_str(),
-                   last_snapshot.to_json().dump(2).c_str());
-    }
-    outcome.conservation_ok =
-        outcome.conservation_ok && record.conservation_ok;
-    outcome.attempts.push_back(std::move(record));
-    if (!retry) return false;
-  }
-  return false;
+/// One "process incarnation": one supervised store run. The Supervisor
+/// reopens the store on every attempt, exactly as a freshly exec'd process
+/// would, resumes from the store's own checkpoint and retries retryable
+/// faults; a foreign exception (the simulated kill) ends the incarnation.
+RunReport run_incarnation(const Options& opt, const Network& network,
+                          const TraceConfig& trace,
+                          const std::string& store_path,
+                          FaultInjector* injector) {
+  mtd::SupervisorConfig config;
+  config.max_restarts = opt.max_restarts;
+  // The soak tests the restart protocol, not the wait: a 10 us base keeps
+  // a 14-restart incarnation from sleeping for minutes, while every
+  // restart still records a positive, seeded backoff.
+  config.backoff_initial_ms = 0.01;
+  mtd::Supervisor supervisor(network, trace,
+                             make_engine_config(opt, injector), config);
+  return supervisor.run_into_store(store_path);
 }
 
 int run_soak(const Options& opt) {
@@ -515,8 +456,28 @@ int run_soak(const Options& opt) {
   };
 
   bool completed = false;
+  const auto run_next_incarnation = [&] {
+    RunReport report = run_incarnation(opt, network, trace, chaos_path,
+                                       opt.faults ? &injector : nullptr);
+    // The engine delivers a final telemetry snapshot on failure paths too;
+    // the conservation identity must hold even for aborted attempts.
+    for (const mtd::SupervisorAttempt& attempt : report.attempts) {
+      if (attempt.telemetry.accounted_for()) continue;
+      outcome.conservation_ok = false;
+      std::fprintf(stderr,
+                   "mtd_chaos: conservation violated (incarnation %zu "
+                   "attempt %zu, %s):\n%s\n",
+                   outcome.incarnations.size() + 1, attempt.attempt,
+                   attempt.error.c_str(),
+                   attempt.telemetry.to_json().dump(2).c_str());
+    }
+    completed = report.succeeded && report.result.checkpoint.complete();
+    outcome.incarnations.push_back(std::move(report));
+    for (const std::string& point : points) {
+      outcome.fired[point] += injector.fired(point);
+    }
+  };
   for (std::size_t inc = 1; !completed && inc <= opt.incarnations; ++inc) {
-    ++outcome.incarnations;
     arm_error_faults();
     if (opt.faults && !reachable.empty()) {
       // One point per incarnation upgrades to a foreign exception — the
@@ -529,12 +490,7 @@ int run_soak(const Options& opt) {
                              0.0});
       ++outcome.kills;
     }
-    completed = run_incarnation(opt, network, trace, chaos_path,
-                                opt.faults ? &injector : nullptr,
-                                inc, outcome);
-    for (const std::string& point : points) {
-      outcome.fired[point] += injector.fired(point);
-    }
+    run_next_incarnation();
     if (!completed) {
       tamper_store(chaos_path, schedule);
       ++outcome.tampers;
@@ -543,14 +499,8 @@ int run_soak(const Options& opt) {
   }
   if (!completed) {
     // Final incarnation: retryable faults only; the run must finish now.
-    ++outcome.incarnations;
     arm_error_faults();
-    completed = run_incarnation(opt, network, trace, chaos_path,
-                                opt.faults ? &injector : nullptr,
-                                outcome.incarnations, outcome);
-    for (const std::string& point : points) {
-      outcome.fired[point] += injector.fired(point);
-    }
+    run_next_incarnation();
   }
   outcome.completed = completed;
   if (completed) {
@@ -568,8 +518,9 @@ int run_soak(const Options& opt) {
     mismatches.emplace_back("conservation identity violated");
   }
   if (completed) {
-    const RunFingerprint chaos = fingerprint_store(
-        chaos_path, network.size(), opt.days, outcome.final_checkpoint);
+    const RunFingerprint chaos =
+        fingerprint_store(chaos_path, network.size(), opt.days,
+                          outcome.incarnations.back().result.checkpoint);
     const auto check = [&](bool same, const char* what) {
       if (!same) {
         ok = false;
@@ -599,6 +550,10 @@ int run_soak(const Options& opt) {
   // ---- Report.
   std::uint64_t total_fired = 0;
   for (const auto& [point, fired] : outcome.fired) total_fired += fired;
+  std::size_t total_attempts = 0;
+  for (const RunReport& report : outcome.incarnations) {
+    total_attempts += report.attempts.size();
+  }
   if (opt.json) {
     JsonObject report;
     report.emplace("ok", ok);
@@ -608,31 +563,23 @@ int run_soak(const Options& opt) {
     report.emplace("num_bs", opt.num_bs);
     report.emplace("seed", static_cast<double>(opt.seed));
     report.emplace("interval_minutes", opt.interval_minutes);
-    report.emplace("incarnations", outcome.incarnations);
+    report.emplace("incarnations", outcome.incarnations.size());
     report.emplace("kills", outcome.kills);
     report.emplace("tampers", outcome.tampers);
     report.emplace("compaction_passes", outcome.compaction_passes);
     report.emplace("compaction_crashes", outcome.compaction_crashes);
-    report.emplace("attempts", outcome.attempts.size());
+    report.emplace("attempts", total_attempts);
     report.emplace("faults_fired", static_cast<double>(total_fired));
     JsonObject fired_obj;
     for (const auto& [point, fired] : outcome.fired) {
       fired_obj.emplace(point, static_cast<double>(fired));
     }
     report.emplace("fired_by_point", Json(std::move(fired_obj)));
-    JsonArray attempt_arr;
-    for (const AttemptRecord& a : outcome.attempts) {
-      JsonObject at;
-      at.emplace("incarnation", a.incarnation);
-      at.emplace("attempt", a.attempt);
-      at.emplace("start_minute", static_cast<double>(a.start_minute));
-      at.emplace("reached_minute", static_cast<double>(a.reached_minute));
-      at.emplace("error", a.error);
-      at.emplace("retryable", a.retryable);
-      at.emplace("conservation_ok", a.conservation_ok);
-      attempt_arr.emplace_back(std::move(at));
+    JsonArray incarnation_arr;
+    for (const RunReport& r : outcome.incarnations) {
+      incarnation_arr.emplace_back(r.to_json());
     }
-    report.emplace("attempt_log", Json(std::move(attempt_arr)));
+    report.emplace("incarnation_log", Json(std::move(incarnation_arr)));
     JsonArray mismatch_arr;
     for (const std::string& m : mismatches) mismatch_arr.emplace_back(m);
     report.emplace("mismatches", Json(std::move(mismatch_arr)));
@@ -642,12 +589,12 @@ int run_soak(const Options& opt) {
                 opt.days, opt.num_bs,
                 static_cast<unsigned long long>(opt.seed));
     std::printf("  incarnations: %zu (%zu kills, %zu store tampers)\n",
-                outcome.incarnations, outcome.kills, outcome.tampers);
+                outcome.incarnations.size(), outcome.kills,
+                outcome.tampers);
     std::printf("  compactions:  %zu pass(es), %zu killed mid-publish\n",
                 outcome.compaction_passes, outcome.compaction_crashes);
     std::printf("  attempts:     %zu, faults fired: %llu\n",
-                outcome.attempts.size(),
-                static_cast<unsigned long long>(total_fired));
+                total_attempts, static_cast<unsigned long long>(total_fired));
     std::printf("  clean store:  %llu events, replay digest %016llx\n",
                 static_cast<unsigned long long>(clean.replay_count),
                 static_cast<unsigned long long>(clean.replay_hash));
