@@ -5,8 +5,8 @@
 //
 //   StreamEngine ── TraceStoreWriter   mtd_trace.store{,.pages}
 //                   (one committed B-tree segment per simulated day,
-//                    crash-safe: pages appended, flushed, then the
-//                    manifest atomically replaced)
+//                    durable: pages appended and synced, then one
+//                    manifest record appended and synced)
 //
 // then, from a fresh TraceStore reader over the same files:
 //   - verify(): every page's checksum and every segment's event count,

@@ -8,8 +8,10 @@
 #      run while covering nothing.
 #   3. A fast soak under MTD_SOAK_FAST=1: the full two-phase protocol
 #      (clean reference run, then supervised incarnations with injected
-#      faults, simulated kills and store tampering between restarts) on a
-#      horizon sized for CI minutes rather than the paper's 45 days. The
+#      faults, simulated kills and store tampering between restarts —
+#      garbage past the page file's committed length and a torn record at
+#      the end of the manifest log) on a horizon sized for CI minutes
+#      rather than the paper's 45 days. The
 #      driver exits non-zero unless the recovered store is bit-identical
 #      to the clean run and every conservation identity holds; its JSON
 #      report is written into the build dir as the CI artifact, and the
@@ -66,6 +68,16 @@ if [ -z "$PASSES" ] || [ "$PASSES" -lt 1 ]; then
   exit 1
 fi
 echo "compaction leg: $PASSES pass(es)"
+
+# Every tamper step also appends half a record to the manifest log, so the
+# next reopen goes through the torn-tail path; a report with no tears means
+# that path went unexercised.
+TEARS="$(sed -n 's/.*"manifest_tears": \([0-9][0-9]*\).*/\1/p' "$REPORT" | head -1)"
+if [ -z "$TEARS" ] || [ "$TEARS" -lt 1 ]; then
+  echo "check_soak: report shows no manifest-log tears" >&2
+  exit 1
+fi
+echo "manifest-log tears: $TEARS"
 
 # Each incarnation is one Supervisor::run_into_store call, and its attempt
 # log must show that loop at work: some restart waited a seeded backoff,

@@ -22,13 +22,13 @@
 //   checkpoint.write      fired by EngineCheckpoint::save before writing
 //   store.commit.pages    fired by TraceStoreWriter::commit before the
 //                         segment pages are appended
-//   store.commit.sync     fired after the append, before the page flush
-//   store.commit.manifest fired before the atomic manifest replace
+//   store.commit.sync     fired after the append, before the page fdatasync
+//   store.commit.manifest fired before the manifest record is appended
 //   store.compact.pages   fired by TraceStoreWriter::compact before the
 //                         merged segment's pages are appended
-//   store.compact.sync    fired after the append, before the page flush
-//   store.compact.manifest fired before the atomic manifest replace that
-//                         swaps the merged segment in
+//   store.compact.sync    fired after the append, before the page fdatasync
+//   store.compact.manifest fired before the manifest record that swaps the
+//                         merged segment in is appended
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,7 @@
 // below the checkpoint's minute and none past it. The writer is therefore
 // the engine's sink directly — its pending events are exactly what the
 // checkpoint covers — and each hook commits them together with the full
-// checkpoint JSON in one atomic manifest replace. That embedded checkpoint
+// checkpoint JSON in one manifest record. That embedded checkpoint
 // is the store's one resume point: run_engine_into_store starts at day 0
 // on a store that has none and otherwise resumes from it, so data and
 // resume point can never drift apart — they publish together or not at

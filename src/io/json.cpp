@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "io/durable_file.hpp"
+
 namespace mtd {
 
 bool Json::as_bool() const {
@@ -396,21 +398,19 @@ void write_file(const std::string& path, std::string_view content) {
 
 void write_file_atomic(const std::string& path, std::string_view content) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("write_file_atomic: cannot open " + tmp);
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      throw IoError("write_file_atomic: short write to " + tmp);
-    }
+  try {
+    DurableFile out(tmp, DurableFile::Mode::kCreate);
+    out.append(content);
+    out.sync();
+  } catch (const IoError& e) {
+    std::remove(tmp.c_str());
+    throw IoError(std::string("write_file_atomic: ") + e.what());
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw IoError("write_file_atomic: cannot rename " + tmp + " over " + path);
   }
+  sync_parent_directory(path);
 }
 
 }  // namespace mtd

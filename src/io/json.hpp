@@ -117,11 +117,12 @@ template <std::integral T>
 /// on open or short-write failure; the target may be left torn.
 void write_file(const std::string& path, std::string_view content);
 
-/// Crash-safe replacement of `path`: writes `content` to `<path>.tmp`,
-/// flushes and closes it, then atomically renames it over `path`, so a
-/// crash or kill at any point leaves either the old complete file or the
-/// new complete file — never a torn one. Throws IoError (and removes the
-/// temporary) when any step fails.
+/// Durable, crash-safe replacement of `path`: writes `content` to
+/// `<path>.tmp`, fdatasyncs it, renames it over `path`, then fsyncs the
+/// parent directory. A killed process or a power cut at any point leaves
+/// either the old complete file or the new complete file — never a torn
+/// one — and once this returns the new file survives a power cut. Throws
+/// IoError (and removes the temporary) when any step fails.
 void write_file_atomic(const std::string& path, std::string_view content);
 
 }  // namespace mtd

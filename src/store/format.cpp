@@ -1,6 +1,7 @@
 #include "store/format.hpp"
 
 #include <algorithm>
+#include <istream>
 
 #include "common/error.hpp"
 #include "common/fmt.hpp"
@@ -219,6 +220,67 @@ void check_pages(std::span<const std::string_view> pages,
     }
     payloads[i] = lanes[i];
   }
+}
+
+std::string encode_manifest_record(std::string_view payload) {
+  std::string record(kManifestRecordHeaderBytes + payload.size(), '\0');
+  char* p = store_le(record.data(), std::uint64_t{payload.size()});
+  (void)store_le(p, fnv1a64(payload));
+  payload.copy(record.data() + kManifestRecordHeaderBytes, payload.size());
+  return record;
+}
+
+ManifestLogTail read_manifest_log(std::istream& in,
+                                  const std::string& path) {
+  in.seekg(0, std::ios::end);
+  const auto end = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
+  const std::string context =
+      "store manifest '" + path + "' (" + std::to_string(end) + " bytes)";
+  const auto read = [&](std::string& out, std::uint64_t n) {
+    out.resize(n);
+    if (!in.read(out.data(), static_cast<std::streamsize>(n))) {
+      throw IoError(context + ": read failed");
+    }
+  };
+  const std::string torn = context +
+                           ": no complete manifest record (torn at byte " +
+                           std::to_string(end) + ")";
+  std::string header;
+  read(header, std::min<std::uint64_t>(end, kManifestLogHeader.size()));
+  if (header != kManifestLogHeader) {
+    if (kManifestLogHeader.starts_with(header)) throw ParseError(torn);
+    throw ParseError(context +
+                     ": not a manifest log (bad format line at byte 0)");
+  }
+  ManifestLogTail tail;
+  tail.valid_bytes = header.size();
+  // A record whose header or payload runs past the end is the torn tail of
+  // an interrupted append; everything before it must check out.
+  std::uint64_t pos = tail.valid_bytes;
+  std::uint64_t records = 0;
+  std::string payload;
+  while (end - pos >= kManifestRecordHeaderBytes) {
+    read(header, kManifestRecordHeaderBytes);
+    ByteCursor cursor(header, pos, context);
+    const std::uint64_t length = cursor.u64("manifest record length");
+    const std::uint64_t checksum = cursor.u64("manifest record checksum");
+    const std::uint64_t body = pos + kManifestRecordHeaderBytes;
+    if (length > end - body) break;
+    read(payload, length);
+    if (fnv1a64(payload) != checksum) {
+      throw ParseError(context + ": manifest record " +
+                       std::to_string(records + 1) +
+                       " checksum mismatch at byte " + std::to_string(pos) +
+                       " (corrupt record)");
+    }
+    tail.last.swap(payload);
+    ++records;
+    pos = body + length;
+    tail.valid_bytes = pos;
+  }
+  if (records == 0) throw ParseError(torn);
+  return tail;
 }
 
 }  // namespace mtd::store

@@ -1,14 +1,16 @@
 // On-disk format of the trace store (DESIGN.md section 12).
 //
-// A store is two files. `<path>` is the manifest: a small JSON document
-// replaced atomically (tmp + flush + rename) at every commit — it is the
-// single commit point, so the page file never needs to be consistent
-// beyond the byte length the manifest vouches for. `<path>.pages` is a
-// flat array of fixed-size pages: page 0 is the superblock (file magic,
-// format version, page size), every later page carries a 40-byte header
-// with its own id, type, entry count, payload length and an FNV-1a
-// checksum of the payload, so torn or misdirected reads are detected at
-// the page that suffered them, with a byte offset.
+// A store is two files. `<path>` is the manifest log: a format line, then
+// checksummed records, each a complete StoreManifest JSON document. A
+// commit appends one record and fdatasyncs it — the record is the single
+// commit point, and the last complete record is the store's committed
+// state, so the page file never needs to be consistent beyond the byte
+// length that record vouches for. `<path>.pages` is a flat array of
+// fixed-size pages: page 0 is the superblock (file magic, format version,
+// page size), every later page carries a 40-byte header with its own id,
+// type, entry count, payload length and an FNV-1a checksum of the
+// payload, so torn or misdirected reads are detected at the page that
+// suffered them, with a byte offset.
 //
 // Committed events live in immutable sorted segments (one per commit):
 // leaf pages holding length-prefixed event records in (bs, day, minute,
@@ -22,6 +24,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,8 +41,19 @@ inline constexpr char kStoreMagic[8] = {'M', 'T', 'D', 'S', 'T', 'O', 'R',
 /// Magic leading every page header ("MTDPAGE1", little-endian u64).
 inline constexpr std::uint64_t kPageMagic = 0x314547415044544dULL;
 inline constexpr std::uint32_t kFormatVersion = 1;
-/// Manifest format tag.
+/// Manifest format tag (the "format" field of every manifest record).
 inline constexpr const char* kManifestFormat = "mtd-trace-store-v1";
+/// First line of the manifest log; the records follow it.
+inline constexpr std::string_view kManifestLogHeader =
+    "mtd-trace-store-log-v1\n";
+/// A manifest record's header: u64 payload length, u64 fnv1a64 of the
+/// payload, both little-endian.
+inline constexpr std::size_t kManifestRecordHeaderBytes = 16;
+/// A writer rewrites the manifest log as one record instead of appending
+/// when the log would grow past this many bytes (or eight records of the
+/// appended size, whichever is larger).
+inline constexpr std::uint64_t kManifestLogRewriteBytes = std::uint64_t{4}
+                                                          << 20;
 
 enum class PageType : std::uint8_t {
   kSuper = 0,     ///< page 0 only
@@ -128,6 +142,26 @@ void check_pages(std::span<const std::string_view> pages,
                  std::span<const std::uint64_t> page_ids,
                  const std::string& context, std::span<PageHeader> headers,
                  std::span<std::string_view> payloads);
+
+/// One manifest log record: header, then `payload` (a StoreManifest
+/// document).
+[[nodiscard]] std::string encode_manifest_record(std::string_view payload);
+
+/// The last complete record of a manifest log, and where it ends.
+struct ManifestLogTail {
+  std::string last;               ///< payload of the last complete record
+  std::uint64_t valid_bytes = 0;  ///< end of the last complete record
+};
+
+/// Reads the manifest log `in` (opened from `path`) record by record,
+/// holding at most two records: checks the format line and the checksum
+/// of every complete record and keeps the last. A record that runs past
+/// the end is a torn tail (an append a crash cut short): valid_bytes stops
+/// before it. Throws ParseError naming `path` and the byte offset on a bad
+/// format line or a checksum mismatch, naming `path` and its size when no
+/// complete record precedes the tail, and IoError when a read fails.
+[[nodiscard]] ManifestLogTail read_manifest_log(std::istream& in,
+                                                const std::string& path);
 
 /// How many fixed-width bloom filters of `bloom_bytes` fit one bloom page
 /// (the writer packs and the reader locates filters with the same

@@ -1,3 +1,5 @@
+#include <fstream>
+
 #include "common/error.hpp"
 #include "io/json.hpp"
 #include "store/trace_store.hpp"
@@ -158,16 +160,22 @@ StoreManifest StoreManifest::from_text(std::string_view text) {
   return manifest;
 }
 
-StoreManifest StoreManifest::load(const std::string& path) {
-  const std::string text = read_file(path);
+StoreManifest StoreManifest::load(const std::string& path,
+                                  std::uint64_t* log_bytes) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw IoError("StoreManifest: cannot open " + path);
+  const ManifestLogTail tail = read_manifest_log(in, path);
+  if (log_bytes != nullptr) *log_bytes = tail.valid_bytes;
   try {
-    return from_text(text);
+    return from_text(tail.last);
   } catch (const ParseError& e) {
-    // A torn or truncated manifest must name its provenance: the raw
-    // parser error has the byte offset but not the path or file size.
+    // The raw parser error has the offset inside the record but not the
+    // path or where the record starts.
     throw ParseError("StoreManifest: corrupt store manifest '" + path +
-                     "' (" + std::to_string(text.size()) +
-                     " bytes): " + e.what());
+                     "' (record at byte " +
+                     std::to_string(tail.valid_bytes - tail.last.size() -
+                                    kManifestRecordHeaderBytes) +
+                     "): " + e.what());
   }
 }
 

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <array>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -11,6 +10,7 @@
 #include "common/fault.hpp"
 #include "common/fmt.hpp"
 #include "events/event_codec.hpp"
+#include "io/durable_file.hpp"
 #include "io/json.hpp"
 #include "store/bloom.hpp"
 #include "store/trace_store.hpp"
@@ -23,6 +23,12 @@ std::string pages_path_of(const std::string& path) { return path + ".pages"; }
 
 std::string context_of(const std::string& pages_path) {
   return "trace store '" + pages_path + "'";
+}
+
+/// A whole manifest log holding one record: what create() and a log
+/// rewrite publish through write_file_atomic.
+std::string manifest_log_of(std::string_view record) {
+  return std::string(kManifestLogHeader).append(record);
 }
 
 /// Compaction hands finished pages to the file in chunks of about this
@@ -246,7 +252,10 @@ struct TraceStoreWriter::Impl {
   std::string path;
   std::string pages_path;
   std::string context;
-  std::fstream file;
+  /// The page file and the manifest log, both appended to and synced
+  /// through DurableFile.
+  DurableFile pages_file;
+  DurableFile log;
   FaultInjector* fault = nullptr;
   StoreManifest manifest;
   /// Pending events, encoded on arrival exactly as a leaf stores them:
@@ -279,6 +288,12 @@ struct TraceStoreWriter::Impl {
   void emit_pending(SegmentBuilder& builder);
   void commit();
   CompactionReport compact();
+  void append_manifest(const StoreManifest& next);
+  void close_files() noexcept {
+    pages_file.close();
+    log.close();
+    open = false;
+  }
 };
 
 TraceStoreWriter::TraceStoreWriter(std::unique_ptr<Impl> impl)
@@ -302,31 +317,17 @@ TraceStoreWriter TraceStoreWriter::create(const std::string& path,
   impl->context = context_of(impl->pages_path);
   impl->fault = fault;
   impl->manifest.options = options;
-  {
-    // A fresh page file holding only the superblock. create() itself is not
-    // crash-atomic (it replaces an existing store destructively); commit()
-    // is.
-    std::ofstream out(impl->pages_path,
-                      std::ios::binary | std::ios::trunc | std::ios::out);
-    if (!out) {
-      throw IoError("TraceStoreWriter: cannot create '" + impl->pages_path +
-                    "'");
-    }
-    const std::string super = build_superblock(options.page_size);
-    out.write(super.data(), static_cast<std::streamsize>(super.size()));
-    out.flush();
-    if (out.fail()) {
-      throw IoError("TraceStoreWriter: short write creating '" +
-                    impl->pages_path + "'");
-    }
-  }
-  write_file_atomic(path, impl->manifest.to_text());
-  impl->file.open(impl->pages_path,
-                  std::ios::binary | std::ios::in | std::ios::out);
-  if (!impl->file) {
-    throw IoError("TraceStoreWriter: cannot reopen '" + impl->pages_path +
-                  "'");
-  }
+  // A fresh page file holding only the superblock, synced before the
+  // manifest that vouches for it; write_file_atomic then syncs the
+  // directory, which makes both files' names durable. create() itself is
+  // not crash-atomic (it replaces an existing store destructively);
+  // commit() is.
+  impl->pages_file = DurableFile(impl->pages_path, DurableFile::Mode::kCreate);
+  impl->pages_file.append(build_superblock(options.page_size));
+  impl->pages_file.sync();
+  write_file_atomic(
+      path, manifest_log_of(encode_manifest_record(impl->manifest.to_text())));
+  impl->log = DurableFile(path, DurableFile::Mode::kOpen);
   impl->open = true;
   return TraceStoreWriter(std::move(impl));
 }
@@ -338,7 +339,8 @@ TraceStoreWriter TraceStoreWriter::append(const std::string& path,
   impl->pages_path = pages_path_of(path);
   impl->context = context_of(impl->pages_path);
   impl->fault = fault;
-  impl->manifest = StoreManifest::load(path);
+  std::uint64_t log_bytes = 0;
+  impl->manifest = StoreManifest::load(path, &log_bytes);
   {
     // Page accounting must close: the superblock, the dead_pages a
     // compaction retired and every live segment together cover exactly the
@@ -357,23 +359,16 @@ TraceStoreWriter TraceStoreWriter::append(const std::string& path,
     }
   }
   const std::uint64_t committed = impl->manifest.committed_bytes();
-  std::uint64_t size = 0;
+  impl->pages_file = DurableFile(impl->pages_path, DurableFile::Mode::kOpen);
+  const std::uint64_t size = impl->pages_file.size();
+  if (size < committed) {
+    throw ParseError(impl->context + ": page file is " + std::to_string(size) +
+                     " bytes but the manifest commits " +
+                     std::to_string(committed) + " — truncated at byte " +
+                     std::to_string(size));
+  }
   {
     std::ifstream in(impl->pages_path, std::ios::binary);
-    if (!in) {
-      throw IoError("TraceStoreWriter: cannot open '" + impl->pages_path +
-                    "'");
-    }
-    in.seekg(0, std::ios::end);
-    size = static_cast<std::uint64_t>(in.tellg());
-    if (size < committed) {
-      throw ParseError(impl->context + ": page file is " +
-                       std::to_string(size) +
-                       " bytes but the manifest commits " +
-                       std::to_string(committed) + " — truncated at byte " +
-                       std::to_string(size));
-    }
-    in.seekg(0);
     std::string page(impl->manifest.options.page_size, '\0');
     in.read(page.data(), static_cast<std::streamsize>(page.size()));
     if (static_cast<std::size_t>(in.gcount()) != page.size()) {
@@ -382,22 +377,11 @@ TraceStoreWriter TraceStoreWriter::append(const std::string& path,
     }
     check_superblock(page, impl->manifest.options.page_size, impl->context);
   }
-  if (size > committed) {
-    // Reclaim the uncommitted tail a crashed commit left behind; the
-    // manifest never vouched for those bytes.
-    std::error_code ec;
-    std::filesystem::resize_file(impl->pages_path, committed, ec);
-    if (ec) {
-      throw IoError("TraceStoreWriter: cannot truncate uncommitted tail of '" +
-                    impl->pages_path + "': " + ec.message());
-    }
-  }
-  impl->file.open(impl->pages_path,
-                  std::ios::binary | std::ios::in | std::ios::out);
-  if (!impl->file) {
-    throw IoError("TraceStoreWriter: cannot reopen '" + impl->pages_path +
-                  "'");
-  }
+  // Reclaim what no complete manifest record vouches for: the page bytes
+  // and the torn log record a crashed commit left behind.
+  impl->pages_file.truncate(committed);
+  impl->log = DurableFile(path, DurableFile::Mode::kOpen);
+  impl->log.truncate(log_bytes);
   impl->open = true;
   return TraceStoreWriter(std::move(impl));
 }
@@ -409,8 +393,7 @@ void TraceStoreWriter::on_event(const StreamEvent& event) {
 void TraceStoreWriter::close() {
   if (impl_ == nullptr || !impl_->open) return;
   impl_->commit();
-  impl_->file.close();
-  impl_->open = false;
+  impl_->close_files();
 }
 
 void TraceStoreWriter::commit() { impl_->commit(); }
@@ -423,6 +406,11 @@ void TraceStoreWriter::set_engine_checkpoint(std::string checkpoint_json) {
 
 const StoreManifest& TraceStoreWriter::manifest() const noexcept {
   return impl_->manifest;
+}
+
+TraceStoreWriter::SyncedBytes TraceStoreWriter::synced_bytes()
+    const noexcept {
+  return {impl_->pages_file.synced(), impl_->log.synced()};
 }
 
 std::uint64_t TraceStoreWriter::events_pending() const noexcept {
@@ -521,26 +509,19 @@ void TraceStoreWriter::Impl::commit() {
     next.segments.push_back(std::move(seg));
   }
 
-  // The commit sequence: append pages past the committed length, flush
-  // them, then atomically publish the manifest that vouches for them. A
-  // failure (or injected fault) anywhere leaves the previous manifest in
-  // place — the appended bytes are invisible garbage and the pending
-  // events are kept for a retry.
+  // The commit sequence: append pages past the committed length, sync
+  // them, then append the manifest record that vouches for them and sync
+  // the log. A failure (or injected fault) anywhere before the record is
+  // complete leaves the previous record as the last one — the appended
+  // pages are invisible garbage and the pending events are kept for a
+  // retry, which first cuts the pages back to the committed length.
+  pages_file.truncate(manifest.committed_bytes());
   fault_fire(fault, "store.commit.pages");
-  if (!pages.empty()) {
-    file.clear();
-    file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
-    file.write(pages.data(), static_cast<std::streamsize>(pages.size()));
-  }
+  pages_file.append(pages);
   fault_fire(fault, "store.commit.sync");
-  file.flush();
-  if (file.fail()) {
-    file.clear();
-    throw IoError("TraceStoreWriter: short write appending a segment to '" +
-                  pages_path + "'");
-  }
+  pages_file.sync();
   fault_fire(fault, "store.commit.manifest");
-  write_file_atomic(path, next.to_text());
+  append_manifest(next);
 
   manifest = std::move(next);
   pending.clear();
@@ -564,21 +545,18 @@ CompactionReport TraceStoreWriter::Impl::compact() {
   std::uint64_t retired = 0;
   for (const SegmentInfo& seg : manifest.segments) retired += seg.num_pages;
 
-  // Same publication discipline as commit(): the merged segment is
-  // appended past the committed length, flushed, then the manifest that
-  // swaps it in (and retires the old segments) lands atomically. A crash
-  // anywhere leaves the previous manifest, under which the old segments
-  // are still the live index and the appended bytes are invisible. The
-  // pages stream to the file as the k-way merge of the committed records
-  // fills them: the merged segment is never held whole.
+  // Same publication sequence as commit(): the merged segment is appended
+  // past the committed length and synced, then the manifest record that
+  // swaps it in (and retires the old segments) is appended to the log. A
+  // crash anywhere leaves the previous record, under which the old
+  // segments are still the live index and the appended bytes are
+  // invisible. The pages stream to the file as the k-way merge of the
+  // committed records fills them: the merged segment is never held whole.
+  pages_file.truncate(manifest.committed_bytes());
   fault_fire(fault, "store.compact.pages");
-  file.clear();
-  file.seekp(static_cast<std::streamoff>(manifest.committed_bytes()));
   SegmentBuilder builder(
       manifest.options, manifest.committed_pages, pages,
-      [this](std::string_view bytes) {
-        file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      });
+      [this](std::string_view bytes) { pages_file.append(bytes); });
   {
     // The on-disk manifest is exactly `manifest` (pending events are
     // invisible until their commit), and the reader's merge yields the
@@ -605,17 +583,37 @@ CompactionReport TraceStoreWriter::Impl::compact() {
   report.pages_retired = retired;
 
   fault_fire(fault, "store.compact.sync");
-  file.flush();
-  if (file.fail()) {
-    file.clear();
-    throw IoError("TraceStoreWriter: short write appending the compacted "
-                  "segment to '" + pages_path + "'");
-  }
+  pages_file.sync();
   fault_fire(fault, "store.compact.manifest");
-  write_file_atomic(path, next.to_text());
+  append_manifest(next);
 
   manifest = std::move(next);
   return report;
+}
+
+void TraceStoreWriter::Impl::append_manifest(const StoreManifest& next) {
+  // Appending keeps commits off the rename path: replacing a file frees
+  // the replaced file's blocks, which costs tens of milliseconds on ext4
+  // (DESIGN.md section 12). Once the log would outgrow its cap it is
+  // rewritten as this one record instead, so a reader never checksums
+  // more than the cap; that rename is rare.
+  const std::string record = encode_manifest_record(next.to_text());
+  const std::uint64_t cap = std::max<std::uint64_t>(
+      kManifestLogRewriteBytes, std::uint64_t{8} * record.size());
+  try {
+    if (log.size() + record.size() <= cap) {
+      log.append(record);
+      log.sync();
+    } else {
+      write_file_atomic(path, manifest_log_of(record));
+      log = DurableFile(path, DurableFile::Mode::kOpen);
+    }
+  } catch (const IoError&) {
+    // Whether the record is durable, or which file the log fd now names,
+    // only a reopen can tell.
+    close_files();
+    throw;
+  }
 }
 
 }  // namespace mtd::store

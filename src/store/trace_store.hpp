@@ -10,15 +10,19 @@
 // in canonical key order, pruning cold pages with fences and per-leaf
 // bloom filters and counting every page it touches in read telemetry.
 //
-// Durability contract: a commit appends pages beyond the manifest's
-// committed length, flushes them, then atomically replaces the manifest
-// (tmp + flush + rename, the PR-2 checkpoint discipline). A crash or
-// injected fault at ANY point of that sequence leaves the store opening at
-// the previous committed state — uncommitted page bytes past the committed
-// length are invisible and are reclaimed on the next writer open. A pages
-// file shorter than the manifest's committed length, or a page whose
-// checksum disagrees, is reported with path and byte offset — never
-// silently skipped.
+// Durability contract: a commit appends pages beyond the committed length
+// and fdatasyncs the page file, then appends one checksummed record to the
+// manifest log and fdatasyncs the log; it never renames. A commit that
+// returned survives a killed process and a power cut. A crash, power cut
+// or injected fault at ANY point of that sequence leaves the store opening
+// at the previous committed state: page bytes past the committed length
+// and a torn last log record are invisible, and the next writer open
+// reclaims both. Compaction publishes the same way. Only when the log
+// would outgrow kManifestLogRewriteBytes is it replaced by its newest
+// record through write_file_atomic (fdatasync, rename, directory fsync).
+// A pages file shorter than the committed length, a log record whose
+// checksum disagrees, or a page whose checksum disagrees is reported with
+// path and byte offset — never silently skipped.
 #pragma once
 
 #include <array>
@@ -101,10 +105,14 @@ struct StoreManifest {
   [[nodiscard]] std::string to_text() const;
   [[nodiscard]] static StoreManifest from_text(std::string_view text);
 
-  /// Loads and validates the manifest at `path`. Truncated or corrupt
-  /// content raises ParseError naming the file, its size and the parser's
-  /// byte offset.
-  [[nodiscard]] static StoreManifest load(const std::string& path);
+  /// Loads the manifest log at `path`: checks every record's checksum and
+  /// parses the last complete record. A torn tail (a record cut short by a
+  /// crash) is ignored; when `log_bytes` is set it receives the length of
+  /// the log before that tail. A checksum mismatch, a log with no complete
+  /// record, or a record that does not parse raises ParseError naming the
+  /// file, its size and the byte offset.
+  [[nodiscard]] static StoreManifest load(const std::string& path,
+                                          std::uint64_t* log_bytes = nullptr);
 };
 
 /// Counters of what a TraceStore actually touched; the proof that the
@@ -145,17 +153,17 @@ struct StoreVerifyReport {
 /// filter, engine consumer). Single-threaded like every sink.
 class TraceStoreWriter final : public EventSink {
  public:
-  /// Creates a new empty store at `path` (manifest) + `path`.pages,
-  /// replacing any existing one. `fault` (tests only) arms the
-  /// store.commit.* failure points.
+  /// Creates a new empty store at `path` (manifest log) + `path`.pages,
+  /// replacing any existing one, and syncs both files and their directory.
+  /// `fault` (tests only) arms the store.commit.* failure points.
   static TraceStoreWriter create(const std::string& path,
                                  StoreOptions options = {},
                                  FaultInjector* fault = nullptr);
 
   /// Reopens an existing store for appending. Validates manifest and page
   /// file against each other (ParseError with path + byte offset on a
-  /// truncated page file) and discards any uncommitted tail a crashed
-  /// commit left behind.
+  /// truncated page file) and discards what a crashed commit left behind:
+  /// pages past the committed length and a torn last log record.
   static TraceStoreWriter append(const std::string& path,
                                  FaultInjector* fault = nullptr);
 
@@ -170,15 +178,17 @@ class TraceStoreWriter final : public EventSink {
   void close() override;
 
   /// Seals buffered events into a new sorted segment and publishes it:
-  /// append pages → flush → atomically replace the manifest. On any
-  /// failure the store stays at its previous committed state and the
-  /// buffered events are kept, so a caller may retry. No-op when nothing
-  /// is pending and the engine checkpoint is unchanged.
+  /// append pages → fdatasync them → append the manifest record →
+  /// fdatasync the log. On any failure the store stays at its previous committed
+  /// state and the buffered events are kept, so a caller may retry (an I/O
+  /// error on the manifest log closes the writer instead: reopen the
+  /// store).
+  /// No-op when nothing is pending and the engine checkpoint is unchanged.
   void commit();
 
   /// Merges every committed segment into one — rebuilt leaves, blooms and
   /// fences, one fence tree to descend, one bloom width — published through
-  /// the same append→flush→atomic-manifest sequence as commit() (fault
+  /// the same append → sync → manifest record sequence as commit() (fault
   /// points store.compact.pages / .sync / .manifest). The superseded
   /// segments' pages are retired into StoreManifest::dead_pages; a crash at
   /// any point leaves the previous manifest, under which every old segment
@@ -188,12 +198,20 @@ class TraceStoreWriter final : public EventSink {
 
   /// Records the engine checkpoint blob (JSON text) to publish with the
   /// next commit(); data and resume point then become durable in the same
-  /// atomic manifest replace. An empty string clears the recorded
-  /// checkpoint.
+  /// manifest record. An empty string clears the recorded checkpoint.
   void set_engine_checkpoint(std::string checkpoint_json);
 
   [[nodiscard]] const StoreManifest& manifest() const noexcept;
   [[nodiscard]] std::uint64_t events_pending() const noexcept;
+
+  /// Lengths of the page file and of the manifest log that the writer has
+  /// fdatasynced. A power cut may lose any byte past them, and nothing
+  /// before them: the acknowledged commits all lie within.
+  struct SyncedBytes {
+    std::uint64_t pages = 0;
+    std::uint64_t manifest = 0;
+  };
+  [[nodiscard]] SyncedBytes synced_bytes() const noexcept;
   [[nodiscard]] std::uint64_t events_committed() const noexcept;
 
  private:
@@ -203,9 +221,9 @@ class TraceStoreWriter final : public EventSink {
 };
 
 /// Query side: opens the committed state of a store (a concurrently
-/// appending writer never disturbs it — segments are immutable and the
-/// manifest snapshot was atomic). Not thread-safe; one TraceStore per
-/// reader thread.
+/// appending writer never disturbs it — segments are immutable and a
+/// manifest record is checksummed, so a half-appended one reads as a torn
+/// tail). Not thread-safe; one TraceStore per reader thread.
 class TraceStore {
  public:
   /// Opens and validates manifest + page file. ParseError (path + byte

@@ -34,6 +34,7 @@
 
 #include "common/batch_rng/block_rng.hpp"
 #include "common/batch_rng/vec_math.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/network.hpp"
@@ -44,19 +45,11 @@ namespace {
 // ---------------------------------------------------------------------------
 // digest helpers
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t digest_doubles(std::span<const double> xs) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (const double x : xs) h = fnv1a(h, std::bit_cast<std::uint64_t>(x));
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const double x : xs) {
+    h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(x));
+  }
   return h;
 }
 
@@ -97,7 +90,7 @@ TEST(BatchRng, NormalPairBlockDigestIsPinned) {
   std::vector<double> scratch(256);
   rng.normal_pair_block(z0.data(), z1.data(), scratch.data(), z0.size());
   std::uint64_t h = digest_doubles(z0);
-  h = fnv1a(h, digest_doubles(z1));
+  h = fnv1a64_word(h, digest_doubles(z1));
   EXPECT_EQ(h, UINT64_C(0xB8B6279C03E699D8));
 }
 
@@ -137,20 +130,20 @@ TEST(BatchRng, MinuteBlockDigestIsPinned) {
   const TraceGenerator generator(network, trace);
   const BaseStation scaled = generator.day_scaled(network[0], 0);
 
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnvOffsetBasis;
   MinuteBlock block;
   std::uint64_t total = 0;
   for (const std::size_t minute : {std::size_t{0}, std::size_t{540},
                                    std::size_t{1200}}) {
     generator.sample_minute_block(scaled, 0, minute, block);
-    h = fnv1a(h, block.count);
+    h = fnv1a64_word(h, block.count);
     total += block.count;
     for (std::uint32_t i = 0; i < block.count; ++i) {
-      h = fnv1a(h, block.service[i]);
-      h = fnv1a(h, std::bit_cast<std::uint64_t>(block.volume_mb[i]));
-      h = fnv1a(h, std::bit_cast<std::uint64_t>(block.duration_s[i]));
-      h = fnv1a(h, std::bit_cast<std::uint64_t>(block.start_s[i]));
-      h = fnv1a(h, block.transient[i]);
+      h = fnv1a64_word(h, block.service[i]);
+      h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(block.volume_mb[i]));
+      h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(block.duration_s[i]));
+      h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(block.start_s[i]));
+      h = fnv1a64_word(h, block.transient[i]);
     }
   }
   ASSERT_GT(total, 0u);

@@ -9,8 +9,10 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/time_utils.hpp"
 #include "dataset/measurement.hpp"
 #include "common/fault.hpp"
@@ -82,11 +84,8 @@ struct DigestSink final : EventSink {
     char buf[kMaxEventPayloadBytes];
     const std::size_t len = encode_event_payload(event, buf);
     std::uint64_t& hash =
-        per_bs.try_emplace(event.key.bs, 0xcbf29ce484222325ULL).first->second;
-    for (std::size_t i = 0; i < len; ++i) {
-      hash ^= static_cast<unsigned char>(buf[i]);
-      hash *= 0x100000001b3ULL;
-    }
+        per_bs.try_emplace(event.key.bs, kFnvOffsetBasis).first->second;
+    hash = fnv1a64(std::string_view(buf, len), hash);
   }
 };
 

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/time_utils.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/network.hpp"
@@ -69,14 +70,7 @@ struct DigestSink final : EventSink {
   double volume_mb = 0.0;
 
   explicit DigestSink(std::size_t num_bs)
-      : per_bs(num_bs, 0xcbf29ce484222325ULL) {}
-
-  static std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-    }
-    return h;
-  }
+      : per_bs(num_bs, kFnvOffsetBasis) {}
 
   void on_event(const StreamEvent& event) override {
     if (event.kind() == EventKind::kMinute) {
@@ -86,12 +80,12 @@ struct DigestSink final : EventSink {
     if (event.kind() != EventKind::kSession) return;
     const Session& s = std::get<SessionEvent>(event.payload).session;
     std::uint64_t& h = per_bs[s.bs];
-    h = mix(h, (static_cast<std::uint64_t>(s.day) << 32) |
+    h = fnv1a64_word(h, (static_cast<std::uint64_t>(s.day) << 32) |
                    (static_cast<std::uint64_t>(s.minute_of_day) << 16) |
                    s.service);
-    h = mix(h, std::bit_cast<std::uint64_t>(s.volume_mb));
-    h = mix(h, std::bit_cast<std::uint64_t>(s.duration_s));
-    h = mix(h, s.transient ? 1u : 0u);
+    h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(s.volume_mb));
+    h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(s.duration_s));
+    h = fnv1a64_word(h, s.transient ? 1u : 0u);
     ++sessions;
     volume_mb += s.volume_mb;
   }

@@ -330,6 +330,15 @@ TEST(LintCrossRules, BadProjectTreeFiresEveryRuleAtDocumentedLines) {
       has_finding(findings, "commit-protocol-order", "store/writer.cpp", 17));
   EXPECT_TRUE(has_finding(findings, "commit-protocol-order",
                           "store/compactor.cpp", 11));
+  // The manifest-log sequence: commit_appended() appends the manifest
+  // record before syncing its pages, commit_unsynced() never syncs them
+  // and bumps a counter between fault_fire and the manifest append.
+  EXPECT_TRUE(
+      has_finding(findings, "commit-protocol-order", "store/writer.cpp", 24));
+  EXPECT_TRUE(
+      has_finding(findings, "commit-protocol-order", "store/writer.cpp", 34));
+  EXPECT_TRUE(
+      has_finding(findings, "commit-protocol-order", "store/writer.cpp", 37));
 
   // event-kind-exhaustiveness: a switch missing kSession with no default,
   // and a default that hides it without the exhaustive-default marker.
@@ -345,7 +354,7 @@ TEST(LintCrossRules, BadProjectTreeFiresEveryRuleAtDocumentedLines) {
       has_finding(findings, "lock-ordering", "core/locks_reverse.cpp", 9));
 
   // Exactly the documented violations — nothing extra fires on the tree.
-  EXPECT_EQ(findings.size(), 12u);
+  EXPECT_EQ(findings.size(), 15u);
 }
 
 TEST(LintCrossRules, CrossRulesStayInertOnPartialFileLists) {

@@ -620,8 +620,11 @@ TEST(TraceStore, CursorMismatchIsRejected) {
 // digests were recorded before the streaming write path replaced the
 // sort-and-rebuild one; the manifest digests were re-pinned when the
 // manifest dropped its day cursor and the embedded checkpoint its
-// redundant cursor keys. Any change to record order, page packing, bloom
-// sizing, fence layout or manifest text shows up here.
+// redundant cursor keys. The manifest-file digests were re-pinned again
+// when the manifest became an append-only log of checksummed records; the
+// last record's text still hashes to the digests the replaced whole-file
+// manifest had. Any change to record order, page packing, bloom sizing,
+// fence layout, manifest text or log framing shows up here.
 TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   std::vector<BaseStation> bss(6);
   for (std::size_t i = 0; i < bss.size(); ++i) {
@@ -648,7 +651,9 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   }
   EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
             0x566bdc3f08a977deULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x596be9dd1fc9890eULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0xdf4eaee1b481ec04ULL);
+  EXPECT_EQ(store::fnv1a64(store::StoreManifest::load(path).to_text()),
+            0x596be9dd1fc9890eULL);
 
   {
     TraceStoreWriter writer = TraceStoreWriter::append(path);
@@ -658,7 +663,9 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   }
   EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
             0x5ead6f4df94c9052ULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x54d8aa41b5a6aff7ULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x8c472a4cfc34a539ULL);
+  EXPECT_EQ(store::fnv1a64(store::StoreManifest::load(path).to_text()),
+            0x54d8aa41b5a6aff7ULL);
 }
 
 }  // namespace

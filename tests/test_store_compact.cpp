@@ -333,7 +333,7 @@ TEST(TraceStoreCompact, ImplausibleDeadPagesIsDiagnosed) {
     (void)writer.compact();
     writer.close();
   }
-  std::string manifest = read_file(path);
+  std::string manifest = store::StoreManifest::load(path).to_text();
   const std::string needle = "\"dead_pages\"";
   ASSERT_NE(manifest.find(needle), std::string::npos);
   // dead_pages >= committed_pages is impossible (the superblock and the
@@ -343,7 +343,10 @@ TEST(TraceStoreCompact, ImplausibleDeadPagesIsDiagnosed) {
   const std::size_t quote = manifest.find('"', value_at);
   const std::size_t end_quote = manifest.find('"', quote + 1);
   manifest.replace(quote + 1, end_quote - quote - 1, "ffffffff");
-  write_file(path, manifest);
+  // A well-formed log whose one record carries the bad count: the record
+  // checksum passes, so the manifest's own check must catch it.
+  write_file(path, std::string(store::kManifestLogHeader) +
+                       store::encode_manifest_record(manifest));
   EXPECT_THROW(TraceStore{path}, ParseError);
 }
 

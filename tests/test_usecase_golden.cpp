@@ -6,8 +6,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
+#include "common/fmt.hpp"
+#include "common/fnv.hpp"
 #include "engine/engine.hpp"
 #include "events/session_source.hpp"
 #include "test_helpers.hpp"
@@ -20,9 +23,15 @@ namespace {
 /// FNV-1a over the bit patterns of the values added, lengths included.
 class Fnv1a {
  public:
-  void add(double v) { mix(std::bit_cast<std::uint64_t>(v), 8); }
-  void add(float v) { mix(std::bit_cast<std::uint32_t>(v), 4); }
-  void add(std::size_t v) { mix(v, 8); }
+  void add(double v) {
+    h_ = fnv1a64_word(h_, std::bit_cast<std::uint64_t>(v));
+  }
+  void add(float v) {
+    char bytes[4];
+    (void)store_le(bytes, std::bit_cast<std::uint32_t>(v));
+    h_ = fnv1a64(std::string_view(bytes, sizeof bytes), h_);
+  }
+  void add(std::size_t v) { h_ = fnv1a64_word(h_, v); }
   void add(const BoxplotStats& b) {
     for (const double v : {b.p5, b.q1, b.median, b.q3, b.p95}) add(v);
   }
@@ -34,12 +43,7 @@ class Fnv1a {
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
  private:
-  void mix(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+  std::uint64_t h_ = kFnvOffsetBasis;
 };
 
 std::uint64_t digest(const SlicingResult& result) {

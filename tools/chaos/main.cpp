@@ -9,9 +9,10 @@
 //      often every compiled-in fault point is reached), then
 //   2. a chaos run into a second store, where every registered fault point
 //      is armed from a seeded schedule, whole "process incarnations" are
-//      killed with foreign exceptions mid-run, the store's page file is
-//      tampered with between incarnations (garbage appended to / torn off
-//      the uncommitted tail — never the committed prefix), and segment
+//      killed with foreign exceptions mid-run, the store is tampered with
+//      between incarnations (garbage appended to / torn off the page
+//      file's uncommitted tail — never the committed prefix — and half a
+//      garbage record appended to the manifest log), and segment
 //      compaction runs between incarnations with store.compact.* faults
 //      armed (plus one guaranteed fault-free pass at the end, so the final
 //      comparison always covers a compacted store).
@@ -46,6 +47,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/fmt.hpp"
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "engine/checkpoint.hpp"
@@ -292,6 +294,8 @@ struct ChaosOutcome {
   std::vector<RunReport> incarnations;
   std::size_t kills = 0;
   std::size_t tampers = 0;
+  /// Torn records the tamper step appended to the manifest log.
+  std::size_t manifest_tears = 0;
   /// Compaction leg: maintenance passes over the chaos store between
   /// incarnations (plus the final fault-free pass), and how many of them
   /// the armed store.compact.* faults killed mid-publish.
@@ -319,18 +323,33 @@ TraceConfig make_trace(const Options& opt) {
   return trace;
 }
 
+/// Half of a garbage manifest record — a header promising `len` payload
+/// bytes, then garbage — as an append cut short by a crash leaves it.
+std::string torn_manifest_record(Rng& rng) {
+  const std::size_t len = 1 + static_cast<std::size_t>(rng.uniform_index(4096));
+  std::string record(mtd::store::kManifestRecordHeaderBytes + len, '\0');
+  (void)mtd::store_le(record.data(), std::uint64_t{len});
+  for (std::size_t i = 8; i < record.size(); ++i) {
+    record[i] = static_cast<char>(rng.next_u64() & 0xff);
+  }
+  record.resize(record.size() / 2);
+  return record;
+}
+
 /// Seeded tampering with the chaos store between incarnations: appends
 /// garbage past the committed length, or tears bytes off the uncommitted
-/// tail. The committed prefix is never touched — the point is to prove the
-/// writer reclaims anything the manifest does not vouch for.
-void tamper_store(const std::string& store_path, Rng& rng) {
+/// tail, and appends half a record to the manifest log. The committed
+/// prefix of either file is never touched — the point is to prove the
+/// writer reclaims anything the manifest does not vouch for. Returns
+/// whether the manifest log was torn.
+bool tamper_store(const std::string& store_path, Rng& rng) {
   const mtd::store::StoreManifest manifest =
       mtd::store::StoreManifest::load(store_path);
   const std::string pages = store_path + ".pages";
   const std::uint64_t committed = manifest.committed_bytes();
   std::error_code ec;
   const std::uint64_t size = fs::file_size(pages, ec);
-  if (ec || size < committed) return;  // reader will report it; not ours
+  if (ec || size < committed) return false;  // the reader will report it
   if (rng.bernoulli(0.5)) {
     // Garbage append: a torn post-crash write beyond the committed length.
     const std::size_t len = 1 + static_cast<std::size_t>(
@@ -345,6 +364,10 @@ void tamper_store(const std::string& store_path, Rng& rng) {
         committed + rng.uniform_index(size - committed + 1);
     fs::resize_file(pages, keep, ec);
   }
+  const std::string torn = torn_manifest_record(rng);
+  std::ofstream log(store_path, std::ios::binary | std::ios::app);
+  log.write(torn.data(), static_cast<std::streamsize>(torn.size()));
+  return static_cast<bool>(log);
 }
 
 /// One "process incarnation": one supervised store run. The Supervisor
@@ -492,7 +515,7 @@ int run_soak(const Options& opt) {
     }
     run_next_incarnation();
     if (!completed) {
-      tamper_store(chaos_path, schedule);
+      outcome.manifest_tears += tamper_store(chaos_path, schedule) ? 1 : 0;
       ++outcome.tampers;
       compaction_leg(/*with_faults=*/true);
     }
@@ -566,6 +589,7 @@ int run_soak(const Options& opt) {
     report.emplace("incarnations", outcome.incarnations.size());
     report.emplace("kills", outcome.kills);
     report.emplace("tampers", outcome.tampers);
+    report.emplace("manifest_tears", outcome.manifest_tears);
     report.emplace("compaction_passes", outcome.compaction_passes);
     report.emplace("compaction_crashes", outcome.compaction_crashes);
     report.emplace("attempts", total_attempts);
@@ -588,9 +612,10 @@ int run_soak(const Options& opt) {
     std::printf("mtd_chaos: %zu simulated days, %zu BS, seed %llu\n",
                 opt.days, opt.num_bs,
                 static_cast<unsigned long long>(opt.seed));
-    std::printf("  incarnations: %zu (%zu kills, %zu store tampers)\n",
+    std::printf("  incarnations: %zu (%zu kills, %zu store tampers, %zu "
+                "manifest tears)\n",
                 outcome.incarnations.size(), outcome.kills,
-                outcome.tampers);
+                outcome.tampers, outcome.manifest_tears);
     std::printf("  compactions:  %zu pass(es), %zu killed mid-publish\n",
                 outcome.compaction_passes, outcome.compaction_crashes);
     std::printf("  attempts:     %zu, faults fired: %llu\n",

@@ -292,7 +292,8 @@ class CheckpointFieldCoverageRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// commit-protocol-order: append/write < flush < atomic replace, and no
+// commit-protocol-order: append/write < flush or sync < publication (an
+// atomic replace, or append_manifest for the store's manifest log), and no
 // observable side effect between a fault_fire and the operation it guards.
 // ---------------------------------------------------------------------------
 
@@ -302,9 +303,10 @@ class CommitProtocolOrderRule final : public Rule {
     return "commit-protocol-order";
   }
   [[nodiscard]] std::string_view description() const noexcept override {
-    return "in commit paths, writes/appends must precede flush must "
-           "precede the atomic rename/manifest replace, and no state "
-           "mutation may sit between a store.commit.*/store.compact.*/"
+    return "in commit paths, writes/appends must precede the flush/sync, "
+           "which must precede the atomic rename/manifest replace or the "
+           "manifest-log append (append_manifest), and no state mutation "
+           "may sit between a store.commit.*/store.compact.*/"
            "checkpoint.write fault_fire and the I/O it guards";
   }
   void check_project(const ProjectModel& model,
@@ -318,23 +320,37 @@ class CommitProtocolOrderRule final : public Rule {
                    std::vector<Finding>& out) const {
     for (const FunctionBody& fn : model.functions) {
       const std::string& t = fn.text;
-      const std::size_t flush = t.find(".flush(");
+      // The durability barrier: a stream flush, or a DurableFile sync.
+      const std::size_t flush = std::min(t.find(".flush("), t.find(".sync("));
       std::size_t atomic = t.find("write_file_atomic(");
       const std::size_t rename = lex::find_identifier(t, "rename");
       if (atomic == std::string::npos ||
           (rename != std::string::npos && rename < atomic)) {
         atomic = rename;
       }
-      // Only functions that both flush and atomically replace are commit
-      // paths; everything else is ordinary I/O.
-      if (flush == std::string::npos || atomic == std::string::npos) {
-        continue;
-      }
+      // The store's commit point: a record appended to the manifest log.
+      const std::size_t record = t.find("append_manifest(");
       std::size_t write = t.find(".write(");
       const std::size_t append = t.find("append(");
       if (write == std::string::npos ||
           (append != std::string::npos && append < write)) {
         write = append;
+      }
+      if (record != std::string::npos &&
+          (flush == std::string::npos || record < flush) &&
+          write != std::string::npos && write < record) {
+        out.push_back({std::string(name()), fn.path, fn.line,
+                       "'" + fn.name +
+                           "' appends the manifest record before syncing "
+                           "the pages it vouches for; a power cut can "
+                           "leave a durable record pointing at lost pages"});
+        continue;
+      }
+      atomic = std::min(atomic, record);
+      // Only functions that both flush and publish are commit paths;
+      // everything else is ordinary I/O.
+      if (flush == std::string::npos || atomic == std::string::npos) {
+        continue;
       }
       if (write != std::string::npos && write > flush) {
         out.push_back({std::string(name()), fn.path, fn.line,
@@ -356,8 +372,9 @@ class CommitProtocolOrderRule final : public Rule {
 
   void check_fault_adjacency(const ProjectModel& model,
                              std::vector<Finding>& out) const {
-    static constexpr std::array<std::string_view, 5> kIoTokens = {
-        ".write(", ".flush(", "write_file_atomic(", "rename(", "fault_fire",
+    static constexpr std::array<std::string_view, 8> kIoTokens = {
+        ".write(",  ".flush(", "write_file_atomic(", "rename(",
+        ".append(", ".sync(",  "append_manifest(",   "fault_fire",
     };
     static constexpr std::array<std::string_view, 9> kMutations = {
         "push_back",  "emplace_back", ".insert(", ".erase(", ".reset(",
