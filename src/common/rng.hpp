@@ -134,11 +134,10 @@ class Rng {
   }
 
   /// The full 256-bit generator state. Together with set_state this allows
-  /// suspending and resuming a stream bit-identically (engine checkpoints).
-  /// The cached spare normal deviate is intentionally not part of the state:
-  /// capture/restore only at points where no spare is pending (any state
-  /// taken before the first normal() call, or via a fresh copy). Mid-stream
-  /// suspension of a generator that draws normals needs full_state().
+  /// suspending and resuming a stream bit-identically. The cached spare
+  /// normal deviate is intentionally not part of the state: capture/restore
+  /// only at points where no spare is pending (any state taken before the
+  /// first normal() call, or via a fresh copy).
   [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
     return state_;
   }
@@ -149,32 +148,6 @@ class Rng {
     state_ = state;
     has_spare_ = false;
     spare_normal_ = 0.0;
-  }
-
-  /// Everything a bit-identical mid-stream suspend needs: the xoshiro words
-  /// plus the Marsaglia-polar spare that normal() may have cached (the polar
-  /// method produces deviates in pairs; dropping a pending spare would shift
-  /// every later normal draw by one). The minute-granularity engine
-  /// checkpoints serialize this per (BS, stream).
-  struct FullState {
-    std::array<std::uint64_t, 4> words{};
-    bool has_spare = false;
-    double spare = 0.0;
-
-    friend constexpr bool operator==(const FullState&,
-                                     const FullState&) noexcept = default;
-  };
-
-  [[nodiscard]] FullState full_state() const noexcept {
-    return FullState{state_, has_spare_, spare_normal_};
-  }
-
-  /// Restores a state previously obtained from full_state(); the next
-  /// normal() call returns the restored spare if one was pending.
-  void set_full_state(const FullState& state) noexcept {
-    state_ = state.words;
-    has_spare_ = state.has_spare;
-    spare_normal_ = state.spare;
   }
 
  private:

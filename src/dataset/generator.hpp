@@ -246,8 +246,7 @@ class TraceGenerator {
   /// be day_scaled(bs, day). kScalar draws the arrival count and then that
   /// many sample_session draws from `rng`, the (BS, day) stream positioned
   /// at this minute; kBatch is sample_minute_block and leaves `rng`
-  /// untouched (parked at the day base state, so mid-day stream cursors
-  /// are kernel-agnostic).
+  /// untouched (parked at the day base state).
   void sample_minute(const BaseStation& day_scaled_bs, std::size_t day,
                      std::size_t minute_of_day, Rng& rng,
                      GeneratorKernel kernel, MinuteBlock& out) const;

@@ -28,39 +28,32 @@ std::uint64_t network_fingerprint(const Network& network) {
   return h;
 }
 
-namespace {
-
-/// One raw RNG stream of an EngineBsCursor: the four xoshiro words (hex)
-/// plus the cached Marsaglia-polar spare. The spare is a JSON number —
-/// dump() prints doubles with %.17g, which round-trips bit-exactly.
-Json rng_state_to_json(const Rng::FullState& state) {
+Json EngineCheckpoint::to_json() const {
   JsonObject obj;
-  JsonArray words;
-  for (const std::uint64_t w : state.words) words.emplace_back(to_hex(w));
-  obj.emplace("words", Json(std::move(words)));
-  obj.emplace("has_spare", state.has_spare);
-  obj.emplace("spare", state.spare);
+  obj.emplace("format", kFormatV2);
+  obj.emplace("seed", to_hex(seed));
+  obj.emplace("num_days", num_days);
+  obj.emplace("rate_scale", rate_scale);
+  obj.emplace("weekend_rate_factor", weekend_rate_factor);
+  obj.emplace("network_fingerprint", to_hex(network_fingerprint));
+  obj.emplace("clock_minute", static_cast<double>(clock_minute));
+  // Cumulative counters are hex-encoded like the seeds: a long-lived engine
+  // can push them past 2^53, where JSON doubles silently round.
+  obj.emplace("sessions_emitted", to_hex(sessions_emitted));
+  obj.emplace("minutes_emitted", to_hex(minutes_emitted));
+  obj.emplace("segments_emitted", to_hex(segments_emitted));
+  obj.emplace("packets_emitted", to_hex(packets_emitted));
+  obj.emplace("volume_mb", volume_mb);
   return Json(std::move(obj));
 }
 
-Rng::FullState rng_state_from_json(const Json& json, const char* what) {
-  Rng::FullState state;
-  const JsonArray& words = json.at("words").as_array();
-  if (words.size() != state.words.size()) {
-    throw ParseError(std::string(what) + ": expected " +
-                     std::to_string(state.words.size()) +
-                     " state words, got " + std::to_string(words.size()));
+EngineCheckpoint EngineCheckpoint::from_json(const Json& json) {
+  if (!json.contains("format") ||
+      json.at("format").as_string() != kFormatV2) {
+    throw ParseError(std::string("EngineCheckpoint: not a ") + kFormatV2 +
+                     " file");
   }
-  for (std::size_t i = 0; i < state.words.size(); ++i) {
-    state.words[i] = from_hex(words[i].as_string(), what);
-  }
-  state.has_spare = json.at("has_spare").as_bool();
-  state.spare = json.at("spare").as_number();
-  return state;
-}
-
-/// Identity, cursor and counters.
-void parse_common(const Json& json, EngineCheckpoint& cp) {
+  EngineCheckpoint cp;
   cp.seed = from_hex(json.at("seed").as_string(), "EngineCheckpoint.seed");
   cp.num_days = json_uint<std::size_t>(json.at("num_days"),
                                        "EngineCheckpoint.num_days");
@@ -80,80 +73,6 @@ void parse_common(const Json& json, EngineCheckpoint& cp) {
   cp.packets_emitted = from_hex(json.at("packets_emitted").as_string(),
                                 "EngineCheckpoint.packets_emitted");
   cp.volume_mb = json.at("volume_mb").as_number();
-}
-
-}  // namespace
-
-Json EngineCheckpoint::to_json() const {
-  JsonObject obj;
-  obj.emplace("format", kFormatV2);
-  obj.emplace("seed", to_hex(seed));
-  obj.emplace("num_days", num_days);
-  obj.emplace("rate_scale", rate_scale);
-  obj.emplace("weekend_rate_factor", weekend_rate_factor);
-  obj.emplace("network_fingerprint", to_hex(network_fingerprint));
-  obj.emplace("clock_minute", static_cast<double>(clock_minute));
-  // Cumulative counters are hex-encoded like the seeds: a long-lived engine
-  // can push them past 2^53, where JSON doubles silently round.
-  obj.emplace("sessions_emitted", to_hex(sessions_emitted));
-  obj.emplace("minutes_emitted", to_hex(minutes_emitted));
-  obj.emplace("segments_emitted", to_hex(segments_emitted));
-  obj.emplace("packets_emitted", to_hex(packets_emitted));
-  obj.emplace("volume_mb", volume_mb);
-  if (!bs_states.empty()) {
-    JsonArray bs_arr;
-    for (const EngineBsCursor& c : bs_states) {
-      JsonObject bs;
-      bs.emplace("bs", static_cast<std::size_t>(c.bs));
-      bs.emplace("session_rng", rng_state_to_json(c.session_rng));
-      bs.emplace("segment_rng", rng_state_to_json(c.segment_rng));
-      bs.emplace("packet_rng", rng_state_to_json(c.packet_rng));
-      bs.emplace("next_seq", to_hex(c.next_seq));
-      bs.emplace("day_volume_mb", c.day_volume_mb);
-      bs_arr.emplace_back(std::move(bs));
-    }
-    obj.emplace("bs_states", Json(std::move(bs_arr)));
-  }
-  return Json(std::move(obj));
-}
-
-EngineCheckpoint EngineCheckpoint::from_json(const Json& json) {
-  if (!json.contains("format") ||
-      json.at("format").as_string() != kFormatV2) {
-    throw ParseError(std::string("EngineCheckpoint: not a ") + kFormatV2 +
-                     " file");
-  }
-  EngineCheckpoint cp;
-  parse_common(json, cp);
-  if (json.contains("bs_states")) {
-    for (const Json& bs : json.at("bs_states").as_array()) {
-      EngineBsCursor c;
-      c.bs = json_uint<std::uint32_t>(bs.at("bs"), "EngineBsCursor.bs");
-      c.session_rng = rng_state_from_json(bs.at("session_rng"),
-                                          "EngineBsCursor.session_rng");
-      c.segment_rng = rng_state_from_json(bs.at("segment_rng"),
-                                          "EngineBsCursor.segment_rng");
-      c.packet_rng = rng_state_from_json(bs.at("packet_rng"),
-                                         "EngineBsCursor.packet_rng");
-      c.next_seq = from_hex(bs.at("next_seq").as_string(),
-                            "EngineBsCursor.next_seq");
-      c.day_volume_mb = bs.at("day_volume_mb").as_number();
-      if (!cp.bs_states.empty() && cp.bs_states.back().bs >= c.bs) {
-        throw ParseError(
-            "EngineCheckpoint: bs_states must be sorted by BS index");
-      }
-      cp.bs_states.push_back(std::move(c));
-    }
-  }
-  if (cp.mid_day() && cp.bs_states.empty()) {
-    throw ParseError(
-        "EngineCheckpoint: a mid-day checkpoint must carry bs_states");
-  }
-  if (!cp.mid_day() && !cp.bs_states.empty()) {
-    throw ParseError(
-        "EngineCheckpoint: a day-boundary checkpoint must not carry "
-        "bs_states");
-  }
   return cp;
 }
 

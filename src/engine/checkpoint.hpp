@@ -4,28 +4,24 @@
 // The resume point is one number, clock_minute: the first absolute minute
 // not yet streamed. The per-(BS, day) generation streams re-seed from
 // (trace seed, BS id, day) at every day boundary (see
-// TraceGenerator::bs_day_rng), so a day-boundary checkpoint needs no raw
-// RNG dumps: the trace seed plus clock_minute describe every stream,
-// making checkpoints O(1) in network size. A mid-day checkpoint (the v2
-// format, DESIGN.md section 13) additionally carries one EngineBsCursor
-// per BS — the raw xoshiro words (plus the cached Marsaglia-polar spare)
-// of the session, segment and packet streams, the next intra-day sequence
-// number, and the partial-day volume — which is everything a worker needs
-// to re-enter the minute loop exactly where the suspended run left it.
-// The file records the full replay identity (seed, horizon, rate scaling,
-// a fingerprint of the network topology) so a resume against a different
+// TraceGenerator::bs_day_rng), so the trace seed plus clock_minute describe
+// every stream and a checkpoint is O(1) in network size — mid-day ones
+// included (the v2 format, DESIGN.md section 13): a mid-day resume replays
+// its day's prefix without emitting it, which brings every stream, event
+// sequence number and partial-day volume back to clock_minute. The file
+// records the full replay identity (seed, horizon, rate scaling, a
+// fingerprint of the network topology) so a resume against a different
 // scenario is rejected instead of silently diverging, plus cumulative
 // counters so telemetry continues instead of restarting from zero. Only
 // the v2 format loads; files in the retired v1 day-boundary format raise
-// ParseError. The day cursor, per-shard cursors and RNG-stream summary
-// that older v2 writers added are ignored on load.
+// ParseError. The day cursor, per-shard cursors, RNG-stream summary and
+// per-BS raw stream cursors that older v2 writers added are ignored on
+// load.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/rng.hpp"
 #include "common/time_utils.hpp"
 #include "dataset/network.hpp"
 #include "io/json.hpp"
@@ -33,22 +29,6 @@
 namespace mtd {
 
 class FaultInjector;
-
-/// Mid-day generation state of one base station: the raw RNG streams, the
-/// intra-day event sequence cursor and the partial-day volume. `bs` is the
-/// network index (== the strided-partition key), so a resume may use any
-/// worker count. Present only in mid-day checkpoints — at a day boundary
-/// the per-(BS, day) re-seed makes all of this derivable from the seed.
-struct EngineBsCursor {
-  std::uint32_t bs = 0;
-  Rng::FullState session_rng;
-  Rng::FullState segment_rng;
-  Rng::FullState packet_rng;
-  /// Next per-(BS, day) event sequence number (EventKey::seq).
-  std::uint64_t next_seq = 0;
-  /// Volume generated by this BS so far in the in-progress day, MB.
-  double day_volume_mb = 0.0;
-};
 
 /// Serializable engine state taken at a day boundary or at a
 /// minute-interval mark inside a day (see EngineConfig::
@@ -61,9 +41,7 @@ struct EngineCheckpoint {
   double weekend_rate_factor = 0.85;
   std::uint64_t network_fingerprint = 0;
 
-  // Cursor: the first absolute minute not yet streamed. A mid-day
-  // checkpoint (clock_minute not a multiple of 1440) carries the per-BS
-  // stream state in bs_states.
+  // Cursor: the first absolute minute not yet streamed.
   std::uint64_t clock_minute = 0;
 
   // Cumulative per-kind totals, for telemetry continuity across resumes.
@@ -74,11 +52,9 @@ struct EngineCheckpoint {
   std::uint64_t minutes_emitted = 0;
   std::uint64_t segments_emitted = 0;
   std::uint64_t packets_emitted = 0;
+  /// Volume of the completed days; a mid-day checkpoint leaves out its
+  /// day's partial volume, which the resume's replay regenerates.
   double volume_mb = 0.0;
-
-  /// Per-BS raw stream state, sorted by network index; non-empty exactly
-  /// when the checkpoint is mid-day (one entry per BS of the network).
-  std::vector<EngineBsCursor> bs_states;
 
   /// Day holding the first unstreamed minute.
   [[nodiscard]] std::size_t next_day() const noexcept {

@@ -72,20 +72,20 @@ class StopState {
 /// generation order. A kMinuteMark follows every minute on one absolute
 /// grid — every day boundary, plus every multiple of
 /// checkpoint_interval_minutes when that is set — carrying the shard's
-/// cumulative per-kind produced counters and its per-BS stream cursors
-/// (day_volume_mb always filled). Once every worker's mark for the same
-/// minute has arrived, the consumer records a checkpoint; at a day
-/// boundary it first commits the day's volume as a fold over BSs in
-/// canonical index order, which keeps the checkpoint's counters
-/// bit-identical across worker counts, batch sizes, and stop/resume
-/// splits. Marks always block, never drop.
+/// cumulative per-kind produced counters and, at a day boundary, its
+/// per-BS day volumes. Once every worker's mark for the same minute has
+/// arrived, the consumer records a checkpoint; at a day boundary it first
+/// commits the day's volume as a fold over BSs in canonical index order,
+/// which keeps the checkpoint's counters bit-identical across worker
+/// counts, batch sizes, and stop/resume splits. Marks always block, never
+/// drop.
 struct RingItem {
   enum class Kind : std::uint8_t { kBatch, kMinuteMark };
   Kind kind = Kind::kBatch;
   EventBatch batch;                   // kBatch
   std::uint64_t minute_end = 0;       // kMinuteMark: first unproduced minute
   std::array<std::uint64_t, kNumEventKinds> shard_produced{};  // kMinuteMark
-  std::vector<EngineBsCursor> bs_states;  // kMinuteMark, in bss_ order
+  std::vector<double> day_volume;  // kMinuteMark at a day end, in bss_ order
 };
 
 /// Scaled virtual clock: minute m of the replay maps to a wall-clock
@@ -98,8 +98,10 @@ struct VirtualClock {
 
   void wait_until(std::uint64_t minute) const {
     if (time_scale <= 0.0) return;
+    // A difference of doubles, not of unsigned minutes: a minute below the
+    // base maps to a past deadline instead of wrapping to a huge wait.
     const double wall_s =
-        static_cast<double>(minute - base_minute) *
+        (static_cast<double>(minute) - static_cast<double>(base_minute)) *
         static_cast<double>(kSecondsPerMinute) / time_scale;
     std::this_thread::sleep_until(epoch + std::chrono::duration_cast<
                                               std::chrono::steady_clock::duration>(
@@ -124,6 +126,9 @@ class ShardWorker {
   }
 
   SpscRing<RingItem>& ring() noexcept { return ring_; }
+  [[nodiscard]] const std::vector<std::uint32_t>& bss() const noexcept {
+    return bss_;
+  }
 
   /// Events staged but never pushed (abort before the batch flushed). Read
   /// by the engine after the worker thread has been joined.
@@ -134,7 +139,6 @@ class ShardWorker {
   void run(std::uint64_t start_minute, std::size_t last_day,
            const VirtualClock& clock, BackpressurePolicy policy,
            Telemetry::PerWorker& tel, const std::atomic<bool>& abort,
-           const std::vector<EngineBsCursor>* resume_states,
            FaultInjector* fault) {
     abort_ = &abort;
     // Shared produced counters are published at minute granularity; this
@@ -158,41 +162,32 @@ class ShardWorker {
     std::vector<std::uint64_t> seqs(bss_.size(), 0);
     const auto first_day =
         static_cast<std::size_t>(start_minute / kMinutesPerDay);
-    const auto first_minute =
-        static_cast<std::size_t>(start_minute % kMinutesPerDay);
 
     for (std::size_t day = first_day; day < last_day; ++day) {
       fault_fire(fault, "worker.day");
-      // A mid-day resume re-enters the first day at first_minute with the
-      // raw stream cursors of the suspended run restored (including any
-      // cached spare normal deviate — see Rng::FullState).
-      const bool resuming = day == first_day && first_minute > 0;
       // Day boundary: every (BS, day) stream re-seeds, which is what makes
-      // day-boundary checkpoints O(1) (see engine/checkpoint.hpp). The
-      // expansion streams are split off the base stream without consuming
-      // it, so the session draws stay exactly the batch generator's.
+      // checkpoints O(1) (see engine/checkpoint.hpp). The expansion streams
+      // are split off the base stream without consuming it, so the session
+      // draws stay exactly the batch generator's.
       for (std::size_t i = 0; i < bss_.size(); ++i) {
         const BaseStation& bs = network[bss_[i]];
         scaled[i] = generator_->day_scaled(bs, day);
-        if (resuming) {
-          const EngineBsCursor& c = (*resume_states)[bss_[i]];
-          rngs[i].set_full_state(c.session_rng);
-          seg_rngs[i].set_full_state(c.segment_rng);
-          pkt_rngs[i].set_full_state(c.packet_rng);
-          day_volume[i] = c.day_volume_mb;
-          seqs[i] = c.next_seq;
-        } else {
-          rngs[i] = generator_->bs_day_rng(bs, day);
-          seg_rngs[i] = rngs[i].split(kSegmentStream);
-          pkt_rngs[i] = rngs[i].split(kPacketStream);
-          day_volume[i] = 0.0;
-          seqs[i] = 0;
-        }
+        rngs[i] = generator_->bs_day_rng(bs, day);
+        seg_rngs[i] = rngs[i].split(kSegmentStream);
+        pkt_rngs[i] = rngs[i].split(kPacketStream);
+        day_volume[i] = 0.0;
+        seqs[i] = 0;
       }
-      for (std::size_t minute = resuming ? first_minute : 0;
-           minute < kMinutesPerDay; ++minute) {
+      for (std::size_t minute = 0; minute < kMinutesPerDay; ++minute) {
         const std::uint64_t abs_minute = day * kMinutesPerDay + minute;
-        clock.wait_until(abs_minute);
+        // A mid-day resume replays its day's prefix: the minutes below
+        // start_minute make the same draws with append a no-op, so the
+        // streams, seqs and day volumes reach start_minute exactly as in
+        // the uninterrupted run. A replayed minute stages nothing, fires
+        // no fault point and never waits on the clock.
+        replaying_ = abs_minute < start_minute;
+        FaultInjector* const minute_fault = replaying_ ? nullptr : fault;
+        if (!replaying_) clock.wait_until(abs_minute);
         if (abort.load(std::memory_order_relaxed)) return;
         for (std::size_t i = 0; i < bss_.size(); ++i) {
           const BaseStation& bs = network[bss_[i]];
@@ -212,7 +207,7 @@ class ShardWorker {
           session.day = static_cast<std::uint16_t>(day);
           session.minute_of_day = static_cast<std::uint16_t>(minute);
           for (std::uint32_t k = 0; k < block_.count; ++k) {
-            fault_fire(fault, "worker.session");
+            fault_fire(minute_fault, "worker.session");
             // Column k of the minute block becomes the event payload.
             session.service = block_.service[k];
             session.transient = block_.transient[k] != 0;
@@ -258,33 +253,28 @@ class ShardWorker {
             }
           }
         }
+        if (replaying_) {
+          // Progress for the watchdog, which would otherwise see a
+          // replaying worker as stalled.
+          tel.replayed_minutes.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
         publish_produced(tel);
         tel.produced_minute.store(abs_minute + 1, std::memory_order_relaxed);
         // Mark grid: every day boundary plus the interval multiples. The
         // grid is absolute minutes, so a resumed run marks the same
         // minutes the original would have.
         const std::uint64_t next_minute = abs_minute + 1;
-        if (next_minute % kMinutesPerDay == 0 ||
-            (interval_ > 0 && next_minute % interval_ == 0)) {
+        const bool day_end = next_minute % kMinutesPerDay == 0;
+        if (day_end || (interval_ > 0 && next_minute % interval_ == 0)) {
           // Flush first so every event before the mark precedes it in the
-          // FIFO ring; the cursors then describe exactly the post-flush
-          // stream positions.
+          // FIFO ring.
           if (!flush(policy, tel)) return;
           RingItem mark;
           mark.kind = RingItem::Kind::kMinuteMark;
           mark.minute_end = next_minute;
           mark.shard_produced = produced_;
-          mark.bs_states.reserve(bss_.size());
-          for (std::size_t i = 0; i < bss_.size(); ++i) {
-            EngineBsCursor c;
-            c.bs = bss_[i];
-            c.session_rng = rngs[i].full_state();
-            c.segment_rng = seg_rngs[i].full_state();
-            c.packet_rng = pkt_rngs[i].full_state();
-            c.next_seq = seqs[i];
-            c.day_volume_mb = day_volume[i];
-            mark.bs_states.push_back(c);
-          }
+          if (day_end) mark.day_volume = day_volume;
           if (!push_item(std::move(mark), BackpressurePolicy::kBlock, tel)) {
             return;
           }
@@ -294,12 +284,13 @@ class ShardWorker {
   }
 
  private:
-  /// Stages one event into the pending batch, flushing when full.
-  /// Produced counters include dropped events: they were generated; the
-  /// drop counters say what never reached the sink. Returns false only
-  /// when aborted while waiting for ring space.
+  /// Stages one event into the pending batch, flushing when full; a no-op
+  /// during a replayed minute. Produced counters include dropped events:
+  /// they were generated; the drop counters say what never reached the
+  /// sink. Returns false only when aborted while waiting for ring space.
   bool append(StreamEvent&& ev, BackpressurePolicy policy,
               Telemetry::PerWorker& tel) {
+    if (replaying_) return true;
     if (aborted_) return false;
     const auto kind = static_cast<std::size_t>(ev.kind());
     ++produced_[kind];
@@ -382,6 +373,7 @@ class ShardWorker {
   std::array<std::uint64_t, kNumEventKinds> published_{};  // in telemetry
   const std::atomic<bool>* abort_ = nullptr;
   bool aborted_ = false;
+  bool replaying_ = false;  // the current minute is a resume's replay
 };
 
 }  // namespace
@@ -403,7 +395,7 @@ StreamEngine::StreamEngine(const Network& network, const TraceConfig& trace,
 }
 
 EngineResult StreamEngine::run(EventSink& sink) {
-  return run_days(sink, 0, nullptr, {}, 0.0);
+  return run_days(sink, 0, {}, 0.0);
 }
 
 EngineResult StreamEngine::resume(const EngineCheckpoint& from,
@@ -445,26 +437,6 @@ EngineResult StreamEngine::resume(const EngineCheckpoint& from,
         ") is beyond the horizon (num_days=" +
         std::to_string(trace.num_days) + ")");
   }
-  if (from.mid_day()) {
-    // A mid-day resume restores raw per-BS streams; the cursor set must
-    // cover the whole network, indexed by network index, so any worker
-    // count can pick its shard's entries directly.
-    if (from.bs_states.size() != network().size()) {
-      throw InvalidArgument(
-          "StreamEngine::resume: mid-day checkpoint has " +
-          std::to_string(from.bs_states.size()) + " BS cursors, network has " +
-          std::to_string(network().size()));
-    }
-    for (std::size_t i = 0; i < from.bs_states.size(); ++i) {
-      if (from.bs_states[i].bs != i) {
-        throw InvalidArgument(
-            "StreamEngine::resume: mid-day checkpoint BS cursors are not "
-            "the contiguous network index range (entry " +
-            std::to_string(i) + " is BS " +
-            std::to_string(from.bs_states[i].bs) + ")");
-      }
-    }
-  }
   std::array<std::uint64_t, kNumEventKinds> prior{};
   prior[static_cast<std::size_t>(EventKind::kMinute)] = from.minutes_emitted;
   prior[static_cast<std::size_t>(EventKind::kSession)] =
@@ -472,13 +444,11 @@ EngineResult StreamEngine::resume(const EngineCheckpoint& from,
   prior[static_cast<std::size_t>(EventKind::kSegment)] =
       from.segments_emitted;
   prior[static_cast<std::size_t>(EventKind::kPacket)] = from.packets_emitted;
-  return run_days(sink, from.clock_minute, &from.bs_states, prior,
-                  from.volume_mb);
+  return run_days(sink, from.clock_minute, prior, from.volume_mb);
 }
 
 EngineResult StreamEngine::run_days(
     EventSink& sink, std::uint64_t start_minute,
-    const std::vector<EngineBsCursor>* resume_states,
     const std::array<std::uint64_t, kNumEventKinds>& prior,
     double prior_volume) {
   const Network& network = generator_.network();
@@ -498,9 +468,7 @@ EngineResult StreamEngine::run_days(
   // bit-identical across worker counts, batch sizes, and stop/resume
   // splits.
   auto make_checkpoint = [&](std::uint64_t clock_minute,
-                             const KindTotals& totals, double volume_mb,
-                             std::vector<EngineBsCursor> bs_states =
-                                 std::vector<EngineBsCursor>()) {
+                             const KindTotals& totals, double volume_mb) {
     EngineCheckpoint cp;
     cp.seed = trace.seed;
     cp.num_days = trace.num_days;
@@ -508,7 +476,6 @@ EngineResult StreamEngine::run_days(
     cp.weekend_rate_factor = trace.weekend_rate_factor;
     cp.network_fingerprint = fingerprint_;
     cp.clock_minute = clock_minute;
-    cp.bs_states = std::move(bs_states);
     const auto idx = [](EventKind k) { return static_cast<std::size_t>(k); };
     cp.minutes_emitted =
         prior[idx(EventKind::kMinute)] + totals[idx(EventKind::kMinute)];
@@ -562,8 +529,7 @@ EngineResult StreamEngine::run_days(
     threads.emplace_back([&, w] {
       try {
         shards[w]->run(start_minute, last_day, clock, config_.backpressure,
-                       telemetry.worker(w), stop.flag, resume_states,
-                       config_.fault);
+                       telemetry.worker(w), stop.flag, config_.fault);
       } catch (...) {
         // First-exception capture: a worker fault stops the whole engine;
         // the consumer notices, drains, joins, and rethrows this.
@@ -599,6 +565,10 @@ EngineResult StreamEngine::run_days(
           sum += c.produced + c.consumed + c.dropped + c.sink_errors +
                  c.discarded;
         }
+        for (std::size_t w = 0; w < num_workers; ++w) {
+          sum += telemetry.worker(w).replayed_minutes.load(
+              std::memory_order_relaxed);
+        }
         return sum;
       };
       std::uint64_t last_signature = signature();
@@ -628,6 +598,9 @@ EngineResult StreamEngine::run_days(
   // Consumer: this thread drains every ring into the sink.
   EngineResult result;
   double committed_volume = prior_volume;
+  // Each shard's day-boundary mark scatters its BSs' day volumes here, so
+  // the day's sum folds over BSs in network index order.
+  std::vector<double> day_volumes(network.size(), 0.0);
   // The one mark in flight. Once the consumer pops worker w's mark it
   // holds w's ring until every worker's mark for that minute has arrived,
   // so the checkpoint is an exact cut at the sink: FIFO rings put each
@@ -636,7 +609,6 @@ EngineResult StreamEngine::run_days(
   // ring until that fills, so ring capacity bounds its lead.
   struct PendingMark {
     std::size_t workers = 0;
-    std::vector<EngineBsCursor> bs_states;
     KindTotals totals{};
   };
   PendingMark pending;
@@ -711,29 +683,23 @@ EngineResult StreamEngine::run_days(
         for (std::size_t k = 0; k < kNumEventKinds; ++k) {
           pending.totals[k] += item.shard_produced[k];
         }
-        pending.bs_states.insert(pending.bs_states.end(),
-                                 item.bs_states.begin(), item.bs_states.end());
+        const std::vector<std::uint32_t>& bss = shards[w]->bss();
+        for (std::size_t i = 0; i < item.day_volume.size(); ++i) {
+          day_volumes[bss[i]] = item.day_volume[i];
+        }
         if (++pending.workers < num_workers) break;
         // Every shard has crossed the mark: take the checkpoint.
-        std::sort(pending.bs_states.begin(), pending.bs_states.end(),
-                  [](const EngineBsCursor& a, const EngineBsCursor& b) {
-                    return a.bs < b.bs;
-                  });
         if (item.minute_end % kMinutesPerDay == 0) {
           // Day boundary: commit the finished day's volume as one per-day
-          // sum over BSs in index order; the checkpoint needs no cursors,
-          // since every (BS, day) stream re-seeds. A mid-day checkpoint
-          // carries the in-progress day's partial volumes in its cursors.
+          // sum over BSs in index order. A mid-day checkpoint carries only
+          // the committed days' volume; a resume from it replays the day's
+          // prefix, which regenerates the partial volumes.
           double day_total = 0.0;
-          for (const EngineBsCursor& c : pending.bs_states) {
-            day_total += c.day_volume_mb;
-          }
+          for (const double v : day_volumes) day_total += v;
           committed_volume += day_total;
-          pending.bs_states.clear();
         }
         result.checkpoint =
-            make_checkpoint(item.minute_end, pending.totals, committed_volume,
-                            std::move(pending.bs_states));
+            make_checkpoint(item.minute_end, pending.totals, committed_volume);
         pending = PendingMark();
         if (checkpoint_callback_) checkpoint_callback_(result.checkpoint);
         std::fill(held.begin(), held.end(), 0);

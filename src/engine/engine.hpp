@@ -70,9 +70,10 @@ struct EngineConfig {
   /// identical, bit-wise different, 1.5x+ the sessions/s). Segment and
   /// packet expansion streams are scalar under both kernels, and both
   /// kernels are invariant to worker count and batch size. Checkpoints
-  /// resume bit-identically under the kernel that produced them; a
-  /// checkpoint taken under one kernel resumes under the other only at
-  /// day boundaries (mid-day v2 cursors splice session streams).
+  /// resume bit-identically under the kernel that produced them. A
+  /// checkpoint taken under one kernel also resumes under the other: a
+  /// mid-day one replays its day's prefix under the new kernel, so the
+  /// rest of that day is the new kernel's stream.
   GeneratorKernel kernel = GeneratorKernel::kScalar;
   /// Which event kinds the workers produce. Minute and session events
   /// reproduce the pre-refactor session replay; adding kSegment expands
@@ -98,9 +99,11 @@ struct EngineConfig {
   /// When > 0, the engine additionally checkpoints every time the replay
   /// clock crosses a multiple of this many minutes (absolute simulated
   /// minutes, so the mark grid is stable across stop/resume splits).
-  /// Mid-day marks produce v2 checkpoints carrying raw per-BS RNG state
-  /// (see EngineBsCursor); a multiple landing on a day boundary is that
-  /// day boundary's checkpoint. 0 checkpoints at day boundaries only.
+  /// A mid-day checkpoint is as small as a day-boundary one: resuming from
+  /// it replays the day's prefix without emitting it, so the replay costs
+  /// up to one day of generation per resume. A multiple landing on a day
+  /// boundary is that day boundary's checkpoint. 0 checkpoints at day
+  /// boundaries only.
   std::size_t checkpoint_interval_minutes = 0;
   /// How a throwing sink is handled (see SinkErrorPolicy). Under kDegrade
   /// the per-kind accounting identity produced == consumed + dropped +
@@ -135,7 +138,7 @@ class StreamEngine {
   [[nodiscard]] EngineResult run(EventSink& sink);
 
   /// Continues a run from a checkpoint — a day boundary, or any mid-day
-  /// minute for v2 checkpoints carrying per-BS stream state. Throws
+  /// minute, whose day prefix the workers replay without emitting. Throws
   /// InvalidArgument when the checkpoint does not match this engine's
   /// network/trace configuration. The worker count may differ from the
   /// run that produced the checkpoint — per-BS streams do not depend on
@@ -173,11 +176,9 @@ class StreamEngine {
 
  private:
   /// Streams from absolute minute `start_minute`; when it sits inside a
-  /// day, `resume_states` must hold one EngineBsCursor per BS (indexed by
-  /// network index) to restore the mid-day streams from.
+  /// day, the workers first replay that day's earlier minutes.
   [[nodiscard]] EngineResult run_days(
       EventSink& sink, std::uint64_t start_minute,
-      const std::vector<EngineBsCursor>* resume_states,
       const std::array<std::uint64_t, kNumEventKinds>& prior,
       double prior_volume);
 

@@ -7,8 +7,9 @@
 // mark when the engine runs with checkpoint_interval_minutes — with
 // exponential backoff between attempts (jitter drawn from a seeded RNG, so
 // failure schedules replay reproducibly). Because every (BS, day) RNG
-// stream is independent and mid-day checkpoints carry the raw stream
-// cursors, the recovered stream is bit-identical to an unfailed run.
+// stream is independent and a mid-day resume replays its day's prefix
+// without emitting it, the recovered stream is bit-identical to an
+// unfailed run.
 //
 // The loop has two attempt bodies, which differ only in where committed
 // output goes and where the restart point lives:

@@ -84,6 +84,10 @@ class Telemetry {
     std::atomic<std::uint64_t> stall_ns{0};
     /// Absolute virtual minute this worker has fully produced, +1 (0 = none).
     std::atomic<std::uint64_t> produced_minute{0};
+    /// Minutes of a mid-day resume's day prefix this worker has replayed
+    /// (regenerated without emitting); the watchdog counts them as
+    /// progress.
+    std::atomic<std::uint64_t> replayed_minutes{0};
 
     void count_dropped(EventKind kind) noexcept {
       dropped[static_cast<std::size_t>(kind)].fetch_add(

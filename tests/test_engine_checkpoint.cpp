@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -8,11 +11,13 @@
 #include <variant>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/time_utils.hpp"
 #include "dataset/measurement.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/engine.hpp"
 #include "common/fault.hpp"
+#include "events/event_codec.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
 #include "test_helpers.hpp"
@@ -240,8 +245,10 @@ TEST(EngineCheckpoint, FromJsonRejectsCorruptDocuments) {
     EXPECT_THROW(EngineCheckpoint::from_json(bad), Error);
   }
   {
+    // The one resume cursor is required; any minute, mid-day or not, is a
+    // complete cursor on its own.
     Json bad = good;
-    bad.as_object().at("clock_minute") = Json(std::size_t(17));
+    bad.as_object().erase("clock_minute");
     EXPECT_THROW(EngineCheckpoint::from_json(bad), Error);
   }
 }
@@ -280,8 +287,10 @@ TEST(EngineCheckpoint, TruncatedFilesAreRejectedAtEveryLength) {
   write_file(path, text);
   EXPECT_EQ(EngineCheckpoint::load(path).sessions_emitted, 1234u);
 
-  for (std::size_t len = 0; len < text.size(); ++len) {
-    write_file(path, text.substr(0, len));
+  // Shrink the one file in place, longest cut first: rewriting it for every
+  // cut frees its blocks each time, which is slow on some filesystems.
+  for (std::size_t len = text.size(); len-- > 0;) {
+    std::filesystem::resize_file(path, len);
     try {
       EngineCheckpoint::load(path);
       FAIL() << "prefix of " << len << " bytes was accepted";
@@ -490,7 +499,6 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   EXPECT_EQ(saved.clock_minute, 311u);
   EXPECT_EQ(saved.next_day(), 0u);
   ASSERT_TRUE(saved.mid_day());
-  ASSERT_EQ(saved.bs_states.size(), network.size());
   // Nothing at or past the mark reached the sink.
   EXPECT_EQ(resumed.minutes, saved.minutes_emitted);
 
@@ -516,9 +524,8 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
 
 // The commit hook sees exactly one checkpoint per minute of the mark grid —
 // every day boundary plus every interval multiple, once where the two
-// coincide — in minute order. Day-boundary checkpoints carry no cursors;
-// mid-day ones carry one per BS, sorted by BS. The committed counters at
-// every position do not depend on the worker count.
+// coincide — in minute order. The committed counters at every position do
+// not depend on the worker count.
 TEST(EngineCheckpoint, CheckpointSequenceFollowsTheMarkGrid) {
   const Network network = make_network(8);
   TraceConfig trace = make_trace(3);
@@ -552,15 +559,6 @@ TEST(EngineCheckpoint, CheckpointSequenceFollowsTheMarkGrid) {
       std::vector<std::uint64_t> minutes;
       for (const EngineCheckpoint& cp : seen) {
         minutes.push_back(cp.clock_minute);
-        if (!cp.mid_day()) {
-          EXPECT_TRUE(cp.bs_states.empty()) << "minute " << cp.clock_minute;
-          continue;
-        }
-        ASSERT_EQ(cp.bs_states.size(), network.size())
-            << "minute " << cp.clock_minute;
-        for (std::size_t i = 0; i < cp.bs_states.size(); ++i) {
-          EXPECT_EQ(cp.bs_states[i].bs, i) << "minute " << cp.clock_minute;
-        }
       }
       EXPECT_EQ(minutes, grid);
       runs.push_back(std::move(seen));
@@ -574,49 +572,279 @@ TEST(EngineCheckpoint, CheckpointSequenceFollowsTheMarkGrid) {
   }
 }
 
-TEST(EngineCheckpoint, MidDayJsonRoundTripPreservesRawStreams) {
-  EngineCheckpoint cp;
-  cp.seed = 0x123456789abcdef0ULL;
-  cp.num_days = 3;
-  cp.clock_minute = kMinutesPerDay + 290;  // minute 290 of day 1
-  cp.sessions_emitted = (1ull << 55) + 7;  // beyond double precision
-  cp.minutes_emitted = 4321;
-  cp.segments_emitted = 99;
-  cp.packets_emitted = 100000;
-  cp.volume_mb = 6.5e3;
-  EngineBsCursor a;
-  a.bs = 0;
-  a.session_rng = Rng::FullState{
-      {0xdeadbeefULL, 2, 3, ~std::uint64_t{0}}, true, -1.2345678901234567};
-  a.segment_rng = Rng::FullState{{5, 6, 7, 8}, false, 0.0};
-  a.packet_rng = Rng::FullState{{9, 10, 11, (1ull << 63)}, true, 0.25};
-  a.next_seq = (1ull << 60) + 1;
-  a.day_volume_mb = 0.123456789012345;
-  EngineBsCursor b;
-  b.bs = 5;  // indices need not be dense, only ascending
-  b.session_rng = Rng::FullState{{13, 14, 15, 16}, false, 0.0};
-  b.segment_rng = b.session_rng;
-  b.packet_rng = b.session_rng;
-  b.next_seq = 17;
-  b.day_volume_mb = 1e-12;
-  cp.bs_states = {a, b};
+/// Per-BS FNV-1a digest and per-kind counts of every event at or after
+/// minute `from` (key and payload, in delivery order per BS); events below
+/// `from` are only counted.
+struct TailDigestSink final : EventSink {
+  std::uint64_t from;
+  std::uint64_t before = 0;
+  std::array<std::uint64_t, kNumEventKinds> counts{};
+  std::vector<std::uint64_t> per_bs;
 
-  const EngineCheckpoint back =
-      EngineCheckpoint::from_json(Json::parse(cp.to_json().dump(2)));
-  EXPECT_EQ(back.clock_minute, cp.clock_minute);
-  EXPECT_TRUE(back.mid_day());
-  EXPECT_EQ(back.segments_emitted, 99u);
-  EXPECT_EQ(back.packets_emitted, 100000u);
-  ASSERT_EQ(back.bs_states.size(), 2u);
-  EXPECT_EQ(back.bs_states[0].bs, 0u);
-  EXPECT_TRUE(back.bs_states[0].session_rng == a.session_rng);
-  EXPECT_TRUE(back.bs_states[0].segment_rng == a.segment_rng);
-  EXPECT_TRUE(back.bs_states[0].packet_rng == a.packet_rng);
-  EXPECT_EQ(back.bs_states[0].next_seq, a.next_seq);
-  EXPECT_DOUBLE_EQ(back.bs_states[0].day_volume_mb, a.day_volume_mb);
-  EXPECT_EQ(back.bs_states[1].bs, 5u);
-  EXPECT_TRUE(back.bs_states[1].session_rng == b.session_rng);
-  EXPECT_EQ(back.bs_states[1].next_seq, 17u);
+  TailDigestSink(std::size_t num_bs, std::uint64_t from_minute)
+      : from(from_minute), per_bs(num_bs, kFnvOffsetBasis) {}
+
+  void on_event(const StreamEvent& event) override {
+    if (event.key.clock_minute() < from) {
+      ++before;
+      return;
+    }
+    ++counts[static_cast<std::size_t>(event.kind())];
+    char buf[kMaxEventPayloadBytes];
+    const std::size_t len = encode_event_payload(event, buf);
+    per_bs[event.key.bs] =
+        fnv1a64(std::string_view(buf, len), per_bs[event.key.bs]);
+  }
+};
+
+// A mid-day checkpoint is O(1) in network size: the first mid-day
+// checkpoint of a 6-BS and of a 300-BS network have the same keys, and
+// their documents differ in length only by the width of the counter and
+// fingerprint values.
+TEST(EngineCheckpoint, MidDayCheckpointSizeDoesNotDependOnNetworkSize) {
+  const auto first_mid_day = [](const Network& network) {
+    TraceConfig trace = make_trace(2);
+    trace.rate_scale = 0.25;
+    EngineConfig config;
+    config.num_workers = 3;
+    config.checkpoint_interval_minutes = 173;
+    StreamEngine engine(network, trace, config);
+    EngineCheckpoint first;
+    engine.on_checkpoint([&first](const EngineCheckpoint& cp) {
+      first = cp;
+      throw std::runtime_error("stop at the first mark");
+    });
+    struct NullSink final : EventSink {
+      void on_event(const StreamEvent&) override {}
+    } sink;
+    EXPECT_THROW(static_cast<void>(engine.run(sink)), std::runtime_error);
+    EXPECT_EQ(first.clock_minute, 173u);
+    return first.to_json();
+  };
+  const Json small = first_mid_day(make_network(6));
+  const Json large = first_mid_day(make_network(300));
+
+  const std::vector<std::string> variable_width = {
+      "network_fingerprint", "sessions_emitted", "minutes_emitted",
+      "segments_emitted",    "packets_emitted",  "volume_mb"};
+  const JsonObject& a = small.as_object();
+  const JsonObject& b = large.as_object();
+  ASSERT_EQ(a.size(), b.size());
+  std::size_t counter_width = 0;
+  for (const auto& [key, value] : a) {
+    ASSERT_TRUE(large.contains(key)) << key;
+    const std::size_t wa = value.dump().size();
+    const std::size_t wb = b.at(key).dump().size();
+    if (std::find(variable_width.begin(), variable_width.end(), key) !=
+        variable_width.end()) {
+      counter_width += std::max(wa, wb);
+    } else {
+      EXPECT_EQ(wa, wb) << key;
+    }
+  }
+  const std::size_t la = small.dump(2).size();
+  const std::size_t lb = large.dump(2).size();
+  EXPECT_LE(std::max(la, lb) - std::min(la, lb), counter_width);
+}
+
+// Mid-day checkpoints used to carry one raw stream cursor per BS under
+// "bs_states". This is such a writer's first mid-day checkpoint of day 1
+// (minute 1555) for the 3-BS network of the test below, every event kind
+// enabled. The cursors are ignored on load, the rest equals the checkpoint
+// the engine writes at that minute now, and resuming from it continues the
+// uninterrupted stream bit for bit.
+constexpr const char* kCursorCarryingMidDayCheckpoint = R"json({
+  "bs_states": [
+    {
+      "bs": 0,
+      "day_volume_mb": 140.76924927677965,
+      "next_seq": "0x4e4",
+      "packet_rng": {
+        "has_spare": false,
+        "spare": 0,
+        "words": [
+          "0xa03d2b54cb13a5b8",
+          "0x79edea6c18200172",
+          "0xfdc1e82045e3d51a",
+          "0x8e38b2f8de41649c"
+        ]
+      },
+      "segment_rng": {
+        "has_spare": true,
+        "spare": -0.085707416415686508,
+        "words": [
+          "0x8819b1448012bb0e",
+          "0x737815423e52a7da",
+          "0x2bef996e9e1bca15",
+          "0xc5570edbbdac04fc"
+        ]
+      },
+      "session_rng": {
+        "has_spare": true,
+        "spare": -0.56973418806301623,
+        "words": [
+          "0x64b7f634044cd5b7",
+          "0x3bb6285495b836e1",
+          "0xf9d44808decab4ca",
+          "0x233ce0670a76a520"
+        ]
+      }
+    },
+    {
+      "bs": 1,
+      "day_volume_mb": 119.32020277741084,
+      "next_seq": "0x28b",
+      "packet_rng": {
+        "has_spare": false,
+        "spare": 0,
+        "words": [
+          "0x7d713a029011caa5",
+          "0x71d6183496369409",
+          "0x810c38292c68f583",
+          "0xecbf6ab350ce7321"
+        ]
+      },
+      "segment_rng": {
+        "has_spare": true,
+        "spare": 0.56974200919260476,
+        "words": [
+          "0x75991a64c8b31c8c",
+          "0x99ff5dd98953ff98",
+          "0xd1c5cac560887b47",
+          "0xb876bbac7e7407eb"
+        ]
+      },
+      "session_rng": {
+        "has_spare": true,
+        "spare": -0.080235718580272758,
+        "words": [
+          "0x7a49d37e04e4b0e3",
+          "0x46b7e8d0338b567f",
+          "0x16a27de743faad04",
+          "0x117bdcb8b401b1fd"
+        ]
+      }
+    },
+    {
+      "bs": 2,
+      "day_volume_mb": 52.868935680804967,
+      "next_seq": "0x203",
+      "packet_rng": {
+        "has_spare": false,
+        "spare": 0,
+        "words": [
+          "0x6e327f2fb518a65c",
+          "0x3c4005690212b1d8",
+          "0x52939eb61f9bc608",
+          "0x62b15935b8195a24"
+        ]
+      },
+      "segment_rng": {
+        "has_spare": true,
+        "spare": 0.31737433356563077,
+        "words": [
+          "0x9e86c96052b09c37",
+          "0xd2413e703dc6c48",
+          "0xd20b7a119b947d48",
+          "0x64b6dc5b38901100"
+        ]
+      },
+      "session_rng": {
+        "has_spare": false,
+        "spare": 1.5006140762657048,
+        "words": [
+          "0x4aa050cbbe8292db",
+          "0x2448d997adb51792",
+          "0xe3a9c5c1d163fe4e",
+          "0xed56affc4fc1acb5"
+        ]
+      }
+    }
+  ],
+  "clock_minute": 1555,
+  "format": "mtd-engine-checkpoint-v2",
+  "minutes_emitted": "0x1239",
+  "network_fingerprint": "0x52e8409b4341e7d4",
+  "num_days": 2,
+  "packets_emitted": "0x56cd7",
+  "rate_scale": 1,
+  "seed": "0x4d",
+  "segments_emitted": "0xa7dc",
+  "sessions_emitted": "0x5786",
+  "volume_mb": 130099.6051873659,
+  "weekend_rate_factor": 0.84999999999999998
+})json";
+
+TEST(EngineCheckpoint, MidDayDocumentsWithStreamCursorsStillResume) {
+  const Network network = make_network(3);
+  const TraceConfig trace = make_trace(2);
+  EngineConfig config;
+  config.num_workers = 2;
+  config.checkpoint_interval_minutes = 311;
+  config.event_kinds = EventKindMask::all();
+  config.packet.max_packets = 16;  // bound the heavy-tail expansion
+
+  const EngineCheckpoint loaded = EngineCheckpoint::from_json(
+      Json::parse(kCursorCarryingMidDayCheckpoint));
+  ASSERT_EQ(loaded.clock_minute, 1555u);
+  EXPECT_FALSE(loaded.to_json().contains("bs_states"));
+
+  TailDigestSink uninterrupted(network.size(), loaded.clock_minute);
+  StreamEngine reference(network, trace, config);
+  std::string written;
+  reference.on_checkpoint([&](const EngineCheckpoint& cp) {
+    if (cp.clock_minute == loaded.clock_minute) written = cp.to_json().dump();
+  });
+  const EngineResult full = reference.run(uninterrupted);
+  EXPECT_EQ(written, loaded.to_json().dump());
+
+  TailDigestSink resumed(network.size(), loaded.clock_minute);
+  config.num_workers = 3;
+  StreamEngine leg(network, trace, config);
+  const EngineResult result = leg.resume(loaded, resumed);
+  EXPECT_EQ(resumed.before, 0u);
+  EXPECT_EQ(resumed.counts, uninterrupted.counts);
+  EXPECT_EQ(resumed.per_bs, uninterrupted.per_bs);
+  EXPECT_GT(resumed.counts[static_cast<std::size_t>(EventKind::kPacket)], 0u);
+  EXPECT_EQ(result.checkpoint.to_json().dump(),
+            full.checkpoint.to_json().dump());
+}
+
+// A mid-day resume replays its day's prefix before it emits anything: no
+// clock wait and no produced event for up to a day of generation. Under a
+// paced clock and an armed watchdog the resume must neither compute a wait
+// for the replayed minutes nor look stalled while it replays; the replay
+// below (one worker, 600 BSs at twice the base rate, 1429 minutes) takes
+// several times the watchdog's deadline on a typical host.
+TEST(EngineCheckpoint, PacedMidDayResumeWithAWatchdogReplaysItsPrefix) {
+  const Network network = make_network(600);
+  TraceConfig trace = make_trace(1);
+  trace.rate_scale = 2.0;
+  const std::uint64_t mark = 1429;  // 11 minutes before the day ends
+
+  EngineConfig config;
+  config.num_workers = 1;
+  config.checkpoint_interval_minutes = mark;
+  TailDigestSink uninterrupted(network.size(), mark);
+  StreamEngine reference(network, trace, config);
+  EngineCheckpoint saved;
+  reference.on_checkpoint([&saved](const EngineCheckpoint& cp) {
+    if (cp.mid_day()) saved = cp;
+  });
+  const EngineResult full = reference.run(uninterrupted);
+  ASSERT_EQ(saved.clock_minute, mark);
+
+  config.time_scale = 1.0e6;  // 60 us per simulated minute
+  config.watchdog_timeout_s = 0.25;
+  TailDigestSink resumed(network.size(), mark);
+  StreamEngine leg(network, trace, config);
+  const EngineResult result = leg.resume(saved, resumed);
+  EXPECT_EQ(resumed.before, 0u);
+  EXPECT_EQ(resumed.counts, uninterrupted.counts);
+  EXPECT_EQ(resumed.per_bs, uninterrupted.per_bs);
+  EXPECT_EQ(result.checkpoint.to_json().dump(),
+            full.checkpoint.to_json().dump());
+  EXPECT_TRUE(result.telemetry.accounted_for());
 }
 
 // The retired v1 day-boundary format no longer loads: the same document the
@@ -696,9 +924,6 @@ TEST(EngineCheckpoint, IntegerFieldsAreRangeChecked) {
   EngineCheckpoint cp;
   cp.num_days = 2;
   cp.clock_minute = 311;
-  EngineBsCursor s0;
-  s0.bs = 0;
-  cp.bs_states = {s0};
   const Json good = cp.to_json();
   ASSERT_EQ(EngineCheckpoint::from_json(good).clock_minute, 311u);
 
@@ -706,7 +931,6 @@ TEST(EngineCheckpoint, IntegerFieldsAreRangeChecked) {
       fields = {
           {"EngineCheckpoint.num_days", {"num_days"}},
           {"EngineCheckpoint.clock_minute", {"clock_minute"}},
-          {"EngineBsCursor.bs", {"bs_states", "bs"}},
       };
   for (const auto& [name, path] : fields) {
     for (const double value : {-1.0, 0.5, 1e300}) {
@@ -722,41 +946,6 @@ TEST(EngineCheckpoint, IntegerFieldsAreRangeChecked) {
             << name << " = " << value << ": " << what;
       }
     }
-  }
-}
-
-// The v2 consistency rules: a mid-day cursor needs raw stream state, a
-// day-boundary cursor must not carry any, and the bs_states ordering is
-// validated — a checkpoint that lies about where the replay stopped must
-// never load.
-TEST(EngineCheckpoint, V2ValidationRejectsInconsistentCursorState) {
-  EngineCheckpoint cp;
-  cp.num_days = 2;
-  cp.clock_minute = 311;
-  EngineBsCursor s0;
-  s0.bs = 0;
-  EngineBsCursor s1;
-  s1.bs = 1;
-  cp.bs_states = {s0, s1};
-  const Json good = cp.to_json();
-  EXPECT_EQ(EngineCheckpoint::from_json(good).bs_states.size(), 2u);
-
-  {  // bs_states out of order
-    Json bad = good;
-    auto& arr = bad.as_object().at("bs_states").as_array();
-    std::swap(arr[0], arr[1]);
-    EXPECT_THROW(EngineCheckpoint::from_json(bad), ParseError);
-  }
-  {  // a mid-day cursor with no stream state to resume from
-    Json bad = good;
-    bad.as_object().erase("bs_states");
-    EXPECT_THROW(EngineCheckpoint::from_json(bad), ParseError);
-  }
-  {  // a day-boundary cursor carrying raw streams
-    Json bad = good;
-    bad.as_object().at("clock_minute") =
-        Json(std::size_t(kMinutesPerDay));
-    EXPECT_THROW(EngineCheckpoint::from_json(bad), ParseError);
   }
 }
 

@@ -9,8 +9,8 @@
 //   * NDJSON byte identity: at one worker the serialized output file is
 //     byte-for-byte identical across batch sizes, for both kernels.
 //   * kBatch mid-day checkpoint/resume: the v2 minute-mark checkpoint
-//     round-trips the batch kernel exactly like the scalar one (BlockRng
-//     streams are per-minute, so the batch path needs no RNG cursor).
+//     round-trips the batch kernel exactly like the scalar one (the resume
+//     replays the day's prefix under whichever kernel runs it).
 //   * Statistical closeness: the two kernels draw different streams by
 //     design (BlockRng v1 vs the scalar draw chain) but model the same
 //     process — session counts, volumes, durations and service shares
@@ -215,9 +215,9 @@ void expect_identical(const Recorder& a, const Recorder& b) {
 // mark (an exact cut, so the recorder holds exactly the prefix), resume
 // into the same recorder from the serialized v2 checkpoint with a
 // different worker count, and match an uninterrupted kBatch run
-// bit-for-bit. The batch path makes this cheap — BlockRng streams are
-// per-minute functions of the day base state, so the checkpoint carries
-// no batch RNG cursor.
+// bit-for-bit. The checkpoint carries no RNG state for either kernel: the
+// resume replays the day's prefix, regenerating the BlockRng blocks below
+// the mark without emitting them.
 TEST(KernelParity, BatchKernelMidDayResumeIsBitIdentical) {
   const Network network = parity_network();
   const TraceConfig trace = parity_trace(2, 77);
