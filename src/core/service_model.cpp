@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace mtd {
 
@@ -80,10 +82,21 @@ ModelRegistry ModelRegistry::fit(const MeasurementDataset& dataset,
                                  const VolumeModelOptions& options) {
   ModelRegistry registry;
   registry.arrivals_ = ArrivalModel::fit(dataset);
+  std::vector<std::size_t> fitted;
   for (std::size_t s = 0; s < dataset.num_services(); ++s) {
     const ServiceSliceStats& stats = dataset.slice(s, Slice::kTotal);
     if (stats.sessions < 100) continue;  // not enough data to fit
-    registry.services_.push_back(ServiceModel::fit(dataset, s, options));
+    fitted.push_back(s);
+  }
+  // One job per service into its own slot; an error surfaces as the lowest
+  // failing service's, as in a serial loop.
+  std::vector<std::optional<ServiceModel>> models(fitted.size());
+  parallel_for(fitted.size(), [&](std::size_t i) {
+    models[i].emplace(ServiceModel::fit(dataset, fitted[i], options));
+  });
+  registry.services_.reserve(models.size());
+  for (std::optional<ServiceModel>& model : models) {
+    registry.services_.push_back(std::move(*model));
   }
   require(!registry.services_.empty(),
           "ModelRegistry::fit: no service had enough sessions");

@@ -12,6 +12,7 @@
 #include "dataset/measurement.hpp"
 #include "engine/engine.hpp"
 #include "events/event_sink.hpp"
+#include "test_helpers.hpp"
 
 namespace mtd {
 namespace {
@@ -80,37 +81,9 @@ TEST(StreamEngine, DeterministicAcrossWorkerCounts) {
       const EngineResult result = engine.run(adapter);
       streamed.finalize();
 
-      EXPECT_EQ(streamed.total_sessions(), serial.total_sessions())
-          << workers << " workers";
-      EXPECT_DOUBLE_EQ(streamed.total_volume_mb(), serial.total_volume_mb());
-      const auto a = serial.session_shares();
-      const auto b = streamed.session_shares();
-      for (std::size_t s = 0; s < a.size(); ++s) EXPECT_DOUBLE_EQ(b[s], a[s]);
-      for (std::size_t s = 0; s < serial.num_services(); ++s) {
-        const auto& sa = serial.slice(s, Slice::kTotal);
-        const auto& sb = streamed.slice(s, Slice::kTotal);
-        EXPECT_EQ(sa.sessions, sb.sessions);
-        EXPECT_DOUBLE_EQ(sa.volume_mb, sb.volume_mb);
-        for (std::size_t i = 0; i < sa.volume_pdf.size(); ++i) {
-          EXPECT_DOUBLE_EQ(sa.volume_pdf[i], sb.volume_pdf[i]);
-        }
-      }
-      for (std::uint8_t d = 0; d < kNumDeciles; ++d) {
-        EXPECT_EQ(streamed.decile_arrivals(d).day_stats.count(),
-                  serial.decile_arrivals(d).day_stats.count());
-        EXPECT_DOUBLE_EQ(streamed.decile_arrivals(d).day_stats.mean(),
-                         serial.decile_arrivals(d).day_stats.mean());
-      }
-
-      if (measurement.store_per_cell) {
-        EXPECT_EQ(streamed.total_volume_mb(), serial.total_volume_mb());
-        ASSERT_EQ(streamed.cells().size(), serial.cells().size());
-        for (const auto& [key, cell] : serial.cells()) {
-          const auto it = streamed.cells().find(key);
-          ASSERT_NE(it, streamed.cells().end());
-          EXPECT_EQ(it->second.sessions, cell.sessions);
-          EXPECT_EQ(it->second.volume_mb, cell.volume_mb);
-        }
+      {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        test::expect_datasets_identical(streamed, serial);
       }
 
       // Telemetry totals agree with what the sink saw.
@@ -146,13 +119,7 @@ TEST(ParallelDataset, PerCellStoreMergesExactly) {
   EXPECT_TRUE(result.checkpoint.complete());
 
   ASSERT_TRUE(parallel.has_per_cell_store());
-  EXPECT_EQ(parallel.cells().size(), serial.cells().size());
-  for (const auto& [key, cell] : serial.cells()) {
-    const auto it = parallel.cells().find(key);
-    ASSERT_NE(it, parallel.cells().end());
-    EXPECT_EQ(it->second.sessions, cell.sessions);
-    EXPECT_DOUBLE_EQ(it->second.volume_mb, cell.volume_mb);
-  }
+  test::expect_datasets_identical(parallel, serial);
 }
 
 // Every checkpoint is an exact cut at the sink: when on_checkpoint(cp)

@@ -19,6 +19,7 @@
 #include "engine/supervisor.hpp"
 #include "events/event_codec.hpp"
 #include "events/event_sink.hpp"
+#include "test_helpers.hpp"
 
 namespace mtd {
 namespace {
@@ -626,8 +627,7 @@ TEST(Supervisor, CleanRunReportsOneAttempt) {
   ASSERT_TRUE(report.succeeded);
   EXPECT_EQ(report.attempts.size(), 1u);
   EXPECT_EQ(report.restarts(), 0u);
-  EXPECT_EQ(streamed.total_sessions(), serial.total_sessions());
-  EXPECT_DOUBLE_EQ(streamed.total_volume_mb(), serial.total_volume_mb());
+  test::expect_datasets_identical(streamed, serial);
   const Json json = report.to_json();
   EXPECT_TRUE(json.at("succeeded").as_bool());
   EXPECT_EQ(json.at("attempt_log").as_array().size(), 1u);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,79 @@ inline const MeasurementDataset& small_dataset() {
 
 /// The network backing small_dataset().
 inline const Network& small_network() { return small_dataset().network(); }
+
+/// The bins of a PDF, for whole-array comparisons.
+inline std::vector<double> bins_of(const BinnedPdf& pdf) {
+  const std::span<const double> density = pdf.density();
+  return {density.begin(), density.end()};
+}
+
+/// A mean curve's per-bin values, then its per-bin weights.
+inline std::vector<double> values_and_weights_of(const BinnedMeanCurve& curve) {
+  std::vector<double> out;
+  out.reserve(2 * curve.size());
+  for (std::size_t i = 0; i < curve.size(); ++i) out.push_back(curve.value(i));
+  for (std::size_t i = 0; i < curve.size(); ++i) out.push_back(curve.weight(i));
+  return out;
+}
+
+/// Asserts that two finalized datasets are bit-identical: every accessor
+/// is compared with exact equality, floating-point values included — slice
+/// PDFs, totals and duration-volume curves, duration PDFs, decile arrival
+/// PDFs and moments, shares and their CVs, totals, and the per-cell store.
+inline void expect_datasets_identical(const MeasurementDataset& a,
+                                      const MeasurementDataset& b) {
+  ASSERT_EQ(a.num_services(), b.num_services());
+  EXPECT_EQ(a.num_days(), b.num_days());
+  EXPECT_EQ(a.total_sessions(), b.total_sessions());
+  EXPECT_EQ(a.total_volume_mb(), b.total_volume_mb());
+  EXPECT_EQ(a.session_shares(), b.session_shares());
+  EXPECT_EQ(a.traffic_shares(), b.traffic_shares());
+  EXPECT_EQ(a.session_share_cv(), b.session_share_cv());
+  EXPECT_EQ(a.traffic_share_cv(), b.traffic_share_cv());
+  for (std::size_t s = 0; s < a.num_services(); ++s) {
+    for (std::size_t sl = 0; sl < kNumSlices; ++sl) {
+      const auto slice = static_cast<Slice>(sl);
+      const ServiceSliceStats& x = a.slice(s, slice);
+      const ServiceSliceStats& y = b.slice(s, slice);
+      EXPECT_EQ(x.sessions, y.sessions) << s << "/" << to_string(slice);
+      EXPECT_EQ(x.volume_mb, y.volume_mb) << s << "/" << to_string(slice);
+      EXPECT_EQ(bins_of(x.volume_pdf), bins_of(y.volume_pdf))
+          << s << "/" << to_string(slice);
+      EXPECT_EQ(values_and_weights_of(x.dv_curve),
+                values_and_weights_of(y.dv_curve))
+          << s << "/" << to_string(slice);
+    }
+    EXPECT_EQ(bins_of(a.duration_pdf(s)), bins_of(b.duration_pdf(s))) << s;
+  }
+  for (std::uint8_t d = 0; d < kNumDeciles; ++d) {
+    const DecileArrivalStats& x = a.decile_arrivals(d);
+    const DecileArrivalStats& y = b.decile_arrivals(d);
+    EXPECT_EQ(bins_of(x.count_pdf), bins_of(y.count_pdf)) << int{d};
+    EXPECT_EQ(bins_of(x.day_pdf), bins_of(y.day_pdf)) << int{d};
+    EXPECT_EQ(bins_of(x.night_pdf), bins_of(y.night_pdf)) << int{d};
+    for (const auto& [p, q] : {std::pair{&x.day_stats, &y.day_stats},
+                               std::pair{&x.night_stats, &y.night_stats}}) {
+      EXPECT_EQ(p->count(), q->count()) << int{d};
+      EXPECT_EQ(p->mean(), q->mean()) << int{d};
+      EXPECT_EQ(p->variance(), q->variance()) << int{d};
+    }
+  }
+  ASSERT_EQ(a.has_per_cell_store(), b.has_per_cell_store());
+  if (!a.has_per_cell_store()) return;
+  ASSERT_EQ(a.cells().size(), b.cells().size());
+  for (const auto& [key, x] : a.cells()) {
+    const auto it = b.cells().find(key);
+    ASSERT_NE(it, b.cells().end())
+        << key.service << "/" << key.bs << "/" << key.day;
+    const CellStats& y = it->second;
+    EXPECT_EQ(x.sessions, y.sessions);
+    EXPECT_EQ(x.volume_mb, y.volume_mb);
+    EXPECT_EQ(bins_of(x.volume_pdf), bins_of(y.volume_pdf));
+    EXPECT_EQ(values_and_weights_of(x.dv_curve),
+              values_and_weights_of(y.dv_curve));
+  }
+}
 
 /// The node of `doc` at `path`: object keys, where an array value steps
 /// into its first element. For tests that mutate one field of a document.

@@ -101,6 +101,19 @@ TEST(ModelRegistry, FitsAllPopularServices) {
   EXPECT_EQ(registry.by_name("Netflix").name(), "Netflix");
 }
 
+// The registry fits its services on parallel jobs; the result must equal a
+// serial ServiceModel::fit loop in service order, skip rule included.
+TEST(ParallelModelFit, RegistryMatchesASerialServiceModelLoop) {
+  const MeasurementDataset& dataset = small_dataset();
+  JsonArray serial;
+  for (std::size_t s = 0; s < dataset.num_services(); ++s) {
+    if (dataset.slice(s, Slice::kTotal).sessions < 100) continue;
+    serial.push_back(ServiceModel::fit(dataset, s).to_json());
+  }
+  EXPECT_EQ(fitted_registry().to_json().at("services").dump(2),
+            Json(std::move(serial)).dump(2));
+}
+
 TEST(ModelRegistry, ArrivalsAreFittedToo) {
   const ModelRegistry& registry = fitted_registry();
   EXPECT_EQ(registry.arrivals().classes().size(), kNumDeciles);
