@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/mutex.hpp"
+
 namespace mtd {
 
 /// Runs fn(i) for every i < n on min(n, threads) threads, the caller being
@@ -37,14 +39,22 @@ void parallel_for(std::size_t n, Fn&& fn,
     return;
   }
   std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(n);
+  // The lowest failing index and its exception, so the bookkeeping does not
+  // grow with n.
+  Mutex error_guard;
+  std::size_t failed = n;
+  std::exception_ptr error;
   const auto drain = [&] {
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
         fn(i);
       } catch (...) {
-        errors[i] = std::current_exception();
+        MutexLock lock(error_guard);
+        if (i < failed) {
+          failed = i;
+          error = std::current_exception();
+        }
         next.store(n, std::memory_order_relaxed);
       }
     }
@@ -55,9 +65,7 @@ void parallel_for(std::size_t n, Fn&& fn,
     for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(drain);
     drain();
   }  // joins the pool
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace mtd

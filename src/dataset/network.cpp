@@ -1,5 +1,6 @@
 #include "dataset/network.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -33,6 +34,10 @@ Network Network::build(const NetworkConfig& config, Rng& rng) {
   const double growth =
       std::pow(config.last_decile_rate / config.first_decile_rate,
                1.0 / static_cast<double>(kNumDeciles - 1));
+  std::array<double, kNumDeciles> decile_rates{};
+  for (std::size_t d = 0; d < kNumDeciles; ++d) {
+    decile_rates[d] = config.first_decile_rate * std::pow(growth, d);
+  }
 
   for (std::size_t i = 0; i < config.num_bs; ++i) {
     BaseStation bs;
@@ -58,11 +63,9 @@ Network Network::build(const NetworkConfig& config, Rng& rng) {
     }
     bs.rat = rng.bernoulli(config.fraction_5g) ? Rat::k5G : Rat::k4G;
 
-    const double decile_rate =
-        config.first_decile_rate * std::pow(growth, bs.decile);
     const double jitter =
         1.0 + config.rate_jitter * (2.0 * rng.uniform() - 1.0);
-    bs.peak_rate = decile_rate * jitter;
+    bs.peak_rate = decile_rates[bs.decile] * jitter;
     bs.offpeak_scale =
         std::max(0.02, bs.peak_rate * config.offpeak_scale_ratio);
     net.bs_.push_back(bs);
