@@ -4,6 +4,9 @@
 // consumption time-series close-up.
 #include "bench_common.hpp"
 
+#include <cmath>
+#include <vector>
+
 #include "usecases/vran.hpp"
 
 namespace {
@@ -66,6 +69,18 @@ void bm_pack_loads_first_fit(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_pack_loads_first_fit)->Arg(16)->Arg(100)->Arg(400);
+
+// The Fig. 13b boxplot of one strategy's per-slot APE over a day of
+// 1-second slots: a copy plus five selections.
+void bm_boxplot_stats(benchmark::State& state) {
+  Rng rng(2);
+  std::vector<double> ape(static_cast<std::size_t>(state.range(0)));
+  for (double& x : ape) x = std::abs(rng.normal(0.0, 0.1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(boxplot_stats(ape));
+  }
+}
+BENCHMARK(bm_boxplot_stats)->Arg(86400);
 
 }  // namespace
 

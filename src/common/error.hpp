@@ -74,4 +74,10 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) detail::throw_invalid(what);
 }
 
+/// Same for a literal message, which becomes a std::string only on failure,
+/// so a check that holds allocates nothing.
+inline void require(bool cond, const char* what) {
+  if (!cond) detail::throw_invalid(what);
+}
+
 }  // namespace mtd

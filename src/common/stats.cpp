@@ -81,21 +81,52 @@ double quantile_sorted(std::span<const double> sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
+namespace {
+
+/// The q-quantile of `xs` exactly as quantile_sorted gives it over a sorted
+/// copy, by selection in O(n): xs[lo] is placed by nth_element and
+/// sorted[lo + 1] is the minimum of the partition above it. Every element
+/// before `first` must be <= every element from `first` on and `first` must
+/// not exceed the quantile's lower index; on return `first` is that index,
+/// so a larger q continues from it over a narrower range.
+double select_quantile(std::span<double> xs, double q, std::size_t& first) {
+  require(!xs.empty(), "quantile: empty sample");
+  require(q >= 0.0 && q <= 1.0, "quantile: q outside [0,1]");
+  if (xs.size() == 1) return xs[0];
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin() + static_cast<std::ptrdiff_t>(first), nth,
+                   xs.end());
+  first = lo;
+  if (lo + 1 >= xs.size()) return *nth;
+  const double frac = pos - static_cast<double>(lo);
+  return *nth * (1.0 - frac) + *std::min_element(nth + 1, xs.end()) * frac;
+}
+
+}  // namespace
+
 double quantile(std::span<const double> xs, double q) {
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, q);
+  std::size_t first = 0;
+  return select_quantile(copy, q, first);
 }
 
 BoxplotStats boxplot_stats(std::span<const double> xs) {
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
+  return boxplot_stats_in_place(copy);
+}
+
+BoxplotStats boxplot_stats_in_place(std::span<double> xs) {
+  // Ascending quantiles, so each selection narrows the next one's range;
+  // braced initializers are evaluated in order.
+  std::size_t first = 0;
   return BoxplotStats{
-      .p5 = quantile_sorted(copy, 0.05),
-      .q1 = quantile_sorted(copy, 0.25),
-      .median = quantile_sorted(copy, 0.50),
-      .q3 = quantile_sorted(copy, 0.75),
-      .p95 = quantile_sorted(copy, 0.95),
+      .p5 = select_quantile(xs, 0.05, first),
+      .q1 = select_quantile(xs, 0.25, first),
+      .median = select_quantile(xs, 0.50, first),
+      .q3 = select_quantile(xs, 0.75, first),
+      .p95 = select_quantile(xs, 0.95, first),
   };
 }
 

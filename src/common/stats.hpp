@@ -43,6 +43,11 @@ class RunningStats {
                                    std::span<const double> ws);
 
 /// Linear-interpolation quantile over a copy of the samples; q in [0, 1].
+/// Found by selection in O(n), with the same value as quantile_sorted over
+/// a sorted copy. Selection and a sort may order +0.0 and -0.0 (which
+/// compare equal) differently, so a sample holding both may yield either
+/// zero; the use cases' samples hold no -0.0 (APEs are std::abs values,
+/// demand series are sums from +0.0).
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
 
 /// Quantile over samples already sorted ascending (no copy).
@@ -58,7 +63,11 @@ struct BoxplotStats {
   double p95 = 0.0;
 };
 
+/// By selection over a copy, with quantile's values and caveat.
 [[nodiscard]] BoxplotStats boxplot_stats(std::span<const double> xs);
+
+/// boxplot_stats without the copy: reorders `xs`.
+[[nodiscard]] BoxplotStats boxplot_stats_in_place(std::span<double> xs);
 
 /// Pearson correlation coefficient; 0 when either side is constant.
 [[nodiscard]] double pearson(std::span<const double> xs,

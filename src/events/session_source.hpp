@@ -45,6 +45,12 @@ struct SourceQuery {
 /// matching event exactly once, in canonical (bs, day, minute, seq) order;
 /// how much of the query they evaluate below the decode (predicate
 /// push-down) is theirs to choose, the delivered stream is identical.
+///
+/// A source need not be safe to share between threads. A use case may call
+/// scan() from a thread other than its caller (run_slicing_from_source
+/// scans from a job of its calibration fork), but never concurrently: its
+/// scans run one after another on one thread, ordered against the caller's
+/// own accesses by that thread's start and join.
 class SessionSource {
  public:
   virtual ~SessionSource() = default;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -131,14 +133,20 @@ struct StrategyAllocations {
   std::vector<std::vector<double>> per_service;
 };
 
-/// Allocations + evaluation against a ground-truth demand tensor
-/// demand[antenna][service][minute]; shared by the Monte-Carlo and the
-/// SessionSource-backed entry points. The strategy side is calibration
-/// Monte-Carlo either way — only where the evaluated demand comes from
-/// differs.
+/// Ground-truth demand, demand[antenna][service][minute] in Mbps.
+using DemandTensor = std::vector<std::vector<std::vector<double>>>;
+
+/// Allocations + evaluation against a ground-truth demand tensor, sized to
+/// num_antennas and filled by fill_demand(j, demand) for j < demand_jobs;
+/// shared by the Monte-Carlo and the SessionSource-backed entry points. The
+/// demand jobs run in the calibration fork (calibration never reads the
+/// demand), each writing only its own antennas. The strategy side is
+/// calibration Monte-Carlo either way — only where the evaluated demand
+/// comes from differs.
 SlicingResult evaluate_strategies(
     const ModelRegistry& registry, const SlicingConfig& config,
-    const std::vector<std::vector<std::vector<double>>>& demand) {
+    std::size_t demand_jobs,
+    const std::function<void(std::size_t, DemandTensor&)>& fill_demand) {
   const auto& catalog = service_catalog();
   const std::size_t num_services = catalog.size();
   const std::vector<std::uint8_t> deciles = antenna_deciles(config);
@@ -181,8 +189,26 @@ SlicingResult evaluate_strategies(
   }
 
   // One calibration job per (strategy, antenna), on the stream
-  // root.split(2000 | 3000 | 4000 + antenna) of its strategy.
-  parallel_for(strategies.size() * config.num_antennas, [&](std::size_t job) {
+  // root.split(2000 | 3000 | 4000 + antenna) of its strategy, next to the
+  // demand jobs. Jobs are claimed heaviest first: the demand jobs, then the
+  // calibration jobs by antenna decile, descending (strategy-major within a
+  // decile). The claim order is a fixed permutation, so the lowest failing
+  // claim still decides which error surfaces.
+  DemandTensor demand(config.num_antennas);
+  std::vector<std::size_t> calibration(strategies.size() *
+                                       config.num_antennas);
+  std::iota(calibration.begin(), calibration.end(), std::size_t{0});
+  std::stable_sort(calibration.begin(), calibration.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return deciles[x % config.num_antennas] >
+                            deciles[y % config.num_antennas];
+                   });
+  parallel_for(demand_jobs + calibration.size(), [&](std::size_t claim) {
+    if (claim < demand_jobs) {
+      fill_demand(claim, demand);
+      return;
+    }
+    const std::size_t job = calibration[claim - demand_jobs];
     const std::size_t k = job / config.num_antennas;
     const std::size_t a = job % config.num_antennas;
     const ArrivalClassModel& arrival = arrivals.class_model(deciles[a]);
@@ -272,16 +298,14 @@ SlicingResult run_slicing(const ModelRegistry& registry,
 
   const Rng root(config.seed);
 
-  // ---- ground-truth demand per antenna, one job each -----------------------
-  std::vector<std::vector<std::vector<double>>> demand(
-      config.num_antennas);  // [a][s][minute]
-  parallel_for(config.num_antennas, [&](std::size_t a) {
-    Rng rng = root.split(1000 + a);
-    demand[a] =
-        real_demand(arrivals.class_model(deciles[a]), arrivals, config, rng);
-  });
-
-  return evaluate_strategies(registry, config, demand);
+  // Ground-truth demand, one job per antenna on root.split(1000 + a).
+  return evaluate_strategies(
+      registry, config, config.num_antennas,
+      [&](std::size_t a, DemandTensor& demand) {
+        Rng rng = root.split(1000 + a);
+        demand[a] = real_demand(arrivals.class_model(deciles[a]), arrivals,
+                                config, rng);
+      });
 }
 
 SlicingResult run_slicing_from_source(SessionSource& source,
@@ -298,28 +322,28 @@ SlicingResult run_slicing_from_source(SessionSource& source,
   // sessions of BS a over the horizon, one per-BS push-down scan each.
   // Sub-minute placement comes from the ordering key (event_start_second),
   // so the tensor is identical whichever SessionSource implementation
-  // delivers the events.
-  std::vector<std::vector<std::vector<double>>> demand(
-      config.num_antennas, std::vector<std::vector<double>>(
-                               num_services, std::vector<double>(horizon)));
-  for (std::size_t a = 0; a < config.num_antennas; ++a) {
-    SourceQuery query;
-    query.bs = static_cast<std::uint32_t>(a);
-    query.day_hi = static_cast<std::uint16_t>(config.eval_days - 1);
-    query.kinds = EventKindMask{}.set(EventKind::kSession);
-    (void)source.scan(query, [&](const StreamEvent& event) {
-      const Session& s = std::get<SessionEvent>(event.payload).session;
-      if (s.service >= num_services) return;
-      const std::size_t minute = static_cast<std::size_t>(event.key.day) *
-                                     kMinutesPerDay +
-                                 event.key.minute_of_day;
-      add_session_demand(demand[a][s.service], minute,
-                         event_start_second(event.key), s.duration_s,
-                         s.throughput_mbps());
-    });
-  }
-
-  return evaluate_strategies(registry, config, demand);
+  // delivers the events. One job runs every scan, in antenna order, so the
+  // source is never scanned concurrently.
+  return evaluate_strategies(
+      registry, config, 1, [&](std::size_t, DemandTensor& demand) {
+        for (std::size_t a = 0; a < config.num_antennas; ++a) {
+          demand[a].assign(num_services, std::vector<double>(horizon));
+          SourceQuery query;
+          query.bs = static_cast<std::uint32_t>(a);
+          query.day_hi = static_cast<std::uint16_t>(config.eval_days - 1);
+          query.kinds = EventKindMask{}.set(EventKind::kSession);
+          (void)source.scan(query, [&](const StreamEvent& event) {
+            const Session& s = std::get<SessionEvent>(event.payload).session;
+            if (s.service >= num_services) return;
+            const std::size_t minute = static_cast<std::size_t>(event.key.day) *
+                                           kMinutesPerDay +
+                                       event.key.minute_of_day;
+            add_session_demand(demand[a][s.service], minute,
+                               event_start_second(event.key), s.duration_s,
+                               s.throughput_mbps());
+          });
+        }
+      });
 }
 
 }  // namespace mtd

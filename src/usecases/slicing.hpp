@@ -13,9 +13,10 @@
 // demand-vs-allocation time series of one slice -> Fig. 12).
 //
 // The Monte-Carlo jobs (one per antenna for the ground truth, one per
-// strategy and antenna for the calibration) run concurrently, each on a
-// stream fixed by the seed and its index; results do not depend on the
-// thread count (DESIGN.md section 17).
+// strategy and antenna for the calibration) run concurrently in one fork,
+// each on a stream fixed by the seed and its index; the source-backed
+// entry point runs its per-BS scans as one job of the same fork. Results
+// do not depend on the thread count (DESIGN.md section 17).
 #pragma once
 
 #include <string>
@@ -84,8 +85,11 @@ void validate(const SlicingConfig& config, const std::string& where);
 /// with sub-minute placement derived from the event key. The strategy
 /// allocations are the same calibration Monte-Carlo as run_slicing, so the
 /// result depends on the source only through the delivered event stream:
-/// two sources with the same events yield bit-identical tables. Rejects
-/// what run_slicing rejects, and eval_days above 65536 (days are 16-bit).
+/// two sources with the same events yield bit-identical tables. The scans
+/// run on one thread of the calibration fork, not always the caller's, and
+/// never concurrently; an exception from the source is rethrown once the
+/// fork has joined. Rejects what run_slicing rejects, and eval_days above
+/// 65536 (days are 16-bit).
 [[nodiscard]] SlicingResult run_slicing_from_source(
     SessionSource& source, const ModelRegistry& registry,
     const SlicingConfig& config = {});

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -22,27 +23,47 @@ const char* to_string(PackingPolicy p) noexcept {
   return "?";
 }
 
-PackingResult pack_loads(std::vector<double> loads, double capacity,
-                         PackingPolicy policy) {
-  require(capacity > 0.0, "pack_loads: capacity must be positive");
+namespace {
+
+/// Bins one slot may use: VranTimeline::active_ps counts them in 16 bits.
+constexpr std::size_t kMaxBins = std::numeric_limits<std::uint16_t>::max();
+
+/// pack_loads into caller-owned storage: sorts `loads` descending in place
+/// and packs them into `bins`, which is cleared first, so a caller reusing
+/// both allocates nothing once they have grown. Returns nullptr, or why the
+/// loads cannot be packed: a non-finite load, or more than kMaxBins bins.
+/// No bin holds more than `capacity`, so loads summing to more than
+/// kMaxBins bins' worth are rejected before any is split; a huge load
+/// cannot spin the splitting loop.
+[[nodiscard]] const char* pack_into(std::span<double> loads, double capacity,
+                                    PackingPolicy policy,
+                                    std::vector<double>& bins) {
+  double total = 0.0;
+  for (const double load : loads) {
+    if (!std::isfinite(load)) return "non-finite load";
+    if (load > 0.0) total += load;
+  }
+  if (total / capacity > static_cast<double>(kMaxBins)) {
+    return "loads need more than 65535 bins";
+  }
   std::sort(loads.begin(), loads.end(), std::greater<>());
-  PackingResult result;
+  bins.clear();
   for (double load : loads) {
     if (load <= 0.0) continue;
     // Oversized items are split: fill whole bins, then place the remainder.
     while (load > capacity) {
-      result.bin_loads.push_back(capacity);
+      bins.push_back(capacity);
       load -= capacity;
     }
     if (policy == PackingPolicy::kNoConsolidation) {
-      result.bin_loads.push_back(load);
+      bins.push_back(load);
       continue;
     }
-    std::size_t chosen = result.bin_loads.size();
+    std::size_t chosen = bins.size();
     switch (policy) {
       case PackingPolicy::kFirstFitDecreasing:
-        for (std::size_t b = 0; b < result.bin_loads.size(); ++b) {
-          if (result.bin_loads[b] + load <= capacity) {
+        for (std::size_t b = 0; b < bins.size(); ++b) {
+          if (bins[b] + load <= capacity) {
             chosen = b;
             break;
           }
@@ -50,8 +71,8 @@ PackingResult pack_loads(std::vector<double> loads, double capacity,
         break;
       case PackingPolicy::kBestFitDecreasing: {
         double best_slack = capacity + 1.0;
-        for (std::size_t b = 0; b < result.bin_loads.size(); ++b) {
-          const double slack = capacity - result.bin_loads[b] - load;
+        for (std::size_t b = 0; b < bins.size(); ++b) {
+          const double slack = capacity - bins[b] - load;
           if (slack >= 0.0 && slack < best_slack) {
             best_slack = slack;
             chosen = b;
@@ -61,8 +82,8 @@ PackingResult pack_loads(std::vector<double> loads, double capacity,
       }
       case PackingPolicy::kWorstFitDecreasing: {
         double best_slack = -1.0;
-        for (std::size_t b = 0; b < result.bin_loads.size(); ++b) {
-          const double slack = capacity - result.bin_loads[b] - load;
+        for (std::size_t b = 0; b < bins.size(); ++b) {
+          const double slack = capacity - bins[b] - load;
           if (slack >= 0.0 && slack > best_slack) {
             best_slack = slack;
             chosen = b;
@@ -73,11 +94,23 @@ PackingResult pack_loads(std::vector<double> loads, double capacity,
       case PackingPolicy::kNoConsolidation:
         break;
     }
-    if (chosen < result.bin_loads.size()) {
-      result.bin_loads[chosen] += load;
+    if (chosen < bins.size()) {
+      bins[chosen] += load;
     } else {
-      result.bin_loads.push_back(load);
+      bins.push_back(load);
     }
+  }
+  return bins.size() > kMaxBins ? "loads need more than 65535 bins" : nullptr;
+}
+
+}  // namespace
+
+PackingResult pack_loads(std::vector<double> loads, double capacity,
+                         PackingPolicy policy) {
+  require(capacity > 0.0, "pack_loads: capacity must be positive");
+  PackingResult result;
+  if (const char* why = pack_into(loads, capacity, policy, result.bin_loads)) {
+    throw InvalidArgument(std::string("pack_loads: ") + why);
   }
   result.bins = result.bin_loads.size();
   return result;
@@ -159,12 +192,20 @@ VranTimeline simulate(const std::string& name,
 
   std::vector<double> ru_load(num_rus, 0.0);
   std::size_t next_arrival = 0;
+  // Packing scratch, reused every slot. A slot in which no RU load changed
+  // packs exactly as the one before it, so it repeats that slot's result.
+  std::vector<double> sorted;
+  std::vector<double> bins;
+  bool changed = true;
+  std::uint16_t active = 0;
+  float power_w = 0.0f;
 
   for (std::uint32_t t = 0; t < horizon_s; ++t) {
     while (!ends.empty() && ends.top().second <= t) {
       const EndEvent e = ends.top();
       ends.pop();
       ru_load[e.ru] = std::max(0.0, ru_load[e.ru] - e.rate);
+      changed = true;
     }
     while (next_arrival < schedule.size() &&
            schedule[next_arrival].second <= t) {
@@ -176,43 +217,39 @@ VranTimeline simulate(const std::string& name,
       ru_load[a.ru] += rate;
       ends.push(EndEvent{end_second, a.ru, static_cast<float>(rate)});
       ++next_arrival;
+      changed = true;
     }
 
-    const PackingResult packing = pack_loads(ru_load, ps.capacity_mbps, policy);
-    timeline.active_ps[t] = static_cast<std::uint16_t>(packing.bins);
-    double power = 0.0;
-    for (double load : packing.bin_loads) {
-      power += ps.power(load / ps.capacity_mbps);
+    if (changed) {
+      sorted.assign(ru_load.begin(), ru_load.end());
+      if (const char* why = pack_into(sorted, ps.capacity_mbps, policy, bins)) {
+        throw InvalidArgument("vran " + name + ": slot " + std::to_string(t) +
+                              ": " + why);
+      }
+      active = static_cast<std::uint16_t>(bins.size());
+      double power = 0.0;
+      for (double load : bins) power += ps.power(load / ps.capacity_mbps);
+      power_w = static_cast<float>(power);
+      changed = false;
     }
-    timeline.power_w[t] = static_cast<float>(power);
+    timeline.active_ps[t] = active;
+    timeline.power_w[t] = power_w;
   }
   return timeline;
 }
 
-/// APE of `model` against `real`, skipping slots where the reference is 0.
-std::vector<double> ape_series(std::span<const float> real,
-                               std::span<const float> model) {
-  std::vector<double> out;
-  out.reserve(real.size());
+/// Fills `out` (cleared first) with the APE of `model` against `real`,
+/// skipping slots where the reference is 0.
+template <typename T>
+void ape_series(const std::vector<T>& real, const std::vector<T>& model,
+                std::vector<double>& out) {
+  out.clear();
   for (std::size_t i = 0; i < real.size(); ++i) {
-    if (real[i] <= 0.0f) continue;
-    out.push_back(std::abs(static_cast<double>(model[i]) - real[i]) /
-                  static_cast<double>(real[i]));
+    if (real[i] <= T{0}) continue;
+    const auto reference = static_cast<double>(real[i]);
+    out.push_back(std::abs(static_cast<double>(model[i]) - reference) /
+                  reference);
   }
-  return out;
-}
-
-std::vector<double> ape_series(std::span<const std::uint16_t> real,
-                               std::span<const std::uint16_t> model) {
-  std::vector<double> out;
-  out.reserve(real.size());
-  for (std::size_t i = 0; i < real.size(); ++i) {
-    if (real[i] == 0) continue;
-    out.push_back(
-        std::abs(static_cast<double>(model[i]) - static_cast<double>(real[i])) /
-        static_cast<double>(real[i]));
-  }
-  return out;
 }
 
 /// Mean session throughput (Mbit/s) under a draw function, for the
@@ -317,28 +354,30 @@ VranResult run_strategies(const ModelRegistry& registry,
                             rng);
   });
 
+  // One post-processing job per strategy, each into its own row. A job
+  // reuses one APE buffer: the active-PS boxplot is taken before the
+  // buffer is refilled with the power APE.
   const VranTimeline& real = timelines.front();
-  VranResult result;
   const std::size_t series_start =
       std::min(config.series_start_minute * kSecondsPerMinute, horizon_s - 1);
   const std::size_t series_len =
       std::min(config.series_seconds, horizon_s - series_start);
-
-  for (const VranTimeline& timeline : timelines) {
-    VranStrategyResult row;
+  VranResult result;
+  result.strategies.resize(timelines.size());
+  parallel_for(timelines.size(), [&](std::size_t i) {
+    const VranTimeline& timeline = timelines[i];
+    VranStrategyResult& row = result.strategies[i];
     row.name = timeline.name;
-    const std::vector<double> ape_ps =
-        ape_series(std::span<const std::uint16_t>(real.active_ps),
-                   std::span<const std::uint16_t>(timeline.active_ps));
-    const std::vector<double> ape_pw =
-        ape_series(std::span<const float>(real.power_w),
-                   std::span<const float>(timeline.power_w));
-    if (!ape_ps.empty()) {
-      row.ape_active_ps = boxplot_stats(ape_ps);
+    std::vector<double> ape;
+    ape.reserve(horizon_s);
+    ape_series(real.active_ps, timeline.active_ps, ape);
+    if (!ape.empty()) {
+      row.ape_active_ps = boxplot_stats_in_place(ape);
       row.median_ape_active_ps = row.ape_active_ps.median;
     }
-    if (!ape_pw.empty()) {
-      row.ape_power = boxplot_stats(ape_pw);
+    ape_series(real.power_w, timeline.power_w, ape);
+    if (!ape.empty()) {
+      row.ape_power = boxplot_stats_in_place(ape);
       row.median_ape_power = row.ape_power.median;
     }
     double mean_power = 0.0;
@@ -351,8 +390,7 @@ VranResult run_strategies(const ModelRegistry& registry,
         timeline.power_w.begin() + static_cast<std::ptrdiff_t>(series_start),
         timeline.power_w.begin() +
             static_cast<std::ptrdiff_t>(series_start + series_len));
-    result.strategies.push_back(std::move(row));
-  }
+  });
   return result;
 }
 
@@ -371,6 +409,8 @@ void validate(const VranConfig& config, const std::string& where) {
   require(config.num_days >= 1, where + ": num_days must be >= 1");
   require(config.num_days <= kMaxDays,
           where + ": num_days must be <= " + std::to_string(kMaxDays));
+  require(config.ps.capacity_mbps > 0.0,
+          where + ": ps.capacity_mbps must be positive");
 }
 
 VranResult run_vran(const ModelRegistry& registry, const VranConfig& config) {

@@ -53,7 +53,9 @@ enum class PackingPolicy : std::uint8_t {
 /// Bin packing of `loads` into bins of `capacity` under a policy. Items
 /// larger than the capacity are split across bins (a DU's load can be
 /// served by multiple CUs). Returns the number of bins and the vector of
-/// bin loads. Exposed for unit testing and the packing ablation.
+/// bin loads. Throws InvalidArgument when capacity is not positive, a load
+/// is not finite, or the loads need more than 65535 bins (active PSs are
+/// counted in 16 bits). Exposed for unit testing and the packing ablation.
 struct PackingResult {
   std::size_t bins = 0;
   std::vector<double> bin_loads;
@@ -103,8 +105,9 @@ struct VranResult {
 
 /// Throws InvalidArgument, prefixed with `where` and naming the field, when
 /// num_edge_sites, rus_per_site or num_days is 0, when there are more than
-/// 65536 RUs (RU ids are 16-bit), or when the horizon's seconds overflow
-/// 32 bits (num_days > 49710). Both entry points and Scenario::from_json
+/// 65536 RUs (RU ids are 16-bit), when the horizon's seconds overflow
+/// 32 bits (num_days > 49710), or when ps.capacity_mbps is not positive
+/// (nothing could be packed). Both entry points and Scenario::from_json
 /// run it, so a bad config fails before any job (or any fit) starts.
 void validate(const VranConfig& config, const std::string& where);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+
 #include "common/time_utils.hpp"
 #include "test_helpers.hpp"
 
@@ -128,6 +131,49 @@ TEST(Slicing, RejectsOutOfRangeConfig) {
   ASSERT_TRUE(test::rejects(
       [&] { (void)run_slicing_from_source(empty, registry(), config); },
       "eval_days"));
+}
+
+/// A source whose third scan throws; it also records whether two scans
+/// ever overlapped.
+class ThirdScanFails final : public SessionSource {
+ public:
+  std::uint64_t scan(const SourceQuery& query,
+                     const std::function<void(const StreamEvent&)>& fn)
+      override {
+    if (in_scan_.exchange(true)) overlapped_ = true;
+    const int n = ++scans_;
+    if (n == 3) {
+      in_scan_ = false;
+      throw IoError("third scan failed");
+    }
+    const std::uint64_t delivered = inner_.scan(query, fn);
+    in_scan_ = false;
+    return delivered;
+  }
+
+  [[nodiscard]] int scans() const noexcept { return scans_; }
+  [[nodiscard]] bool overlapped() const noexcept { return overlapped_; }
+
+ private:
+  MemorySessionSource inner_{{}};
+  std::atomic<bool> in_scan_{false};
+  std::atomic<bool> overlapped_{false};
+  std::atomic<int> scans_{0};
+};
+
+// The scans run as a job of the calibration fork; a failing scan reaches the
+// caller as the source threw it, once the fork has joined, and stops the
+// scan loop.
+TEST(Slicing, SourceScanErrorReachesTheCaller) {
+  ThirdScanFails source;
+  try {
+    (void)run_slicing_from_source(source, registry(), quick_config());
+    FAIL() << "the scan error was swallowed";
+  } catch (const IoError& e) {
+    EXPECT_STREQ(e.what(), "third scan failed");
+  }
+  EXPECT_EQ(source.scans(), 3);
+  EXPECT_FALSE(source.overlapped());
 }
 
 TEST(Slicing, RejectsEmptyConfig) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -75,6 +79,7 @@ TEST(Quantile, ExtremesAreMinMax) {
 
 TEST(Quantile, ThrowsOnEmptyOrBadQ) {
   EXPECT_THROW(quantile({}, 0.5), InvalidArgument);
+  EXPECT_THROW((void)boxplot_stats({}), InvalidArgument);
   const std::vector<double> xs{1.0};
   EXPECT_THROW(quantile(xs, -0.1), InvalidArgument);
   EXPECT_THROW(quantile(xs, 1.1), InvalidArgument);
@@ -99,6 +104,69 @@ TEST(BoxplotStats, OrderedQuantiles) {
   EXPECT_NEAR(box.median, 50.0, 1e-9);
   EXPECT_NEAR(box.q3, 75.0, 1e-9);
   EXPECT_NEAR(box.p95, 95.0, 1e-9);
+}
+
+// ---- selection against a sort ----------------------------------------------
+// quantile and boxplot_stats select instead of sorting; they must return
+// the bits quantile_sorted gives over a sorted copy.
+
+constexpr std::array<std::size_t, 6> kSelectionSizes{1, 2, 3, 17, 1000,
+                                                     86400};
+constexpr std::array<double, 7> kSelectionQs{0.0,  0.05, 0.25, 0.5,
+                                             0.75, 0.95, 1.0};
+
+/// Half of the values from a 5-value grid (many ties), half spread out.
+std::vector<double> tie_heavy_sample(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) {
+    x = rng.uniform() < 0.5 ? 0.25 * static_cast<double>(rng.uniform_index(5))
+                            : rng.normal(1.0, 3.0);
+  }
+  return xs;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Quantile, SelectionMatchesSortBitForBit) {
+  for (const std::size_t n : kSelectionSizes) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::vector<double> xs = tie_heavy_sample(n, seed);
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      for (const double q : kSelectionQs) {
+        EXPECT_EQ(bits(quantile(xs, q)), bits(quantile_sorted(sorted, q)))
+            << "n=" << n << " seed=" << seed << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(BoxplotStats, SelectionMatchesSortBitForBit) {
+  for (const std::size_t n : kSelectionSizes) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::vector<double> xs = tie_heavy_sample(n, seed);
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<double> scratch = xs;
+      const BoxplotStats copied = boxplot_stats(xs);
+      const BoxplotStats in_place = boxplot_stats_in_place(scratch);
+      const std::array<std::array<double, 3>, 5> rows{{
+          {quantile_sorted(sorted, 0.05), copied.p5, in_place.p5},
+          {quantile_sorted(sorted, 0.25), copied.q1, in_place.q1},
+          {quantile_sorted(sorted, 0.50), copied.median, in_place.median},
+          {quantile_sorted(sorted, 0.75), copied.q3, in_place.q3},
+          {quantile_sorted(sorted, 0.95), copied.p95, in_place.p95},
+      }};
+      for (const auto& row : rows) {
+        EXPECT_EQ(bits(row[1]), bits(row[0])) << "n=" << n << " seed=" << seed;
+        EXPECT_EQ(bits(row[2]), bits(row[0])) << "n=" << n << " seed=" << seed;
+      }
+      // The in-place form only reorders its input.
+      std::sort(scratch.begin(), scratch.end());
+      EXPECT_EQ(scratch, sorted);
+    }
+  }
 }
 
 TEST(Pearson, PerfectCorrelations) {

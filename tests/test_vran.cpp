@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/time_utils.hpp"
 #include "test_helpers.hpp"
 
@@ -140,6 +144,37 @@ TEST(PackLoads, BestFitNeverWorseThanWorstFit) {
   }
 }
 
+// Active PSs are counted in 16 bits: a load that needs more bins, or that
+// is not finite (the splitting loop would never end), must be rejected
+// before it is split.
+TEST(PackLoads, RejectsLoadsThatNeedMoreThan65535Bins) {
+  EXPECT_TRUE(test::rejects([] { (void)pack_loads({7.0e6}, 100.0); },
+                            "65535 bins"));  // 70,000 bins
+  EXPECT_EQ(pack_loads({6553500.0}, 100.0).bins, 65535u);
+  // One bin per loaded RU: 65,536 RUs overflow the count as well.
+  const std::vector<double> rus(65536, 1.0);
+  EXPECT_TRUE(test::rejects(
+      [&] {
+        (void)pack_loads(rus, 100.0, PackingPolicy::kNoConsolidation);
+      },
+      "65535 bins"));
+  EXPECT_EQ(pack_loads(std::vector<double>(65535, 1.0), 100.0,
+                       PackingPolicy::kNoConsolidation)
+                .bins,
+            65535u);
+}
+
+TEST(PackLoads, RejectsNonFiniteAndHugeLoads) {
+  for (const double load : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(test::rejects([&] { (void)pack_loads({1.0, load}, 100.0); },
+                              "non-finite"));
+  }
+  // Finite, but subtracting the capacity no longer changes it.
+  EXPECT_TRUE(test::rejects([] { (void)pack_loads({1e300}, 100.0); },
+                            "65535 bins"));
+}
+
 TEST(PackLoads, PolicyNames) {
   EXPECT_STREQ(to_string(PackingPolicy::kFirstFitDecreasing),
                "first-fit decreasing");
@@ -211,6 +246,59 @@ TEST(Vran, RejectsOutOfRangeConfig) {
   config = quick_config();
   config.num_days = 49711;
   ASSERT_TRUE(check(config, "num_days"));
+  // No server capacity: used to fail only inside the simulation jobs.
+  config = quick_config();
+  config.ps.capacity_mbps = 0.0;
+  ASSERT_TRUE(check(config, "capacity_mbps"));
+}
+
+/// One recorded session at BS 0 whose rate is `rate_mbps` (volume_mb is
+/// derived from it, so an infinite rate records an infinite volume).
+MemorySessionSource one_session_source(double rate_mbps, const EventKey& key) {
+  Session session;
+  session.day = key.day;
+  session.minute_of_day = key.minute_of_day;
+  session.duration_s = 10.0;
+  session.volume_mb = rate_mbps * session.duration_s / 8.0;
+  return MemorySessionSource({StreamEvent{key, SessionEvent{session}}});
+}
+
+VranConfig one_ru_config() {
+  VranConfig config = quick_config();
+  config.num_edge_sites = 1;
+  config.rus_per_site = 1;
+  return config;
+}
+
+/// The slot a session recorded under `key` arrives in.
+std::string slot_of(const EventKey& key) {
+  return "slot " +
+         std::to_string(key.clock_minute() * kSecondsPerMinute +
+                        static_cast<std::uint64_t>(event_start_second(key))) +
+         ":";
+}
+
+// A hostile store: a recorded rate of 7e6 Mbps needs 70,000 100-Mbps PSs,
+// more than the 16-bit active-PS count holds.
+TEST(Vran, RecordedLoadBeyond65535BinsIsRejectedNamingTheSlot) {
+  const EventKey key{0, 0, 600, 0};
+  MemorySessionSource source = one_session_source(7.0e6, key);
+  EXPECT_TRUE(test::rejects(
+      [&] { (void)run_vran_from_source(source, registry(), one_ru_config()); },
+      slot_of(key)));
+}
+
+// An infinite recorded rate used to spin the packing's splitting loop.
+TEST(Vran, InfiniteRecordedRateIsRejectedNamingTheSlot) {
+  const EventKey key{0, 0, 601, 0};
+  for (const double rate : {std::numeric_limits<double>::infinity(), 8e300}) {
+    MemorySessionSource source = one_session_source(rate, key);
+    EXPECT_TRUE(test::rejects(
+        [&] {
+          (void)run_vran_from_source(source, registry(), one_ru_config());
+        },
+        slot_of(key)));
+  }
 }
 
 TEST(Vran, FiveStrategiesEvaluated) {
