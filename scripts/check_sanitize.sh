@@ -40,13 +40,14 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # Engine-side tests gated under TSan: everything with cross-thread
 # synchronization (rings, the typed event plane, engine, checkpoint/resume,
-# faults, supervision) plus the trace store, whose writer is fed from the
-# engine's consumer thread and whose fault points fire under load, the
-# store runner's kill-and-resume suite, the session-source parity suite
+# faults, supervision, the 3-worker engine feeding a dataset) plus the
+# trace store, whose writer is fed from the engine's consumer thread and
+# whose fault points fire under load, the store runner's kill-and-resume
+# suite, the session-source parity suite
 # (engine runs feeding both sources), and parallel_for with its callers:
 # the use cases' Monte-Carlo jobs, collect_dataset's per-cell jobs and their
 # fold frontier, and the registry's per-service model fits.
-TSAN_FILTER='SpscRing|EventPlane|StreamEngine|EngineCheckpoint|EngineFault|Supervisor|StoreSupervised|NetworkFingerprint|TraceStore|SessionSource|ParallelFor|Slicing|Vran|UseCaseGolden|CollectDataset|ParallelModelFit'
+TSAN_FILTER='SpscRing|EventPlane|StreamEngine|EngineCheckpoint|EngineFault|Supervisor|StoreSupervised|NetworkFingerprint|TraceStore|SessionSource|ParallelFor|Slicing|Vran|UseCaseGolden|CollectDataset|ParallelDataset|ParallelModelFit'
 
 if [[ "${MTD_SKIP_ASAN:-0}" == "1" ]]; then
   echo "skipping asan/ubsan stage (MTD_SKIP_ASAN=1)"

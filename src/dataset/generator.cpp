@@ -95,7 +95,6 @@ void MinuteBlock::resize(std::size_t n) {
   service.resize(n);
   volume_mb.resize(n);
   duration_s.resize(n);
-  start_s.resize(n);
   transient.resize(n);
   scratch.svc.resize(n);
   scratch.u.resize(5 * n);
@@ -133,8 +132,7 @@ SessionBlockKernel::SessionBlockKernel(
 }
 
 void SessionBlockKernel::fill(BlockRng& rng, const AliasTable& service_alias,
-                              double start_s, std::uint32_t count,
-                              MinuteBlock& out) const {
+                              std::uint32_t count, MinuteBlock& out) const {
   const std::size_t n = count;
   out.resize(n);
   out.count = count;
@@ -181,7 +179,6 @@ void SessionBlockKernel::fill(BlockRng& rng, const AliasTable& service_alias,
   vec::exp2_block(s.xd.data(), out.duration_s.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     out.duration_s[i] = std::clamp(out.duration_s[i], 1.0, 6.0 * 3600.0);
-    out.start_s[i] = start_s;
     out.transient[i] = 0;
   }
   if (m == 0) return;
@@ -267,7 +264,7 @@ void TraceGenerator::sample_minute_block(const BaseStation& day_scaled_bs,
   BlockRng rng(bs_day_rng(day_scaled_bs, day), minute_of_day);
   const ArrivalProcess arrivals(day_scaled_bs);
   const std::uint32_t count = arrivals.sample_batch(minute_of_day, rng);
-  block_kernel_.fill(rng, service_alias_, 60.0 * minute_of_day, count, out);
+  block_kernel_.fill(rng, service_alias_, count, out);
 }
 
 void TraceGenerator::sample_minute(const BaseStation& day_scaled_bs,
@@ -287,7 +284,6 @@ void TraceGenerator::sample_minute(const BaseStation& day_scaled_bs,
     out.service[i] = session.service;
     out.volume_mb[i] = session.volume_mb;
     out.duration_s[i] = session.duration_s;
-    out.start_s[i] = 60.0 * static_cast<double>(minute_of_day);
     out.transient[i] = session.transient ? 1 : 0;
   }
 }

@@ -117,10 +117,6 @@ struct MinuteBlock {
   std::vector<std::uint16_t> service;
   std::vector<double> volume_mb;
   std::vector<double> duration_s;
-  /// Session start, seconds since day start (the minute boundary: the
-  /// scalar model has minute granularity, so all sessions of a block
-  /// share it; kept per-session so downstream consumers stay columnar).
-  std::vector<double> start_s;
   std::vector<std::uint8_t> transient;
 
   // -- scratch ---------------------------------------------------------------
@@ -158,8 +154,8 @@ class SessionBlockKernel {
   explicit SessionBlockKernel(std::span<const ServiceProfile> catalog);
 
   /// Fills `out` with `count` sessions drawn from `rng` (service picked
-  /// through `service_alias`). `start_s` stamps every session's start.
-  void fill(BlockRng& rng, const AliasTable& service_alias, double start_s,
+  /// through `service_alias`).
+  void fill(BlockRng& rng, const AliasTable& service_alias,
             std::uint32_t count, MinuteBlock& out) const;
 
  private:

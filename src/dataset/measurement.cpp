@@ -39,7 +39,6 @@ namespace {
 const Axis kVolumeAxis = volume_axis();
 const Axis kDurationAxis = duration_axis();
 const std::size_t kVolumeBins = kVolumeAxis.bins();
-const std::size_t kDurationBins = kDurationAxis.bins();
 
 /// Arrival-count axis for a decile: wide enough for the busiest minute.
 Axis arrival_axis_for(double decile_rate) {
@@ -64,7 +63,7 @@ void for_each_slice(const BaseStation& bs, std::size_t day, Fn&& fn) {
   }
 }
 
-/// Adds integer bin counts to the leading bins of a PDF.
+/// Adds integer bin counts to the bins of a PDF.
 void add_counts(BinnedPdf& pdf, std::span<const std::uint32_t> counts) {
   for (std::size_t i = 0; i < counts.size(); ++i) {
     pdf[i] += static_cast<double>(counts[i]);
@@ -74,15 +73,13 @@ void add_counts(BinnedPdf& pdf, std::span<const std::uint32_t> counts) {
 }  // namespace
 
 MeasurementDataset::MeasurementDataset(const Network& network,
-                                       std::size_t num_days,
-                                       MeasurementConfig config)
-    : network_(&network), num_days_(num_days), config_(config) {
+                                       std::size_t num_days)
+    : network_(&network), num_days_(num_days) {
   const auto& catalog = service_catalog();
   services_.reserve(catalog.size());
   for (const auto& p : catalog) services_.push_back(&p);
 
   slice_stats_.resize(catalog.size());
-  duration_pdfs_.assign(catalog.size(), BinnedPdf(duration_axis()));
   decile_stats_.reserve(kNumDeciles);
   for (std::uint8_t d = 0; d < kNumDeciles; ++d) {
     decile_stats_.emplace_back(arrival_axis_for(network.decile_peak_rate(d)));
@@ -101,14 +98,12 @@ void MeasurementDataset::CellPartial::add_session(const Session& session) {
   Service& service = services[session.service];
   if (service.sessions++ == 0) {
     service.dv_curve.emplace(kDurationAxis);
-    if (holds_bins) service.bins.assign(kVolumeBins + kDurationBins, 0);
+    if (holds_bins) service.bins.assign(kVolumeBins, 0);
   }
-  const double log_duration = std::log10(session.duration_s);
   service.volume_mb += session.volume_mb;
-  service.dv_curve->add(log_duration, session.volume_mb);
+  service.dv_curve->add(std::log10(session.duration_s), session.volume_mb);
   if (holds_bins) {
     ++service.bins[kVolumeAxis.index_clamped(std::log10(session.volume_mb))];
-    ++service.bins[kVolumeBins + kDurationAxis.index_clamped(log_duration)];
   }
 }
 
@@ -127,11 +122,6 @@ void MeasurementDataset::on_session(const Session& session) {
   for_each_slice((*network_)[session.bs], session.day, [&](Slice sl) {
     per_service[static_cast<std::size_t>(sl)].volume_pdf[volume_bin] += 1.0;
   });
-  duration_pdfs_[session.service].add(std::log10(session.duration_s));
-  if (config_.store_per_cell) {
-    cells_[CellKey{session.service, session.bs, session.day}]
-        .volume_pdf[volume_bin] += 1.0;
-  }
   pending_cell(session.bs, session.day).add_session(session);
 }
 
@@ -149,7 +139,7 @@ MeasurementDataset::CellPartial& MeasurementDataset::pending_cell(
   return cell;
 }
 
-void MeasurementDataset::fold(CellPartial&& cell) {
+void MeasurementDataset::fold(const CellPartial& cell) {
   const BaseStation& bs = (*network_)[cell.bs];
 
   // The arrival PDFs take integer weights; the Welford moments replay each
@@ -164,7 +154,6 @@ void MeasurementDataset::fold(CellPartial&& cell) {
   for (std::uint32_t c : cell.night_counts) {
     const auto x = static_cast<double>(c);
     arrivals.count_pdf.add(x);
-    arrivals.night_pdf.add(x);
     arrivals.night_stats.add(x);
   }
 
@@ -179,7 +168,7 @@ void MeasurementDataset::fold(CellPartial&& cell) {
   total_volume_ += cell_volume;
 
   for (std::size_t s = 0; s < services_.size(); ++s) {
-    CellPartial::Service& service = cell.services[s];
+    const CellPartial::Service& service = cell.services[s];
     session_share_stats_[s].add(static_cast<double>(service.sessions) /
                                 static_cast<double>(cell_total));
     if (cell_volume > 0.0) {
@@ -187,25 +176,13 @@ void MeasurementDataset::fold(CellPartial&& cell) {
     }
     if (service.sessions == 0) continue;
     // Bins the sink path already added on arrival are absent here.
-    const std::span<const std::uint32_t> bins = service.bins;
-    const auto volume_bins = bins.first(std::min(bins.size(), kVolumeBins));
-    const auto duration_bins = bins.subspan(volume_bins.size());
     for_each_slice(bs, cell.day, [&](Slice sl) {
       ServiceSliceStats& stats = slice_stats_[s][static_cast<std::size_t>(sl)];
       stats.sessions += service.sessions;
       stats.volume_mb += service.volume_mb;
-      add_counts(stats.volume_pdf, volume_bins);
+      add_counts(stats.volume_pdf, service.bins);
       stats.dv_curve.accumulate(*service.dv_curve, 1.0);
     });
-    add_counts(duration_pdfs_[s], duration_bins);
-    if (config_.store_per_cell) {
-      CellStats& stats =
-          cells_[CellKey{static_cast<std::uint16_t>(s), cell.bs, cell.day}];
-      stats.sessions = service.sessions;
-      stats.volume_mb = service.volume_mb;
-      add_counts(stats.volume_pdf, volume_bins);
-      stats.dv_curve = std::move(*service.dv_curve);
-    }
   }
 }
 
@@ -213,7 +190,7 @@ void MeasurementDataset::finalize() {
   // std::map iterates cells in (bs, day) order, the order of serial
   // generation; each cell is freed as soon as it is folded.
   while (!pending_.empty()) {
-    fold(std::move(pending_.extract(pending_.begin()).mapped()));
+    fold(pending_.extract(pending_.begin()).mapped());
   }
   cached_cell_id_.reset();
   cached_cell_ = nullptr;
@@ -270,67 +247,10 @@ std::vector<double> MeasurementDataset::traffic_share_cv() const {
   return out;
 }
 
-const BinnedPdf& MeasurementDataset::duration_pdf(std::size_t service) const {
-  require(service < duration_pdfs_.size(), "duration_pdf: bad service index");
-  return duration_pdfs_[service];
-}
-
-const std::map<CellKey, CellStats>& MeasurementDataset::cells() const {
-  require(config_.store_per_cell,
-          "cells: per-cell store disabled in this dataset");
-  return cells_;
-}
-
-BinnedPdf MeasurementDataset::average_pdf(std::uint16_t service,
-                                          std::span<const CellKey> keys) const {
-  require(config_.store_per_cell, "average_pdf: per-cell store disabled");
-  BinnedPdf out(volume_axis());
-  double total_weight = 0.0;
-  for (const CellKey& key : keys) {
-    require(key.service == service, "average_pdf: key of another service");
-    const auto it = cells_.find(key);
-    if (it == cells_.end() || it->second.sessions == 0) continue;
-    const auto weight = static_cast<double>(it->second.sessions);
-    // F_s^{c,t} enters Eq. (2) normalized, weighted by w_s^{c,t}.
-    BinnedPdf pdf = it->second.volume_pdf;
-    pdf.normalize();
-    out.accumulate(pdf, weight);
-    total_weight += weight;
-  }
-  require(total_weight > 0.0, "average_pdf: no sessions in selection");
-  out.normalize();
-  return out;
-}
-
-BinnedMeanCurve MeasurementDataset::average_curve(
-    std::uint16_t service, std::span<const CellKey> keys) const {
-  require(config_.store_per_cell, "average_curve: per-cell store disabled");
-  BinnedMeanCurve out(duration_axis());
-  for (const CellKey& key : keys) {
-    require(key.service == service, "average_curve: key of another service");
-    const auto it = cells_.find(key);
-    if (it == cells_.end()) continue;
-    out.accumulate(it->second.dv_curve, 1.0);
-  }
-  return out;
-}
-
-std::vector<CellKey> MeasurementDataset::cell_keys(
-    std::uint16_t service) const {
-  require(config_.store_per_cell, "cell_keys: per-cell store disabled");
-  std::vector<CellKey> out;
-  for (const auto& [key, stats] : cells_) {
-    if (key.service == service) out.push_back(key);
-  }
-  return out;
-}
-
 MeasurementDataset collect_dataset(const Network& network,
-                                   const TraceConfig& trace_config,
-                                   MeasurementConfig measurement_config) {
+                                   const TraceConfig& trace_config) {
   using CellPartial = MeasurementDataset::CellPartial;
-  MeasurementDataset dataset(network, trace_config.num_days,
-                             measurement_config);
+  MeasurementDataset dataset(network, trace_config.num_days);
   const TraceGenerator generator(network, trace_config);
   const std::vector<BaseStation>& stations = network.base_stations();
 
@@ -385,7 +305,7 @@ MeasurementDataset collect_dataset(const Network& network,
         next = frontier.parked.extract(frontier.parked.begin());
         ++frontier.next;
       }
-      dataset.fold(std::move(next.mapped()));
+      dataset.fold(next.mapped());
     }
   });
   return dataset;

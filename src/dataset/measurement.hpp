@@ -4,12 +4,15 @@
 //   - w_s^{c,m}: per-minute session arrival counts (and the daily w_s^{c,t}),
 //   - F_s^{c,t}(x): a PDF of per-session traffic volume,
 //   - v_s^{c,t}(d): mean volume per discretized session duration,
-// and Sec. 3.3: weighted averaging of these statistics over arbitrary sets
-// of BSs and days (Eqs. 1-2).
+// and Sec. 3.3: weighted averaging of these statistics over sets of BSs
+// and days (Eqs. 1-2).
 //
-// The full per-cell store is optional (it is quadratic in BS x day); the
-// slice accumulators needed by the analyses (per service: total, workday /
-// weekend, region, city, RAT) are always maintained streaming.
+// Only what the analyses read is kept, accumulated streaming: per service
+// the 13 slices (total, workday / weekend, region, city, RAT), whose PDF and
+// curve are the Eq. 1-2 averages over their cells, plus the per-decile
+// arrival statistics and the share moments. A one-cell dataset
+// (run_bs_day + finalize()) holds one cell's statistics; mixture_average
+// and BinnedMeanCurve::accumulate average such cells over any other set.
 #pragma once
 
 #include <array>
@@ -71,50 +74,23 @@ struct ServiceSliceStats {
 /// Per-decile arrival statistics backing Fig. 3 and the arrival model fits.
 struct DecileArrivalStats {
   explicit DecileArrivalStats(const Axis& axis)
-      : count_pdf(axis), day_pdf(axis), night_pdf(axis) {}
+      : count_pdf(axis), day_pdf(axis) {}
 
   BinnedPdf count_pdf;    // pooled per-minute counts, all BSs of the decile
   BinnedPdf day_pdf;      // daytime phase only
-  BinnedPdf night_pdf;    // overnight phase only
   RunningStats day_stats;   // moments of daytime counts
   RunningStats night_stats; // moments of overnight counts
 };
 
-/// Key of the optional per-cell store.
-struct CellKey {
-  std::uint16_t service;
-  std::uint32_t bs;
-  std::uint16_t day;
-
-  friend auto operator<=>(const CellKey&, const CellKey&) = default;
-};
-
-/// The (s, c, t) statistics of Sec. 3.2.
-struct CellStats {
-  CellStats() : volume_pdf(volume_axis()), dv_curve(duration_axis()) {}
-
-  std::uint64_t sessions = 0;   // w_s^{c,t}
-  double volume_mb = 0.0;
-  BinnedPdf volume_pdf;         // F_s^{c,t}(x), unnormalized
-  BinnedMeanCurve dv_curve;     // v_s^{c,t}(d)
-};
-
-struct MeasurementConfig {
-  /// Keep the full per-(service, BS, day) store; memory grows with
-  /// #BS x #days x #services, so enable only for small configurations.
-  bool store_per_cell = false;
-};
-
-/// The dataset built from a trace: the slice, decile and share statistics,
-/// plus the optional per-cell store. Normally built by collect_dataset,
-/// which generates and aggregates every (BS, day) cell on its own parallel
-/// job and folds the finished cells in (BS, day) order. Streaming
-/// front-ends fill it through the TraceSink interface and call finalize(),
-/// which folds the buffered cells through the same routine.
+/// The dataset built from a trace: the slice, decile and share statistics.
+/// Normally built by collect_dataset, which generates and aggregates every
+/// (BS, day) cell on its own parallel job and folds the finished cells in
+/// (BS, day) order. Streaming front-ends fill it through the TraceSink
+/// interface and call finalize(), which folds the buffered cells through
+/// the same routine.
 class MeasurementDataset final : public TraceSink {
  public:
-  MeasurementDataset(const Network& network, std::size_t num_days,
-                     MeasurementConfig config = {});
+  MeasurementDataset(const Network& network, std::size_t num_days);
 
   // TraceSink interface.
   void on_minute(const BaseStation& bs, std::size_t day,
@@ -161,30 +137,9 @@ class MeasurementDataset final : public TraceSink {
     return total_volume_;
   }
 
-  /// Empirical duration PDF of a service (log10 seconds, total slice).
-  [[nodiscard]] const BinnedPdf& duration_pdf(std::size_t service) const;
-
-  // -- per-cell store and Eqs. (1)-(2) ---------------------------------------
-
-  [[nodiscard]] bool has_per_cell_store() const noexcept {
-    return config_.store_per_cell;
-  }
-  [[nodiscard]] const std::map<CellKey, CellStats>& cells() const;
-
-  /// Weighted mixture average of F_s^{c,t} over the given cells (Eq. 2),
-  /// with weights w_s^{c,t}. Requires the per-cell store.
-  [[nodiscard]] BinnedPdf average_pdf(std::uint16_t service,
-                                      std::span<const CellKey> keys) const;
-  /// Weighted average of v_s^{c,t} over the given cells (Eq. 1).
-  [[nodiscard]] BinnedMeanCurve average_curve(
-      std::uint16_t service, std::span<const CellKey> keys) const;
-  /// All cell keys of one service in the store.
-  [[nodiscard]] std::vector<CellKey> cell_keys(std::uint16_t service) const;
-
  private:
   friend MeasurementDataset collect_dataset(const Network&,
-                                            const TraceConfig&,
-                                            MeasurementConfig);
+                                            const TraceConfig&);
 
   /// What one (BS, day) cell adds to the dataset, filled in the cell's own
   /// event order and applied by fold(). Integer tallies (session counts,
@@ -205,8 +160,8 @@ class MeasurementDataset final : public TraceSink {
     struct Service {
       std::uint64_t sessions = 0;
       double volume_mb = 0.0;
-      // Volume-PDF bins, then duration-PDF bins, sized at the first session
-      // when the partial holds bins; empty otherwise.
+      // Volume-PDF bins, sized at the first session when the partial holds
+      // bins; empty otherwise.
       std::vector<std::uint32_t> bins;
       std::optional<BinnedMeanCurve> dv_curve;
     };
@@ -226,17 +181,15 @@ class MeasurementDataset final : public TraceSink {
   /// Applies one finished cell. Every floating-point accumulation here
   /// depends on the order of folds, so cells must be folded in ascending
   /// (BS, day) order — the order of serial generation.
-  void fold(CellPartial&& cell);
+  void fold(const CellPartial& cell);
   [[nodiscard]] CellPartial& pending_cell(std::uint32_t bs, std::size_t day);
 
   const Network* network_;
   std::size_t num_days_;
-  MeasurementConfig config_;
   std::vector<const ServiceProfile*> services_;
 
   // service x slice accumulators.
   std::vector<std::array<ServiceSliceStats, kNumSlices>> slice_stats_;
-  std::vector<BinnedPdf> duration_pdfs_;
 
   // decile arrival statistics.
   std::vector<DecileArrivalStats> decile_stats_;
@@ -253,8 +206,6 @@ class MeasurementDataset final : public TraceSink {
 
   std::uint64_t total_sessions_ = 0;
   double total_volume_ = 0.0;
-
-  std::map<CellKey, CellStats> cells_;
 };
 
 /// Generates a full trace and aggregates it: one parallel_for job per
@@ -264,7 +215,6 @@ class MeasurementDataset final : public TraceSink {
 /// held. Bit-identical to TraceGenerator::run into a fresh dataset plus
 /// finalize(), at any thread count.
 [[nodiscard]] MeasurementDataset collect_dataset(
-    const Network& network, const TraceConfig& trace_config,
-    MeasurementConfig measurement_config = {});
+    const Network& network, const TraceConfig& trace_config);
 
 }  // namespace mtd

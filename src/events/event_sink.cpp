@@ -19,20 +19,46 @@ const char* to_string(SinkErrorPolicy p) noexcept {
   return "?";
 }
 
+namespace {
+
+[[noreturn]] void reject_event(const EventKey& key, const std::string& why) {
+  throw InvalidArgument("TraceSinkAdapter: event (bs " +
+                        std::to_string(key.bs) + ", day " +
+                        std::to_string(key.day) + ", minute " +
+                        std::to_string(key.minute_of_day) + ", seq " +
+                        std::to_string(key.seq) + "): " + why);
+}
+
+}  // namespace
+
 void TraceSinkAdapter::on_event(const StreamEvent& event) {
-  switch (event.kind()) {
-    case EventKind::kMinute:
-      sink_->on_minute((*network_)[event.key.bs], event.key.day,
-                       event.key.minute_of_day,
-                       std::get<MinuteEvent>(event.payload).arrivals);
-      break;
-    case EventKind::kSession:
-      sink_->on_session(std::get<SessionEvent>(event.payload).session);
-      break;
-    case EventKind::kSegment:
-    case EventKind::kPacket:
-      break;  // TraceSink predates these kinds
+  const EventKind kind = event.kind();
+  // TraceSink predates the segment and packet kinds.
+  if (kind != EventKind::kMinute && kind != EventKind::kSession) return;
+  // The TraceSinks index the network by BS and the catalogue by service
+  // unchecked, and a decoded stream may come from another network or a
+  // corrupt record, so both are checked here, where stream input enters.
+  const auto check_bs = [&](std::uint32_t bs) {
+    if (bs >= network_->size()) {
+      reject_event(event.key, "BS " + std::to_string(bs) + " outside the " +
+                                  std::to_string(network_->size()) +
+                                  "-BS network");
+    }
+  };
+  if (kind == EventKind::kMinute) {
+    check_bs(event.key.bs);
+    sink_->on_minute((*network_)[event.key.bs], event.key.day,
+                     event.key.minute_of_day,
+                     std::get<MinuteEvent>(event.payload).arrivals);
+    return;
   }
+  const Session& session = std::get<SessionEvent>(event.payload).session;
+  check_bs(session.bs);
+  if (session.service >= service_catalog().size()) {
+    reject_event(event.key, "service " + std::to_string(session.service) +
+                                " outside the catalogue");
+  }
+  sink_->on_session(session);
 }
 
 SessionCsvEventSink::SessionCsvEventSink(const Network& network,

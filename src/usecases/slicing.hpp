@@ -88,8 +88,9 @@ void validate(const SlicingConfig& config, const std::string& where);
 /// two sources with the same events yield bit-identical tables. The scans
 /// run on one thread of the calibration fork, not always the caller's, and
 /// never concurrently; an exception from the source is rethrown once the
-/// fork has joined. Rejects what run_slicing rejects, and eval_days above
-/// 65536 (days are 16-bit).
+/// fork has joined. Sessions of a service outside the catalogue are
+/// skipped. Rejects what run_slicing rejects, and eval_days above 65536
+/// (days are 16-bit).
 [[nodiscard]] SlicingResult run_slicing_from_source(
     SessionSource& source, const ModelRegistry& registry,
     const SlicingConfig& config = {});

@@ -445,6 +445,7 @@ VranResult run_vran_from_source(SessionSource& source,
   // push-down scan each — with the arrival second derived from the event
   // key. The measurement strategy then replays each session's own recorded
   // rate and duration; the models attach their draws to the same arrivals.
+  const std::size_t num_services = service_catalog().size();
   std::vector<ArrivalEvent> schedule;
   for (std::size_t ru = 0; ru < num_rus; ++ru) {
     SourceQuery query;
@@ -453,6 +454,7 @@ VranResult run_vran_from_source(SessionSource& source,
     query.kinds = EventKindMask{}.set(EventKind::kSession);
     (void)source.scan(query, [&](const StreamEvent& event) {
       const Session& s = std::get<SessionEvent>(event.payload).session;
+      if (s.service >= num_services) return;
       ArrivalEvent arrival;
       arrival.second = static_cast<std::uint32_t>(
           event.key.clock_minute() * kSecondsPerMinute +

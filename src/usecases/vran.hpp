@@ -123,8 +123,10 @@ void validate(const VranConfig& config, const std::string& where);
 /// strategy replays each session's own recorded rate and duration while
 /// the model strategies attach their draws to the same arrivals. Depends
 /// on the source only through the delivered event stream, so two sources
-/// holding the same events yield bit-identical energy figures. Rejects
-/// what run_vran rejects.
+/// holding the same events yield bit-identical energy figures. Sessions
+/// of a service outside the catalogue (a foreign or corrupt store) are
+/// skipped, as run_slicing_from_source skips them. Rejects what run_vran
+/// rejects.
 [[nodiscard]] VranResult run_vran_from_source(SessionSource& source,
                                               const ModelRegistry& registry,
                                               const VranConfig& config = {});

@@ -142,7 +142,9 @@ TEST(BatchRng, MinuteBlockDigestIsPinned) {
       h = fnv1a64_word(h, block.service[i]);
       h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(block.volume_mb[i]));
       h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(block.duration_s[i]));
-      h = fnv1a64_word(h, std::bit_cast<std::uint64_t>(block.start_s[i]));
+      // Every session of the block starts at the minute boundary.
+      h = fnv1a64_word(
+          h, std::bit_cast<std::uint64_t>(60.0 * static_cast<double>(minute)));
       h = fnv1a64_word(h, block.transient[i]);
     }
   }

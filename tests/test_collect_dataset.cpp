@@ -51,24 +51,17 @@ TraceConfig make_trace(std::size_t days, std::uint64_t seed) {
 /// The serial path: one thread generates every (BS, day) in order into the
 /// dataset's own sink interface.
 MeasurementDataset serial_dataset(const Network& network,
-                                  const TraceConfig& trace,
-                                  MeasurementConfig config) {
-  MeasurementDataset dataset(network, trace.num_days, config);
+                                  const TraceConfig& trace) {
+  MeasurementDataset dataset(network, trace.num_days);
   TraceGenerator(network, trace).run(dataset);
   dataset.finalize();
   return dataset;
 }
 
 void expect_matches_serial(const Network& network, const TraceConfig& trace) {
-  for (const MeasurementConfig config :
-       {MeasurementConfig{}, MeasurementConfig{.store_per_cell = true}}) {
-    SCOPED_TRACE(config.store_per_cell ? "per-cell store" : "no store");
-    const MeasurementDataset parallel =
-        collect_dataset(network, trace, config);
-    ASSERT_GT(parallel.total_sessions(), 0u);
-    expect_datasets_identical(parallel,
-                              serial_dataset(network, trace, config));
-  }
+  const MeasurementDataset parallel = collect_dataset(network, trace);
+  ASSERT_GT(parallel.total_sessions(), 0u);
+  expect_datasets_identical(parallel, serial_dataset(network, trace));
 }
 
 TEST(CollectDataset, MatchesSerialGenerationOnOneBs) {

@@ -62,63 +62,56 @@ struct CountingSink final : EventSink {
 
 // The tentpole determinism guarantee: streaming through the engine at any
 // worker count produces a dataset identical to the batch collector — not
-// approximately, bit for bit — including the optional per-cell store.
+// approximately, bit for bit.
 TEST(StreamEngine, DeterministicAcrossWorkerCounts) {
   const Network network = make_network();
   const TraceConfig trace = make_trace();
-  for (const MeasurementConfig measurement :
-       {MeasurementConfig{}, MeasurementConfig{.store_per_cell = true}}) {
-    const MeasurementDataset serial =
-        collect_dataset(network, trace, measurement);
+  const MeasurementDataset serial = collect_dataset(network, trace);
 
-    for (std::size_t workers : {1u, 2u, 8u}) {
-      EngineConfig config;
-      config.num_workers = workers;
-      config.queue_capacity = 64;  // small: exercise wraparound + blocking
-      StreamEngine engine(network, trace, config);
-      MeasurementDataset streamed(network, trace.num_days, measurement);
-      TraceSinkAdapter adapter(network, streamed);
-      const EngineResult result = engine.run(adapter);
-      streamed.finalize();
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    EngineConfig config;
+    config.num_workers = workers;
+    config.queue_capacity = 64;  // small: exercise wraparound + blocking
+    StreamEngine engine(network, trace, config);
+    MeasurementDataset streamed(network, trace.num_days);
+    TraceSinkAdapter adapter(network, streamed);
+    const EngineResult result = engine.run(adapter);
+    streamed.finalize();
 
-      {
-        SCOPED_TRACE(std::to_string(workers) + " workers");
-        test::expect_datasets_identical(streamed, serial);
-      }
-
-      // Telemetry totals agree with what the sink saw.
-      const TelemetrySnapshot& t = result.telemetry;
-      EXPECT_EQ(t.of(EventKind::kSession).consumed, serial.total_sessions());
-      EXPECT_EQ(t.of(EventKind::kSession).produced, serial.total_sessions());
-      EXPECT_EQ(t.of(EventKind::kSession).dropped, 0u);
-      EXPECT_EQ(t.of(EventKind::kMinute).dropped, 0u);
-      EXPECT_EQ(t.of(EventKind::kMinute).consumed,
-                std::uint64_t(network.size()) * kMinutesPerDay *
-                    trace.num_days);
-      EXPECT_TRUE(result.checkpoint.complete());
+    {
+      SCOPED_TRACE(std::to_string(workers) + " workers");
+      test::expect_datasets_identical(streamed, serial);
     }
+
+    // Telemetry totals agree with what the sink saw.
+    const TelemetrySnapshot& t = result.telemetry;
+    EXPECT_EQ(t.of(EventKind::kSession).consumed, serial.total_sessions());
+    EXPECT_EQ(t.of(EventKind::kSession).produced, serial.total_sessions());
+    EXPECT_EQ(t.of(EventKind::kSession).dropped, 0u);
+    EXPECT_EQ(t.of(EventKind::kMinute).dropped, 0u);
+    EXPECT_EQ(t.of(EventKind::kMinute).consumed,
+              std::uint64_t(network.size()) * kMinutesPerDay *
+                  trace.num_days);
+    EXPECT_TRUE(result.checkpoint.complete());
   }
 }
 
-// The engine is the parallel collector: its per-cell store, merged from
-// several workers, matches the serial store cell for cell.
-TEST(ParallelDataset, PerCellStoreMergesExactly) {
+// The engine is the parallel collector: a dataset fed by three workers
+// matches collect_dataset's bit for bit.
+TEST(ParallelDataset, ThreeWorkerEngineMatchesCollectDataset) {
   const Network network = make_network(12);
   const TraceConfig trace = make_trace(1, 44);
-  MeasurementConfig mc;
-  mc.store_per_cell = true;
 
-  const MeasurementDataset serial = collect_dataset(network, trace, mc);
+  const MeasurementDataset serial = collect_dataset(network, trace);
   EngineConfig config;
   config.num_workers = 3;
   StreamEngine engine(network, trace, config);
-  MeasurementDataset parallel(network, trace.num_days, mc);
+  MeasurementDataset parallel(network, trace.num_days);
   TraceSinkAdapter adapter(network, parallel);
   const EngineResult result = engine.run(adapter);
   parallel.finalize();
   EXPECT_TRUE(result.checkpoint.complete());
 
-  ASSERT_TRUE(parallel.has_per_cell_store());
   test::expect_datasets_identical(parallel, serial);
 }
 

@@ -25,6 +25,9 @@
 namespace mtd {
 namespace {
 
+using test::PerBsRecorder;
+using test::expect_identical_streams;
+
 Network make_network(std::size_t n = 10) {
   if (n >= kNumDeciles) {
     NetworkConfig config;
@@ -49,36 +52,6 @@ TraceConfig make_trace(std::size_t days = 3, std::uint64_t seed = 77) {
   return trace;
 }
 
-/// Records the full per-BS session sequence so runs can be compared for
-/// bit-identical content and order.
-struct RecordingSink final : EventSink {
-  std::vector<std::vector<Session>> per_bs;
-
-  explicit RecordingSink(std::size_t num_bs) : per_bs(num_bs) {}
-
-  void on_event(const StreamEvent& event) override {
-    if (const auto* s = std::get_if<SessionEvent>(&event.payload)) {
-      per_bs[s->session.bs].push_back(s->session);
-    }
-  }
-};
-
-void expect_identical_streams(const RecordingSink& a, const RecordingSink& b) {
-  ASSERT_EQ(a.per_bs.size(), b.per_bs.size());
-  for (std::size_t bs = 0; bs < a.per_bs.size(); ++bs) {
-    ASSERT_EQ(a.per_bs[bs].size(), b.per_bs[bs].size()) << "bs " << bs;
-    for (std::size_t i = 0; i < a.per_bs[bs].size(); ++i) {
-      const Session& x = a.per_bs[bs][i];
-      const Session& y = b.per_bs[bs][i];
-      EXPECT_EQ(x.day, y.day);
-      EXPECT_EQ(x.minute_of_day, y.minute_of_day);
-      EXPECT_EQ(x.service, y.service);
-      EXPECT_DOUBLE_EQ(x.duration_s, y.duration_s);
-      EXPECT_DOUBLE_EQ(x.volume_mb, y.volume_mb);
-    }
-  }
-}
-
 // The headline checkpoint guarantee: stop at a day boundary, resume (even
 // with a different worker count), and the concatenated per-BS session
 // sequence is bit-identical to an uninterrupted run.
@@ -86,7 +59,7 @@ TEST(EngineCheckpoint, StopAndResumeIsBitIdentical) {
   const Network network = make_network();
   const TraceConfig trace = make_trace();
 
-  RecordingSink uninterrupted(network.size());
+  PerBsRecorder uninterrupted(network.size());
   StreamEngine full(network, trace);
   const EngineResult full_result = full.run(uninterrupted);
   EXPECT_TRUE(full_result.checkpoint.complete());
@@ -94,7 +67,7 @@ TEST(EngineCheckpoint, StopAndResumeIsBitIdentical) {
   EngineConfig first_leg;
   first_leg.num_workers = 2;
   first_leg.stop_after_days = 1;
-  RecordingSink resumed_sink(network.size());
+  PerBsRecorder resumed_sink(network.size());
   StreamEngine leg1(network, trace, first_leg);
   EngineResult result = leg1.run(resumed_sink);
   ASSERT_FALSE(result.checkpoint.complete());
@@ -183,7 +156,7 @@ TEST(EngineCheckpoint, SaveLoadRoundTrip) {
   // file writes it from the commit hook.
   engine.on_checkpoint(
       [&path](const EngineCheckpoint& cp) { cp.save(path); });
-  RecordingSink sink(network.size());
+  PerBsRecorder sink(network.size());
   const EngineResult result = engine.run(sink);
 
   const EngineCheckpoint loaded = EngineCheckpoint::load(path);
@@ -200,7 +173,7 @@ TEST(EngineCheckpoint, ResumeRejectsMismatchedIdentity) {
   EngineConfig config;
   config.stop_after_days = 1;
   StreamEngine engine(network, trace, config);
-  RecordingSink sink(network.size());
+  PerBsRecorder sink(network.size());
   const EngineResult result = engine.run(sink);
 
   {
@@ -257,11 +230,11 @@ TEST(EngineCheckpoint, ResumingACompleteCheckpointIsANoOp) {
   const Network network = make_network(4);
   const TraceConfig trace = make_trace(1);
   StreamEngine engine(network, trace);
-  RecordingSink sink(network.size());
+  PerBsRecorder sink(network.size());
   const EngineResult result = engine.run(sink);
   ASSERT_TRUE(result.checkpoint.complete());
 
-  RecordingSink empty(network.size());
+  PerBsRecorder empty(network.size());
   const EngineResult again = engine.resume(result.checkpoint, empty);
   EXPECT_TRUE(again.checkpoint.complete());
   for (const auto& sessions : empty.per_bs) EXPECT_TRUE(sessions.empty());
@@ -366,7 +339,7 @@ TEST(EngineCheckpoint, ResumeMismatchNamesFieldAndBothValues) {
   EngineConfig config;
   config.stop_after_days = 1;
   StreamEngine engine(network, trace, config);
-  RecordingSink sink(network.size());
+  PerBsRecorder sink(network.size());
   const EngineResult result = engine.run(sink);
 
   const auto expect_message = [](const std::function<void()>& call,
@@ -418,43 +391,6 @@ TEST(EngineCheckpoint, ResumeMismatchNamesFieldAndBothValues) {
   }
 }
 
-/// EventSink-side recorder (the typed pipeline's analogue of
-/// RecordingSink): per-BS session sequences plus a minute-event count, so
-/// mid-day resumes can be compared for bit-identical content and order.
-struct SessionEventRecorder final : EventSink {
-  std::vector<std::vector<Session>> per_bs;
-  std::uint64_t minutes = 0;
-
-  explicit SessionEventRecorder(std::size_t num_bs) : per_bs(num_bs) {}
-
-  void on_event(const StreamEvent& event) override {
-    if (event.kind() == EventKind::kSession) {
-      per_bs[event.key.bs].push_back(
-          std::get<SessionEvent>(event.payload).session);
-    } else if (event.kind() == EventKind::kMinute) {
-      ++minutes;
-    }
-  }
-};
-
-void expect_identical_events(const SessionEventRecorder& a,
-                             const SessionEventRecorder& b) {
-  EXPECT_EQ(a.minutes, b.minutes);
-  ASSERT_EQ(a.per_bs.size(), b.per_bs.size());
-  for (std::size_t bs = 0; bs < a.per_bs.size(); ++bs) {
-    ASSERT_EQ(a.per_bs[bs].size(), b.per_bs[bs].size()) << "bs " << bs;
-    for (std::size_t i = 0; i < a.per_bs[bs].size(); ++i) {
-      const Session& x = a.per_bs[bs][i];
-      const Session& y = b.per_bs[bs][i];
-      EXPECT_EQ(x.day, y.day);
-      EXPECT_EQ(x.minute_of_day, y.minute_of_day);
-      EXPECT_EQ(x.service, y.service);
-      EXPECT_DOUBLE_EQ(x.duration_s, y.duration_s);
-      EXPECT_DOUBLE_EQ(x.volume_mb, y.volume_mb);
-    }
-  }
-}
-
 // The tentpole mid-day guarantee: crash at a minute-interval mark strictly
 // inside a day, resume from the v2 checkpoint with a different worker
 // count, and the committed-prefix + regenerated-tail stream is
@@ -466,7 +402,7 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   const Network network = make_network();
   const TraceConfig trace = make_trace(2);
 
-  SessionEventRecorder uninterrupted(network.size());
+  PerBsRecorder uninterrupted(network.size());
   StreamEngine full(network, trace);
   const EngineResult full_result =
       full.run(static_cast<EventSink&>(uninterrupted));
@@ -474,7 +410,7 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
 
   // Leg 1: crash at the FIRST mid-day mark; the recorder then holds
   // exactly the minutes strictly below it.
-  SessionEventRecorder resumed(network.size());
+  PerBsRecorder resumed(network.size());
   EngineConfig first_leg;
   first_leg.num_workers = 2;
   first_leg.checkpoint_interval_minutes = 311;  // does not divide 1440
@@ -513,7 +449,8 @@ TEST(EngineCheckpoint, MidDayStopAndResumeIsBitIdentical) {
   const EngineResult result = leg2.resume(reloaded, resumed);
   EXPECT_TRUE(result.checkpoint.complete());
 
-  expect_identical_events(resumed, uninterrupted);
+  EXPECT_EQ(resumed.minutes, uninterrupted.minutes);
+  expect_identical_streams(resumed, uninterrupted);
   EXPECT_EQ(result.checkpoint.sessions_emitted,
             full_result.checkpoint.sessions_emitted);
   EXPECT_EQ(result.checkpoint.minutes_emitted,

@@ -24,6 +24,9 @@
 namespace mtd {
 namespace {
 
+using test::PerBsRecorder;
+using test::expect_identical_streams;
+
 Network make_network(std::size_t n = 10) {
   if (n >= kNumDeciles) {
     NetworkConfig config;
@@ -57,22 +60,6 @@ struct CountingSink final : EventSink {
   }
 };
 
-/// Records the full per-BS session sequence for bit-identity comparisons.
-struct RecordingSink final : EventSink {
-  std::vector<std::vector<Session>> per_bs;
-  std::uint64_t minutes = 0;
-
-  explicit RecordingSink(std::size_t num_bs) : per_bs(num_bs) {}
-
-  void on_event(const StreamEvent& event) override {
-    if (const auto* s = std::get_if<SessionEvent>(&event.payload)) {
-      per_bs[s->session.bs].push_back(s->session);
-    } else if (event.kind() == EventKind::kMinute) {
-      ++minutes;
-    }
-  }
-};
-
 /// Per-kind event counts plus one FNV-1a digest per BS over the wire
 /// encoding of that BS's events in delivery order. How BSs interleave
 /// depends on thread timing; each BS's own subsequence does not.
@@ -91,7 +78,7 @@ struct DigestSink final : EventSink {
 };
 
 /// Sessions in `sink` that arrived before `minute_of_day` of their day.
-std::uint64_t sessions_before(const RecordingSink& sink,
+std::uint64_t sessions_before(const PerBsRecorder& sink,
                               std::size_t minute_of_day) {
   std::uint64_t n = 0;
   for (const std::vector<Session>& sessions : sink.per_bs) {
@@ -100,22 +87,6 @@ std::uint64_t sessions_before(const RecordingSink& sink,
     }
   }
   return n;
-}
-
-void expect_identical_streams(const RecordingSink& a, const RecordingSink& b) {
-  ASSERT_EQ(a.per_bs.size(), b.per_bs.size());
-  for (std::size_t bs = 0; bs < a.per_bs.size(); ++bs) {
-    ASSERT_EQ(a.per_bs[bs].size(), b.per_bs[bs].size()) << "bs " << bs;
-    for (std::size_t i = 0; i < a.per_bs[bs].size(); ++i) {
-      const Session& x = a.per_bs[bs][i];
-      const Session& y = b.per_bs[bs][i];
-      EXPECT_EQ(x.day, y.day);
-      EXPECT_EQ(x.minute_of_day, y.minute_of_day);
-      EXPECT_EQ(x.service, y.service);
-      EXPECT_DOUBLE_EQ(x.duration_s, y.duration_s);
-      EXPECT_DOUBLE_EQ(x.volume_mb, y.volume_mb);
-    }
-  }
 }
 
 TEST(EngineFault, InjectorHonorsAfterTimesAndCounts) {
@@ -329,7 +300,7 @@ TEST(Supervisor, RecoveryFromWorkerFaultIsBitIdentical) {
   const Network network = make_network(10);
   const TraceConfig trace = make_trace(3);
 
-  RecordingSink clean(network.size());
+  PerBsRecorder clean(network.size());
   StreamEngine reference(network, trace);
   const EngineResult clean_result = reference.run(clean);
 
@@ -345,7 +316,7 @@ TEST(Supervisor, RecoveryFromWorkerFaultIsBitIdentical) {
   sup.max_restarts = 2;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  RecordingSink recovered(network.size());
+  PerBsRecorder recovered(network.size());
   const RunReport report = supervisor.run(recovered);
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
@@ -370,7 +341,7 @@ TEST(Supervisor, RecoveryFromWatchdogStallIsBitIdentical) {
   const Network network = make_network(6);
   const TraceConfig trace = make_trace(2);
 
-  RecordingSink clean(network.size());
+  PerBsRecorder clean(network.size());
   StreamEngine reference(network, trace);
   static_cast<void>(reference.run(clean));
 
@@ -388,7 +359,7 @@ TEST(Supervisor, RecoveryFromWatchdogStallIsBitIdentical) {
   sup.max_restarts = 1;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  RecordingSink recovered(network.size());
+  PerBsRecorder recovered(network.size());
   const RunReport report = supervisor.run(recovered);
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
@@ -500,14 +471,14 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   const Network network = make_network(10);
   const TraceConfig trace = make_trace(2);
 
-  RecordingSink clean(network.size());
+  PerBsRecorder clean(network.size());
   StreamEngine reference(network, trace);
   static_cast<void>(reference.run(clean));
 
   // Probe day 0's session count so the fault can be pinned deep inside the
   // day: on the first session at or after the fifth 173-minute mark
   // (mid-afternoon, with arrivals still to come before the day ends).
-  RecordingSink day0(network.size());
+  PerBsRecorder day0(network.size());
   {
     EngineConfig probe_config;
     probe_config.stop_after_days = 1;
@@ -532,7 +503,7 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   sup.max_restarts = 1;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  RecordingSink recovered(network.size());
+  PerBsRecorder recovered(network.size());
   const RunReport report = supervisor.run(recovered);
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
@@ -574,7 +545,7 @@ TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
   EXPECT_GT(clean.counts[static_cast<std::size_t>(EventKind::kSegment)], 0u);
   EXPECT_GT(clean.counts[static_cast<std::size_t>(EventKind::kPacket)], 0u);
 
-  RecordingSink day0(network.size());
+  PerBsRecorder day0(network.size());
   {
     EngineConfig probe_config = config;
     probe_config.stop_after_days = 1;

@@ -82,7 +82,6 @@ TEST(ErrorPaths, DatasetAccessorsRangeChecked) {
   const auto& ds = test::tiny_dataset();
   EXPECT_THROW((void)ds.slice(10000, Slice::kTotal), InvalidArgument);
   EXPECT_THROW((void)ds.decile_arrivals(200), InvalidArgument);
-  EXPECT_THROW((void)ds.duration_pdf(10000), InvalidArgument);
 }
 
 TEST(ErrorPaths, GeneratorConfigValidation) {

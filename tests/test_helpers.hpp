@@ -13,12 +13,21 @@
 
 #include "common/error.hpp"
 #include "dataset/measurement.hpp"
+#include "events/event_sink.hpp"
 #include "io/json.hpp"
 
 namespace mtd::test {
 
-/// A tiny network + 2-day trace with the per-cell store enabled. Fast to
-/// build; enough sessions for the popular services only.
+/// The 2-day trace behind tiny_dataset().
+inline TraceConfig tiny_trace() {
+  TraceConfig trace;
+  trace.num_days = 2;
+  trace.seed = 321;
+  return trace;
+}
+
+/// A tiny network + 2-day trace. Fast to build; enough sessions for the
+/// popular services only.
 inline const MeasurementDataset& tiny_dataset() {
   static const MeasurementDataset dataset = [] {
     NetworkConfig net_config;
@@ -26,12 +35,7 @@ inline const MeasurementDataset& tiny_dataset() {
     net_config.last_decile_rate = 30.0;
     Rng rng(123);
     static const Network network = Network::build(net_config, rng);
-    TraceConfig trace;
-    trace.num_days = 2;
-    trace.seed = 321;
-    MeasurementConfig mc;
-    mc.store_per_cell = true;
-    return collect_dataset(network, trace, mc);
+    return collect_dataset(network, tiny_trace());
   }();
   return dataset;
 }
@@ -74,8 +78,8 @@ inline std::vector<double> values_and_weights_of(const BinnedMeanCurve& curve) {
 
 /// Asserts that two finalized datasets are bit-identical: every accessor
 /// is compared with exact equality, floating-point values included — slice
-/// PDFs, totals and duration-volume curves, duration PDFs, decile arrival
-/// PDFs and moments, shares and their CVs, totals, and the per-cell store.
+/// PDFs, totals and duration-volume curves, decile arrival PDFs and
+/// moments, shares and their CVs, and totals.
 inline void expect_datasets_identical(const MeasurementDataset& a,
                                       const MeasurementDataset& b) {
   ASSERT_EQ(a.num_services(), b.num_services());
@@ -99,14 +103,12 @@ inline void expect_datasets_identical(const MeasurementDataset& a,
                 values_and_weights_of(y.dv_curve))
           << s << "/" << to_string(slice);
     }
-    EXPECT_EQ(bins_of(a.duration_pdf(s)), bins_of(b.duration_pdf(s))) << s;
   }
   for (std::uint8_t d = 0; d < kNumDeciles; ++d) {
     const DecileArrivalStats& x = a.decile_arrivals(d);
     const DecileArrivalStats& y = b.decile_arrivals(d);
     EXPECT_EQ(bins_of(x.count_pdf), bins_of(y.count_pdf)) << int{d};
     EXPECT_EQ(bins_of(x.day_pdf), bins_of(y.day_pdf)) << int{d};
-    EXPECT_EQ(bins_of(x.night_pdf), bins_of(y.night_pdf)) << int{d};
     for (const auto& [p, q] : {std::pair{&x.day_stats, &y.day_stats},
                                std::pair{&x.night_stats, &y.night_stats}}) {
       EXPECT_EQ(p->count(), q->count()) << int{d};
@@ -114,19 +116,40 @@ inline void expect_datasets_identical(const MeasurementDataset& a,
       EXPECT_EQ(p->variance(), q->variance()) << int{d};
     }
   }
-  ASSERT_EQ(a.has_per_cell_store(), b.has_per_cell_store());
-  if (!a.has_per_cell_store()) return;
-  ASSERT_EQ(a.cells().size(), b.cells().size());
-  for (const auto& [key, x] : a.cells()) {
-    const auto it = b.cells().find(key);
-    ASSERT_NE(it, b.cells().end())
-        << key.service << "/" << key.bs << "/" << key.day;
-    const CellStats& y = it->second;
-    EXPECT_EQ(x.sessions, y.sessions);
-    EXPECT_EQ(x.volume_mb, y.volume_mb);
-    EXPECT_EQ(bins_of(x.volume_pdf), bins_of(y.volume_pdf));
-    EXPECT_EQ(values_and_weights_of(x.dv_curve),
-              values_and_weights_of(y.dv_curve));
+}
+
+/// Records each BS's session sequence (content and order) plus the number
+/// of minute events, so two runs can be compared session by session.
+struct PerBsRecorder final : EventSink {
+  std::vector<std::vector<Session>> per_bs;
+  std::uint64_t minutes = 0;
+
+  explicit PerBsRecorder(std::size_t num_bs) : per_bs(num_bs) {}
+
+  void on_event(const StreamEvent& event) override {
+    if (const auto* s = std::get_if<SessionEvent>(&event.payload)) {
+      per_bs[s->session.bs].push_back(s->session);
+    } else if (event.kind() == EventKind::kMinute) {
+      ++minutes;
+    }
+  }
+};
+
+/// Asserts that two recorders hold the same per-BS session sequences.
+inline void expect_identical_streams(const PerBsRecorder& a,
+                                     const PerBsRecorder& b) {
+  ASSERT_EQ(a.per_bs.size(), b.per_bs.size());
+  for (std::size_t bs = 0; bs < a.per_bs.size(); ++bs) {
+    ASSERT_EQ(a.per_bs[bs].size(), b.per_bs[bs].size()) << "bs " << bs;
+    for (std::size_t i = 0; i < a.per_bs[bs].size(); ++i) {
+      const Session& x = a.per_bs[bs][i];
+      const Session& y = b.per_bs[bs][i];
+      EXPECT_EQ(x.day, y.day);
+      EXPECT_EQ(x.minute_of_day, y.minute_of_day);
+      EXPECT_EQ(x.service, y.service);
+      EXPECT_DOUBLE_EQ(x.duration_s, y.duration_s);
+      EXPECT_DOUBLE_EQ(x.volume_mb, y.volume_mb);
+    }
   }
 }
 

@@ -42,9 +42,12 @@
 #include "engine/engine.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
+#include "test_helpers.hpp"
 
 namespace mtd {
 namespace {
+
+using test::PerBsRecorder;
 
 Network parity_network(std::size_t n = 10) {
   NetworkConfig config;
@@ -182,18 +185,7 @@ TEST(KernelParity, NdjsonIsByteIdenticalAcrossBatchSizes) {
   }
 }
 
-/// EventSink recorder of per-BS session sequences (content and order).
-struct Recorder final : EventSink {
-  std::vector<std::vector<Session>> per_bs;
-  explicit Recorder(std::size_t num_bs) : per_bs(num_bs) {}
-  void on_event(const StreamEvent& event) override {
-    if (event.kind() != EventKind::kSession) return;
-    per_bs[event.key.bs].push_back(
-        std::get<SessionEvent>(event.payload).session);
-  }
-};
-
-void expect_identical(const Recorder& a, const Recorder& b) {
+void expect_identical(const PerBsRecorder& a, const PerBsRecorder& b) {
   ASSERT_EQ(a.per_bs.size(), b.per_bs.size());
   for (std::size_t bs = 0; bs < a.per_bs.size(); ++bs) {
     ASSERT_EQ(a.per_bs[bs].size(), b.per_bs[bs].size()) << "bs " << bs;
@@ -225,12 +217,12 @@ TEST(KernelParity, BatchKernelMidDayResumeIsBitIdentical) {
   EngineConfig batch_config;
   batch_config.kernel = GeneratorKernel::kBatch;
 
-  Recorder uninterrupted(network.size());
+  PerBsRecorder uninterrupted(network.size());
   StreamEngine full(network, trace, batch_config);
   const EngineResult full_result = full.run(uninterrupted);
   EXPECT_TRUE(full_result.checkpoint.complete());
 
-  Recorder resumed(network.size());
+  PerBsRecorder resumed(network.size());
   EngineConfig first_leg = batch_config;
   first_leg.num_workers = 2;
   first_leg.checkpoint_interval_minutes = 311;  // does not divide 1440

@@ -135,78 +135,54 @@ TEST(MeasurementDataset, DurationCurveIncreasesWithDuration) {
   EXPECT_GT(points.back().value, 10.0 * points.front().value);
 }
 
-TEST(MeasurementDataset, PerCellStoreDisabledThrows) {
-  const auto& ds = small_dataset();
-  EXPECT_FALSE(ds.has_per_cell_store());
-  EXPECT_THROW(ds.cells(), InvalidArgument);
-  EXPECT_THROW(ds.cell_keys(0), InvalidArgument);
-}
-
-TEST(MeasurementDataset, PerCellStoreConsistentWithSlices) {
-  const auto& ds = tiny_dataset();
-  ASSERT_TRUE(ds.has_per_cell_store());
-  // Sum of cell sessions per service equals the total slice.
-  std::vector<std::uint64_t> per_service(ds.num_services(), 0);
-  for (const auto& [key, cell] : ds.cells()) {
-    EXPECT_GT(cell.sessions, 0u);  // only cells with sessions are stored
-    per_service[key.service] += cell.sessions;
+/// Every (BS, day) cell of tiny_dataset() as its own one-cell dataset: the
+/// per-cell statistics w, F and v of Sec. 3.2.
+std::vector<MeasurementDataset> tiny_cells() {
+  const MeasurementDataset& ds = tiny_dataset();
+  const TraceGenerator generator(ds.network(), test::tiny_trace());
+  std::vector<MeasurementDataset> cells;
+  for (const BaseStation& bs : ds.network().base_stations()) {
+    for (std::size_t day = 0; day < ds.num_days(); ++day) {
+      MeasurementDataset& cell =
+          cells.emplace_back(ds.network(), ds.num_days());
+      generator.run_bs_day(bs, day, cell);
+      cell.finalize();
+    }
   }
-  for (std::size_t s = 0; s < ds.num_services(); ++s) {
-    EXPECT_EQ(per_service[s], ds.slice(s, Slice::kTotal).sessions);
-  }
+  return cells;
 }
 
 TEST(MeasurementDataset, Eq2AverageMatchesDirectAggregation) {
   // Averaging per-cell PDFs weighted by w_s^{c,t} (Eq. 2) reproduces the
   // directly-accumulated total PDF.
   const auto& ds = tiny_dataset();
-  const auto fb = static_cast<std::uint16_t>(service_index("Facebook"));
-  const std::vector<CellKey> keys = ds.cell_keys(fb);
-  ASSERT_GT(keys.size(), 2u);
-  const BinnedPdf averaged = ds.average_pdf(fb, keys);
+  const std::size_t fb = service_index("Facebook");
+  std::vector<BinnedPdf> pdfs;
+  std::vector<double> weights;
+  for (const MeasurementDataset& cell : tiny_cells()) {
+    const ServiceSliceStats& stats = cell.slice(fb, Slice::kTotal);
+    if (stats.sessions == 0) continue;
+    pdfs.push_back(stats.normalized_pdf());
+    weights.push_back(static_cast<double>(stats.sessions));
+  }
+  ASSERT_GT(pdfs.size(), 2u);
+  const BinnedPdf averaged = mixture_average(pdfs, weights);
   const BinnedPdf direct = ds.slice(fb, Slice::kTotal).normalized_pdf();
   EXPECT_LT(emd(averaged, direct), 1e-9);
 }
 
 TEST(MeasurementDataset, Eq1AverageMatchesDirectAggregation) {
   const auto& ds = tiny_dataset();
-  const auto fb = static_cast<std::uint16_t>(service_index("Facebook"));
-  const std::vector<CellKey> keys = ds.cell_keys(fb);
-  const BinnedMeanCurve averaged = ds.average_curve(fb, keys);
+  const std::size_t fb = service_index("Facebook");
+  BinnedMeanCurve averaged(duration_axis());
+  for (const MeasurementDataset& cell : tiny_cells()) {
+    averaged.accumulate(cell.slice(fb, Slice::kTotal).dv_curve, 1.0);
+  }
   const BinnedMeanCurve& direct = ds.slice(fb, Slice::kTotal).dv_curve;
   for (std::size_t i = 0; i < averaged.size(); ++i) {
     EXPECT_NEAR(averaged.value(i), direct.value(i),
                 1e-9 * std::max(1.0, direct.value(i)));
   }
-}
-
-TEST(MeasurementDataset, AveragePdfOverSubsetDiffersFromTotal) {
-  const auto& ds = tiny_dataset();
-  const auto fb = static_cast<std::uint16_t>(service_index("Facebook"));
-  std::vector<CellKey> keys = ds.cell_keys(fb);
-  ASSERT_GT(keys.size(), 4u);
-  keys.resize(2);  // a small subset has sampling noise vs the total
-  const BinnedPdf subset = ds.average_pdf(fb, keys);
-  const BinnedPdf total = ds.slice(fb, Slice::kTotal).normalized_pdf();
-  EXPECT_GT(emd(subset, total), 0.0);
-}
-
-TEST(MeasurementDataset, AveragePdfRejectsWrongService) {
-  const auto& ds = tiny_dataset();
-  const auto fb = static_cast<std::uint16_t>(service_index("Facebook"));
-  const auto ig = static_cast<std::uint16_t>(service_index("Instagram"));
-  const std::vector<CellKey> keys = ds.cell_keys(fb);
-  ASSERT_FALSE(keys.empty());
-  EXPECT_THROW(ds.average_pdf(ig, keys), InvalidArgument);
-}
-
-TEST(MeasurementDataset, DurationPdfPopulated) {
-  const auto& ds = small_dataset();
-  const std::size_t fb = service_index("Facebook");
-  BinnedPdf pdf = ds.duration_pdf(fb);
-  pdf.normalize();
-  EXPECT_NEAR(pdf.integral(), 1.0, 1e-9);
-  EXPECT_THROW(ds.duration_pdf(1000), InvalidArgument);
 }
 
 TEST(MeasurementDataset, SliceToStringNames) {
@@ -279,10 +255,8 @@ TEST(MeasurementDataset, SinkPathAddsPdfBinsAsSessionsArrive) {
     return sum;
   };
   std::vector<double> volume_before;
-  std::vector<double> duration_before;
   for (std::size_t s = 0; s < dataset.num_services(); ++s) {
     volume_before.push_back(mass(dataset.slice(s, Slice::kTotal).volume_pdf));
-    duration_before.push_back(mass(dataset.duration_pdf(s)));
   }
   dataset.finalize();
   ASSERT_GT(dataset.total_sessions(), 0u);
@@ -290,7 +264,6 @@ TEST(MeasurementDataset, SinkPathAddsPdfBinsAsSessionsArrive) {
     const auto sessions =
         static_cast<double>(dataset.slice(s, Slice::kTotal).sessions);
     EXPECT_EQ(volume_before[s], sessions);
-    EXPECT_EQ(duration_before[s], sessions);
     EXPECT_EQ(mass(dataset.slice(s, Slice::kTotal).volume_pdf), sessions);
   }
 }

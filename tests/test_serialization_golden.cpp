@@ -21,6 +21,7 @@
 #include "dataset/service_catalog.hpp"
 #include "dataset/trace_io.hpp"
 #include "events/event_sink.hpp"
+#include "events/session_source.hpp"
 #include "io/json.hpp"
 
 namespace mtd {
@@ -264,19 +265,13 @@ TEST(SerializationGolden, BinaryDoublesRoundTripBitExact) {
     writer.close();
   }
 
-  struct Capture final : EventSink {
-    std::vector<StreamEvent> events;
-    void on_event(const StreamEvent& event) override {
-      events.push_back(event);
-    }
-    void close() override {}
-  } capture;
+  MemorySessionSource::Collector capture;
   EXPECT_EQ(read_binary_events(path, capture), events.size());
-  ASSERT_EQ(capture.events.size(), events.size());
+  const std::vector<StreamEvent> captured = std::move(capture).take();
+  ASSERT_EQ(captured.size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Session& in = std::get<SessionEvent>(events[i].payload).session;
-    const Session& out =
-        std::get<SessionEvent>(capture.events[i].payload).session;
+    const Session& out = std::get<SessionEvent>(captured[i].payload).session;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(in.volume_mb),
               std::bit_cast<std::uint64_t>(out.volume_mb))
         << i;

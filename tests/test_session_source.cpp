@@ -22,6 +22,7 @@
 #include "events/session_source.hpp"
 #include "store/store_session_source.hpp"
 #include "store/trace_store.hpp"
+#include "test_helpers.hpp"
 #include "usecases/slicing.hpp"
 #include "usecases/vran.hpp"
 
@@ -282,6 +283,40 @@ TEST(SessionSource, DatasetFromSourceMatchesMemoryAndStore) {
     EXPECT_EQ(a.sessions, b.sessions) << s;
     EXPECT_EQ(a.volume_mb, b.volume_mb) << s;
   }
+}
+
+// A store written for a larger network: the first event of BS 12 is
+// rejected naming its key, instead of indexing a 12-BS network past its end.
+TEST(SessionSource, DatasetFromAStoreOfALargerNetworkIsRejected) {
+  NetworkConfig config;
+  config.num_bs = 12;
+  Rng rng(5);
+  const Network smaller = Network::build(config, rng);
+  TraceStore reader(store_path());
+  StoreSessionSource store_source(reader);
+  EXPECT_TRUE(test::rejects(
+      [&] { (void)dataset_from_source(store_source, smaller, kNumDays); },
+      "event (bs 12, day 0, minute 0, seq 0): BS 12 outside the 12-BS"));
+}
+
+// A session of a service outside the catalogue (a corrupt record with a
+// valid page checksum decodes to one) is rejected naming its key.
+TEST(SessionSource, DatasetFromASessionOutsideTheCatalogueIsRejected) {
+  const auto foreign = static_cast<std::uint16_t>(service_catalog().size());
+  Session session;
+  session.bs = 3;
+  session.day = 1;
+  session.minute_of_day = 700;
+  session.service = foreign;
+  session.volume_mb = 1.0;
+  session.duration_s = 10.0;
+  MemorySessionSource source(
+      {StreamEvent{{3, 1, 700, 0}, MinuteEvent{1}},
+       StreamEvent{{3, 1, 700, 1}, SessionEvent{session}}});
+  EXPECT_TRUE(test::rejects(
+      [&] { (void)dataset_from_source(source, parity_network(), kNumDays); },
+      "event (bs 3, day 1, minute 700, seq 1): service " +
+          std::to_string(foreign) + " outside the catalogue"));
 }
 
 // Table 2 golden: network slicing evaluated over the streamed ground-truth

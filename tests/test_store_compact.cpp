@@ -12,6 +12,7 @@
 
 #include "common/fault.hpp"
 #include "events/event_sink.hpp"
+#include "events/session_source.hpp"
 #include "io/json.hpp"
 #include "store/trace_store.hpp"
 
@@ -69,12 +70,12 @@ void build_segmented_store(const std::string& path, std::uint16_t days,
   writer.close();
 }
 
-struct Collect final : EventSink {
-  std::vector<StreamEvent> events;
-  void on_event(const StreamEvent& event) override {
-    events.push_back(event);
-  }
-};
+/// Every committed event of the store at `path`, in replay order.
+std::vector<StreamEvent> replayed(const std::string& path) {
+  MemorySessionSource::Collector collector;
+  (void)TraceStore(path).replay(collector);
+  return std::move(collector).take();
+}
 
 void expect_identical_replay(const std::vector<StreamEvent>& a,
                              const std::vector<StreamEvent>& b) {
@@ -94,14 +95,13 @@ TEST(TraceStoreCompact, MergesSegmentsPreservingReplayAndAccounting) {
   const std::string path = temp_path("mtd_compact_basic.store");
   build_segmented_store(path, 4);
 
-  Collect before;
   std::uint64_t pages_before = 0;
   {
     TraceStore reader(path);
     ASSERT_EQ(reader.manifest().segments.size(), 4u);
     pages_before = reader.manifest().committed_pages;
-    (void)reader.replay(before);
   }
+  const std::vector<StreamEvent> before = replayed(path);
 
   CompactionReport report;
   {
@@ -111,12 +111,12 @@ TEST(TraceStoreCompact, MergesSegmentsPreservingReplayAndAccounting) {
   }
   EXPECT_EQ(report.segments_before, 4u);
   EXPECT_EQ(report.segments_after, 1u);
-  EXPECT_EQ(report.events, before.events.size());
+  EXPECT_EQ(report.events, before.size());
   EXPECT_GT(report.pages_retired, 0u);
 
   TraceStore reader(path);
   ASSERT_EQ(reader.manifest().segments.size(), 1u);
-  EXPECT_EQ(reader.manifest().events, before.events.size());
+  EXPECT_EQ(reader.manifest().events, before.size());
   // The retired pages stay inside the committed length (append-only), so
   // committed_pages grows by the merged segment while dead_pages absorbs
   // the old ones: 1 + dead + live == committed.
@@ -127,14 +127,12 @@ TEST(TraceStoreCompact, MergesSegmentsPreservingReplayAndAccounting) {
   EXPECT_EQ(reader.manifest().committed_pages,
             pages_before + report.pages_written);
 
-  Collect after;
-  (void)reader.replay(after);
-  expect_identical_replay(before.events, after.events);
+  expect_identical_replay(before, replayed(path));
 
   // verify() walks the single live segment and skips the dead ranges.
   const auto verified = reader.verify();
   EXPECT_EQ(verified.segments, 1u);
-  EXPECT_EQ(verified.events, before.events.size());
+  EXPECT_EQ(verified.events, before.size());
 
   // Point lookups and pruned scans still resolve through the new fences.
   EXPECT_TRUE(reader.get(EventKey{3, 2, 5, 1}).has_value());
@@ -231,8 +229,7 @@ TEST(TraceStoreCompact, EveryCompactionPhaseFailureKeepsPreviousState) {
           ("mtd_compact_fault_" + std::to_string(variant++) + ".store")
               .c_str());
       build_segmented_store(path, 3);
-      Collect before;
-      (void)TraceStore(path).replay(before);
+      const std::vector<StreamEvent> before = replayed(path);
 
       FaultInjector fault;
       TraceStoreWriter writer = TraceStoreWriter::append(path, &fault);
@@ -250,9 +247,7 @@ TEST(TraceStoreCompact, EveryCompactionPhaseFailureKeepsPreviousState) {
         TraceStore reader(path);
         EXPECT_EQ(reader.manifest().segments.size(), 3u) << point;
         EXPECT_EQ(reader.manifest().dead_pages, 0u) << point;
-        Collect after_crash;
-        (void)reader.replay(after_crash);
-        expect_identical_replay(before.events, after_crash.events);
+        expect_identical_replay(before, replayed(path));
         (void)reader.verify();
       }
 
@@ -265,10 +260,8 @@ TEST(TraceStoreCompact, EveryCompactionPhaseFailureKeepsPreviousState) {
 
       TraceStore reader(path);
       ASSERT_EQ(reader.manifest().segments.size(), 1u) << point;
-      Collect after;
-      (void)reader.replay(after);
-      expect_identical_replay(before.events, after.events);
-      EXPECT_EQ(reader.verify().events, before.events.size());
+      expect_identical_replay(before, replayed(path));
+      EXPECT_EQ(reader.verify().events, before.size());
     }
   }
 }
@@ -288,8 +281,7 @@ TEST(TraceStoreCompact, StreamedSyncFaultReclaimsAndRetriesIdentically) {
     writer.close();
   }
 
-  Collect before;
-  (void)TraceStore(faulted).replay(before);
+  const std::vector<StreamEvent> before = replayed(faulted);
   const std::uint64_t committed_bytes =
       TraceStore(faulted).manifest().committed_bytes();
   const std::string manifest_before = read_file(faulted);
@@ -307,9 +299,7 @@ TEST(TraceStoreCompact, StreamedSyncFaultReclaimsAndRetriesIdentically) {
   {
     TraceStore reader(faulted);
     EXPECT_EQ(reader.manifest().segments.size(), 6u);
-    Collect after_crash;
-    (void)reader.replay(after_crash);
-    expect_identical_replay(before.events, after_crash.events);
+    expect_identical_replay(before, replayed(faulted));
   }
 
   {

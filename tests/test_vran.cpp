@@ -278,6 +278,32 @@ std::string slot_of(const EventKey& key) {
          ":";
 }
 
+// A recorded service outside the catalogue (a foreign or corrupt store) is
+// skipped, as run_slicing_from_source skips it: the result is the one
+// without that session.
+TEST(Vran, RecordedServiceOutsideTheCatalogueIsSkipped) {
+  MemorySessionSource clean = one_session_source(5.0, EventKey{0, 0, 600, 0});
+  std::vector<StreamEvent> events;
+  (void)clean.scan(SourceQuery{},
+                   [&](const StreamEvent& event) { events.push_back(event); });
+  StreamEvent foreign = events.front();
+  foreign.key.minute_of_day = 602;
+  std::get<SessionEvent>(foreign.payload).session.service =
+      static_cast<std::uint16_t>(service_catalog().size());
+  events.push_back(foreign);
+  MemorySessionSource with_foreign(std::move(events));
+
+  const VranResult a =
+      run_vran_from_source(clean, registry(), one_ru_config());
+  const VranResult b =
+      run_vran_from_source(with_foreign, registry(), one_ru_config());
+  ASSERT_EQ(a.strategies.size(), b.strategies.size());
+  for (std::size_t i = 0; i < a.strategies.size(); ++i) {
+    EXPECT_EQ(a.strategies[i].mean_power_w, b.strategies[i].mean_power_w);
+    EXPECT_EQ(a.strategies[i].power_series_w, b.strategies[i].power_series_w);
+  }
+}
+
 // A hostile store: a recorded rate of 7e6 Mbps needs 70,000 100-Mbps PSs,
 // more than the 16-bit active-PS count holds.
 TEST(Vran, RecordedLoadBeyond65535BinsIsRejectedNamingTheSlot) {
