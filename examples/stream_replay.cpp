@@ -1,27 +1,30 @@
 // Streaming replay: drive the measurement campaign through the sharded
 // engine under Supervisor fault tolerance instead of the batch collector.
 //
-// Streams the scenario's trace through a supervised StreamEngine into an
-// aggregating MeasurementDataset (optionally teeing every session to a CSV
-// file through a FanOutSink; the tee must hold exactly the dataset's
-// sessions or the binary exits 1), printing one telemetry JSON line per
-// snapshot period. The Supervisor restarts from the last good in-memory
-// checkpoint on retryable failures (worker faults, watchdog stalls,
-// retryable sink errors) and its RunReport — attempts, failure causes,
-// recovered day ranges — is printed at the end. When the scenario sets
-// engine.stop_after_days, the run suspends at that day boundary and this
-// binary resumes from the checkpoint to demonstrate stop/resume; the
-// session stream stays bit-identical to an uninterrupted run in both
-// cases.
+// Streams the scenario's trace through a supervised StreamEngine into the
+// trace store mtd_stream_replay.store{,.pages}, printing one telemetry JSON
+// line per snapshot period, then aggregates the store into a
+// MeasurementDataset through dataset_from_source. Every attempt of
+// Supervisor::run_into_store reopens the store and resumes from the
+// checkpoint its manifest carries, so a retryable failure (worker fault,
+// watchdog stall, store commit error) costs only the uncommitted tail; its
+// RunReport — attempts, failure causes, minute ranges — is printed at the
+// end. When the scenario sets engine.stop_after_days, each run suspends at
+// that day boundary and the binary runs again until the store's checkpoint
+// is complete; the stored stream is bit-identical to an uninterrupted
+// run's. With a second argument the store is also replayed into a session
+// CSV, which must hold exactly the dataset's sessions or the binary exits 1.
 //
 // Run:  ./stream_replay [scenario.json] [trace.csv]
 #include <iostream>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "engine/supervisor.hpp"
 #include "events/event_sink.hpp"
+#include "events/session_source.hpp"
 #include "scenario/scenario.hpp"
+#include "store/store_session_source.hpp"
+#include "store/trace_store.hpp"
 
 int main(int argc, char** argv) {
   using namespace mtd;
@@ -60,30 +63,14 @@ int main(int argc, char** argv) {
     std::cout << snap.to_json().dump() << "\n";
   });
 
-  MeasurementDataset dataset(network, scenario.trace.num_days);
-  TraceSinkAdapter to_dataset(network, dataset);
-  std::unique_ptr<SessionCsvEventSink> csv;
-  std::unique_ptr<FanOutSink> tee;
-  EventSink* sink = &to_dataset;
-  if (argc > 2) {
-    csv = std::make_unique<SessionCsvEventSink>(network, argv[2]);
-    tee = std::make_unique<FanOutSink>(
-        std::vector<EventSink*>{&to_dataset, csv.get()},
-        SinkErrorPolicy::kFailFast);
-    sink = tee.get();
-    std::cout << "Teeing sessions to " << argv[2] << "\n";
-  }
-
-  RunReport report = supervisor.run(*sink);
+  const std::string store_path = "mtd_stream_replay.store";
+  store::TraceStoreWriter::create(store_path).close();
+  RunReport report = supervisor.run_into_store(store_path);
   while (report.succeeded && !report.result.checkpoint.complete()) {
     std::cout << "Suspended at day boundary "
               << report.result.checkpoint.next_day()
-              << "; resuming from the checkpoint...\n";
-    // A JSON round trip stands in for the checkpoint file a long-lived
-    // replay would reload after a crash or migration.
-    report = supervisor.resume(
-        EngineCheckpoint::from_json(report.result.checkpoint.to_json()),
-        *sink);
+              << "; resuming from the store's checkpoint...\n";
+    report = supervisor.run_into_store(store_path);
   }
   if (!report.succeeded) {
     std::cerr << "Supervised run FAILED after " << report.attempts.size()
@@ -91,12 +78,18 @@ int main(int argc, char** argv) {
     std::cerr << report.to_json().dump(2) << "\n";
     return 1;
   }
-  dataset.finalize();
-  if (csv) {
-    csv->close();
-    if (csv->writer().sessions_written() != dataset.total_sessions()) {
-      std::cerr << "FATAL: the CSV tee holds "
-                << csv->writer().sessions_written()
+
+  store::TraceStore reader(store_path);
+  store::StoreSessionSource source(reader);
+  const MeasurementDataset dataset =
+      dataset_from_source(source, network, scenario.trace.num_days);
+  if (argc > 2) {
+    SessionCsvEventSink csv(network, argv[2]);
+    (void)reader.replay(csv);
+    csv.close();
+    std::cout << "Replayed the store's sessions to " << argv[2] << "\n";
+    if (csv.writer().sessions_written() != dataset.total_sessions()) {
+      std::cerr << "FATAL: the CSV holds " << csv.writer().sessions_written()
                 << " sessions, the dataset " << dataset.total_sessions()
                 << "\n";
       return 1;

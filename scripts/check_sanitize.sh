@@ -40,7 +40,8 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # Engine-side tests gated under TSan: everything with cross-thread
 # synchronization (rings, the typed event plane, engine, checkpoint/resume,
-# faults, supervision, the 3-worker engine feeding a dataset) plus the
+# faults, supervision, a 3-worker engine's stream aggregated into a
+# dataset) plus the
 # trace store, whose writer is fed from the engine's consumer thread and
 # whose fault points fire under load, the store runner's kill-and-resume
 # suite, the session-source parity suite

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <span>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/mutex.hpp"
@@ -88,55 +89,55 @@ MeasurementDataset::MeasurementDataset(const Network& network,
   traffic_share_stats_.resize(catalog.size());
 }
 
-void MeasurementDataset::CellPartial::add_minute(std::size_t minute_of_day,
-                                                 std::uint32_t count) {
+void MeasurementDataset::CellPartial::on_minute(const BaseStation& /*bs*/,
+                                                std::size_t /*day*/,
+                                                std::size_t minute_of_day,
+                                                std::uint32_t count) {
   (ArrivalProcess::is_day_phase(minute_of_day) ? day_counts : night_counts)
       .push_back(count);
 }
 
-void MeasurementDataset::CellPartial::add_session(const Session& session) {
+void MeasurementDataset::CellPartial::on_session(const Session& session) {
   Service& service = services[session.service];
   if (service.sessions++ == 0) {
     service.dv_curve.emplace(kDurationAxis);
-    if (holds_bins) service.bins.assign(kVolumeBins, 0);
+    service.bins.assign(kVolumeBins, 0);
   }
   service.volume_mb += session.volume_mb;
   service.dv_curve->add(std::log10(session.duration_s), session.volume_mb);
-  if (holds_bins) {
-    ++service.bins[kVolumeAxis.index_clamped(std::log10(session.volume_mb))];
-  }
+  ++service.bins[kVolumeAxis.index_clamped(std::log10(session.volume_mb))];
 }
 
 void MeasurementDataset::on_minute(const BaseStation& bs, std::size_t day,
                                    std::size_t minute_of_day,
                                    std::uint32_t count) {
-  pending_cell(bs.id, day).add_minute(minute_of_day, count);
+  cell(bs.id, day).on_minute(bs, day, minute_of_day, count);
 }
 
 void MeasurementDataset::on_session(const Session& session) {
-  // The PDF bins take integer weights, so they go straight into the
-  // dataset; the cell's partial holds the order-sensitive rest.
-  const std::size_t volume_bin =
-      kVolumeAxis.index_clamped(std::log10(session.volume_mb));
-  auto& per_service = slice_stats_[session.service];
-  for_each_slice((*network_)[session.bs], session.day, [&](Slice sl) {
-    per_service[static_cast<std::size_t>(sl)].volume_pdf[volume_bin] += 1.0;
-  });
-  pending_cell(session.bs, session.day).add_session(session);
+  cell(session.bs, session.day).on_session(session);
 }
 
-MeasurementDataset::CellPartial& MeasurementDataset::pending_cell(
-    std::uint32_t bs, std::size_t day) {
-  const CellId id{bs, static_cast<std::uint16_t>(day)};
-  if (cached_cell_ != nullptr && *cached_cell_id_ == id) return *cached_cell_;
-  CellPartial& cell =
-      pending_
-          .try_emplace(id, bs, id.second, services_.size(),
-                       /*holds_bins=*/false)
-          .first->second;
-  cached_cell_id_ = id;
-  cached_cell_ = &cell;
-  return cell;
+MeasurementDataset::CellPartial& MeasurementDataset::cell(std::uint32_t bs,
+                                                          std::size_t day) {
+  if (current_ && current_->bs == bs && current_->day == day) {
+    return *current_;
+  }
+  const auto key = [](std::uint32_t b, std::size_t d) {
+    return "(bs " + std::to_string(b) + ", day " + std::to_string(d) + ")";
+  };
+  require(day < num_days_, "MeasurementDataset: cell " + key(bs, day) +
+                               " is past the dataset's " +
+                               std::to_string(num_days_) + " days");
+  if (current_) {
+    require(bs > current_->bs || (bs == current_->bs && day > current_->day),
+            "MeasurementDataset: cell " + key(bs, day) + " arrived after " +
+                key(current_->bs, current_->day) +
+                "; cells must arrive in (BS, day) order");
+    fold(*current_);
+  }
+  return current_.emplace(bs, static_cast<std::uint16_t>(day),
+                          services_.size());
 }
 
 void MeasurementDataset::fold(const CellPartial& cell) {
@@ -175,7 +176,6 @@ void MeasurementDataset::fold(const CellPartial& cell) {
       traffic_share_stats_[s].add(service.volume_mb / cell_volume);
     }
     if (service.sessions == 0) continue;
-    // Bins the sink path already added on arrival are absent here.
     for_each_slice(bs, cell.day, [&](Slice sl) {
       ServiceSliceStats& stats = slice_stats_[s][static_cast<std::size_t>(sl)];
       stats.sessions += service.sessions;
@@ -187,13 +187,9 @@ void MeasurementDataset::fold(const CellPartial& cell) {
 }
 
 void MeasurementDataset::finalize() {
-  // std::map iterates cells in (bs, day) order, the order of serial
-  // generation; each cell is freed as soon as it is folded.
-  while (!pending_.empty()) {
-    fold(pending_.extract(pending_.begin()).mapped());
-  }
-  cached_cell_id_.reset();
-  cached_cell_ = nullptr;
+  if (!current_) return;
+  fold(*current_);
+  current_.reset();
 }
 
 const ServiceSliceStats& MeasurementDataset::slice(std::size_t service,
@@ -254,18 +250,6 @@ MeasurementDataset collect_dataset(const Network& network,
   const TraceGenerator generator(network, trace_config);
   const std::vector<BaseStation>& stations = network.base_stations();
 
-  struct CellSink final : TraceSink {
-    explicit CellSink(CellPartial& cell) : cell(&cell) {}
-    void on_minute(const BaseStation& /*bs*/, std::size_t /*day*/,
-                   std::size_t minute_of_day, std::uint32_t count) override {
-      cell->add_minute(minute_of_day, count);
-    }
-    void on_session(const Session& session) override {
-      cell->add_session(session);
-    }
-    CellPartial* cell;
-  };
-
   // Cell i is (BS i / num_days, day i % num_days), so cell order is (BS, day)
   // order. A finished cell parks behind the frontier; whichever thread finds
   // the next cell to fold parked takes the folding role and folds parked
@@ -283,9 +267,8 @@ MeasurementDataset collect_dataset(const Network& network,
     const BaseStation& bs = stations[i / num_days];
     const std::size_t day = i % num_days;
     CellPartial cell(bs.id, static_cast<std::uint16_t>(day),
-                     dataset.num_services(), /*holds_bins=*/true);
-    CellSink sink(cell);
-    generator.run_bs_day(bs, day, sink);
+                     dataset.num_services());
+    generator.run_bs_day(bs, day, cell);
     {
       MutexLock lock(frontier.guard);
       frontier.parked.emplace(i, std::move(cell));

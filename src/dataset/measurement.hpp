@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -86,8 +85,9 @@ struct DecileArrivalStats {
 /// Normally built by collect_dataset, which generates and aggregates every
 /// (BS, day) cell on its own parallel job and folds the finished cells in
 /// (BS, day) order. Streaming front-ends fill it through the TraceSink
-/// interface and call finalize(), which folds the buffered cells through
-/// the same routine.
+/// interface, whole cells in ascending (BS, day) order, and call
+/// finalize(); each cell is folded through the same routine once an
+/// event's key moves past it, bit-identically to collect_dataset.
 class MeasurementDataset final : public TraceSink {
  public:
   MeasurementDataset(const Network& network, std::size_t num_days);
@@ -97,17 +97,11 @@ class MeasurementDataset final : public TraceSink {
                  std::size_t minute_of_day, std::uint32_t count) override;
   void on_session(const Session& session) override;
 
-  /// Folds the cells buffered by on_minute/on_session into the dataset;
-  /// call once after the final trace event. Events may arrive in any order
-  /// across (BS, day) cells (the streaming engine interleaves BSs
-  /// minute-by-minute), so each cell's events are buffered in its own
-  /// partial and the partials are folded here in (BS, day) order. As long as
-  /// each cell's own event sequence is preserved (every producer path
-  /// guarantees that), the finalized dataset is bit-identical regardless of
-  /// how cells were interleaved, and to collect_dataset's. The PDF bins
-  /// take integer weights, which are exact in any order, so they go
-  /// straight into the dataset as events arrive; every other statistic
-  /// reads as empty until finalize() runs.
+  /// Folds the last cell fed through on_minute/on_session; call once after
+  /// the final trace event. Cells must arrive whole and in ascending
+  /// (BS, day) order (a SessionSource scan, TraceStore::replay,
+  /// replay_csv_trace, TraceGenerator::run); a key that goes backwards, or
+  /// a day not below num_days(), raises InvalidArgument.
   void finalize();
 
   // -- accessors ------------------------------------------------------------
@@ -141,34 +135,29 @@ class MeasurementDataset final : public TraceSink {
   friend MeasurementDataset collect_dataset(const Network&,
                                             const TraceConfig&);
 
-  /// What one (BS, day) cell adds to the dataset, filled in the cell's own
-  /// event order and applied by fold(). Integer tallies (session counts,
-  /// PDF bins, per-minute arrival counts) are exact under any addition
-  /// order; the floating-point ones (volume sums, duration-volume curves)
-  /// depend only on the cell's own sequence. Only a partial built off the
-  /// dataset (collect_dataset's jobs) holds the cell's PDF bins: the sink
-  /// path adds them to the dataset directly, so the partials it holds until
-  /// finalize() stay as small as the order-sensitive state allows.
-  struct CellPartial {
-    CellPartial(std::uint32_t bs, std::uint16_t day, std::size_t num_services,
-                bool holds_bins)
-        : bs(bs), day(day), holds_bins(holds_bins), services(num_services) {}
+  /// What one (BS, day) cell adds to the dataset, fed the cell's own events
+  /// in order and applied by fold(). Integer tallies (session counts, PDF
+  /// bins, per-minute arrival counts) are exact under any addition order;
+  /// the floating-point ones (volume sums, duration-volume curves) depend
+  /// only on the cell's own sequence.
+  struct CellPartial final : TraceSink {
+    CellPartial(std::uint32_t bs, std::uint16_t day, std::size_t num_services)
+        : bs(bs), day(day), services(num_services) {}
 
-    void add_minute(std::size_t minute_of_day, std::uint32_t count);
-    void add_session(const Session& session);
+    void on_minute(const BaseStation& /*bs*/, std::size_t /*day*/,
+                   std::size_t minute_of_day, std::uint32_t count) override;
+    void on_session(const Session& session) override;
 
     struct Service {
       std::uint64_t sessions = 0;
       double volume_mb = 0.0;
-      // Volume-PDF bins, sized at the first session when the partial holds
-      // bins; empty otherwise.
+      // Volume-PDF bins, sized at the first session.
       std::vector<std::uint32_t> bins;
       std::optional<BinnedMeanCurve> dv_curve;
     };
 
     std::uint32_t bs;
     std::uint16_t day;
-    bool holds_bins;
     // Per-minute arrival counts split by phase, in minute order; replayed
     // into the decile RunningStats so the Welford updates run in minute
     // order, as in serial generation.
@@ -176,13 +165,14 @@ class MeasurementDataset final : public TraceSink {
     std::vector<std::uint32_t> night_counts;
     std::vector<Service> services;  // per catalogue service
   };
-  using CellId = std::pair<std::uint32_t, std::uint16_t>;  // (bs, day)
 
   /// Applies one finished cell. Every floating-point accumulation here
   /// depends on the order of folds, so cells must be folded in ascending
   /// (BS, day) order — the order of serial generation.
   void fold(const CellPartial& cell);
-  [[nodiscard]] CellPartial& pending_cell(std::uint32_t bs, std::size_t day);
+  /// The partial of cell (bs, day), the one being fed: folds the previous
+  /// cell when the key moves past it.
+  [[nodiscard]] CellPartial& cell(std::uint32_t bs, std::size_t day);
 
   const Network* network_;
   std::size_t num_days_;
@@ -194,13 +184,8 @@ class MeasurementDataset final : public TraceSink {
   // decile arrival statistics.
   std::vector<DecileArrivalStats> decile_stats_;
 
-  // Cells fed through on_minute/on_session, held until finalize(); the
-  // one-entry cache keeps the hot path O(1) for runs of same-cell events
-  // (the common arrival pattern both in block order and in the engine's
-  // minute-major interleaving).
-  std::map<CellId, CellPartial> pending_;
-  std::optional<CellId> cached_cell_id_;
-  CellPartial* cached_cell_ = nullptr;
+  // The cell being fed through on_minute/on_session, not yet folded.
+  std::optional<CellPartial> current_;
   std::vector<RunningStats> session_share_stats_;
   std::vector<RunningStats> traffic_share_stats_;
 

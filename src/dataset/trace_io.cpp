@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 
@@ -151,9 +152,10 @@ std::uint64_t replay_csv_trace(const std::string& path,
     session.minute_of_day = static_cast<std::uint16_t>(minute);
     session.volume_mb = parse_double(fields[4], line_no);
     session.duration_s = parse_double(fields[5], line_no);
-    if (session.volume_mb <= 0.0 || session.duration_s <= 0.0) {
+    if (!(std::isfinite(session.volume_mb) && session.volume_mb > 0.0 &&
+          std::isfinite(session.duration_s) && session.duration_s > 0.0)) {
       throw ParseError("trace csv line " + std::to_string(line_no) +
-                       ": non-positive volume or duration");
+                       ": volume and duration must be finite and positive");
     }
     cells[{session.bs, session.day}].push_back(session);
   }
@@ -163,10 +165,11 @@ std::uint64_t replay_csv_trace(const std::string& path,
     const BaseStation& bs = network[key.first];
     std::array<std::uint32_t, kMinutesPerDay> counts{};
     for (const Session& s : sessions) ++counts[s.minute_of_day];
-    std::sort(sessions.begin(), sessions.end(),
-              [](const Session& a, const Session& b) {
-                return a.minute_of_day < b.minute_of_day;
-              });
+    // Stable, so rows of one minute keep their file order.
+    std::stable_sort(sessions.begin(), sessions.end(),
+                     [](const Session& a, const Session& b) {
+                       return a.minute_of_day < b.minute_of_day;
+                     });
     for (std::size_t m = 0; m < kMinutesPerDay; ++m) {
       sink.on_minute(bs, key.second, m, counts[m]);
     }

@@ -53,8 +53,16 @@ class SessionCsvWriter final : public TraceSink {
 /// at least one session gets its count; silent minutes are emitted as zero
 /// for the covered (BS, day) pairs so arrival statistics stay meaningful).
 ///
+/// The rows may come in any order: the whole file is read into memory,
+/// grouped by (BS, day), and delivered cell by cell in ascending (BS, day)
+/// order, each cell's sessions sorted by minute with rows of one minute in
+/// file order. That costs memory proportional to the file, but it is what
+/// accepts the engine's CSVs (SessionCsvEventSink), which are minute-major
+/// across BSs, and it delivers the order MeasurementDataset requires.
+///
 /// `network` supplies the BS metadata (decile, region, city, RAT); rows
-/// whose BS id is outside the network are rejected with ParseError.
+/// whose BS id is outside the network, and volumes or durations that are
+/// not finite and positive, are rejected with ParseError naming the line.
 /// Returns the number of sessions replayed.
 std::uint64_t replay_csv_trace(const std::string& path,
                                const Network& network, TraceSink& sink);

@@ -46,8 +46,8 @@ class EventSink {
 /// (MeasurementDataset, SessionCsvWriter): minute events become on_minute,
 /// session events on_session, segment and packet events are ignored
 /// (TraceSink predates them). `network` supplies the BaseStation metadata
-/// on_minute requires. StreamEngine and Supervisor take only EventSinks,
-/// so a caller filling a dataset wraps it in one of these.
+/// on_minute requires. A MeasurementDataset takes whole (BS, day) cells in
+/// order, so the engine's stream reaches one through a SessionSource.
 class TraceSinkAdapter final : public EventSink {
  public:
   TraceSinkAdapter(const Network& network, TraceSink& sink)

@@ -104,7 +104,7 @@ class MemorySessionSource final : public SessionSource {
 /// Aggregates the minute and session events of `source` (days
 /// [0, num_days)) into a finalized MeasurementDataset — the bridge from any
 /// SessionSource to every dataset-shaped consumer (invariance, model
-/// fitting). One pass; kind push-down to session_replay().
+/// fitting). One pass, holding one (BS, day) cell; kinds pushed down.
 [[nodiscard]] MeasurementDataset dataset_from_source(SessionSource& source,
                                                      const Network& network,
                                                      std::size_t num_days);

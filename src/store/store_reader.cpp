@@ -132,22 +132,38 @@ struct TraceStore::Impl {
     return bloom.maybe_contains(bs);
   }
 
+  /// Leaf page ids [first, end). A segment's leaves are written
+  /// consecutively in key order, so the candidates of any key range form
+  /// one run, however large the segment.
+  struct LeafRun {
+    std::uint64_t first;
+    std::uint64_t end;
+  };
+
+  static void append_leaf(std::vector<LeafRun>& out, std::uint64_t leaf) {
+    if (!out.empty() && out.back().end == leaf) {
+      ++out.back().end;
+    } else {
+      out.push_back({leaf, leaf + 1});
+    }
+  }
+
   /// Collects, in key order, the leaves of `seg` whose fences overlap
   /// [lo, hi], descending the segment's fence tree and counting pruned
   /// leaf candidates.
   void collect_leaves(const SegmentInfo& seg, const EventKey& lo,
-                      const EventKey& hi, std::vector<std::uint64_t>& out) {
+                      const EventKey& hi, std::vector<LeafRun>& out) {
     out.clear();
     if (seg.num_leaves == 0 || seg.min_key > hi || seg.max_key < lo) return;
     if (seg.depth == 0) {
-      out.push_back(seg.root);
+      append_leaf(out, seg.root);
       return;
     }
     descend(seg.root, seg.depth, lo, hi, out);
   }
 
   void descend(std::uint64_t page_id, std::uint32_t level, const EventKey& lo,
-               const EventKey& hi, std::vector<std::uint64_t>& out) {
+               const EventKey& hi, std::vector<LeafRun>& out) {
     const Page page = load_page(page_id, PageType::kInternal);
     struct Fence {
       EventKey min_key;
@@ -173,7 +189,7 @@ struct TraceStore::Impl {
         continue;
       }
       if (level == 1) {
-        out.push_back(fence.child);
+        append_leaf(out, fence.child);
       } else {
         descend(fence.child, level - 1, lo, hi, out);
       }
@@ -199,14 +215,14 @@ struct TraceStore::Impl {
       std::uint32_t size = 0;    ///< length prefix included
     };
     const SegmentInfo* seg = nullptr;
-    std::vector<std::uint64_t> leaves;
-    std::size_t leaf_index = 0;
+    std::vector<LeafRun> leaves;  ///< runs' `first` advance as leaves load
+    std::size_t run_index = 0;
     std::string pages;
     std::vector<Record> records;
     std::size_t pos = 0;
 
     [[nodiscard]] bool exhausted() const noexcept {
-      return pos >= records.size() && leaf_index >= leaves.size();
+      return pos >= records.size() && run_index >= leaves.size();
     }
     [[nodiscard]] const EventKey& head_key() const noexcept {
       return records[pos].key;
@@ -271,12 +287,14 @@ struct TraceStore::Impl {
   /// runs out, probing each leaf's bloom filter first on a one-BS query.
   void refill(SegmentCursor& cursor, const Query& query) {
     while (cursor.pos >= cursor.records.size() &&
-           cursor.leaf_index < cursor.leaves.size()) {
+           cursor.run_index < cursor.leaves.size()) {
       std::array<std::uint64_t, 4> batch{};
       std::size_t count = 0;
       while (count < batch.size() &&
-             cursor.leaf_index < cursor.leaves.size()) {
-        const std::uint64_t leaf = cursor.leaves[cursor.leaf_index++];
+             cursor.run_index < cursor.leaves.size()) {
+        LeafRun& run = cursor.leaves[cursor.run_index];
+        const std::uint64_t leaf = run.first++;
+        if (run.first == run.end) ++cursor.run_index;
         if (query.bs.has_value() &&
             !bloom_maybe_contains(*cursor.seg, leaf - cursor.seg->first_leaf,
                                   *query.bs)) {

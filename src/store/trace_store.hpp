@@ -246,8 +246,9 @@ class TraceStore {
 
   /// Streams the whole store in canonical (bs, day, minute, seq) order
   /// into `sink` — the replay-from-store path. Feeding the result through
-  /// the aggregation layer reproduces a direct generation run bit-exactly
-  /// (per-cell event order is preserved; see MeasurementDataset::finalize).
+  /// the aggregation layer reproduces a direct generation run bit-exactly:
+  /// whole cells arrive in (BS, day) order, each in its generation order,
+  /// as MeasurementDataset::finalize requires.
   [[nodiscard]] std::uint64_t replay(EventSink& sink);
 
   /// replay() without decoding: streams every committed record, in the

@@ -12,6 +12,7 @@
 #include "dataset/measurement.hpp"
 #include "engine/engine.hpp"
 #include "events/event_sink.hpp"
+#include "events/session_source.hpp"
 #include "test_helpers.hpp"
 
 namespace mtd {
@@ -60,8 +61,9 @@ struct CountingSink final : EventSink {
   }
 };
 
-// The tentpole determinism guarantee: streaming through the engine at any
-// worker count produces a dataset identical to the batch collector — not
+// The determinism guarantee: streaming through the engine at any worker
+// count, then aggregating the collected stream through the SessionSource
+// route, produces a dataset identical to the batch collector — not
 // approximately, bit for bit.
 TEST(StreamEngine, DeterministicAcrossWorkerCounts) {
   const Network network = make_network();
@@ -73,10 +75,11 @@ TEST(StreamEngine, DeterministicAcrossWorkerCounts) {
     config.num_workers = workers;
     config.queue_capacity = 64;  // small: exercise wraparound + blocking
     StreamEngine engine(network, trace, config);
-    MeasurementDataset streamed(network, trace.num_days);
-    TraceSinkAdapter adapter(network, streamed);
-    const EngineResult result = engine.run(adapter);
-    streamed.finalize();
+    MemorySessionSource::Collector collector;
+    const EngineResult result = engine.run(collector);
+    MemorySessionSource source(std::move(collector).take());
+    const MeasurementDataset streamed =
+        dataset_from_source(source, network, trace.num_days);
 
     {
       SCOPED_TRACE(std::to_string(workers) + " workers");
@@ -96,8 +99,8 @@ TEST(StreamEngine, DeterministicAcrossWorkerCounts) {
   }
 }
 
-// The engine is the parallel collector: a dataset fed by three workers
-// matches collect_dataset's bit for bit.
+// A dataset aggregated from a three-worker engine's stream matches
+// collect_dataset's bit for bit.
 TEST(ParallelDataset, ThreeWorkerEngineMatchesCollectDataset) {
   const Network network = make_network(12);
   const TraceConfig trace = make_trace(1, 44);
@@ -106,11 +109,12 @@ TEST(ParallelDataset, ThreeWorkerEngineMatchesCollectDataset) {
   EngineConfig config;
   config.num_workers = 3;
   StreamEngine engine(network, trace, config);
-  MeasurementDataset parallel(network, trace.num_days);
-  TraceSinkAdapter adapter(network, parallel);
-  const EngineResult result = engine.run(adapter);
-  parallel.finalize();
+  MemorySessionSource::Collector collector;
+  const EngineResult result = engine.run(collector);
   EXPECT_TRUE(result.checkpoint.complete());
+  MemorySessionSource source(std::move(collector).take());
+  const MeasurementDataset parallel =
+      dataset_from_source(source, network, trace.num_days);
 
   test::expect_datasets_identical(parallel, serial);
 }

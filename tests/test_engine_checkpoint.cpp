@@ -19,6 +19,7 @@
 #include "common/fault.hpp"
 #include "events/event_codec.hpp"
 #include "events/event_sink.hpp"
+#include "events/session_source.hpp"
 #include "io/json.hpp"
 #include "test_helpers.hpp"
 
@@ -104,19 +105,16 @@ TEST(EngineCheckpoint, ResumedRunMatchesBatchDataset) {
   EngineConfig config;
   config.stop_after_days = 1;
   StreamEngine engine(network, trace, config);
-  MeasurementDataset streamed(network, trace.num_days);
-  TraceSinkAdapter adapter(network, streamed);
-  EngineResult result = engine.run(adapter);
+  MemorySessionSource::Collector collector;
+  EngineResult result = engine.run(collector);
   while (!result.checkpoint.complete()) {
-    result = engine.resume(result.checkpoint, adapter);
+    result = engine.resume(result.checkpoint, collector);
   }
-  streamed.finalize();
+  MemorySessionSource source(std::move(collector).take());
+  const MeasurementDataset streamed =
+      dataset_from_source(source, network, trace.num_days);
 
-  EXPECT_EQ(streamed.total_sessions(), serial.total_sessions());
-  EXPECT_DOUBLE_EQ(streamed.total_volume_mb(), serial.total_volume_mb());
-  const auto a = serial.session_shares();
-  const auto b = streamed.session_shares();
-  for (std::size_t s = 0; s < a.size(); ++s) EXPECT_DOUBLE_EQ(b[s], a[s]);
+  test::expect_datasets_identical(streamed, serial);
 }
 
 TEST(EngineCheckpoint, JsonRoundTripPreservesEverything) {

@@ -19,6 +19,7 @@
 #include "engine/supervisor.hpp"
 #include "events/event_codec.hpp"
 #include "events/event_sink.hpp"
+#include "events/session_source.hpp"
 #include "test_helpers.hpp"
 
 namespace mtd {
@@ -590,10 +591,11 @@ TEST(Supervisor, CleanRunReportsOneAttempt) {
   const MeasurementDataset serial = collect_dataset(network, trace);
 
   Supervisor supervisor(network, trace);
-  MeasurementDataset streamed(network, trace.num_days);
-  TraceSinkAdapter adapter(network, streamed);
-  const RunReport report = supervisor.run(adapter);
-  streamed.finalize();
+  MemorySessionSource::Collector collector;
+  const RunReport report = supervisor.run(collector);
+  MemorySessionSource source(std::move(collector).take());
+  const MeasurementDataset streamed =
+      dataset_from_source(source, network, trace.num_days);
 
   ASSERT_TRUE(report.succeeded);
   EXPECT_EQ(report.attempts.size(), 1u);

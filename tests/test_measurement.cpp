@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/time_utils.hpp"
+#include "engine/engine.hpp"
+#include "events/event_sink.hpp"
 #include "math/metrics.hpp"
 #include "test_helpers.hpp"
 
@@ -192,80 +195,70 @@ TEST(MeasurementDataset, SliceToStringNames) {
   EXPECT_STREQ(to_string(Slice::k5G), "5G");
 }
 
-TEST(MeasurementDataset, CrossCellEventOrderDoesNotChangeTheAggregates) {
-  // The dataset must give bit-identical results whether events arrive in
-  // per-BS blocks (batch generator) or interleaved minute-by-minute across
-  // BSs (streaming engine). Only the per-(BS, day) stream order is fixed.
+/// A 10-BS network for the order tests.
+Network order_network() {
   NetworkConfig nc;
   nc.num_bs = 10;
   nc.last_decile_rate = 25.0;
   Rng build_rng(9);
-  const Network network = Network::build(nc, build_rng);
+  return Network::build(nc, build_rng);
+}
+
+TEST(MeasurementDataset, CellKeyGoingBackwardsIsRejectedNamingBothKeys) {
+  const Network network = order_network();
+  MeasurementDataset dataset(network, 2);
+  dataset.on_minute(network[4], 1, 0, 0);
+  dataset.on_minute(network[4], 1, 1, 0);  // same cell: no check
+  try {
+    dataset.on_minute(network[4], 0, 2, 0);
+    ADD_FAILURE() << "an earlier day of the same BS was accepted";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("(bs 4, day 0)"), std::string::npos) << what;
+    EXPECT_NE(what.find("(bs 4, day 1)"), std::string::npos) << what;
+  }
+  try {
+    Session session;
+    session.bs = 2;
+    session.day = 1;
+    session.volume_mb = 1.0;
+    session.duration_s = 10.0;
+    dataset.on_session(session);
+    ADD_FAILURE() << "an earlier BS was accepted";
+  } catch (const InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("(bs 2, day 1)"), std::string::npos) << what;
+    EXPECT_NE(what.find("(bs 4, day 1)"), std::string::npos) << what;
+  }
+}
+
+TEST(MeasurementDataset, DayPastTheHorizonIsRejected) {
+  const Network network = order_network();
+  MeasurementDataset dataset(network, 2);
+  EXPECT_THROW(dataset.on_minute(network[0], 2, 0, 0), InvalidArgument);
+  Session session;
+  session.bs = 0;
+  session.day = 7;
+  session.volume_mb = 1.0;
+  session.duration_s = 10.0;
+  EXPECT_THROW(dataset.on_session(session), InvalidArgument);
+}
+
+// The engine interleaves its BSs minute by minute, so a dataset fed straight
+// from it sees a cell key go backwards as soon as a lower BS's next minute
+// arrives. The run must fail rather than aggregate the interleaving; the
+// engine reaches a dataset through a SessionSource instead.
+TEST(MeasurementDataset, EngineFedStraightIntoTheDatasetFailsLoudly) {
+  const Network network = order_network();
   TraceConfig trace;
   trace.num_days = 1;
   trace.seed = 123;
-  const TraceGenerator generator(network, trace);
-
-  MeasurementDataset blocked(network, 1);
-  for (std::size_t b = 0; b < network.size(); ++b) {
-    generator.run_bs_day(network[b], 0, blocked);
-  }
-  blocked.finalize();
-
-  MeasurementDataset interleaved(network, 1);
-  std::vector<BaseStation> scaled;
-  std::vector<Rng> rngs;
-  for (std::size_t b = 0; b < network.size(); ++b) {
-    scaled.push_back(generator.day_scaled(network[b], 0));
-    rngs.push_back(generator.bs_day_rng(network[b], 0));
-  }
-  for (std::size_t minute = 0; minute < kMinutesPerDay; ++minute) {
-    // Reverse BS order each minute to make the interleaving adversarial.
-    for (std::size_t i = network.size(); i-- > 0;) {
-      const std::uint32_t count =
-          ArrivalProcess(scaled[i]).sample(minute, rngs[i]);
-      interleaved.on_minute(network[i], 0, minute, count);
-      for (std::uint32_t k = 0; k < count; ++k) {
-        interleaved.on_session(
-            generator.sample_session(network[i], 0, minute, rngs[i]));
-      }
-    }
-  }
-  interleaved.finalize();
-
-  test::expect_datasets_identical(interleaved, blocked);
-}
-
-TEST(MeasurementDataset, SinkPathAddsPdfBinsAsSessionsArrive) {
-  // The sink path adds the integer-weighted PDF bins on arrival; its pending
-  // cells hold no bins, and finalize() folds in only the rest.
-  NetworkConfig nc;
-  nc.num_bs = 10;
-  Rng build_rng(4);
-  const Network network = Network::build(nc, build_rng);
-  TraceConfig trace;
-  trace.num_days = 1;
-  trace.seed = 44;
-  MeasurementDataset dataset(network, 1);
-  TraceGenerator(network, trace).run_bs_day(network[9], 0, dataset);
-
-  const auto mass = [](const BinnedPdf& pdf) {
-    double sum = 0.0;
-    for (double d : pdf.density()) sum += d;
-    return sum;
-  };
-  std::vector<double> volume_before;
-  for (std::size_t s = 0; s < dataset.num_services(); ++s) {
-    volume_before.push_back(mass(dataset.slice(s, Slice::kTotal).volume_pdf));
-  }
-  dataset.finalize();
-  ASSERT_GT(dataset.total_sessions(), 0u);
-  for (std::size_t s = 0; s < dataset.num_services(); ++s) {
-    const auto sessions =
-        static_cast<double>(dataset.slice(s, Slice::kTotal).sessions);
-    EXPECT_EQ(volume_before[s], sessions);
-    EXPECT_EQ(mass(dataset.slice(s, Slice::kTotal).volume_pdf), sessions);
-  }
+  EngineConfig config;
+  config.num_workers = 2;
+  StreamEngine engine(network, trace, config);
+  MeasurementDataset dataset(network, trace.num_days);
+  TraceSinkAdapter adapter(network, dataset);
+  EXPECT_THROW((void)engine.run(adapter), InvalidArgument);
 }
 
 TEST(MeasurementDataset, VolumeAxisCoversExpectedRange) {

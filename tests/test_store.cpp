@@ -423,9 +423,10 @@ TEST(TraceStore, RejectsBadOptions) {
 
 // The acceptance gate of the subsystem: a store filled by the streaming
 // engine, closed and reopened, replays into aggregates bit-identical to
-// direct generation — for any worker count and batch size, because within
-// each (BS, day) cell the canonical key order equals generation order and
-// MeasurementDataset::finalize folds cells deterministically.
+// direct generation — for any worker count and batch size, because the
+// replay delivers whole cells in (BS, day) order, which MeasurementDataset
+// folds one at a time, and within each cell the canonical key order equals
+// generation order.
 TEST(TraceStore, ReplayFromStoreMatchesDirectGenerationBitExact) {
   const Network network = make_network();
   TraceConfig trace;

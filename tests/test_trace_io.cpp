@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -153,6 +154,41 @@ TEST(TraceIo, ReplayReconstructsArrivalCounts) {
   std::remove(path.c_str());
 }
 
+// A trace written in generation order replays in that order: cells in
+// (BS, day) order, each cell's rows by minute, rows of one minute in file
+// order. So a CSV replayed into a second writer reproduces its input byte
+// for byte, and the dv-curve sums fold in the same order as the original.
+TEST(TraceIo, CsvReplayedIntoAWriterIsByteIdentical) {
+  NetworkConfig config;
+  config.num_bs = 10;
+  config.last_decile_rate = 30.0;
+  Rng rng(5);
+  const Network network = Network::build(config, rng);
+  TraceConfig trace;
+  trace.num_days = 1;
+  trace.seed = 77;
+  const std::string original = temp_path("mtd_trace_identity_in.csv");
+  const std::string copy = temp_path("mtd_trace_identity_out.csv");
+  {
+    SessionCsvWriter writer(original);
+    TraceGenerator(network, trace).run(writer);
+    writer.close();
+  }
+  {
+    SessionCsvWriter writer(copy);
+    EXPECT_GT(replay_csv_trace(original, network, writer), 0u);
+    writer.close();
+  }
+  const std::string in = read_file(original);
+  const std::string out = read_file(copy);
+  EXPECT_EQ(in.size(), out.size());
+  const auto diff = std::mismatch(in.begin(), in.end(), out.begin(), out.end());
+  EXPECT_TRUE(diff.first == in.end() && diff.second == out.end())
+      << "first difference at byte " << (diff.first - in.begin());
+  std::remove(original.c_str());
+  std::remove(copy.c_str());
+}
+
 TEST(TraceIo, RejectsMalformedInput) {
   const Network network = tiny_network();
   MeasurementDataset sink(network, 1);
@@ -180,6 +216,21 @@ TEST(TraceIo, RejectsMalformedInput) {
 
   write_file(path, header + "0,Netflix,0,100,-1.0,10\n");  // bad volume
   EXPECT_THROW(replay_csv_trace(path, network, sink), ParseError);
+
+  // from_chars parses these; none is a finite positive value.
+  for (const char* row :
+       {"0,Netflix,0,100,inf,10\n", "0,Netflix,0,100,nan,10\n",
+        "0,Netflix,0,100,-inf,10\n", "0,Netflix,0,100,1.0,inf\n",
+        "0,Netflix,0,100,1.0,nan\n", "0,Netflix,0,100,1.0,-inf\n"}) {
+    write_file(path, header + "0,Netflix,0,100,1.0,10\n" + row);
+    try {
+      (void)replay_csv_trace(path, network, sink);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
+          << error.what();
+    }
+  }
 
   write_file(path, header + "0,Netflix,0,abc,1.0,10\n");  // bad integer
   EXPECT_THROW(replay_csv_trace(path, network, sink), ParseError);
