@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -47,12 +48,30 @@ double BsLevelSeries::window_fraction(std::size_t from_hour,
 namespace {
 
 /// Spreads one session's volume uniformly over its lifetime, starting at
-/// `minute_of_day`; minutes past midnight wrap back into the daily profile.
-void spread_session(BsLevelSeries& series, std::size_t minute_of_day,
-                    double duration_s, double volume_mb) {
+/// `minute_of_day`; minutes past midnight wrap back into the daily profile,
+/// so every whole day of the lifetime adds the same amount to each minute.
+/// Throws InvalidArgument naming the session's day and minute unless the
+/// duration is finite and positive.
+void spread_session(BsLevelSeries& series, std::size_t day,
+                    std::size_t minute_of_day, double duration_s,
+                    double volume_mb) {
+  if (!(std::isfinite(duration_s) && duration_s > 0.0)) {
+    throw InvalidArgument("BS-level series: session at day " +
+                          std::to_string(day) + ", minute " +
+                          std::to_string(minute_of_day) + " has duration " +
+                          std::to_string(duration_s) +
+                          " s; need a finite, positive duration");
+  }
   const double rate_per_min =
       volume_mb / std::max(duration_s / 60.0, 1.0 / 60.0);
-  double remaining = duration_s / 60.0;  // minutes
+  const auto day_minutes = static_cast<double>(kMinutesPerDay);
+  // fmod is exact, so a lifetime under a day walks every minute of it and
+  // a longer one walks at most one day past its whole days.
+  double remaining = std::fmod(duration_s / 60.0, day_minutes);  // minutes
+  const double whole_days = (duration_s / 60.0 - remaining) / day_minutes;
+  if (whole_days > 0.0) {
+    for (double& v : series.volume_mb) v += rate_per_min * whole_days;
+  }
   std::size_t minute = minute_of_day;
   while (remaining > 0.0) {
     const double here = std::min(remaining, 1.0);
@@ -71,8 +90,8 @@ BsLevelSeries aggregate_bs_series(const BsTrafficGenerator& generator,
   series.volume_mb.assign(kMinutesPerDay, 0.0);
 
   for (std::size_t day = 0; day < days; ++day) {
-    generator.generate_day(rng, [&series](const GeneratedSession& s) {
-      spread_session(series, s.minute_of_day, s.duration_s, s.volume_mb);
+    generator.generate_day(rng, [&series, day](const GeneratedSession& s) {
+      spread_session(series, day, s.minute_of_day, s.duration_s, s.volume_mb);
     });
   }
   for (double& v : series.volume_mb) v /= static_cast<double>(days);
@@ -89,10 +108,16 @@ BsLevelSeries bs_series_from_source(SessionSource& source, std::uint32_t bs,
   query.bs = bs;
   query.day_hi = static_cast<std::uint16_t>(days - 1);
   query.kinds = EventKindMask{}.set(EventKind::kSession);
-  (void)source.scan(query, [&series](const StreamEvent& event) {
-    const Session& s = std::get<SessionEvent>(event.payload).session;
-    spread_session(series, s.minute_of_day, s.duration_s, s.volume_mb);
-  });
+  try {
+    (void)source.scan(query, [&series](const StreamEvent& event) {
+      const Session& s = std::get<SessionEvent>(event.payload).session;
+      spread_session(series, s.day, s.minute_of_day, s.duration_s,
+                     s.volume_mb);
+    });
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument("bs_series_from_source: BS " + std::to_string(bs) +
+                          ": " + e.what());
+  }
   for (double& v : series.volume_mb) v /= static_cast<double>(days);
   return series;
 }

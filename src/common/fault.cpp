@@ -68,7 +68,6 @@ const std::vector<std::string>& FaultInjector::known_points() {
   // Sorted; keep in sync with the compiled-in sites listed in the header
   // (tests grep the tree for fault_fire call sites and compare).
   static const std::vector<std::string> points = {
-      "checkpoint.write",
       "consumer.loop",
       "sink.minute",
       "sink.packet",

@@ -3,7 +3,7 @@
 //
 // A FaultInjector is a registry of named failure points compiled into the
 // system's hot paths (worker day loop, consumer drain loop, the sink
-// adapter call sites, the checkpoint writer, the trace-store commit).
+// adapter call sites, the trace-store commit and compaction).
 // Production runs pass no injector and every point is a branch on a null
 // pointer; tests arm individual points to throw a foreign exception, raise
 // a typed retryable error, stall for a fixed time, or fail
@@ -19,7 +19,6 @@
 //   sink.segment          fired before each segment-event sink delivery
 //   sink.packet           fired before each packet-event sink delivery
 //   consumer.loop         fired once per consumer sweep (stall target)
-//   checkpoint.write      fired by EngineCheckpoint::save before writing
 //   store.commit.pages    fired by TraceStoreWriter::commit before the
 //                         segment pages are appended
 //   store.commit.sync     fired after the append, before the page fdatasync
@@ -65,7 +64,7 @@ struct FaultSpec {
   /// RNG; 1.0 fires on every eligible hit.
   double probability = 1.0;
   /// Number of initial hits that pass through unharmed before the point
-  /// becomes eligible (e.g. "fail on the third checkpoint write").
+  /// becomes eligible (e.g. "fail on the third store commit").
   std::uint64_t after = 0;
   /// Maximum number of times the point fires; kUnlimited never disarms.
   std::uint64_t times = 1;

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/error.hpp"
-#include "common/fault.hpp"
 #include "common/fnv.hpp"
 
 namespace mtd {
@@ -74,32 +73,6 @@ EngineCheckpoint EngineCheckpoint::from_json(const Json& json) {
                                 "EngineCheckpoint.packets_emitted");
   cp.volume_mb = json.at("volume_mb").as_number();
   return cp;
-}
-
-void EngineCheckpoint::save(const std::string& path,
-                            FaultInjector* fault) const {
-  fault_fire(fault, "checkpoint.write");
-  write_file_atomic(path, to_json().dump(2));
-}
-
-EngineCheckpoint EngineCheckpoint::load(const std::string& path) {
-  const std::string text = read_file(path);
-  Json doc;
-  try {
-    doc = Json::parse(text);
-  } catch (const ParseError& e) {
-    // A torn or truncated file must name its provenance: the raw parser
-    // error has the byte offset but not the path or the file size.
-    throw ParseError("EngineCheckpoint: corrupt checkpoint file '" + path +
-                     "' (" + std::to_string(text.size()) +
-                     " bytes): " + e.what());
-  }
-  try {
-    return from_json(doc);
-  } catch (const ParseError& e) {
-    throw ParseError("EngineCheckpoint: invalid checkpoint file '" + path +
-                     "': " + e.what());
-  }
 }
 
 }  // namespace mtd

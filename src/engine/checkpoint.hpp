@@ -8,27 +8,26 @@
 // every stream and a checkpoint is O(1) in network size — mid-day ones
 // included (the v2 format, DESIGN.md section 13): a mid-day resume replays
 // its day's prefix without emitting it, which brings every stream, event
-// sequence number and partial-day volume back to clock_minute. The file
-// records the full replay identity (seed, horizon, rate scaling, a
-// fingerprint of the network topology) so a resume against a different
+// sequence number and partial-day volume back to clock_minute. The
+// document records the full replay identity (seed, horizon, rate scaling,
+// a fingerprint of the network topology) so a resume against a different
 // scenario is rejected instead of silently diverging, plus cumulative
-// counters so telemetry continues instead of restarting from zero. Only
-// the v2 format loads; files in the retired v1 day-boundary format raise
+// counters so telemetry continues instead of restarting from zero. It is
+// persisted in one place, the trace store's manifest, which commits it
+// together with the data it covers (see store_runner.hpp). Only the v2
+// format loads; documents in the retired v1 day-boundary format raise
 // ParseError. The day cursor, per-shard cursors, RNG-stream summary and
 // per-BS raw stream cursors that older v2 writers added are ignored on
 // load.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/time_utils.hpp"
 #include "dataset/network.hpp"
 #include "io/json.hpp"
 
 namespace mtd {
-
-class FaultInjector;
 
 /// Serializable engine state taken at a day boundary or at a
 /// minute-interval mark inside a day (see EngineConfig::
@@ -75,19 +74,6 @@ struct EngineCheckpoint {
   /// any other format raises ParseError naming the expected one.
   [[nodiscard]] Json to_json() const;
   [[nodiscard]] static EngineCheckpoint from_json(const Json& json);
-
-  /// Durable, crash-safe write through write_file_atomic: serializes to
-  /// `<path>.tmp`, fdatasyncs it, renames it over `path` and fsyncs the
-  /// directory, so neither a kill nor a power cut mid-write leaves a torn
-  /// file — the previous checkpoint survives any failed save. Throws
-  /// IoError.
-  /// `fault` (tests only) arms the "checkpoint.write" failure point.
-  void save(const std::string& path, FaultInjector* fault = nullptr) const;
-
-  /// Loads and validates a checkpoint file. Truncated or corrupt content
-  /// raises ParseError naming the file, its size, and the parser's byte
-  /// offset — never a raw JSON error with no provenance.
-  [[nodiscard]] static EngineCheckpoint load(const std::string& path);
 };
 
 /// Order- and content-sensitive FNV-1a digest of the network topology

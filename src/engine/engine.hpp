@@ -159,10 +159,8 @@ class StreamEngine {
   /// event of this run below `cp.clock_minute` (less any shed under
   /// kDropNewest or absorbed as sink errors under kDegrade) and none at or
   /// after it, so whatever the sink holds is exactly what `cp` covers.
-  /// This is the one commit hook: the Supervisor commits held output
-  /// downstream here exactly once, run_engine_into_store commits the
-  /// writer's pending events together with the checkpoint, and a caller
-  /// that wants a checkpoint file writes it here (EngineCheckpoint::save).
+  /// This is the one commit hook: run_engine_into_store commits the
+  /// writer's pending events together with the checkpoint here.
   /// An exception from the callback aborts the run like a sink failure; no
   /// event reaches the sink after it.
   void on_checkpoint(std::function<void(const EngineCheckpoint&)> callback) {

@@ -1,5 +1,9 @@
 #include "engine/store_runner.hpp"
 
+#include <string>
+
+#include "common/error.hpp"
+
 namespace mtd {
 
 EngineResult run_engine_into_store(StreamEngine& engine,
@@ -41,8 +45,18 @@ EngineResult run_engine_into_store(StreamEngine& engine,
 
 std::optional<EngineCheckpoint> load_store_checkpoint(
     const store::StoreManifest& manifest) {
-  if (manifest.engine_checkpoint.empty()) return std::nullopt;
-  return EngineCheckpoint::from_json(Json::parse(manifest.engine_checkpoint));
+  const std::string& blob = manifest.engine_checkpoint;
+  if (blob.empty()) return std::nullopt;
+  try {
+    return EngineCheckpoint::from_json(Json::parse(blob));
+  } catch (const ParseError& e) {
+    // A torn or foreign blob must name its provenance: the raw parser
+    // error has the byte offset but not what was being parsed.
+    throw ParseError(
+        "load_store_checkpoint: invalid engine_checkpoint blob (" +
+        std::to_string(blob.size()) + " bytes) in the store manifest: " +
+        e.what());
+  }
 }
 
 }  // namespace mtd

@@ -17,6 +17,14 @@
 // checkpoint: drop the writer (or reopen the store) rather than close()
 // it, or that tail would be committed under the old checkpoint and
 // ingested twice by the resume.
+//
+// Memory: the writer buffers every event of the interval a checkpoint
+// closes, about 118 B of RAM per event, until that checkpoint commits it.
+// At the default checkpoint_interval_minutes = 0 the checkpoints are day
+// boundaries, so the writer holds a whole simulated day — about 4.8 GB at
+// 2,000 BSs (40M events); an hourly interval cut the same run to about
+// 0.4 GB. This is the memory bound of every supervised run
+// (Supervisor::run_into_store), the only supervised path.
 #pragma once
 
 #include <optional>
@@ -51,8 +59,10 @@ struct StoreRunPolicy {
 
 /// Extracts the engine checkpoint a store-runner commit embedded in the
 /// manifest (std::nullopt when the store has never been committed through
-/// run_engine_into_store). ParseError when the blob is present but
-/// corrupt.
+/// run_engine_into_store). This is the only checkpoint decoder: a blob
+/// that is present but corrupt or not a checkpoint raises ParseError
+/// naming the blob, its length and — for malformed JSON — the parser's
+/// byte offset.
 [[nodiscard]] std::optional<EngineCheckpoint> load_store_checkpoint(
     const store::StoreManifest& manifest);
 

@@ -1,6 +1,7 @@
 #include "engine/supervisor.hpp"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,14 +14,9 @@ namespace mtd {
 
 namespace {
 
-/// Holds one attempt's events until the engine checkpoints them. Every
-/// checkpoint is an exact cut at the engine's sink, so at the hook the
-/// list is exactly the interval the checkpoint covers, in arrival order
-/// (each BS's events in generation order).
-struct HoldUntilCommit final : EventSink {
-  std::vector<StreamEvent> events;
-  void on_event(const StreamEvent& event) override { events.push_back(event); }
-};
+/// Backoff growth per restart, and the jitter's share of each wait.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.25;
 
 }  // namespace
 
@@ -61,74 +57,12 @@ Supervisor::Supervisor(const Network& network, const TraceConfig& trace,
     : network_(&network),
       trace_(trace),
       engine_config_(std::move(engine_config)),
-      config_(config) {
-  require(config_.backoff_multiplier >= 1.0,
-          "Supervisor: backoff_multiplier must be >= 1");
-  require(config_.backoff_jitter >= 0.0,
-          "Supervisor: backoff_jitter must be >= 0");
-}
-
-RunReport Supervisor::run(EventSink& sink) {
-  return run_held(std::nullopt, sink);
-}
-
-RunReport Supervisor::resume(const EngineCheckpoint& from, EventSink& sink) {
-  return run_held(from, sink);
-}
-
-RunReport Supervisor::run_held(std::optional<EngineCheckpoint> from,
-                               EventSink& sink) {
-  HoldUntilCommit held;
-  std::optional<EngineCheckpoint> last_good = std::move(from);
-  return supervise([&](StreamEngine& engine, SupervisorAttempt& record) {
-    held.events.clear();  // a failed attempt's tail regenerates from last_good
-    record.start_minute = last_good ? last_good->clock_minute : 0;
-    record.reached_minute = record.start_minute;
-    engine.on_checkpoint([&](const EngineCheckpoint& cp) {
-      // Flush the held interval downstream BEFORE adopting the checkpoint
-      // as the restart point: a resume must never skip a minute the
-      // downstream sink has not fully received.
-      for (const StreamEvent& event : held.events) sink.on_event(event);
-      held.events.clear();
-      last_good = cp;
-      record.reached_minute = cp.clock_minute;
-    });
-    return last_good ? engine.resume(*last_good, held) : engine.run(held);
-  });
-}
+      config_(config) {}
 
 RunReport Supervisor::run_into_store(const std::string& path,
                                      const StoreRunPolicy& policy) {
-  return supervise([&](StreamEngine& engine, SupervisorAttempt& record) {
-    // A fresh writer per attempt, opened as a restarted process would:
-    // state crosses attempts only through the store files.
-    auto writer = store::TraceStoreWriter::append(path, engine_config_.fault);
-    const auto committed_minute = [&writer]() -> std::uint64_t {
-      const std::optional<EngineCheckpoint> cp =
-          load_store_checkpoint(writer.manifest());
-      return cp ? cp->clock_minute : 0;
-    };
-    record.start_minute = committed_minute();
-    record.reached_minute = record.start_minute;
-    try {
-      EngineResult result = run_engine_into_store(engine, writer, policy);
-      writer.close();
-      record.reached_minute = result.checkpoint.clock_minute;
-      return result;
-    } catch (...) {
-      // The writer is dropped, not closed: closing would commit the
-      // uncommitted tail under the old checkpoint. The manifest holds
-      // exactly what the store committed.
-      record.reached_minute = committed_minute();
-      throw;
-    }
-  });
-}
-
-RunReport Supervisor::supervise(const AttemptBody& body) {
   RunReport report;
-  Rng backoff_rng(
-      config_.backoff_seed.value_or(trace_.seed ^ 0x73757076ULL /* "supv" */));
+  Rng backoff_rng(trace_.seed ^ 0x73757076ULL /* "supv" */);
   double backoff_ms = config_.backoff_initial_ms;
   const std::size_t max_attempts = config_.max_restarts + 1;
 
@@ -143,7 +77,29 @@ RunReport Supervisor::supervise(const AttemptBody& body) {
     });
 
     try {
-      report.result = body(engine, record);
+      // A fresh writer per attempt, opened as a restarted process would:
+      // state crosses attempts only through the store files.
+      auto writer = store::TraceStoreWriter::append(path, engine_config_.fault);
+      const auto committed_minute = [&writer]() -> std::uint64_t {
+        const std::optional<EngineCheckpoint> cp =
+            load_store_checkpoint(writer.manifest());
+        return cp ? cp->clock_minute : 0;
+      };
+      record.start_minute = committed_minute();
+      record.reached_minute = record.start_minute;
+      EngineResult result;
+      try {
+        result = run_engine_into_store(engine, writer, policy);
+        writer.close();
+      } catch (...) {
+        // The writer is dropped, not closed: closing would commit the
+        // uncommitted tail under the old checkpoint. The manifest holds
+        // exactly what the store committed.
+        record.reached_minute = committed_minute();
+        throw;
+      }
+      record.reached_minute = result.checkpoint.clock_minute;
+      report.result = std::move(result);
       report.succeeded = true;
       report.attempts.push_back(std::move(record));
       return report;
@@ -160,13 +116,13 @@ RunReport Supervisor::supervise(const AttemptBody& body) {
     const bool retry = record.retryable && attempt < max_attempts;
     if (retry) {
       record.backoff_ms =
-          backoff_ms * (1.0 + config_.backoff_jitter * backoff_rng.uniform());
+          backoff_ms * (1.0 + kBackoffJitter * backoff_rng.uniform());
     }
     report.attempts.push_back(std::move(record));
     if (!retry) return report;
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         report.attempts.back().backoff_ms));
-    backoff_ms *= config_.backoff_multiplier;
+    backoff_ms *= kBackoffMultiplier;
   }
   return report;
 }

@@ -1,34 +1,27 @@
-// Checkpoint-based auto-recovery around StreamEngine.
+// Checkpoint-based auto-recovery around StreamEngine, into a trace store.
 //
-// The Supervisor runs every attempt through one bounded restart loop:
-// when a run fails with a retryable error (worker fault, watchdog-detected
-// stall, transient checkpoint or store I/O), it starts a fresh engine from
-// the last committed checkpoint — a day boundary, or any minute-interval
-// mark when the engine runs with checkpoint_interval_minutes — with
-// exponential backoff between attempts (jitter drawn from a seeded RNG, so
-// failure schedules replay reproducibly). Because every (BS, day) RNG
-// stream is independent and a mid-day resume replays its day's prefix
-// without emitting it, the recovered stream is bit-identical to an
-// unfailed run.
+// The Supervisor runs a replay into an existing trace store through one
+// bounded restart loop: when an attempt fails with a retryable error
+// (worker fault, watchdog-detected stall, transient store I/O), it starts
+// a fresh engine from the last committed checkpoint — a day boundary, or
+// any minute-interval mark when the engine runs with
+// checkpoint_interval_minutes — with exponential backoff between attempts
+// (jitter drawn from an RNG seeded by the trace seed, so failure schedules
+// replay reproducibly). Because every (BS, day) RNG stream is independent
+// and a mid-day resume replays its day's prefix without emitting it, the
+// recovered store is bit-identical to one an unfailed run wrote.
 //
-// The loop has two attempt bodies, which differ only in where committed
-// output goes and where the restart point lives:
+// The restart point lives in one place, the store manifest. Every attempt
+// reopens the store from disk, as a restarted process would, and
+// run_engine_into_store resumes from the checkpoint the manifest carries;
+// data and checkpoint commit together, so a failed attempt's uncommitted
+// tail is simply dropped with its writer. Memory is the writer's pending
+// interval (see store_runner.hpp).
 //
-//  - run()/resume() deliver to an EventSink. A run that fails between two
-//    checkpoints has already delivered events past the last one, and a
-//    naive restart would replay that tail downstream twice, so each
-//    attempt's events wait in a private hold list that is handed
-//    downstream only from the checkpoint hook, where the list is exactly
-//    the interval the checkpoint covers; on failure the list is cleared and
-//    the tail regenerated from the checkpoint, which the Supervisor keeps
-//    in memory. The held window is one checkpoint interval. The one hole
-//    is the downstream sink itself throwing mid-flush (its state is then
-//    unknown); such errors are foreign/non-retryable and end supervision.
-//  - run_into_store() writes a trace store. Every attempt reopens the store
-//    from disk, as a restarted process would, and run_engine_into_store
-//    resumes from the checkpoint the store's manifest carries; data and
-//    checkpoint commit together, so a failed attempt's uncommitted tail is
-//    simply dropped with its writer.
+// Exactly-once delivery into any other EventSink goes through the store:
+// supervise into it, then TraceStore::replay(sink). The replay is in key
+// order — (BS, day, minute, seq) — so each BS's events arrive in
+// generation order.
 //
 // The product of a supervised run is a RunReport: every attempt with its
 // minute range, failure cause, retryability, final telemetry and the
@@ -38,7 +31,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,16 +42,12 @@ namespace mtd {
 struct SupervisorConfig {
   /// Restarts after the first attempt; attempts = max_restarts + 1.
   std::size_t max_restarts = 3;
-  /// Backoff before restart k is initial * multiplier^(k-1) * (1 + U[0,
-  /// jitter)), with U drawn from a seeded RNG (see backoff_seed).
+  /// Backoff before restart k is initial * 2^(k-1) * (1 + 0.25 U), with U
+  /// uniform in [0, 1) from an RNG seeded by the trace seed: two supervised
+  /// runs with the same trace seed and failure schedule apply identical
+  /// backoff sequences (asserted in tests), which keeps chaos runs
+  /// reproducible end to end.
   double backoff_initial_ms = 25.0;
-  double backoff_multiplier = 2.0;
-  double backoff_jitter = 0.25;
-  /// Seed of the backoff-jitter RNG; unset derives it from the trace seed.
-  /// Two supervised runs with the same seed and failure schedule apply
-  /// identical backoff sequences (asserted in tests), which keeps chaos
-  /// runs reproducible end to end.
-  std::optional<std::uint64_t> backoff_seed;
 };
 
 /// One engine attempt inside a supervised run.
@@ -98,26 +86,19 @@ struct RunReport {
 class Supervisor {
  public:
   /// `network` must outlive the Supervisor. A FaultInjector armed in
-  /// `engine_config.fault` is honored by every attempt (and, under
-  /// run_into_store, by every attempt's store writer).
+  /// `engine_config.fault` is honored by every attempt's engine and store
+  /// writer.
   Supervisor(const Network& network, const TraceConfig& trace,
              EngineConfig engine_config = {}, SupervisorConfig config = {});
-
-  /// Supervised equivalent of StreamEngine::run. Never throws for
-  /// retryable engine failures while restart budget remains; when the
-  /// budget is exhausted or the failure is not retryable, the report
-  /// records every attempt and `succeeded` is false.
-  [[nodiscard]] RunReport run(EventSink& sink);
-
-  /// Supervised equivalent of StreamEngine::resume.
-  [[nodiscard]] RunReport resume(const EngineCheckpoint& from, EventSink& sink);
 
   /// Supervised equivalent of run_engine_into_store on the existing store
   /// at `path`: each attempt reopens it with TraceStoreWriter::append and
   /// resumes from the store's own checkpoint (day 0 on a store that has
   /// none; nothing to do on a complete one). A successful attempt closes
   /// its writer; a failed one drops it, so its uncommitted tail never
-  /// reaches the store.
+  /// reaches the store. Never throws for retryable failures while restart
+  /// budget remains; when the budget is exhausted or the failure is not
+  /// retryable, the report records every attempt and `succeeded` is false.
   [[nodiscard]] RunReport run_into_store(const std::string& path,
                                          const StoreRunPolicy& policy = {});
 
@@ -131,17 +112,6 @@ class Supervisor {
   }
 
  private:
-  /// One attempt on a fresh engine: sets the record's start minute, keeps
-  /// its reached minute at the last committed checkpoint, and returns the
-  /// engine's result or throws.
-  using AttemptBody =
-      std::function<EngineResult(StreamEngine&, SupervisorAttempt&)>;
-
-  /// The restart loop: attempt records, retryability, seeded backoff.
-  [[nodiscard]] RunReport supervise(const AttemptBody& body);
-  [[nodiscard]] RunReport run_held(std::optional<EngineCheckpoint> from,
-                                   EventSink& sink);
-
   const Network* network_;
   TraceConfig trace_;
   EngineConfig engine_config_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -16,11 +14,12 @@
 #include "dataset/measurement.hpp"
 #include "engine/checkpoint.hpp"
 #include "engine/engine.hpp"
-#include "common/fault.hpp"
+#include "engine/store_runner.hpp"
 #include "events/event_codec.hpp"
 #include "events/event_sink.hpp"
 #include "events/session_source.hpp"
 #include "io/json.hpp"
+#include "store/trace_store.hpp"
 #include "test_helpers.hpp"
 
 namespace mtd {
@@ -145,23 +144,23 @@ TEST(EngineCheckpoint, JsonRoundTripPreservesEverything) {
 TEST(EngineCheckpoint, SaveLoadRoundTrip) {
   const Network network = make_network(4);
   const TraceConfig trace = make_trace(2);
-  const std::string path = "test_engine_checkpoint.json";
 
   EngineConfig config;
   config.stop_after_days = 1;
   StreamEngine engine(network, trace, config);
-  // The engine persists nothing itself: a caller that wants a checkpoint
-  // file writes it from the commit hook.
+  // The engine persists nothing itself: the commit hook sees every
+  // checkpoint, and its JSON text is what a store manifest embeds.
+  std::string text;
   engine.on_checkpoint(
-      [&path](const EngineCheckpoint& cp) { cp.save(path); });
+      [&text](const EngineCheckpoint& cp) { text = cp.to_json().dump(); });
   PerBsRecorder sink(network.size());
   const EngineResult result = engine.run(sink);
 
-  const EngineCheckpoint loaded = EngineCheckpoint::load(path);
+  const EngineCheckpoint loaded =
+      EngineCheckpoint::from_json(Json::parse(text));
   EXPECT_EQ(loaded.clock_minute, result.checkpoint.clock_minute);
   EXPECT_EQ(loaded.sessions_emitted, result.checkpoint.sessions_emitted);
   EXPECT_EQ(loaded.network_fingerprint, result.checkpoint.network_fingerprint);
-  std::remove(path.c_str());
 }
 
 TEST(EngineCheckpoint, ResumeRejectsMismatchedIdentity) {
@@ -240,9 +239,11 @@ TEST(EngineCheckpoint, ResumingACompleteCheckpointIsANoOp) {
             result.checkpoint.sessions_emitted);
 }
 
-// A checkpoint file torn at ANY byte boundary must be rejected with an
-// error that names the file and where parsing failed — the operator's first
-// question after a crash is "which file, and is it salvageable".
+// The store manifest is the one place a checkpoint is persisted, and
+// load_store_checkpoint its one decoder. A blob torn at ANY byte boundary
+// must be rejected with an error that names the blob, its length and where
+// parsing failed — the operator's first question after a crash is "which
+// bytes, and is it salvageable".
 TEST(EngineCheckpoint, TruncatedFilesAreRejectedAtEveryLength) {
   EngineCheckpoint cp;
   cp.seed = 0xabcdef12345ULL;
@@ -252,80 +253,48 @@ TEST(EngineCheckpoint, TruncatedFilesAreRejectedAtEveryLength) {
   cp.minutes_emitted = 5678;
   cp.volume_mb = 42.5;
   const std::string text = cp.to_json().dump(2);
-  const std::string path = "test_truncated_checkpoint.json";
 
-  // Sanity: the full document loads.
-  write_file(path, text);
-  EXPECT_EQ(EngineCheckpoint::load(path).sessions_emitted, 1234u);
+  // Sanity: the full blob loads, and an empty one means "no checkpoint".
+  store::StoreManifest manifest;
+  manifest.engine_checkpoint = text;
+  ASSERT_TRUE(load_store_checkpoint(manifest).has_value());
+  EXPECT_EQ(load_store_checkpoint(manifest)->sessions_emitted, 1234u);
+  manifest.engine_checkpoint.clear();
+  EXPECT_FALSE(load_store_checkpoint(manifest).has_value());
 
-  // Shrink the one file in place, longest cut first: rewriting it for every
-  // cut frees its blocks each time, which is slow on some filesystems.
-  for (std::size_t len = text.size(); len-- > 0;) {
-    std::filesystem::resize_file(path, len);
+  for (std::size_t len = 1; len < text.size(); ++len) {
+    manifest.engine_checkpoint = text.substr(0, len);
     try {
-      EngineCheckpoint::load(path);
+      (void)load_store_checkpoint(manifest);
       FAIL() << "prefix of " << len << " bytes was accepted";
     } catch (const ParseError& e) {
       const std::string msg = e.what();
-      EXPECT_NE(msg.find(path), std::string::npos) << msg;
+      EXPECT_NE(msg.find("engine_checkpoint"), std::string::npos) << msg;
       EXPECT_NE(msg.find(std::to_string(len) + " bytes"), std::string::npos)
           << "length missing for prefix " << len << ": " << msg;
       EXPECT_NE(msg.find("offset"), std::string::npos) << msg;
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(EngineCheckpoint, LoadNamesThePathForStructurallyInvalidFiles) {
-  // Parseable JSON that is not a checkpoint: the error must still carry
-  // the file path, via the from_json wrapping branch.
-  const std::string path = "test_invalid_checkpoint.json";
-  write_file(path, "{\"format\": \"mtd-other-format\"}");
+  // Parseable JSON that is not a checkpoint: the error must still name
+  // the blob and its length, and say why it is not a checkpoint.
+  store::StoreManifest manifest;
+  manifest.engine_checkpoint = "{\"format\": \"mtd-other-format\"}";
   try {
-    EngineCheckpoint::load(path);
+    (void)load_store_checkpoint(manifest);
     FAIL() << "wrong format was accepted";
   } catch (const ParseError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find(path), std::string::npos) << msg;
-    EXPECT_NE(msg.find("invalid checkpoint"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("invalid engine_checkpoint blob"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(std::to_string(manifest.engine_checkpoint.size()) +
+                       " bytes"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("mtd-engine-checkpoint-v2"), std::string::npos) << msg;
   }
-  std::remove(path.c_str());
-}
-
-TEST(EngineCheckpoint, SaveIsAtomicAndLeavesNoTempFile) {
-  EngineCheckpoint cp;
-  cp.num_days = 2;
-  cp.clock_minute = kMinutesPerDay;
-  const std::string path = "test_atomic_checkpoint.json";
-
-  // A stale temp file from a previous crash must not break the commit.
-  write_file(path + ".tmp", "garbage from a torn write");
-  cp.save(path);
-  EXPECT_EQ(EngineCheckpoint::load(path).next_day(), 1u);
-  EXPECT_THROW(read_file(path + ".tmp"), Error);  // temp file gone
-
-  // Overwrite commits the new state in one rename.
-  cp.clock_minute = 2ull * kMinutesPerDay;
-  cp.save(path);
-  EXPECT_EQ(EngineCheckpoint::load(path).next_day(), 2u);
-  EXPECT_THROW(read_file(path + ".tmp"), Error);
-  std::remove(path.c_str());
-}
-
-TEST(EngineCheckpoint, FailedSavePreservesThePreviousCheckpoint) {
-  EngineCheckpoint cp;
-  cp.num_days = 2;
-  cp.clock_minute = kMinutesPerDay;
-  const std::string path = "test_preserved_checkpoint.json";
-  cp.save(path);
-
-  FaultInjector fault;
-  fault.arm("checkpoint.write", FaultSpec{});
-  cp.clock_minute = 2ull * kMinutesPerDay;
-  EXPECT_THROW(cp.save(path, &fault), EngineError);
-  // The last good checkpoint is untouched: recovery can still use it.
-  EXPECT_EQ(EngineCheckpoint::load(path).next_day(), 1u);
-  std::remove(path.c_str());
 }
 
 // Mismatch diagnostics: the error must say WHICH field diverged and show

@@ -1,7 +1,7 @@
 // Fault-injection matrix for the engine's failure semantics: every armed
 // failure point must end in clean, accounted-for shutdown (no deadlock, no
 // lost events) and — where the error is retryable — in supervised recovery
-// that is bit-identical to an unfailed run.
+// into a trace store that is bit-identical to an unfailed run.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,12 +20,16 @@
 #include "events/event_codec.hpp"
 #include "events/event_sink.hpp"
 #include "events/session_source.hpp"
+#include "store/store_session_source.hpp"
+#include "store/trace_store.hpp"
 #include "test_helpers.hpp"
+#include "test_store_helpers.hpp"
 
 namespace mtd {
 namespace {
 
 using test::PerBsRecorder;
+using test::ScratchStore;
 using test::expect_identical_streams;
 
 Network make_network(std::size_t n = 10) {
@@ -294,8 +298,14 @@ TEST(EngineFault, WatchdogDetectsAStalledConsumer) {
             10.0);
 }
 
+// The Supervisor streams only into a trace store, and each test below
+// runs it into a fresh one (test::ScratchStore). Recovered streams are read
+// back with TraceStore::replay, which delivers in (BS, day, minute, seq)
+// order; PerBsRecorder and DigestSink compare per BS, so that order
+// matches a clean engine run's however its BSs interleaved.
+
 // The headline recovery guarantee: a supervised run that loses a worker
-// mid-replay restarts from the last good checkpoint and delivers a stream
+// mid-replay restarts from the last good checkpoint and commits a stream
 // bit-identical to a run that never failed.
 TEST(Supervisor, RecoveryFromWorkerFaultIsBitIdentical) {
   const Network network = make_network(10);
@@ -317,8 +327,8 @@ TEST(Supervisor, RecoveryFromWorkerFaultIsBitIdentical) {
   sup.max_restarts = 2;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  PerBsRecorder recovered(network.size());
-  const RunReport report = supervisor.run(recovered);
+  const ScratchStore store;
+  const RunReport report = supervisor.run_into_store(store.path());
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
   ASSERT_EQ(report.attempts.size(), 2u);
@@ -330,6 +340,8 @@ TEST(Supervisor, RecoveryFromWorkerFaultIsBitIdentical) {
   EXPECT_EQ(report.attempts[1].backoff_ms, 0.0);
   EXPECT_TRUE(report.result.checkpoint.complete());
 
+  PerBsRecorder recovered(network.size());
+  (void)store.replay(recovered);
   expect_identical_streams(recovered, clean);
   EXPECT_EQ(recovered.minutes, clean.minutes);
   EXPECT_EQ(report.result.checkpoint.sessions_emitted,
@@ -355,17 +367,24 @@ TEST(Supervisor, RecoveryFromWatchdogStallIsBitIdentical) {
   config.num_workers = 2;
   config.queue_capacity = 8;
   config.watchdog_timeout_s = 0.25;
+  // A store commit runs on the consumer thread, and once the rings fill
+  // the watchdog sees no progress; hourly checkpoints keep each commit far
+  // below the deadline (a whole day's commit can exceed 0.25 s under
+  // ThreadSanitizer).
+  config.checkpoint_interval_minutes = 60;
   config.fault = &fault;
   SupervisorConfig sup;
   sup.max_restarts = 1;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  PerBsRecorder recovered(network.size());
-  const RunReport report = supervisor.run(recovered);
+  const ScratchStore store;
+  const RunReport report = supervisor.run_into_store(store.path());
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
   ASSERT_EQ(report.attempts.size(), 2u);
   EXPECT_NE(report.attempts[0].error.find("watchdog"), std::string::npos);
+  PerBsRecorder recovered(network.size());
+  (void)store.replay(recovered);
   expect_identical_streams(recovered, clean);
   EXPECT_EQ(recovered.minutes, clean.minutes);
 }
@@ -382,8 +401,8 @@ TEST(Supervisor, ForeignExceptionsAreNotRetried) {
   SupervisorConfig sup;
   sup.max_restarts = 3;
   Supervisor supervisor(network, trace, config, sup);
-  CountingSink sink;
-  const RunReport report = supervisor.run(sink);
+  const ScratchStore store;
+  const RunReport report = supervisor.run_into_store(store.path());
 
   EXPECT_FALSE(report.succeeded);
   ASSERT_EQ(report.attempts.size(), 1u);  // never restarted
@@ -405,8 +424,8 @@ TEST(Supervisor, GivesUpAfterTheRestartBudget) {
   sup.max_restarts = 2;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  CountingSink sink;
-  const RunReport report = supervisor.run(sink);
+  const ScratchStore store;
+  const RunReport report = supervisor.run_into_store(store.path());
 
   EXPECT_FALSE(report.succeeded);
   ASSERT_EQ(report.attempts.size(), 3u);  // 1 run + 2 restarts
@@ -420,17 +439,16 @@ TEST(Supervisor, GivesUpAfterTheRestartBudget) {
   EXPECT_GE(report.attempts[0].backoff_ms, 1.0);
   EXPECT_GE(report.attempts[1].backoff_ms, 2.0);
   EXPECT_EQ(report.attempts[2].backoff_ms, 0.0);  // no retry after the last
-  EXPECT_EQ(sink.sessions, 0u);  // nothing ever committed downstream
+  EXPECT_EQ(store.committed_events(), 0u);  // nothing ever committed
 }
 
-// Backoff jitter comes from a seeded RNG: the same seed and failure
-// schedule replay the exact same wait sequence, and the default seed is
-// derived from the trace seed so even unconfigured runs are reproducible.
+// Backoff jitter comes from an RNG seeded by the trace seed: the same seed
+// and failure schedule replay the exact same wait sequence, and another
+// trace seed draws another one.
 TEST(Supervisor, BackoffJitterIsSeededAndReproducible) {
   const Network network = make_network(6);
-  const TraceConfig trace = make_trace(2);
 
-  const auto backoffs = [&](std::optional<std::uint64_t> seed) {
+  const auto backoffs = [&](std::uint64_t trace_seed) {
     FaultInjector fault;
     FaultSpec spec;
     spec.times = FaultSpec::kUnlimited;  // every attempt fails the same way
@@ -440,10 +458,9 @@ TEST(Supervisor, BackoffJitterIsSeededAndReproducible) {
     SupervisorConfig sup;
     sup.max_restarts = 3;
     sup.backoff_initial_ms = 1.0;
-    sup.backoff_seed = seed;
-    Supervisor supervisor(network, trace, config, sup);
-    CountingSink sink;
-    const RunReport report = supervisor.run(sink);
+    Supervisor supervisor(network, make_trace(2, trace_seed), config, sup);
+    const ScratchStore store;
+    const RunReport report = supervisor.run_into_store(store.path());
     EXPECT_FALSE(report.succeeded);
     EXPECT_EQ(report.attempts.size(), 4u);
     std::vector<double> waits;
@@ -456,7 +473,6 @@ TEST(Supervisor, BackoffJitterIsSeededAndReproducible) {
   const std::vector<double> seeded = backoffs(1234);
   EXPECT_EQ(seeded, backoffs(1234));
   EXPECT_NE(seeded, backoffs(99));
-  EXPECT_EQ(backoffs(std::nullopt), backoffs(std::nullopt));
 }
 
 // Minute-granularity recovery: with checkpoint_interval_minutes set, a
@@ -504,8 +520,8 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   sup.max_restarts = 1;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  PerBsRecorder recovered(network.size());
-  const RunReport report = supervisor.run(recovered);
+  const ScratchStore store;
+  const RunReport report = supervisor.run_into_store(store.path());
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
   ASSERT_EQ(report.attempts.size(), 2u);
@@ -520,13 +536,15 @@ TEST(Supervisor, MidDayRecoveryResumesFromTheMinuteMark) {
   EXPECT_EQ(resumed_at % 173, 0u);
   EXPECT_EQ(report.attempts[0].reached_minute, resumed_at);
 
+  PerBsRecorder recovered(network.size());
+  (void)store.replay(recovered);
   expect_identical_streams(recovered, clean);
   EXPECT_EQ(recovered.minutes, clean.minutes);
 }
 
-// The Supervisor's hold list carries every event kind: with segment
-// and packet expansion on and a sink fault deep inside day 0, the
-// recovered stream has the per-kind counts and per-BS wire digests of an
+// A supervised store run carries every event kind: with segment and
+// packet expansion on and a sink fault deep inside day 0, the recovered
+// store has the per-kind counts and per-BS wire digests of an
 // unsupervised clean run. One worker orders the fault after a committed
 // mid-day mark, as above.
 TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
@@ -568,8 +586,8 @@ TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
   sup.max_restarts = 1;
   sup.backoff_initial_ms = 1.0;
   Supervisor supervisor(network, trace, config, sup);
-  DigestSink recovered;
-  const RunReport report = supervisor.run(recovered);
+  const ScratchStore store;
+  const RunReport report = supervisor.run_into_store(store.path());
 
   ASSERT_TRUE(report.succeeded) << report.to_json().dump(2);
   ASSERT_EQ(report.attempts.size(), 2u);
@@ -577,6 +595,8 @@ TEST(Supervisor, MidDayRecoveryCarriesSegmentAndPacketEvents) {
             std::string::npos);
   EXPECT_NE(report.attempts[1].start_minute % kMinutesPerDay, 0u);
 
+  DigestSink recovered;
+  (void)store.replay(recovered);
   EXPECT_EQ(recovered.counts, clean.counts);
   EXPECT_EQ(recovered.per_bs, clean.per_bs);
   EXPECT_EQ(report.result.checkpoint.segments_emitted,
@@ -591,9 +611,10 @@ TEST(Supervisor, CleanRunReportsOneAttempt) {
   const MeasurementDataset serial = collect_dataset(network, trace);
 
   Supervisor supervisor(network, trace);
-  MemorySessionSource::Collector collector;
-  const RunReport report = supervisor.run(collector);
-  MemorySessionSource source(std::move(collector).take());
+  const ScratchStore scratch;
+  const RunReport report = supervisor.run_into_store(scratch.path());
+  store::TraceStore store(scratch.path());
+  store::StoreSessionSource source(store);
   const MeasurementDataset streamed =
       dataset_from_source(source, network, trace.num_days);
 

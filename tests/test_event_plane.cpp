@@ -319,11 +319,9 @@ TEST(EventPlane, CheckpointResumeContinuesPerKindTotals) {
   const EngineResult first_result = first.run(first_sink);
   EXPECT_FALSE(first_result.checkpoint.complete());
 
-  // Per-kind totals survive a JSON round trip of the checkpoint file.
-  const std::string path = temp_path("event_plane_checkpoint.json");
-  first_result.checkpoint.save(path);
-  const EngineCheckpoint loaded = EngineCheckpoint::load(path);
-  std::remove(path.c_str());
+  // Per-kind totals survive a JSON text round trip of the checkpoint.
+  const EngineCheckpoint loaded = EngineCheckpoint::from_json(
+      Json::parse(first_result.checkpoint.to_json().dump()));
   EXPECT_EQ(loaded.segments_emitted, first_result.checkpoint.segments_emitted);
   EXPECT_EQ(loaded.packets_emitted, first_result.checkpoint.packets_emitted);
 

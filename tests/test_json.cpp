@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 
 namespace mtd {
 namespace {
@@ -152,6 +153,43 @@ TEST(JsonFile, WriteAndReadBack) {
 
 TEST(JsonFile, ReadMissingFileThrows) {
   EXPECT_THROW(read_file("/nonexistent/path/to/file.json"), Error);
+}
+
+// The store's manifest-log rewrite publishes through write_file_atomic:
+// content goes to `<path>.tmp`, is synced, and is renamed over `path`.
+TEST(WriteFileAtomic, ReplaceIsAtomicAndLeavesNoTempFile) {
+  const std::string path = ::testing::TempDir() + "/mtd_atomic_replace.txt";
+  std::remove(path.c_str());
+
+  // A stale temp file from a previous crash must not break the replace.
+  write_file(path + ".tmp", "garbage from a torn write");
+  write_file_atomic(path, "first");
+  EXPECT_EQ(read_file(path), "first");
+  EXPECT_THROW(read_file(path + ".tmp"), Error);  // temp file gone
+
+  // An overwrite publishes the new content in one rename.
+  write_file_atomic(path, "second");
+  EXPECT_EQ(read_file(path), "second");
+  EXPECT_THROW(read_file(path + ".tmp"), Error);
+  std::remove(path.c_str());
+}
+
+TEST(WriteFileAtomic, FailedWritePreservesThePreviousContent) {
+  namespace fs = std::filesystem;
+  const std::string path = ::testing::TempDir() + "/mtd_atomic_failed.txt";
+  const fs::path tmp = path + ".tmp";
+  fs::remove_all(tmp);
+  write_file_atomic(path, "previous");
+
+  // The temp file cannot be created where a non-empty directory stands
+  // (a read-only mode would not stop a process running as root).
+  fs::create_directories(tmp);
+  write_file((tmp / "occupant").string(), "x");
+  EXPECT_THROW(write_file_atomic(path, "next"), IoError);
+  // The previous content is untouched: a reader still finds it whole.
+  EXPECT_EQ(read_file(path), "previous");
+  fs::remove_all(tmp);
+  std::remove(path.c_str());
 }
 
 }  // namespace
