@@ -72,7 +72,6 @@ JsonArray throughput_sweep() {
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
     EngineConfig config;
     config.num_workers = workers;
-    config.queue_capacity = 16384;
     config.backpressure = BackpressurePolicy::kBlock;
 
     StreamEngine engine(network, trace, config);
@@ -132,7 +131,6 @@ JsonArray batch_sweep() {
   for (std::size_t batch : {1u, 16u, 64u, 256u}) {
     EngineConfig config;
     config.num_workers = 2;
-    config.queue_capacity = 16384;
     config.batch_size = batch;
     config.backpressure = BackpressurePolicy::kBlock;
 
@@ -195,7 +193,6 @@ JsonArray kernel_sweep() {
          {GeneratorKernel::kScalar, GeneratorKernel::kBatch}) {
       EngineConfig config;
       config.num_workers = workers;
-      config.queue_capacity = 16384;
       config.backpressure = BackpressurePolicy::kBlock;
       config.kernel = kernel;
 
@@ -249,7 +246,8 @@ void BM_SpscRingPushPop(benchmark::State& state) {
   std::uint64_t out = 0;
   for (auto _ : state) {
     // Single-threaded steady state: each iteration moves one value through.
-    benchmark::DoNotOptimize(ring.try_push(std::move(i)));
+    std::uint64_t value = i;
+    benchmark::DoNotOptimize(ring.try_push(value));
     benchmark::DoNotOptimize(ring.try_pop(out));
     ++i;
   }

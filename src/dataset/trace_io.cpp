@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 
 #include "common/error.hpp"
@@ -143,7 +144,12 @@ std::uint64_t replay_csv_trace(const std::string& path,
     session.bs = static_cast<std::uint32_t>(bs);
     session.service =
         static_cast<std::uint16_t>(service_index(fields[1]));
-    session.day = static_cast<std::uint16_t>(parse_uint(fields[2], line_no));
+    const std::uint64_t day = parse_uint(fields[2], line_no);
+    if (day > std::numeric_limits<std::uint16_t>::max()) {
+      throw ParseError("trace csv line " + std::to_string(line_no) +
+                       ": day " + fields[2] + " out of range");
+    }
+    session.day = static_cast<std::uint16_t>(day);
     const std::uint64_t minute = parse_uint(fields[3], line_no);
     if (minute >= kMinutesPerDay) {
       throw ParseError("trace csv line " + std::to_string(line_no) +

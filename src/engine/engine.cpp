@@ -39,7 +39,7 @@ constexpr std::uint64_t kPacketStream = 0x70616b74ULL;   // "pakt"
 
 /// Cooperative cross-thread failure propagation: any thread (worker,
 /// consumer, watchdog) signals the first failure it sees; producers observe
-/// the flag at every minute tick and while spinning on a full ring, the
+/// the flag at every minute tick and before parking on a full ring, the
 /// consumer at every sweep. Only the first exception is kept — later ones
 /// are cascade effects of the same abort.
 class StopState {
@@ -78,7 +78,10 @@ class StopState {
 /// commits the day's volume as a fold over BSs in canonical index order,
 /// which keeps the checkpoint's counters bit-identical across worker
 /// counts, batch sizes, and stop/resume splits. Marks always block, never
-/// drop.
+/// drop. Items circulate: the ring hands each push the slot's previous item,
+/// which the worker reuses (batch cleared, capacity kept) as its next
+/// pending item. The consumer releases a mark's day volumes once it has
+/// read them, so recycled items carry no day-sized buffer back.
 struct RingItem {
   enum class Kind : std::uint8_t { kBatch, kMinuteMark };
   Kind kind = Kind::kBatch;
@@ -122,7 +125,7 @@ class ShardWorker {
         kinds_(config.event_kinds),
         mobility_(config.mobility),
         packet_(config.packet) {
-    pending_.reserve(batch_size_);
+    pending_.batch.reserve(batch_size_);
   }
 
   SpscRing<RingItem>& ring() noexcept { return ring_; }
@@ -133,7 +136,7 @@ class ShardWorker {
   /// Events staged but never pushed (abort before the batch flushed). Read
   /// by the engine after the worker thread has been joined.
   [[nodiscard]] const EventBatch& pending() const noexcept {
-    return pending_;
+    return pending_.batch;
   }
 
   void run(std::uint64_t start_minute, std::size_t last_day,
@@ -270,14 +273,11 @@ class ShardWorker {
           // Flush first so every event before the mark precedes it in the
           // FIFO ring.
           if (!flush(policy, tel)) return;
-          RingItem mark;
-          mark.kind = RingItem::Kind::kMinuteMark;
-          mark.minute_end = next_minute;
-          mark.shard_produced = produced_;
-          if (day_end) mark.day_volume = day_volume;
-          if (!push_item(std::move(mark), BackpressurePolicy::kBlock, tel)) {
-            return;
-          }
+          pending_.kind = RingItem::Kind::kMinuteMark;
+          pending_.minute_end = next_minute;
+          pending_.shard_produced = produced_;
+          if (day_end) pending_.day_volume = day_volume;
+          if (!push_pending(BackpressurePolicy::kBlock, tel)) return;
         }
       }
     }
@@ -296,8 +296,8 @@ class ShardWorker {
     ++produced_[kind];
     // The shared counter is fed from produced_ in publish_produced —
     // a per-event fetch_add here was measurable at batch-kernel rates.
-    pending_.push_back(std::move(ev));
-    if (pending_.size() >= batch_size_) return flush(policy, tel);
+    pending_.batch.push_back(std::move(ev));
+    if (pending_.batch.size() >= batch_size_) return flush(policy, tel);
     return true;
   }
 
@@ -316,45 +316,48 @@ class ShardWorker {
   }
 
   bool flush(BackpressurePolicy policy, Telemetry::PerWorker& tel) {
-    if (pending_.empty()) return true;
-    RingItem item;
-    item.batch = std::move(pending_);
-    pending_ = EventBatch();
-    pending_.reserve(batch_size_);
-    return push_item(std::move(item), policy, tel);
+    if (pending_.batch.empty()) return true;
+    return push_pending(policy, tel);
   }
 
-  /// Pushes one ring slot under the backpressure policy. A dropped kBatch
-  /// counts every event it carried, per kind.
-  bool push_item(RingItem&& item, BackpressurePolicy policy,
-                 Telemetry::PerWorker& tel) {
-    if (ring_.try_push(std::move(item))) return true;
-    if (policy == BackpressurePolicy::kDropNewest &&
-        item.kind == RingItem::Kind::kBatch) {
-      for (const StreamEvent& ev : item.batch) {
-        tel.count_dropped(ev.kind());
+  /// Pushes pending_ under the backpressure policy and takes the slot's
+  /// previous item back as the next pending_ batch: cleared, its capacity
+  /// kept, so no batch is allocated once the ring has wrapped. A dropped
+  /// kBatch counts every event it carried, per kind. A blocked push parks
+  /// until the consumer has drained the ring to half full.
+  bool push_pending(BackpressurePolicy policy, Telemetry::PerWorker& tel) {
+    if (!ring_.try_push(pending_)) {
+      if (policy == BackpressurePolicy::kDropNewest &&
+          pending_.kind == RingItem::Kind::kBatch) {
+        for (const StreamEvent& ev : pending_.batch) {
+          tel.count_dropped(ev.kind());
+        }
+        pending_.batch.clear();
+        return true;
       }
-      return true;
-    }
-    const auto blocked_at = std::chrono::steady_clock::now();
-    while (!ring_.try_push(std::move(item))) {
-      if (abort_->load(std::memory_order_relaxed)) {
-        aborted_ = true;
-        // The batch never reached the ring: hand its events back to
-        // pending_ (always empty here — a kBatch only spins from flush)
-        // so the post-join sweep counts them discarded and the per-kind
-        // conservation identity closes on this path too.
-        for (StreamEvent& ev : item.batch) pending_.push_back(std::move(ev));
-        return false;
+      const auto blocked_at = std::chrono::steady_clock::now();
+      while (!ring_.try_push(pending_)) {
+        if (abort_->load(std::memory_order_relaxed)) {
+          // The batch never reached the ring and stays in pending_, where
+          // the post-join sweep counts its events discarded, so the
+          // per-kind conservation identity closes on this path too. A
+          // parked worker gets here through the consumer's stop-path
+          // drain, whose pops wake it.
+          aborted_ = true;
+          return false;
+        }
+        ring_.wait_for_space();
       }
-      std::this_thread::yield();
+      tel.stall_ns.fetch_add(
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - blocked_at)
+                  .count()),
+          std::memory_order_relaxed);
     }
-    tel.stall_ns.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - blocked_at)
-                .count()),
-        std::memory_order_relaxed);
+    pending_.kind = RingItem::Kind::kBatch;
+    pending_.batch.clear();
+    pending_.batch.reserve(batch_size_);
     return true;
   }
 
@@ -368,7 +371,7 @@ class ShardWorker {
   MinuteBlock block_;  // reused per-minute session columns
   HandoverChainGenerator mobility_;
   PacketScheduleGenerator packet_;
-  EventBatch pending_;
+  RingItem pending_;  // the batch being staged, or the mark being pushed
   std::array<std::uint64_t, kNumEventKinds> produced_{};
   std::array<std::uint64_t, kNumEventKinds> published_{};  // in telemetry
   const std::atomic<bool>* abort_ = nullptr;
@@ -549,8 +552,13 @@ EngineResult StreamEngine::run_days(
   // deadline — a consumer wedged in a sink call, a stuck worker, a
   // livelocked pipeline. It only observes atomics, so it can never deadlock
   // with the threads it guards; a genuinely unbounded stall inside a sink
-  // callback is beyond its reach (we never detach threads).
+  // callback is beyond its reach (we never detach threads). Time inside the
+  // checkpoint hook (a store commit, during which the producers park on
+  // full rings) is not a stall: `hook_calls` is odd while the hook runs,
+  // and the watchdog restarts its deadline whenever it sees it odd. So a
+  // hook that never returns is beyond its reach too.
   std::atomic<bool> engine_done{false};
+  std::atomic<std::uint64_t> hook_calls{0};
   std::thread watchdog;
   if (config_.watchdog_timeout_s > 0.0) {
     watchdog = std::thread([&] {
@@ -578,7 +586,9 @@ EngineResult StreamEngine::run_days(
         std::this_thread::sleep_for(poll);
         const std::uint64_t now_signature = signature();
         const auto now = std::chrono::steady_clock::now();
-        if (now_signature != last_signature) {
+        const bool in_hook =
+            (hook_calls.load(std::memory_order_acquire) & 1U) != 0;
+        if (in_hook || now_signature != last_signature) {
           last_signature = now_signature;
           last_change = now;
           continue;
@@ -687,6 +697,7 @@ EngineResult StreamEngine::run_days(
         for (std::size_t i = 0; i < item.day_volume.size(); ++i) {
           day_volumes[bss[i]] = item.day_volume[i];
         }
+        std::vector<double>().swap(item.day_volume);
         if (++pending.workers < num_workers) break;
         // Every shard has crossed the mark: take the checkpoint.
         if (item.minute_end % kMinutesPerDay == 0) {
@@ -701,13 +712,23 @@ EngineResult StreamEngine::run_days(
         result.checkpoint =
             make_checkpoint(item.minute_end, pending.totals, committed_volume);
         pending = PendingMark();
-        if (checkpoint_callback_) checkpoint_callback_(result.checkpoint);
+        if (checkpoint_callback_) {
+          hook_calls.fetch_add(1, std::memory_order_release);
+          struct HookExit {
+            std::atomic<std::uint64_t>* calls;
+            ~HookExit() { calls->fetch_add(1, std::memory_order_release); }
+          } hook_exit{&hook_calls};
+          checkpoint_callback_(result.checkpoint);
+        }
         std::fill(held.begin(), held.end(), 0);
         break;
       }
     }
   };
 
+  // One item for the whole run: each pop leaves the previous one's batch
+  // buffer in the slot for the worker to reuse.
+  RingItem item;
   try {
     for (;;) {
       if (stop.requested()) break;  // worker fault or watchdog stall
@@ -718,7 +739,6 @@ EngineResult StreamEngine::run_days(
       const bool workers_done = active.load(std::memory_order_acquire) == 0;
       bool any = false;
       for (std::size_t w = 0; w < num_workers; ++w) {
-        RingItem item;
         while (held[w] == 0 && shards[w]->ring().try_pop(item)) {
           any = true;
           deliver(item, w);
@@ -740,13 +760,12 @@ EngineResult StreamEngine::run_days(
     stop.signal(std::current_exception());
   }
   if (stop.requested()) {
-    // Unblock producers (they check the flag while spinning on a full ring
-    // and at every minute tick), draining without delivering. Every drained
-    // data event is counted, so the per-kind accounting identity stays
-    // exact on the failure path too.
+    // Unblock producers (the pops wake a parked one; they check the flag
+    // before parking and at every minute tick), draining without
+    // delivering. Every drained data event is counted, so the per-kind
+    // accounting identity stays exact on the failure path too.
     for (;;) {
       bool any = false;
-      RingItem item;
       for (const auto& s : shards) {
         while (s->ring().try_pop(item)) {
           any = true;

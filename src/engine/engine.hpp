@@ -17,7 +17,7 @@
 // Two pacing modes: a scaled virtual clock (time_scale simulated seconds
 // per wall second) for live replay, or max-throughput (time_scale <= 0).
 // When the consumer falls behind, the configured backpressure policy either
-// blocks the producers (lossless; stall time is metered) or drops events
+// parks the producers (lossless; stall time is metered) or drops events
 // (per-kind drop counters in telemetry). Day boundaries (and, optionally,
 // a minute interval) are marks at which the engine records a checkpoint
 // (engine/checkpoint.hpp) from which a later run resumes bit-identically.
@@ -59,8 +59,11 @@ struct EngineConfig {
   std::size_t num_workers = 2;
   /// Slots per worker ring (rounded up to a power of two). Each slot holds
   /// one EventBatch, so the buffered-event bound is queue_capacity *
-  /// batch_size per worker.
-  std::size_t queue_capacity = 8192;
+  /// batch_size per worker. Batch buffers are recycled through the slots
+  /// and kept for the whole run, so each worker retains up to
+  /// queue_capacity * batch_size * sizeof(StreamEvent) (72 B) bytes: about
+  /// 1.2 MB at the defaults, whether or not the consumer keeps up.
+  std::size_t queue_capacity = 256;
   /// Events per ring transfer (>= 1). Larger batches amortize the atomic
   /// ring traffic; under kDropNewest a full ring drops a whole batch.
   std::size_t batch_size = 64;
@@ -114,7 +117,9 @@ struct EngineConfig {
   /// EngineError if no counter makes progress for this many wall seconds
   /// (stalled consumer, wedged worker). 0 disables the watchdog. Pick a
   /// deadline well above one virtual-minute interval when pacing with
-  /// time_scale, or the idle wait between minutes will trip it.
+  /// time_scale, or the idle wait between minutes will trip it. Time inside
+  /// the on_checkpoint callback (a store commit) does not count; a callback
+  /// that never returns is beyond the watchdog's reach.
   double watchdog_timeout_s = 0.0;
   /// Optional failure-injection registry (non-owning; tests). Null in
   /// production: every fault point is then a single branch.

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -374,6 +375,118 @@ TEST(StreamEngine, SinkExceptionPropagatesAndThreadsShutDown) {
   EXPECT_THROW(engine.run(sink), std::runtime_error);
   // If worker threads were left behind, the test binary would hang or
   // crash at exit; reaching this line with joined threads is the check.
+}
+
+/// Seconds of CPU this process has used, over all its threads.
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           1e-6 * static_cast<double>(t.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+// Producers blocked on full rings park instead of spinning. The sink sleeps
+// through its first event long enough for every worker to fill its default
+// ring and block; over a window inside that sleep the process must use
+// well under half a core (three spinning workers read about 3x wall).
+TEST(StreamEngine, BlockedProducersDoNotSpin) {
+  const Network network = make_network(12);
+  const TraceConfig trace = make_trace(1);
+
+  struct SleepingSink final : EventSink {
+    bool slept = false;
+    double window_s = 0.0;
+    double window_cpu_s = 0.0;
+    void on_event(const StreamEvent&) override {
+      if (slept) return;
+      slept = true;
+      // Let the workers fill their rings and block, then measure.
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      const double cpu0 = process_cpu_seconds();
+      const auto t0 = std::chrono::steady_clock::now();
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+      window_cpu_s = process_cpu_seconds() - cpu0;
+      window_s = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    }
+  };
+
+  EngineConfig config;
+  config.num_workers = 3;
+  StreamEngine engine(network, trace, config);
+  SleepingSink sink;
+  const EngineResult result = engine.run(sink);
+  ASSERT_TRUE(result.checkpoint.complete());
+  // Each worker has more events than its ring holds, so all three were
+  // blocked through the window.
+  EXPECT_GT(result.telemetry.producer_stall_seconds, 3.0 * sink.window_s);
+  EXPECT_LT(sink.window_cpu_s, 0.5 * sink.window_s)
+      << sink.window_cpu_s << " s of CPU over " << sink.window_s << " s";
+}
+
+// A run that stops while its producers are parked on full rings returns:
+// the consumer's stop-path drain wakes them, and every produced event is
+// accounted for.
+TEST(StreamEngine, StopWakesParkedProducers) {
+  const Network network = make_network(12);
+  const TraceConfig trace = make_trace(1);
+
+  struct StallThenThrowSink final : EventSink {
+    std::uint64_t events = 0;
+    void on_event(const StreamEvent&) override {
+      if (++events == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      } else if (events == 100) {
+        throw std::runtime_error("sink failed");
+      }
+    }
+  };
+
+  EngineConfig config;
+  config.num_workers = 3;
+  config.queue_capacity = 2;
+  StreamEngine engine(network, trace, config);
+  TelemetrySnapshot last;
+  engine.on_snapshot([&](const TelemetrySnapshot& snap) { last = snap; });
+  StallThenThrowSink sink;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(static_cast<void>(engine.run(sink)), std::runtime_error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            10.0);
+  EXPECT_GT(last.producer_stall_seconds, 0.0);  // they were parked
+  EXPECT_GT(last.of(EventKind::kSession).discarded, 0u);
+  EXPECT_TRUE(last.sessions_accounted_for()) << last.to_json().dump(2);
+}
+
+// Time inside the checkpoint hook is not a stall. With 2-slot rings the
+// producers park within a few batches of the hook, so a hook that runs
+// three times the watchdog deadline freezes every progress counter.
+TEST(StreamEngine, WatchdogDoesNotCountTimeInsideTheCheckpointHook) {
+  const Network network = make_network(6);
+  const TraceConfig trace = make_trace(1);
+
+  EngineConfig config;
+  config.num_workers = 2;
+  config.queue_capacity = 2;
+  config.watchdog_timeout_s = 0.25;
+  config.checkpoint_interval_minutes = 720;
+  StreamEngine engine(network, trace, config);
+  std::size_t hooks = 0;
+  engine.on_checkpoint([&](const EngineCheckpoint&) {
+    ++hooks;
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        3.0 * config.watchdog_timeout_s));
+  });
+  CountingSink sink;
+  const EngineResult result = engine.run(sink);
+  EXPECT_TRUE(result.checkpoint.complete());
+  EXPECT_EQ(hooks, 2u);
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/time_utils.hpp"
 #include "io/json.hpp"
@@ -237,6 +240,44 @@ TEST(TraceIo, RejectsMalformedInput) {
 
   EXPECT_THROW(replay_csv_trace("/nonexistent/file.csv", network, sink),
                Error);
+  std::remove(path.c_str());
+}
+
+// The day column is 16 bits wide in a Session; a larger day used to wrap
+// (65,536 replayed as day 0) instead of failing.
+TEST(TraceIo, RejectsADayBeyondSixteenBits) {
+  const Network network = tiny_network();
+  const std::string path = temp_path("mtd_trace_day.csv");
+  const std::string header =
+      "bs,service,day,minute_of_day,volume_mb,duration_s\n";
+
+  struct DaySink final : TraceSink {
+    std::vector<std::uint16_t> days;
+    void on_minute(const BaseStation&, std::size_t, std::size_t,
+                   std::uint32_t) override {}
+    void on_session(const Session& session) override {
+      days.push_back(session.day);
+    }
+  };
+  DaySink last_day;
+  write_file(path, header + "0,Netflix,65535,100,1.0,10\n");
+  EXPECT_EQ(replay_csv_trace(path, network, last_day), 1u);
+  EXPECT_EQ(last_day.days, std::vector<std::uint16_t>{65535});
+
+  for (const char* day : {"65536", "131072", "18446744073709551615"}) {
+    write_file(path, header + "0,Netflix,0,100,1.0,10\n0,Netflix," + day +
+                         ",100,1.0,10\n");
+    DaySink sink;
+    try {
+      (void)replay_csv_trace(path, network, sink);
+      ADD_FAILURE() << "accepted day " << day;
+    } catch (const ParseError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(day), std::string::npos) << what;
+    }
+    EXPECT_TRUE(sink.days.empty());
+  }
   std::remove(path.c_str());
 }
 
