@@ -6,7 +6,7 @@
 //   ingest        events/s through TraceStoreWriter commits
 //   point_lookup  get() latency and pages touched per lookup
 //   scan          single-BS day-range scan: pages read and leaves pruned
-//                 by fences and bloom filters
+//                 by fences
 //   replay        full-store key-order replay into a counting sink
 //   compaction    a 45-segment synthetic store (one segment per simulated
 //                 day, 5 in fast mode) merged into one: wall time plus
@@ -19,13 +19,13 @@
 // single-BS scan must read strictly fewer pages than the full replay, and
 // the replayed event count must equal the ingested one. Likewise the
 // compaction claim: merging per-day segments must shrink the index
-// (fence + bloom) page count and must not make the pruned scan read more
+// (fence) page count and must not make the pruned scan read more
 // pages. The report goes to BENCH_store.json (schema: {bench: "store",
 // fast, ingest: {...}, point_lookup: {...}, scan: {...}, replay: {...},
 // compaction: {...}, compaction_48: {...}}) for CI trend tracking. Every
 // store lives in a private mkdtemp directory removed at exit.
-// MTD_BENCH_FAST shrinks the scenario for smoke runs. google-benchmark
-// timings of the point-lookup and bloom kernels follow.
+// MTD_BENCH_FAST shrinks the scenario for smoke runs. A google-benchmark
+// timing of the point lookup follows.
 #include <malloc.h>
 #include <stdlib.h>
 
@@ -42,7 +42,6 @@
 #include "engine/engine.hpp"
 #include "engine/store_runner.hpp"
 #include "io/json.hpp"
-#include "store/bloom.hpp"
 #include "store/trace_store.hpp"
 
 namespace {
@@ -198,8 +197,6 @@ JsonObject run_point_lookups(store::TraceStore& reader,
   row.emplace("pages_per_lookup",
               static_cast<double>(t.pages_read) /
                   static_cast<double>(probes.size()));
-  row.emplace("leaves_skipped_bloom",
-              static_cast<double>(t.leaves_skipped_bloom));
   return row;
 }
 
@@ -221,8 +218,6 @@ JsonObject run_scan(store::TraceStore& reader, std::uint32_t bs,
   row.emplace("pages_read", static_cast<double>(t.pages_read));
   row.emplace("leaves_skipped_fence",
               static_cast<double>(t.leaves_skipped_fence));
-  row.emplace("leaves_skipped_bloom",
-              static_cast<double>(t.leaves_skipped_bloom));
   return row;
 }
 
@@ -267,7 +262,7 @@ const std::string& compact_store_path() {
 std::uint64_t index_pages(const store::StoreManifest& manifest) {
   std::uint64_t pages = 0;
   for (const store::SegmentInfo& seg : manifest.segments) {
-    pages += seg.num_pages - seg.num_leaves;  // fence + bloom pages
+    pages += seg.num_pages - seg.num_leaves;  // fence pages
   }
   return pages;
 }
@@ -334,7 +329,7 @@ JsonObject run_compaction() {
       reader, 7, static_cast<std::uint16_t>(days - 1), &scan_wall_after);
 
   // The point of compaction is reclaiming per-segment index overhead: N
-  // roots, N fence chains and N bloom filters collapse into one of each.
+  // roots and N fence chains collapse into one of each.
   if (index_after >= index_before) {
     std::cerr << "FATAL: compaction left " << index_after
               << " index pages, had " << index_before
@@ -417,17 +412,6 @@ void BM_StorePointLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StorePointLookup)->Unit(benchmark::kMicrosecond);
-
-void BM_BloomProbe(benchmark::State& state) {
-  store::BsBloom bloom(128, store::bloom_hashes_for(10.0));
-  for (std::uint32_t bs = 0; bs < 64; ++bs) bloom.add(bs * 3);
-  std::uint32_t probe = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bloom.maybe_contains(probe));
-    ++probe;
-  }
-}
-BENCHMARK(BM_BloomProbe);
 
 }  // namespace
 

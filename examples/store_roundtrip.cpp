@@ -11,7 +11,7 @@
 // then, from a fresh TraceStore reader over the same files:
 //   - verify(): every page's checksum and every segment's event count,
 //   - a single-BS point lookup and a (bs, day-range) scan, printing the
-//     read telemetry that shows fences and bloom filters pruning pages,
+//     read telemetry that shows the key fences pruning leaves,
 //   - replay() of the whole store into a MeasurementDataset, compared
 //     bit-exactly against the same trace aggregated directly — the store
 //     preserves per-(BS, day) event order, so the aggregates match to the
@@ -68,8 +68,7 @@ int main(int argc, char** argv) {
   const store::StoreReadTelemetry& t = reader.telemetry();
   std::cout << "scan bs=" << probe_bs << ": " << scanned << " events, "
             << t.pages_read << " pages read, " << t.leaves_skipped_fence
-            << " leaves skipped by fences, " << t.leaves_skipped_bloom
-            << " by blooms\n";
+            << " leaves skipped by fences\n";
 
   // Replay-from-store parity: aggregates must match direct generation
   // bit-exactly.

@@ -122,7 +122,7 @@ for section, rate in (("ingest", "events_per_s"),
 assert store["ingest"]["events"] > 0, store["ingest"]
 assert store["ingest"]["pages"] > 0, store["ingest"]
 assert store["replay"]["events"] == store["ingest"]["events"], store
-for key in ("pages_read", "leaves_skipped_fence", "leaves_skipped_bloom"):
+for key in ("pages_read", "leaves_skipped_fence"):
     assert key in store["scan"], f"store scan missing {key}: {store['scan']}"
 # The index must prune: the single-BS scan reads fewer pages than replay.
 assert store["scan"]["pages_read"] < store["replay"]["pages_read"], store
@@ -134,7 +134,7 @@ for key in ("days", "events", "segments_before", "segments_after", "wall_s",
     assert key in compaction, f"store compaction missing {key}: {compaction}"
 assert compaction["segments_before"] > 1, compaction
 assert compaction["segments_after"] == 1, compaction
-# The point of the merge: one root/fence-chain/bloom instead of one per day.
+# The point of the merge: one root and fence chain instead of one per day.
 assert compaction["index_pages_after"] < compaction["index_pages_before"], \
     compaction
 assert compaction["scan_pages_after"] <= compaction["scan_pages_before"], \

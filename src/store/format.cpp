@@ -12,7 +12,6 @@ const char* to_string(PageType type) noexcept {
   switch (type) {
     case PageType::kSuper: return "super";
     case PageType::kLeaf: return "leaf";
-    case PageType::kBloom: return "bloom";
     case PageType::kInternal: return "internal";
   }
   return "?";
@@ -69,7 +68,9 @@ PageHeader decode_page_header(ByteCursor& cursor) {
   PageHeader header;
   header.page_id = cursor.u64("page id");
   const std::uint8_t type = cursor.u8("page type");
-  if (type > static_cast<std::uint8_t>(PageType::kInternal)) {
+  if (type != static_cast<std::uint8_t>(PageType::kSuper) &&
+      type != static_cast<std::uint8_t>(PageType::kLeaf) &&
+      type != static_cast<std::uint8_t>(PageType::kInternal)) {
     throw ParseError(cursor.context() + ": unknown page type " +
                      std::to_string(type) + " at byte " + std::to_string(at));
   }

@@ -14,11 +14,11 @@
 //
 // Committed events live in immutable sorted segments (one per commit):
 // leaf pages holding length-prefixed event records in (bs, day, minute,
-// seq) order, bloom pages holding one fixed-width bloom filter per leaf
-// (keyed on bs ids, so point and range queries skip leaves whose fences
-// overlap the probe but whose content cannot match), and internal B-tree
-// pages of (min key, max key, child) fences, built bottom-up to a single
-// root.
+// seq) order, then internal B-tree pages of (min key, max key, child)
+// fences, built bottom-up to a single root. Keys lead with the BS and the
+// leaves are sorted, so a query's fences admit only the leaves that hold
+// its keys, plus at most one per segment that brackets a range the
+// segment lacks.
 #pragma once
 
 #include <array>
@@ -42,7 +42,7 @@ inline constexpr char kStoreMagic[8] = {'M', 'T', 'D', 'S', 'T', 'O', 'R',
 inline constexpr std::uint64_t kPageMagic = 0x314547415044544dULL;
 inline constexpr std::uint32_t kFormatVersion = 1;
 /// Manifest format tag (the "format" field of every manifest record).
-inline constexpr const char* kManifestFormat = "mtd-trace-store-v1";
+inline constexpr const char* kManifestFormat = "mtd-trace-store-v2";
 /// First line of the manifest log; the records follow it.
 inline constexpr std::string_view kManifestLogHeader =
     "mtd-trace-store-log-v1\n";
@@ -58,8 +58,7 @@ inline constexpr std::uint64_t kManifestLogRewriteBytes = std::uint64_t{4}
 enum class PageType : std::uint8_t {
   kSuper = 0,     ///< page 0 only
   kLeaf = 1,      ///< sorted event records
-  kBloom = 2,     ///< per-leaf bloom filters of one segment
-  kInternal = 3,  ///< B-tree fence entries
+  kInternal = 3,  ///< B-tree fence entries (2 is unused)
 };
 
 [[nodiscard]] const char* to_string(PageType type) noexcept;
@@ -79,7 +78,7 @@ inline constexpr std::size_t kKeyBytes = 16;
 /// Internal-page entry: min key, max key, u64 child page id.
 inline constexpr std::size_t kFenceEntryBytes = 2 * kKeyBytes + 8;
 /// Smallest supported page: must fit the header plus one maximal event
-/// record, one fence entry and a minimal bloom slot with room to spare.
+/// record and one fence entry with room to spare.
 inline constexpr std::size_t kMinPageSize = 512;
 
 /// FNV-1a over a byte range (common/fnv.hpp); the page payload checksum.
@@ -163,16 +162,8 @@ struct ManifestLogTail {
 [[nodiscard]] ManifestLogTail read_manifest_log(std::istream& in,
                                                 const std::string& path);
 
-/// How many fixed-width bloom filters of `bloom_bytes` fit one bloom page
-/// (the writer packs and the reader locates filters with the same
-/// arithmetic; entry counts are u16, hence the cap).
-[[nodiscard]] constexpr std::size_t bloom_filters_per_page(
-    std::size_t page_size, std::size_t bloom_bytes) noexcept {
-  const std::size_t fit = (page_size - kPageHeaderBytes) / bloom_bytes;
-  return fit > 0xffff ? 0xffff : fit;
-}
-
-/// How many (min key, max key, child) fences fit one internal page.
+/// How many (min key, max key, child) fences fit one internal page (entry
+/// counts are u16, hence the cap).
 [[nodiscard]] constexpr std::size_t fence_entries_per_page(
     std::size_t page_size) noexcept {
   const std::size_t fit = (page_size - kPageHeaderBytes) / kFenceEntryBytes;

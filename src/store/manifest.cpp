@@ -33,10 +33,6 @@ Json segment_to_json(const SegmentInfo& seg) {
   obj.emplace("num_pages", to_hex(seg.num_pages));
   obj.emplace("first_leaf", to_hex(seg.first_leaf));
   obj.emplace("num_leaves", to_hex(seg.num_leaves));
-  obj.emplace("first_bloom_page", to_hex(seg.first_bloom_page));
-  obj.emplace("num_bloom_pages", to_hex(seg.num_bloom_pages));
-  obj.emplace("bloom_bytes", static_cast<std::size_t>(seg.bloom_bytes));
-  obj.emplace("bloom_hashes", static_cast<std::size_t>(seg.bloom_hashes));
   obj.emplace("root", to_hex(seg.root));
   obj.emplace("depth", static_cast<std::size_t>(seg.depth));
   obj.emplace("events", to_hex(seg.events));
@@ -55,14 +51,6 @@ SegmentInfo segment_from_json(const Json& json) {
                             "StoreManifest.segment.first_leaf");
   seg.num_leaves = from_hex(json.at("num_leaves").as_string(),
                             "StoreManifest.segment.num_leaves");
-  seg.first_bloom_page = from_hex(json.at("first_bloom_page").as_string(),
-                                  "StoreManifest.segment.first_bloom_page");
-  seg.num_bloom_pages = from_hex(json.at("num_bloom_pages").as_string(),
-                                 "StoreManifest.segment.num_bloom_pages");
-  seg.bloom_bytes = json_uint<std::uint32_t>(
-      json.at("bloom_bytes"), "StoreManifest.segment.bloom_bytes");
-  seg.bloom_hashes = json_uint<std::uint32_t>(
-      json.at("bloom_hashes"), "StoreManifest.segment.bloom_hashes");
   seg.root = from_hex(json.at("root").as_string(),
                       "StoreManifest.segment.root");
   seg.depth = json_uint<std::uint32_t>(json.at("depth"),
@@ -82,7 +70,6 @@ std::string StoreManifest::to_text() const {
   JsonObject obj;
   obj.emplace("format", kManifestFormat);
   obj.emplace("page_size", options.page_size);
-  obj.emplace("bloom_bits_per_key", options.bloom_bits_per_key);
   obj.emplace("committed_pages", to_hex(committed_pages));
   // Written only once a compaction retired pages — pre-compaction
   // manifests carry no dead field and read back as dead_pages == 0.
@@ -108,10 +95,16 @@ std::string StoreManifest::to_text() const {
 
 StoreManifest StoreManifest::from_text(std::string_view text) {
   const Json json = Json::parse(text);
-  if (!json.contains("format") ||
-      json.at("format").as_string() != kManifestFormat) {
+  if (!json.contains("format")) {
     throw ParseError("StoreManifest: not a " + std::string(kManifestFormat) +
-                     " file");
+                     " manifest (no format tag)");
+  }
+  // Only the current format is read: an older store (such as an
+  // mtd-trace-store-v1 one, with its bloom pages) is rebuilt, not migrated.
+  const std::string& format = json.at("format").as_string();
+  if (format != kManifestFormat) {
+    throw ParseError("StoreManifest: a '" + format + "' manifest, but only " +
+                     std::string(kManifestFormat) + " is supported");
   }
   StoreManifest manifest;
   manifest.options.page_size =
@@ -122,8 +115,6 @@ StoreManifest StoreManifest::from_text(std::string_view text) {
                      " is below the minimum of " +
                      std::to_string(kMinPageSize));
   }
-  manifest.options.bloom_bits_per_key =
-      json.at("bloom_bits_per_key").as_number();
   manifest.committed_pages = from_hex(json.at("committed_pages").as_string(),
                                       "StoreManifest.committed_pages");
   if (manifest.committed_pages == 0) {

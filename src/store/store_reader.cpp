@@ -8,14 +8,11 @@
 #include "common/error.hpp"
 #include "common/fmt.hpp"
 #include "events/event_codec.hpp"
-#include "store/bloom.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd::store {
 
 namespace {
-
-constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
 /// The largest possible key: upper bound of unbounded scans.
 constexpr EventKey max_key() noexcept {
@@ -33,10 +30,6 @@ struct TraceStore::Impl {
   StoreManifest manifest;
   StoreReadTelemetry telemetry;
   std::string page_buf;
-  /// Last bloom page decoded, so consecutive leaf probes of one segment
-  /// don't reread it.
-  std::uint64_t cached_bloom_page = kNoPage;
-  std::string bloom_payload;
 
   struct Page {
     PageHeader header;
@@ -92,7 +85,6 @@ struct TraceStore::Impl {
       switch (expect) {
         case PageType::kLeaf: ++telemetry.leaf_pages_read; break;
         case PageType::kInternal: ++telemetry.internal_pages_read; break;
-        case PageType::kBloom: ++telemetry.bloom_pages_read; break;
         case PageType::kSuper: break;
       }
     }
@@ -103,33 +95,6 @@ struct TraceStore::Impl {
     Page page;
     load_pages(std::span(&page_id, 1), expect, page_buf, std::span(&page, 1));
     return page;
-  }
-
-  /// Bloom probe of leaf `ordinal` (0-based within `seg`) for `bs`.
-  bool bloom_maybe_contains(const SegmentInfo& seg, std::uint64_t ordinal,
-                            std::uint32_t bs) {
-    if (seg.num_bloom_pages == 0 || seg.bloom_bytes == 0) return true;
-    const std::size_t per_page = bloom_filters_per_page(
-        manifest.options.page_size, seg.bloom_bytes);
-    const std::uint64_t page_id = seg.first_bloom_page + ordinal / per_page;
-    const std::size_t slot =
-        static_cast<std::size_t>(ordinal % per_page) * seg.bloom_bytes;
-    if (cached_bloom_page != page_id) {
-      const Page page = load_page(page_id, PageType::kBloom);
-      bloom_payload.assign(page.payload);
-      cached_bloom_page = page_id;
-    }
-    if (slot + seg.bloom_bytes > bloom_payload.size()) {
-      throw ParseError(context + ": bloom page " + std::to_string(page_id) +
-                       " is too short for filter slot " +
-                       std::to_string(slot));
-    }
-    const auto* begin =
-        reinterpret_cast<const std::uint8_t*>(bloom_payload.data()) + slot;
-    const BsBloom bloom = BsBloom::from_bytes(
-        std::vector<std::uint8_t>(begin, begin + seg.bloom_bytes),
-        seg.bloom_hashes);
-    return bloom.maybe_contains(bs);
   }
 
   /// Leaf page ids [first, end). A segment's leaves are written
@@ -196,14 +161,12 @@ struct TraceStore::Impl {
     }
   }
 
-  /// A merge's scope: keys in [lo, hi]. `bs` is set when the range lies
-  /// within one BS, so leaves can be ruled out by their bloom filters.
+  /// A merge's scope: keys in [lo, hi].
   struct Query {
     EventKey lo;
     EventKey hi;
-    std::optional<std::uint32_t> bs;
   };
-  static Query everything() { return {EventKey{}, max_key(), std::nullopt}; }
+  static Query everything() { return {EventKey{}, max_key()}; }
 
   /// One segment's side of a merge: its candidate leaves, read up to four
   /// at a time, and the loaded leaves' records that match the query —
@@ -214,7 +177,6 @@ struct TraceStore::Impl {
       std::uint32_t offset = 0;  ///< of its length prefix, in `pages`
       std::uint32_t size = 0;    ///< length prefix included
     };
-    const SegmentInfo* seg = nullptr;
     std::vector<LeafRun> leaves;  ///< runs' `first` advance as leaves load
     std::size_t run_index = 0;
     std::string pages;
@@ -283,8 +245,8 @@ struct TraceStore::Impl {
     }
   }
 
-  /// Loads candidate leaves until the cursor holds a matching record or
-  /// runs out, probing each leaf's bloom filter first on a one-BS query.
+  /// Loads candidate leaves, up to four at a time, until the cursor holds
+  /// a matching record or runs out.
   void refill(SegmentCursor& cursor, const Query& query) {
     while (cursor.pos >= cursor.records.size() &&
            cursor.run_index < cursor.leaves.size()) {
@@ -293,17 +255,9 @@ struct TraceStore::Impl {
       while (count < batch.size() &&
              cursor.run_index < cursor.leaves.size()) {
         LeafRun& run = cursor.leaves[cursor.run_index];
-        const std::uint64_t leaf = run.first++;
+        batch[count++] = run.first++;
         if (run.first == run.end) ++cursor.run_index;
-        if (query.bs.has_value() &&
-            !bloom_maybe_contains(*cursor.seg, leaf - cursor.seg->first_leaf,
-                                  *query.bs)) {
-          ++telemetry.leaves_skipped_bloom;
-          continue;
-        }
-        batch[count++] = leaf;
       }
-      if (count == 0) continue;
       std::array<Page, 4> pages;
       load_pages(std::span(batch).first(count), PageType::kLeaf,
                  cursor.pages, pages);
@@ -329,7 +283,6 @@ struct TraceStore::Impl {
     cursors.reserve(manifest.segments.size());
     for (const SegmentInfo& seg : manifest.segments) {
       SegmentCursor cursor;
-      cursor.seg = &seg;
       collect_leaves(seg, query.lo, query.hi, cursor.leaves);
       refill(cursor, query);
       if (!cursor.exhausted()) cursors.push_back(std::move(cursor));
@@ -427,7 +380,7 @@ std::optional<StreamEvent> TraceStore::get(const EventKey& key) {
   // segments resolve to the earliest segment.
   std::optional<StreamEvent> found;
   (void)impl_->merge_events(
-      {key, key, key.bs}, 1,
+      {key, key}, 1,
       [&found](const StreamEvent& event) { found = event; });
   return found;
 }
@@ -438,7 +391,7 @@ std::uint64_t TraceStore::scan(
   ++impl_->telemetry.range_scans;
   const EventKey lo{bs, day_lo, 0, 0};
   const EventKey hi{bs, day_hi, 0xffff, ~std::uint64_t{0}};
-  return impl_->merge_events({lo, hi, bs}, ~std::uint64_t{0}, fn);
+  return impl_->merge_events({lo, hi}, ~std::uint64_t{0}, fn);
 }
 
 std::uint64_t TraceStore::replay(EventSink& sink) {
@@ -480,15 +433,9 @@ StoreVerifyReport TraceStore::verify() {
                        " events but its leaves hold " +
                        std::to_string(counted));
     }
-    for (std::uint64_t i = 0; i < seg.num_bloom_pages; ++i) {
-      (void)impl_->load_page(seg.first_bloom_page + i, PageType::kBloom);
-    }
-    const std::uint64_t internals =
-        seg.num_pages - seg.num_leaves - seg.num_bloom_pages;
-    const std::uint64_t first_internal =
-        seg.first_bloom_page + seg.num_bloom_pages;
-    for (std::uint64_t i = 0; i < internals; ++i) {
-      (void)impl_->load_page(first_internal + i, PageType::kInternal);
+    // The fence pages follow the segment's leaves.
+    for (std::uint64_t i = seg.num_leaves; i < seg.num_pages; ++i) {
+      (void)impl_->load_page(seg.first_leaf + i, PageType::kInternal);
     }
     report.leaf_pages += seg.num_leaves;
     report.events += seg.events;

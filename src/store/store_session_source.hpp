@@ -2,10 +2,10 @@
 // re-platform (DESIGN.md section 15).
 //
 // Push-down semantics: a query with `bs` set becomes one
-// TraceStore::scan(bs, day_lo, day_hi) — fences prune leaves outside the
-// key range and per-leaf bloom filters reject leaves that never saw the BS,
-// so the pass touches a fraction of the pages (the read telemetry proves
-// it). A query without `bs` has no index to narrow by (keys order by BS
+// TraceStore::scan(bs, day_lo, day_hi) — keys lead with the BS, so the
+// fences prune every leaf outside the (bs, day-range) key range and the
+// pass touches a fraction of the pages (the read telemetry proves it). A
+// query without `bs` has no index to narrow by (keys order by BS
 // first), so it replays the full store and filters day and kind above the
 // decode. Kind filtering is always evaluated client-side: kinds are not
 // part of the key.

@@ -12,7 +12,6 @@
 #include "events/event_codec.hpp"
 #include "io/durable_file.hpp"
 #include "io/json.hpp"
-#include "store/bloom.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd::store {
@@ -37,8 +36,8 @@ constexpr std::size_t kSpillBytes = std::size_t{1} << 20;
 
 /// Packs records, added in canonical key order, into one segment: leaf
 /// page images are built in place in `out` and checksummed four at a time;
-/// finish() then derives the bloom and fence pages from what it kept of
-/// each leaf — its fences and distinct BS ids, never its records.
+/// finish() then derives the fence pages from what it kept of each leaf —
+/// its key fences, never its records.
 class SegmentBuilder {
  public:
   /// With `spill` set, finished pages are handed to it whenever `out`
@@ -68,25 +67,24 @@ class SegmentBuilder {
     ++entries_;
     ++events_;
     leaves_.back().max_key = key;
-    if (bss_.size() == leaves_.back().bss_begin || bss_.back() != key.bs) {
-      bss_.push_back(key.bs);
-    }
   }
 
-  /// Seals the last leaf, appends the bloom and fence pages and returns
-  /// the segment's index entry. At least one record must have been added.
+  /// Seals the last leaf, appends the fence pages and returns the
+  /// segment's index entry. At least one record must have been added.
+  /// The builder is spent afterwards.
   SegmentInfo finish();
 
  private:
-  struct Leaf {
+  /// One (min key, max key, child page) entry of a fence level.
+  struct Fence {
     EventKey min_key;
     EventKey max_key;
-    std::size_t bss_begin = 0;  ///< first of its distinct BS ids in bss_
+    std::uint64_t child = 0;
   };
 
   void open_leaf(const EventKey& key) {
     if (!leaves_.empty()) seal_leaf();
-    leaves_.push_back({key, key, bss_.size()});
+    leaves_.push_back({key, key, first_page_ + leaves_.size()});
     leaf_at_ = out_.size();
     out_.resize(leaf_at_ + options_.page_size, '\0');
     payload_ = 0;
@@ -133,8 +131,7 @@ class SegmentBuilder {
   std::uint64_t first_page_;
   std::string& out_;
   std::function<void(std::string_view)> spill_;
-  std::vector<Leaf> leaves_;
-  std::vector<std::uint32_t> bss_;
+  std::vector<Fence> leaves_;  ///< the fences of the leaves so far
   std::uint64_t events_ = 0;
   std::size_t leaf_at_ = 0;  ///< offset of the open leaf's page in out_
   std::size_t payload_ = 0;
@@ -148,68 +145,18 @@ SegmentInfo SegmentBuilder::finish() {
   if (num_sealed_ > 0) checksum_sealed();
   const std::size_t page_size = options_.page_size;
 
-  // One bloom width per segment, sized for its densest leaf (filters must
-  // be fixed-width so the reader can locate leaf L's filter by arithmetic).
-  const auto bss_end = [this](std::size_t leaf) {
-    return leaf + 1 < leaves_.size() ? leaves_[leaf + 1].bss_begin
-                                     : bss_.size();
-  };
-  std::size_t max_distinct = 1;
-  for (std::size_t i = 0; i < leaves_.size(); ++i) {
-    max_distinct = std::max(max_distinct, bss_end(i) - leaves_[i].bss_begin);
-  }
-  const std::size_t bloom_bytes = std::min(
-      bloom_bytes_for(max_distinct, options_.bloom_bits_per_key), capacity_);
-  const std::size_t bloom_hashes =
-      bloom_hashes_for(options_.bloom_bits_per_key);
-  const std::size_t filters_per_page =
-      bloom_filters_per_page(page_size, bloom_bytes);
-
   SegmentInfo seg;
   seg.first_page = first_page_;
   seg.first_leaf = seg.first_page;
   seg.num_leaves = leaves_.size();
-  seg.bloom_bytes = static_cast<std::uint32_t>(bloom_bytes);
-  seg.bloom_hashes = static_cast<std::uint32_t>(bloom_hashes);
   seg.events = events_;
   seg.min_key = leaves_.front().min_key;
   seg.max_key = leaves_.back().max_key;
 
   std::uint64_t next_id = seg.first_page + leaves_.size();
-  seg.first_bloom_page = next_id;
-  {
-    std::string payload;
-    std::uint16_t entries = 0;
-    for (std::size_t i = 0; i < leaves_.size(); ++i) {
-      BsBloom bloom(bloom_bytes, bloom_hashes);
-      for (std::size_t b = leaves_[i].bss_begin; b < bss_end(i); ++b) {
-        bloom.add(bss_[b]);
-      }
-      payload.append(reinterpret_cast<const char*>(bloom.bytes().data()),
-                     bloom_bytes);
-      if (++entries == filters_per_page || i + 1 == leaves_.size()) {
-        append_page(out_, next_id++, PageType::kBloom, entries, payload,
-                    page_size);
-        payload.clear();
-        entries = 0;
-      }
-    }
-  }
-  seg.num_bloom_pages = next_id - seg.first_bloom_page;
-
-  // Fence levels, bottom-up: each level packs (min, max, child) entries of
-  // the level below until a single root remains.
-  struct Fence {
-    EventKey min_key;
-    EventKey max_key;
-    std::uint64_t child = 0;
-  };
-  std::vector<Fence> level;
-  level.reserve(leaves_.size());
-  for (std::size_t i = 0; i < leaves_.size(); ++i) {
-    level.push_back({leaves_[i].min_key, leaves_[i].max_key,
-                     seg.first_leaf + i});
-  }
+  // Fence levels, bottom-up: each level packs the entries of the level
+  // below until a single root remains.
+  std::vector<Fence> level = std::move(leaves_);
   const std::size_t fences_per_page = fence_entries_per_page(page_size);
   seg.depth = 0;
   while (level.size() > 1) {
@@ -309,8 +256,6 @@ TraceStoreWriter TraceStoreWriter::create(const std::string& path,
   require(options.page_size >= kMinPageSize,
           "TraceStoreWriter: page_size must be at least " +
               std::to_string(kMinPageSize) + " bytes");
-  require(options.bloom_bits_per_key > 0.0,
-          "TraceStoreWriter: bloom_bits_per_key must be positive");
   auto impl = std::make_unique<Impl>();
   impl->path = path;
   impl->pages_path = pages_path_of(path);

@@ -7,8 +7,8 @@
 // servable artifact: TraceStoreWriter is just another EventSink — batches
 // flow in, commits seal them into immutable sorted B-tree segments — and
 // TraceStore serves point lookups, (bs, day-range) scans and full replay
-// in canonical key order, pruning cold pages with fences and per-leaf
-// bloom filters and counting every page it touches in read telemetry.
+// in canonical key order, pruning cold leaves with the segments' key
+// fences and counting every page it touches in read telemetry.
 //
 // Durability contract: a commit appends pages beyond the committed length
 // and fdatasyncs the page file, then appends one checksummed record to the
@@ -49,22 +49,16 @@ struct StoreOptions {
   /// Page (== B-tree node) size in bytes; the fan-out policy knob. 4 KiB
   /// holds ~100 event records per leaf / ~100 fences per internal node.
   std::size_t page_size = 4096;
-  /// Bloom sizing policy: filter bits per distinct BS id per leaf.
-  double bloom_bits_per_key = 10.0;
 };
 
 /// One immutable sorted run, sealed by one commit.
 struct SegmentInfo {
   std::uint64_t first_page = 0;   ///< first page of the segment
-  std::uint64_t num_pages = 0;    ///< total pages (leaves, blooms, internals)
+  std::uint64_t num_pages = 0;    ///< total pages (leaves, then internals)
   std::uint64_t first_leaf = 0;
   std::uint64_t num_leaves = 0;
-  std::uint64_t first_bloom_page = 0;
-  std::uint64_t num_bloom_pages = 0;
-  std::uint32_t bloom_bytes = 0;   ///< fixed per-leaf filter width
-  std::uint32_t bloom_hashes = 0;  ///< probes per id
-  std::uint64_t root = 0;          ///< root page (== the leaf when depth 0)
-  std::uint32_t depth = 0;         ///< internal levels above the leaves
+  std::uint64_t root = 0;   ///< root page (== the leaf when depth 0)
+  std::uint32_t depth = 0;  ///< internal levels above the leaves
   std::uint64_t events = 0;
   EventKey min_key;
   EventKey max_key;
@@ -116,15 +110,15 @@ struct StoreManifest {
 };
 
 /// Counters of what a TraceStore actually touched; the proof that the
-/// index and the bloom filters prune (tests assert on them).
+/// index prunes (tests assert on them).
 struct StoreReadTelemetry {
   std::uint64_t pages_read = 0;  ///< all page reads, any type
   std::uint64_t leaf_pages_read = 0;
   std::uint64_t internal_pages_read = 0;
-  std::uint64_t bloom_pages_read = 0;
   /// Leaf candidates rejected by parent fences during a descent.
   std::uint64_t leaves_skipped_fence = 0;
-  /// Leaf candidates whose fences matched but whose bloom ruled them out.
+  /// Always 0: the store has no per-leaf filters since the v2 format. Kept
+  /// only while the benchmark still reports it.
   std::uint64_t leaves_skipped_bloom = 0;
   std::uint64_t point_lookups = 0;
   std::uint64_t range_scans = 0;
@@ -186,10 +180,10 @@ class TraceStoreWriter final : public EventSink {
   /// No-op when nothing is pending and the engine checkpoint is unchanged.
   void commit();
 
-  /// Merges every committed segment into one — rebuilt leaves, blooms and
-  /// fences, one fence tree to descend, one bloom width — published through
-  /// the same append → sync → manifest record sequence as commit() (fault
-  /// points store.compact.pages / .sync / .manifest). The superseded
+  /// Merges every committed segment into one — rebuilt leaves and fences,
+  /// one fence tree to descend — published through the same append → sync
+  /// → manifest record sequence as commit() (fault points
+  /// store.compact.pages / .sync / .manifest). The superseded
   /// segments' pages are retired into StoreManifest::dead_pages; a crash at
   /// any point leaves the previous manifest, under which every old segment
   /// is still live. Pending (uncommitted) events are untouched. No-op when

@@ -271,8 +271,7 @@ TEST(LintRules, StoreFilesLintClean) {
   // runner, and the CLI all stay include-hygienic and must-check clean.
   const std::vector<std::string> paths = {
       "src/store/trace_store.hpp",    "src/store/format.hpp",
-      "src/store/format.cpp",         "src/store/bloom.hpp",
-      "src/store/bloom.cpp",          "src/store/manifest.cpp",
+      "src/store/format.cpp",         "src/store/manifest.cpp",
       "src/store/store_writer.cpp",   "src/store/store_reader.cpp",
       "src/store/store_session_source.hpp",
       "src/store/store_session_source.cpp",

@@ -12,7 +12,6 @@
 #include "engine/store_runner.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
-#include "store/bloom.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd {
@@ -338,11 +337,11 @@ TEST(TraceStore, AppendReopensAndExtends) {
   (void)reader.verify();
 }
 
-TEST(TraceStore, BloomFiltersPruneLeafReads) {
-  const std::string path = temp_path("mtd_store_bloom.store");
-  // Small pages force many leaves; two segments whose key fences overlap
+TEST(TraceStore, FencesBoundLeafReads) {
+  const std::string path = temp_path("mtd_store_fences.store");
+  // Small pages force many leaves; two segments whose key ranges overlap
   // (both span the full BS range) but whose BS populations are disjoint
-  // (even vs odd), so only the bloom filters can tell a probe apart.
+  // (even vs odd): the worst case for fences, which see only key ranges.
   constexpr std::uint32_t kNumBs = 64;
   constexpr std::uint16_t kMinutes = 40;
   {
@@ -368,16 +367,17 @@ TEST(TraceStore, BloomFiltersPruneLeafReads) {
   ASSERT_EQ(reader.manifest().segments.size(), 2u);
   ASSERT_GT(reader.manifest().segments[0].num_leaves, 4u);
 
-  // Point lookups for an odd BS first probe the even segment (in commit
-  // order), whose fences cover the key wherever a leaf spans the
-  // surrounding even BSs — the bloom filter must reject those leaves
-  // unread before the odd segment serves the event.
-  reader.reset_telemetry();
+  // Point lookups for an odd BS also probe the even segment, which holds
+  // no such key. Its leaves are sorted and disjoint, so at most one — the
+  // one whose fences bracket the key — is read: a lookup reads at most one
+  // leaf per segment, which leaves a per-leaf filter nothing to prune.
+  const std::uint64_t segments = reader.manifest().segments.size();
   for (std::uint32_t bs = 1; bs < kNumBs; bs += 2) {
+    reader.reset_telemetry();
     ASSERT_TRUE(reader.get(EventKey{bs, 0, 0, 0}).has_value()) << bs;
+    EXPECT_GE(reader.telemetry().leaf_pages_read, 1u) << bs;
+    EXPECT_LE(reader.telemetry().leaf_pages_read, segments) << bs;
   }
-  const std::uint64_t skipped = reader.telemetry().leaves_skipped_bloom;
-  EXPECT_GT(skipped, 0u);
 
   // A single-BS scan must read strictly fewer pages than the full replay.
   reader.reset_telemetry();
@@ -396,28 +396,10 @@ TEST(TraceStore, BloomFiltersPruneLeafReads) {
   EXPECT_LT(scan_pages, replay_pages);
 }
 
-TEST(TraceStore, BloomSizingPolicyFollowsBitsPerKey) {
-  EXPECT_EQ(store::bloom_bytes_for(0, 10.0), 8u);   // floor
-  EXPECT_EQ(store::bloom_bytes_for(100, 10.0), 125u);
-  EXPECT_EQ(store::bloom_hashes_for(10.0), 7u);  // round(ln2 * 10)
-  EXPECT_EQ(store::bloom_hashes_for(0.5), 1u);   // never zero probes
-
-  store::BsBloom bloom(store::bloom_bytes_for(10, 10.0),
-                       store::bloom_hashes_for(10.0));
-  for (std::uint32_t bs = 0; bs < 10; ++bs) bloom.add(bs * 7);
-  for (std::uint32_t bs = 0; bs < 10; ++bs) {
-    EXPECT_TRUE(bloom.maybe_contains(bs * 7)) << bs;  // no false negatives
-  }
-}
-
 TEST(TraceStore, RejectsBadOptions) {
   EXPECT_THROW((void)TraceStoreWriter::create(
                    temp_path("mtd_store_bad1.store"),
                    StoreOptions{.page_size = 64}),
-               InvalidArgument);
-  EXPECT_THROW((void)TraceStoreWriter::create(
-                   temp_path("mtd_store_bad2.store"),
-                   StoreOptions{.bloom_bits_per_key = 0.0}),
                InvalidArgument);
 }
 
@@ -627,8 +609,15 @@ TEST(TraceStore, CursorMismatchIsRejected) {
 // manifest had. They were re-pinned once more when mid-day checkpoints
 // dropped their per-BS stream cursors, which shrank the mid-day records;
 // the last record is a day-boundary checkpoint, so its text and the page
-// files kept their digests. Any change to record order, page packing, bloom sizing,
-// fence layout, manifest text or log framing shows up here.
+// files kept their digests. All six were re-pinned when format v2 dropped
+// the per-leaf bloom pages (before: pages 0x566bdc3f08a977de, log
+// 0x9838c34221dcdb62, manifest 0x596be9dd1fc9890e; compacted
+// 0x5ead6f4df94c9052, 0xe002695da514232b, 0x54d8aa41b5a6aff7). A walk of
+// both stores' leaves through every one of their 75 manifest records found
+// all 66,540 leaf payloads and entry counts identical and in order, so only
+// the bloom pages, the fence pages' child ids, page ids and the manifest
+// text changed. Any change to record order, page packing, fence layout,
+// manifest text or log framing shows up here.
 TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   std::vector<BaseStation> bss(6);
   for (std::size_t i = 0; i < bss.size(); ++i) {
@@ -654,10 +643,10 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
     writer.close();
   }
   EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
-            0x566bdc3f08a977deULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x9838c34221dcdb62ULL);
+            0x0b8819282870aae5ULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x9c4510a4673394dbULL);
   EXPECT_EQ(store::fnv1a64(store::StoreManifest::load(path).to_text()),
-            0x596be9dd1fc9890eULL);
+            0x235708741bc047d8ULL);
 
   {
     TraceStoreWriter writer = TraceStoreWriter::append(path);
@@ -666,10 +655,10 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
     writer.close();
   }
   EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
-            0x5ead6f4df94c9052ULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0xe002695da514232bULL);
+            0xf81ab49cc43e480bULL);
+  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x4698cae44c3243a0ULL);
   EXPECT_EQ(store::fnv1a64(store::StoreManifest::load(path).to_text()),
-            0x54d8aa41b5a6aff7ULL);
+            0xb0eb803422926c59ULL);
 }
 
 }  // namespace

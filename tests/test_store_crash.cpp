@@ -526,8 +526,6 @@ TEST(TraceStoreCrash, ManifestIntegerFieldsAreRangeChecked) {
   const std::vector<std::pair<std::string, std::vector<const char*>>>
       fields = {
           {"StoreManifest.page_size", {"page_size"}},
-          {"StoreManifest.segment.bloom_bytes", {"segments", "bloom_bytes"}},
-          {"StoreManifest.segment.bloom_hashes", {"segments", "bloom_hashes"}},
           {"StoreManifest.segment.depth", {"segments", "depth"}},
           {"StoreManifest.segment.min_key.bs", {"segments", "min_key", "bs"}},
           {"StoreManifest.segment.min_key.day", {"segments", "min_key", "day"}},
@@ -552,6 +550,60 @@ TEST(TraceStoreCrash, ManifestIntegerFieldsAreRangeChecked) {
             << name << " = " << value << ": " << what;
       }
     }
+  }
+}
+
+// Format v1 stores (with per-leaf bloom pages) are not read: a v1 manifest
+// record is a ParseError naming both format tags, whether it is parsed
+// directly, opened by a reader or reopened for appending.
+TEST(TraceStoreCrash, VersionOneManifestIsRejected) {
+  const std::string path = temp_path("mtd_store_v1.store");
+  {
+    TraceStoreWriter writer = TraceStoreWriter::create(path);
+    writer.on_event(minute_event(1, 0, 0, 0, 1));
+    writer.close();
+  }
+  const std::string v1 = R"({
+  "bloom_bits_per_key": 10,
+  "committed_pages": "0x3",
+  "events": "0x1",
+  "events_by_kind": {"minute": "0x1", "packet": "0x0", "segment": "0x0",
+                     "session": "0x0"},
+  "format": "mtd-trace-store-v1",
+  "page_size": 4096,
+  "segments": [{
+    "first_page": "0x1", "num_pages": "0x2",
+    "first_leaf": "0x1", "num_leaves": "0x1",
+    "first_bloom_page": "0x2", "num_bloom_pages": "0x1",
+    "bloom_bytes": 8, "bloom_hashes": 7,
+    "root": "0x1", "depth": 0, "events": "0x1",
+    "min_key": {"bs": 1, "day": 0, "minute": 0, "seq": "0x0"},
+    "max_key": {"bs": 1, "day": 0, "minute": 0, "seq": "0x0"}
+  }]
+})";
+  write_file(path, std::string(store::kManifestLogHeader) +
+                       store::encode_manifest_record(v1));
+  const auto expect_rejected = [](const std::string& what) {
+    EXPECT_NE(what.find("mtd-trace-store-v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("mtd-trace-store-v2"), std::string::npos) << what;
+  };
+  try {
+    (void)store::StoreManifest::from_text(v1);
+    ADD_FAILURE() << "from_text parsed a v1 manifest";
+  } catch (const ParseError& error) {
+    expect_rejected(error.what());
+  }
+  try {
+    TraceStore reader(path);
+    ADD_FAILURE() << "TraceStore opened a v1 store";
+  } catch (const ParseError& error) {
+    expect_rejected(error.what());
+  }
+  try {
+    (void)TraceStoreWriter::append(path);
+    ADD_FAILURE() << "append reopened a v1 store";
+  } catch (const ParseError& error) {
+    expect_rejected(error.what());
   }
 }
 

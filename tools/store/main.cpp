@@ -111,20 +111,16 @@ int cmd_stats(const std::string& path) {
     std::printf("engine cursor:   (not set)\n");
   }
   for (const mtd::store::SegmentInfo& seg : m.segments) {
-    const std::uint64_t fence_pages =
-        seg.num_pages - seg.num_leaves - seg.num_bloom_pages;
     std::printf(
-        "segment @%llu: %llu events, %llu pages (%llu leaves, %llu fence, "
-        "%llu bloom), blooms %u B x %u hashes, depth %u, bs %u..%u, "
-        "days %u..%u\n",
+        "segment @%llu: %llu events, %llu pages (%llu leaves, %llu fence), "
+        "depth %u, bs %u..%u, days %u..%u\n",
         static_cast<unsigned long long>(seg.first_page),
         static_cast<unsigned long long>(seg.events),
         static_cast<unsigned long long>(seg.num_pages),
         static_cast<unsigned long long>(seg.num_leaves),
-        static_cast<unsigned long long>(fence_pages),
-        static_cast<unsigned long long>(seg.num_bloom_pages), seg.bloom_bytes,
-        seg.bloom_hashes, seg.depth, seg.min_key.bs, seg.max_key.bs,
-        seg.min_key.day, seg.max_key.day);
+        static_cast<unsigned long long>(seg.num_pages - seg.num_leaves),
+        seg.depth, seg.min_key.bs, seg.max_key.bs, seg.min_key.day,
+        seg.max_key.day);
   }
   return 0;
 }
@@ -169,11 +165,10 @@ int cmd_scan(const std::string& path, std::uint32_t bs, std::uint16_t day_lo,
   const mtd::store::StoreReadTelemetry& t = reader.telemetry();
   std::fprintf(stderr,
                "mtd_store: %llu event(s); %llu pages read, %llu leaves "
-               "skipped by fences, %llu by blooms\n",
+               "skipped by fences\n",
                static_cast<unsigned long long>(count),
                static_cast<unsigned long long>(t.pages_read),
-               static_cast<unsigned long long>(t.leaves_skipped_fence),
-               static_cast<unsigned long long>(t.leaves_skipped_bloom));
+               static_cast<unsigned long long>(t.leaves_skipped_fence));
   return 0;
 }
 
