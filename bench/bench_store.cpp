@@ -4,7 +4,6 @@
 // B-tree segment per simulated day), then a reader is measured over it:
 //
 //   ingest        events/s through TraceStoreWriter commits
-//   point_lookup  get() latency and pages touched per lookup
 //   scan          single-BS day-range scan: pages read and leaves pruned
 //                 by fences
 //   replay        full-store key-order replay into a counting sink
@@ -21,11 +20,10 @@
 // compaction claim: merging per-day segments must shrink the index
 // (fence) page count and must not make the pruned scan read more
 // pages. The report goes to BENCH_store.json (schema: {bench: "store",
-// fast, ingest: {...}, point_lookup: {...}, scan: {...}, replay: {...},
+// fast, ingest: {...}, scan: {...}, replay: {...},
 // compaction: {...}, compaction_48: {...}}) for CI trend tracking. Every
 // store lives in a private mkdtemp directory removed at exit.
-// MTD_BENCH_FAST shrinks the scenario for smoke runs. A google-benchmark
-// timing of the point lookup follows.
+// MTD_BENCH_FAST shrinks the scenario for smoke runs.
 #include <malloc.h>
 #include <stdlib.h>
 
@@ -169,34 +167,6 @@ JsonObject run_ingest() {
   row.emplace("events_per_s",
               wall_s > 0.0 ? static_cast<double>(manifest.events) / wall_s
                            : 0.0);
-  return row;
-}
-
-JsonObject run_point_lookups(store::TraceStore& reader,
-                             const std::vector<EventKey>& probes) {
-  reader.reset_telemetry();
-  const auto t0 = Clock::now();
-  std::uint64_t found = 0;
-  for (const EventKey& key : probes) {
-    if (reader.get(key).has_value()) ++found;
-  }
-  const double wall_s = seconds_since(t0);
-  if (found != probes.size()) {
-    std::cerr << "FATAL: only " << found << " of " << probes.size()
-              << " ingested keys were found again\n";
-    std::exit(1);
-  }
-  const store::StoreReadTelemetry& t = reader.telemetry();
-  JsonObject row;
-  row.emplace("lookups", probes.size());
-  row.emplace("wall_s", wall_s);
-  row.emplace("lookups_per_s",
-              wall_s > 0.0 ? static_cast<double>(probes.size()) / wall_s
-                           : 0.0);
-  row.emplace("pages_read", static_cast<double>(t.pages_read));
-  row.emplace("pages_per_lookup",
-              static_cast<double>(t.pages_read) /
-                  static_cast<double>(probes.size()));
   return row;
 }
 
@@ -404,18 +374,9 @@ JsonObject run_compaction_48() {
   return row;
 }
 
-void BM_StorePointLookup(benchmark::State& state) {
-  store::TraceStore reader(store_path());
-  const store::SegmentInfo& seg = reader.manifest().segments.front();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reader.get(seg.min_key));
-  }
-}
-BENCHMARK(BM_StorePointLookup)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   JsonObject report;
   report.emplace("bench", "store");
   report.emplace("fast", mtd::bench::fast_mode());
@@ -432,15 +393,6 @@ int main(int argc, char** argv) {
               << " events, ingest committed " << ingested << "\n";
     return 1;
   }
-
-  // Probe keys: each segment's fence keys are guaranteed present.
-  std::vector<EventKey> probes;
-  for (const store::SegmentInfo& seg : reader.manifest().segments) {
-    probes.push_back(seg.min_key);
-    probes.push_back(seg.max_key);
-  }
-  JsonObject lookups = run_point_lookups(reader, probes);
-  std::cout << Json(JsonObject(lookups)).dump() << "\n";
 
   const std::uint32_t probe_bs =
       reader.manifest().segments.front().min_key.bs;
@@ -466,12 +418,11 @@ int main(int argc, char** argv) {
   std::cout << Json(JsonObject(compaction_48)).dump() << "\n";
 
   report.emplace("ingest", Json(std::move(ingest)));
-  report.emplace("point_lookup", Json(std::move(lookups)));
   report.emplace("scan", Json(std::move(scan)));
   report.emplace("replay", Json(std::move(replay)));
   report.emplace("compaction", Json(std::move(compaction)));
   report.emplace("compaction_48", Json(std::move(compaction_48)));
   mtd::write_file("BENCH_store.json", Json(std::move(report)).dump());
   std::cerr << "[bench] wrote BENCH_store.json\n";
-  return mtd::bench::run_benchmarks(argc, argv);
+  return 0;
 }

@@ -10,8 +10,8 @@
 //
 // then, from a fresh TraceStore reader over the same files:
 //   - verify(): every page's checksum and every segment's event count,
-//   - a single-BS point lookup and a (bs, day-range) scan, printing the
-//     read telemetry that shows the key fences pruning leaves,
+//   - a single-BS scan over every day, printing the read telemetry that
+//     shows the key fences pruning leaves,
 //   - replay() of the whole store into a MeasurementDataset, compared
 //     bit-exactly against the same trace aggregated directly — the store
 //     preserves per-(BS, day) event order, so the aggregates match to the
@@ -61,10 +61,9 @@ int main(int argc, char** argv) {
 
   reader.reset_telemetry();
   const std::uint32_t probe_bs = network.base_stations().front().id;
-  std::uint64_t scanned = 0;
-  scanned = reader.scan(probe_bs, 0,
-                        static_cast<std::uint16_t>(trace.num_days - 1),
-                        [](const StreamEvent&) {});
+  const std::uint64_t scanned =
+      reader.scan(probe_bs, 0, static_cast<std::uint16_t>(trace.num_days - 1),
+                  [](const StreamEvent&) {});
   const store::StoreReadTelemetry& t = reader.telemetry();
   std::cout << "scan bs=" << probe_bs << ": " << scanned << " events, "
             << t.pages_read << " pages read, " << t.leaves_skipped_fence

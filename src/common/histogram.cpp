@@ -6,9 +6,13 @@
 namespace mtd {
 
 std::size_t Axis::index_clamped(double u) const noexcept {
-  if (u <= lo_) return 0;
-  const auto i = static_cast<std::size_t>((u - lo_) / width());
-  return std::min(i, bins_ - 1);
+  // Compare in floating point before casting: NaN fails `pos > 0` and lands
+  // in bin 0, +inf and huge finite coordinates fail `pos < bins_` and land
+  // in the last bin, so the cast only ever sees a value in [0, bins_).
+  const double pos = (u - lo_) / width();
+  if (!(pos > 0.0)) return 0;
+  if (!(pos < static_cast<double>(bins_))) return bins_ - 1;
+  return static_cast<std::size_t>(pos);
 }
 
 BinnedPdf BinnedPdf::from_samples(const Axis& axis,

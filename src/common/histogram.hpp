@@ -42,7 +42,8 @@ class Axis {
     return lo_ + static_cast<double>(i) * width();
   }
   /// Bin index of `u`, clamped to [0, bins-1] so out-of-range samples
-  /// accumulate in the boundary bins instead of being dropped.
+  /// accumulate in the boundary bins instead of being dropped. Total: NaN
+  /// and -inf go to bin 0, +inf to the last bin.
   [[nodiscard]] std::size_t index_clamped(double u) const noexcept;
   /// True when `u` falls inside [lo, hi).
   [[nodiscard]] bool contains(double u) const noexcept {

@@ -18,6 +18,30 @@ void ByteCursor::require(std::size_t n, const char* what) const {
   }
 }
 
+void reject_event_record(const ByteCursor& rec) {
+  const std::string_view bytes = rec.rest();
+  const std::string at = " at byte " + std::to_string(rec.file_pos());
+  if (bytes.empty()) {
+    throw ParseError(rec.context() + ": empty event record" + at);
+  }
+  const auto kind = static_cast<std::uint8_t>(bytes[0]);
+  if (kind >= kNumEventKinds) {
+    throw ParseError(rec.context() + ": unknown event kind " +
+                     std::to_string(kind) + at);
+  }
+  const auto known = static_cast<EventKind>(kind);
+  const std::size_t expected = event_payload_bytes(known);
+  if (bytes.size() != expected) {
+    throw ParseError(rec.context() + ": " + to_string(known) + " record of " +
+                     std::to_string(bytes.size()) + " bytes, not " +
+                     std::to_string(expected) + "," + at);
+  }
+  throw ParseError(
+      rec.context() + ": segment record with mobility state " +
+      std::to_string(static_cast<std::uint8_t>(bytes[kSegmentStateByte])) +
+      at);
+}
+
 std::size_t encode_event_payload(const StreamEvent& event, char* buf) {
   char* p = buf;
   *p++ = static_cast<char>(event.kind());
@@ -61,15 +85,15 @@ std::size_t encode_event_payload(const StreamEvent& event, char* buf) {
   return static_cast<std::size_t>(p - buf);
 }
 
-bool decode_event_payload(ByteCursor& rec, StreamEvent& out) {
-  const std::uint8_t kind = rec.u8("event kind");
-  if (kind >= kNumEventKinds) return false;
+StreamEvent decode_event_payload(ByteCursor rec) {
+  const EventKind kind = check_event_record(rec);
+  rec.skip(1, "event kind");
   StreamEvent event;
   event.key.bs = rec.u32("event key");
   event.key.day = rec.u16("event key");
   event.key.minute_of_day = rec.u16("event key");
   event.key.seq = rec.u64("event key");
-  switch (static_cast<EventKind>(kind)) {
+  switch (kind) {
     case EventKind::kMinute: {
       MinuteEvent e;
       e.arrivals = rec.u32("minute payload");
@@ -111,8 +135,7 @@ bool decode_event_payload(ByteCursor& rec, StreamEvent& out) {
       break;
     }
   }
-  out = std::move(event);
-  return true;
+  return event;
 }
 
 }  // namespace mtd

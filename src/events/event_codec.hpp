@@ -8,6 +8,11 @@
 // store (src/store). Factoring it here keeps the formats bit-identical by
 // construction (tests/test_serialization_golden.cpp pins the log bytes).
 //
+// Both readers apply one record rule, check_event_record: a stored payload
+// has a known kind, exactly the length that kind encodes to, and (for a
+// segment) a valid mobility state, or the read fails with ParseError. No
+// reader skips or rewrites a record it does not understand.
+//
 // ByteCursor is the matching read side: bounds-checked little-endian reads
 // over an in-memory byte range, reporting truncation as ParseError with a
 // caller-supplied context ("binary event log 'path'", "trace store
@@ -48,6 +53,10 @@ class ByteCursor {
   [[nodiscard]] std::size_t file_pos() const noexcept { return base_ + pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
+  }
+  /// The bytes not yet read.
+  [[nodiscard]] std::string_view rest() const noexcept {
+    return data_.substr(pos_);
   }
 
   std::uint8_t u8(const char* what) {
@@ -118,17 +127,42 @@ class ByteCursor {
   return 0;
 }
 
+/// Position of a segment payload's MobilityState byte: after the kind
+/// byte, the key and the u16 service.
+inline constexpr std::size_t kSegmentStateByte = 1 + 16 + 2;
+
+/// Throws the ParseError check_event_record raises for `rec`.
+[[noreturn]] void reject_event_record(const ByteCursor& rec);
+
+/// The record rule of every binary reader. `rec` spans exactly one stored
+/// payload, from its kind byte: the kind must be known, the length must be
+/// event_payload_bytes(kind), and a segment's state byte must name a
+/// MobilityState. Returns the kind; otherwise throws ParseError as
+/// "<context>: <defect> at byte <offset>", the offset being the payload's
+/// first byte in its file.
+[[nodiscard]] inline EventKind check_event_record(const ByteCursor& rec) {
+  const std::string_view bytes = rec.rest();
+  const std::size_t kind =
+      bytes.empty() ? kNumEventKinds : static_cast<std::uint8_t>(bytes[0]);
+  if (kind < kNumEventKinds &&
+      bytes.size() == event_payload_bytes(static_cast<EventKind>(kind)) &&
+      (static_cast<EventKind>(kind) != EventKind::kSegment ||
+       static_cast<std::uint8_t>(bytes[kSegmentStateByte]) <=
+           static_cast<std::uint8_t>(MobilityState::kVehicular))) {
+    return static_cast<EventKind>(kind);
+  }
+  reject_event_record(rec);
+}
+
 /// Serializes `event` (kind byte, key, kind fields) into `buf`, which must
 /// hold at least kMaxEventPayloadBytes. Returns the number of bytes
 /// written.
 [[nodiscard]] std::size_t encode_event_payload(const StreamEvent& event,
                                                char* buf);
 
-/// Parses one payload produced by encode_event_payload from `rec`
-/// (positioned at the kind byte). Returns false — leaving `out` untouched
-/// and `rec` advanced past the kind byte only — when the kind is unknown,
-/// so callers with a length prefix can skip the record for forward
-/// compatibility. Throws ParseError (via the cursor) on truncation.
-[[nodiscard]] bool decode_event_payload(ByteCursor& rec, StreamEvent& out);
+/// Decodes the one payload `rec` spans (as produced by
+/// encode_event_payload), after check_event_record has accepted it; a
+/// payload the rule rejects raises its ParseError.
+[[nodiscard]] StreamEvent decode_event_payload(ByteCursor rec);
 
 }  // namespace mtd

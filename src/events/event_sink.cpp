@@ -181,108 +181,69 @@ void BinaryEventWriter::on_event(const StreamEvent& event) {
   file_.end_record();
 }
 
-struct BinaryEventReader::Impl {
-  /// Bytes pulled from the file per refill (at least).
-  static constexpr std::size_t kRefillBytes = 1 << 16;
+std::uint64_t read_binary_events(const std::string& path, EventSink& sink) {
+  // Bytes pulled from the file per refill (at least).
+  constexpr std::size_t kRefillBytes = 1 << 16;
+  const std::string context = "binary event log '" + path + "'";
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw IoError("read_binary_events: cannot open " + path);
+  in.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0, std::ios::beg);
 
-  std::ifstream in;
-  std::string context;       // "binary event log '<path>'" error prefix
-  std::uint64_t file_size = 0;
-  std::uint64_t file_pos = 0;  // absolute offset of buf[0]
-  std::string buf;             // refill window
-  std::size_t buf_pos = 0;     // next unconsumed byte within buf
-
-  /// Bytes of the file not yet consumed (buffered or still on disk).
-  [[nodiscard]] std::uint64_t remaining() const noexcept {
-    return file_size - file_pos - buf_pos;
-  }
-
-  /// Ensures at least `n` unconsumed bytes are buffered. Returns false
-  /// (rather than throwing) when the file ends first, leaving whatever is
-  /// available buffered; callers turn a short tail into their own error.
-  [[nodiscard]] bool ensure(std::size_t n) {
-    if (buf.size() - buf_pos >= n) return true;
-    if (remaining() < n) n = static_cast<std::size_t>(remaining());
-    buf.erase(0, buf_pos);
-    file_pos += buf_pos;
-    buf_pos = 0;
-    while (buf.size() < n) {
-      const std::size_t want =
-          std::max<std::size_t>(kRefillBytes, n - buf.size());
-      const std::size_t old = buf.size();
-      buf.resize(old + want);
-      in.read(buf.data() + old, static_cast<std::streamsize>(want));
-      const auto got = static_cast<std::size_t>(in.gcount());
-      buf.resize(old + got);
-      if (got == 0) break;  // EOF (or error) — remaining() said otherwise
+  std::string buf;          // refill window
+  std::uint64_t base = 0;   // file offset of buf[0]
+  std::size_t pos = 0;      // next unconsumed byte within buf
+  const auto remaining = [&] { return file_size - base - pos; };
+  // Buffers the next `n` bytes, which the caller has checked the file holds.
+  const auto ensure = [&](std::size_t n) {
+    if (buf.size() - pos >= n) return;
+    buf.erase(0, pos);
+    base += pos;
+    pos = 0;
+    const std::size_t old = buf.size();
+    buf.resize(old + std::max(kRefillBytes, n - old));
+    in.read(buf.data() + old, static_cast<std::streamsize>(buf.size() - old));
+    buf.resize(old + static_cast<std::size_t>(in.gcount()));
+    if (buf.size() < n) {  // the file shrank under us
+      throw ParseError(context + ": truncated at byte " +
+                       std::to_string(base + buf.size()));
     }
-    return buf.size() >= n;
-  }
-};
-
-BinaryEventReader::BinaryEventReader(const std::string& path)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->context = "binary event log '" + path + "'";
-  impl_->in.open(path, std::ios::binary);
-  if (!impl_->in) throw IoError("BinaryEventReader: cannot open " + path);
-  impl_->in.seekg(0, std::ios::end);
-  impl_->file_size = static_cast<std::uint64_t>(impl_->in.tellg());
-  impl_->in.seekg(0, std::ios::beg);
+  };
 
   constexpr std::size_t kMagicLen = sizeof(BinaryEventWriter::kMagic);
-  if (!impl_->ensure(kMagicLen) ||
-      impl_->buf.compare(0, kMagicLen, BinaryEventWriter::kMagic,
-                         kMagicLen) != 0) {
-    throw ParseError(impl_->context + ": missing or bad magic header");
+  if (file_size >= kMagicLen) ensure(kMagicLen);
+  if (file_size < kMagicLen ||
+      buf.compare(0, kMagicLen, BinaryEventWriter::kMagic, kMagicLen) != 0) {
+    throw ParseError(context + ": missing or bad magic header");
   }
-  impl_->buf_pos += kMagicLen;
-}
-
-BinaryEventReader::~BinaryEventReader() = default;
-
-bool BinaryEventReader::next(StreamEvent& out) {
-  Impl& im = *impl_;
-  for (;;) {
-    if (im.remaining() == 0) return false;
-    const std::uint64_t frame_start = im.file_pos + im.buf_pos;
-    if (!im.ensure(4)) {
-      throw ParseError(im.context + ": truncated record length at byte " +
+  pos = kMagicLen;
+  std::uint64_t delivered = 0;
+  while (remaining() > 0) {
+    const std::uint64_t frame_start = base + pos;
+    if (remaining() < 4) {
+      throw ParseError(context + ": truncated record length at byte " +
                        std::to_string(frame_start));
     }
-    ByteCursor framing(
-        std::string_view(im.buf).substr(im.buf_pos, 4), frame_start,
-        im.context);
-    const std::uint32_t len = framing.u32("record length");
-    im.buf_pos += 4;
-    if (im.remaining() < len) {
-      throw ParseError(im.context + ": record at byte " +
+    ensure(4);
+    const std::uint32_t len =
+        ByteCursor(std::string_view(buf).substr(pos, 4), frame_start, context)
+            .u32("record length");
+    pos += 4;
+    if (remaining() < len) {
+      throw ParseError(context + ": record at byte " +
                        std::to_string(frame_start) + " claims " +
                        std::to_string(len) + " bytes but only " +
-                       std::to_string(im.remaining()) + " remain");
+                       std::to_string(remaining()) + " remain");
     }
-    if (!im.ensure(len)) {  // remaining() lied: the file shrank under us
-      throw ParseError(im.context + ": truncated record at byte " +
-                       std::to_string(frame_start));
-    }
-    ByteCursor rec(std::string_view(im.buf).substr(im.buf_pos, len),
-                   im.file_pos + im.buf_pos, im.context);
-    const bool known = decode_event_payload(rec, out);
-    // Advance by the declared length, not by what we parsed: records may
-    // grow trailing fields in future versions; unknown kinds are skipped
-    // whole.
-    im.buf_pos += len;
-    if (known) {
-      ++delivered_;
-      return true;
-    }
+    ensure(len);
+    sink.on_event(decode_event_payload(
+        ByteCursor(std::string_view(buf).substr(pos, len), base + pos,
+                   context)));
+    pos += len;
+    ++delivered;
   }
-}
-
-std::uint64_t read_binary_events(const std::string& path, EventSink& sink) {
-  BinaryEventReader reader(path);
-  StreamEvent event;
-  while (reader.next(event)) sink.on_event(event);
-  return reader.events_delivered();
+  return delivered;
 }
 
 // ---------------------------------------------------------------------------

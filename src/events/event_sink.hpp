@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,8 +103,7 @@ class NdjsonEventWriter final : public EventSink {
 /// "MTDEVT1\n", then per event a u32 payload length followed by the
 /// payload: u8 kind, key (u32 bs, u16 day, u16 minute, u64 seq), then the
 /// kind-specific fields in declaration order (see DESIGN.md sec. 10).
-/// Readers skip unknown kinds by their length prefix. close() surfaces
-/// buffered write failures.
+/// close() surfaces buffered write failures.
 class BinaryEventWriter final : public EventSink {
  public:
   static constexpr char kMagic[8] = {'M', 'T', 'D', 'E', 'V', 'T', '1', '\n'};
@@ -123,39 +121,13 @@ class BinaryEventWriter final : public EventSink {
   BufferedFileWriter file_;
 };
 
-/// Incremental reader over a BinaryEventWriter file: one record per next()
-/// call, pulled through a fixed-size refill buffer, so arbitrarily large
-/// logs stream without ever materializing the file (or an event vector) in
-/// memory. Throws ParseError (naming the path and byte offset) on a bad
-/// magic, a truncated record, or a payload shorter than its kind requires;
-/// unknown kinds are skipped via their length prefix. A cut exactly on a
-/// record boundary reads as a valid shorter log.
-class BinaryEventReader {
- public:
-  explicit BinaryEventReader(const std::string& path);
-  ~BinaryEventReader();
-
-  BinaryEventReader(const BinaryEventReader&) = delete;
-  BinaryEventReader& operator=(const BinaryEventReader&) = delete;
-
-  /// Parses the next known-kind event into `out`. Returns false at a clean
-  /// end of file.
-  [[nodiscard]] bool next(StreamEvent& out);
-
-  /// Known-kind events returned by next() so far.
-  [[nodiscard]] std::uint64_t events_delivered() const noexcept {
-    return delivered_;
-  }
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  std::uint64_t delivered_ = 0;
-};
-
-/// Streams a BinaryEventWriter file back into a sink — a thin loop over
-/// BinaryEventReader, with its error contract. Returns the number of
-/// events delivered.
+/// Streams a BinaryEventWriter file back into a sink, one record at a time
+/// through a fixed-size refill buffer, so arbitrarily large logs never
+/// materialize in memory. Returns the number of events delivered. Throws
+/// ParseError naming the path and byte offset on a bad magic, a truncated
+/// record, or a record the codec's record rule (check_event_record)
+/// rejects. A cut exactly on a record boundary reads as a valid shorter
+/// log.
 std::uint64_t read_binary_events(const std::string& path, EventSink& sink);
 
 /// Duplicates a stream across branches (non-owning). Under kFailFast the

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -197,16 +196,11 @@ struct TraceStore::Impl {
   };
 
   /// Appends to `out` the records of one loaded leaf (its payload starts
-  /// at byte `at` of `buf`) whose keys fall in the query's range. Every
-  /// record is validated, in range or not: its length prefix against the
-  /// page, then its kind, key and the length the kind implies, which makes
-  /// decoding a delivered record infallible. A record whose length
-  /// disagrees with its kind goes through the full decoder instead —
-  /// raising its ParseError when short, re-encoded in place (as decoding
-  /// and re-encoding would rewrite it) when long. Unknown kinds (a newer
-  /// writer) are skipped.
-  void index_leaf(const Page& page, std::string& buf, std::size_t at,
-                  const Query& query,
+  /// at byte `at` of the cursor's page buffer) whose keys fall in the
+  /// query's range. Every record is validated, in range or not: its length
+  /// prefix against the page, then the record rule (check_event_record),
+  /// which makes decoding a delivered record infallible.
+  void index_leaf(const Page& page, std::size_t at, const Query& query,
                   std::vector<SegmentCursor::Record>& out) {
     const std::size_t base =
         page.header.page_id * manifest.options.page_size + kPageHeaderBytes;
@@ -224,24 +218,12 @@ struct TraceStore::Impl {
       }
       ByteCursor record(page.payload.substr(start + 4, len),
                         base + start + 4, context);
-      ByteCursor full = record;
       cursor.skip(len, "event record");
-      const std::uint8_t kind = record.u8("event kind");
-      if (kind >= kNumEventKinds) continue;
-      SegmentCursor::Record entry;
-      entry.offset = static_cast<std::uint32_t>(at + start);
-      entry.size = 4 + len;
-      if (len != event_payload_bytes(static_cast<EventKind>(kind))) {
-        StreamEvent event;
-        (void)decode_event_payload(full, event);
-        char* const prefix = buf.data() + entry.offset;
-        const std::size_t canonical = encode_event_payload(event, prefix + 4);
-        (void)store_le(prefix, static_cast<std::uint32_t>(canonical));
-        entry.size = static_cast<std::uint32_t>(4 + canonical);
-      }
-      entry.key = decode_key(record, "event key");
-      if (entry.key < query.lo || query.hi < entry.key) continue;
-      out.push_back(entry);
+      (void)check_event_record(record);
+      record.skip(1, "event kind");
+      const EventKey key = decode_key(record, "event key");
+      if (key < query.lo || query.hi < key) continue;
+      out.push_back({key, static_cast<std::uint32_t>(at + start), 4 + len});
     }
   }
 
@@ -264,20 +246,19 @@ struct TraceStore::Impl {
       cursor.records.clear();
       cursor.pos = 0;
       for (std::size_t i = 0; i < count; ++i) {
-        index_leaf(pages[i], cursor.pages,
-                   i * manifest.options.page_size + kPageHeaderBytes, query,
-                   cursor.records);
+        index_leaf(pages[i], i * manifest.options.page_size + kPageHeaderBytes,
+                   query, cursor.records);
       }
     }
   }
 
   /// K-way merge of every segment over `query` in canonical key order,
-  /// handing each record's key and stored bytes to `fn`; stops after
-  /// `limit` records. The cursors sit in a binary heap keyed by (head key,
-  /// segment index): O(log k) per record over k segments, and equal keys
-  /// leave in segment order — the pick a first-minimum scan makes.
+  /// handing each record's key and stored bytes to `fn`. The cursors sit
+  /// in a binary heap keyed by (head key, segment index): O(log k) per
+  /// record over k segments, and equal keys leave in segment order — the
+  /// pick a first-minimum scan makes.
   std::uint64_t merge(
-      const Query& query, std::uint64_t limit,
+      const Query& query,
       const std::function<void(const EventKey&, std::string_view)>& fn) {
     std::vector<SegmentCursor> cursors;
     cursors.reserve(manifest.segments.size());
@@ -311,7 +292,7 @@ struct TraceStore::Impl {
     };
     for (std::size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
     std::uint64_t delivered = 0;
-    while (!heap.empty() && delivered < limit) {
+    while (!heap.empty()) {
       SegmentCursor& cursor = cursors[heap.front()];
       fn(cursor.head_key(), cursor.head());
       ++delivered;
@@ -328,15 +309,10 @@ struct TraceStore::Impl {
 
   /// The merge decoding each record into an event for `fn`.
   std::uint64_t merge_events(
-      const Query& query, std::uint64_t limit,
-      const std::function<void(const StreamEvent&)>& fn) {
-    return merge(query, limit,
-                 [this, &fn](const EventKey&, std::string_view record) {
-                   ByteCursor cursor(record.substr(4), 0, context);
-                   StreamEvent event;
-                   (void)decode_event_payload(cursor, event);
-                   fn(event);
-                 });
+      const Query& query, const std::function<void(const StreamEvent&)>& fn) {
+    return merge(query, [this, &fn](const EventKey&, std::string_view record) {
+      fn(decode_event_payload(ByteCursor(record.substr(4), 0, context)));
+    });
   }
 };
 
@@ -374,38 +350,23 @@ const StoreManifest& TraceStore::manifest() const noexcept {
   return impl_->manifest;
 }
 
-std::optional<StreamEvent> TraceStore::get(const EventKey& key) {
-  ++impl_->telemetry.point_lookups;
-  // The first event of the merge over [key, key]: equal keys in several
-  // segments resolve to the earliest segment.
-  std::optional<StreamEvent> found;
-  (void)impl_->merge_events(
-      {key, key}, 1,
-      [&found](const StreamEvent& event) { found = event; });
-  return found;
-}
-
 std::uint64_t TraceStore::scan(
     std::uint32_t bs, std::uint16_t day_lo, std::uint16_t day_hi,
     const std::function<void(const StreamEvent&)>& fn) {
-  ++impl_->telemetry.range_scans;
   const EventKey lo{bs, day_lo, 0, 0};
   const EventKey hi{bs, day_hi, 0xffff, ~std::uint64_t{0}};
-  return impl_->merge_events({lo, hi}, ~std::uint64_t{0}, fn);
+  return impl_->merge_events({lo, hi}, fn);
 }
 
 std::uint64_t TraceStore::replay(EventSink& sink) {
-  ++impl_->telemetry.range_scans;
-  return impl_->merge_events(Impl::everything(), ~std::uint64_t{0},
-                             [&sink](const StreamEvent& event) {
-                               sink.on_event(event);
-                             });
+  return impl_->merge_events(
+      Impl::everything(),
+      [&sink](const StreamEvent& event) { sink.on_event(event); });
 }
 
 std::uint64_t TraceStore::replay_records(
     const std::function<void(const EventKey&, std::string_view)>& fn) {
-  ++impl_->telemetry.range_scans;
-  return impl_->merge(Impl::everything(), ~std::uint64_t{0}, fn);
+  return impl_->merge(Impl::everything(), fn);
 }
 
 StoreVerifyReport TraceStore::verify() {
@@ -423,8 +384,7 @@ StoreVerifyReport TraceStore::verify() {
           impl_->load_page(seg.first_leaf + i, PageType::kLeaf);
       counted += page.header.entry_count;
       records.clear();
-      impl_->index_leaf(page, impl_->page_buf, kPageHeaderBytes,
-                        Impl::everything(), records);
+      impl_->index_leaf(page, kPageHeaderBytes, Impl::everything(), records);
     }
     if (counted != seg.events) {
       throw ParseError(impl_->context + ": segment at page " +

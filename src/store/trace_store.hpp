@@ -6,9 +6,11 @@
 // regenerating or rescanning everything. The store turns the stream into a
 // servable artifact: TraceStoreWriter is just another EventSink — batches
 // flow in, commits seal them into immutable sorted B-tree segments — and
-// TraceStore serves point lookups, (bs, day-range) scans and full replay
-// in canonical key order, pruning cold leaves with the segments' key
-// fences and counting every page it touches in read telemetry.
+// TraceStore serves (bs, day-range) scans and full replay in canonical key
+// order, pruning cold leaves with the segments' key fences and counting
+// every page it touches in read telemetry. Every leaf record a read
+// touches must pass the event codec's record rule (check_event_record):
+// a record of an unknown kind or the wrong length fails the read.
 //
 // Durability contract: a commit appends pages beyond the committed length
 // and fdatasyncs the page file, then appends one checksummed record to the
@@ -21,15 +23,15 @@
 // would outgrow kManifestLogRewriteBytes is it replaced by its newest
 // record through write_file_atomic (fdatasync, rename, directory fsync).
 // A pages file shorter than the committed length, a log record whose
-// checksum disagrees, or a page whose checksum disagrees is reported with
-// path and byte offset — never silently skipped.
+// checksum disagrees, a page whose checksum disagrees, or a leaf record
+// the record rule rejects is reported with path and byte offset — never
+// silently skipped.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -120,8 +122,6 @@ struct StoreReadTelemetry {
   /// Always 0: the store has no per-leaf filters since the v2 format. Kept
   /// only while the benchmark still reports it.
   std::uint64_t leaves_skipped_bloom = 0;
-  std::uint64_t point_lookups = 0;
-  std::uint64_t range_scans = 0;
 };
 
 /// Outcome of one TraceStoreWriter::compact pass.
@@ -229,9 +229,6 @@ class TraceStore {
 
   [[nodiscard]] const StoreManifest& manifest() const noexcept;
 
-  /// Exact-key point lookup across all segments.
-  [[nodiscard]] std::optional<StreamEvent> get(const EventKey& key);
-
   /// Streams every event with bs == `bs` and day in [day_lo, day_hi] to
   /// `fn`, in key order (segments are merged). Returns the event count.
   [[nodiscard]] std::uint64_t scan(
@@ -247,15 +244,16 @@ class TraceStore {
 
   /// replay() without decoding: streams every committed record, in the
   /// same order, to `fn` as its key and its stored bytes (u32 length
-  /// prefix + payload, exactly as held in a leaf). Each record's kind, key
-  /// and length are validated; a corrupt one raises the ParseError a
-  /// decoding read would. The compaction path.
+  /// prefix + payload, exactly as held in a leaf). Each record passes the
+  /// record rule, so a corrupt one raises the ParseError a decoding read
+  /// would. The compaction path.
   [[nodiscard]] std::uint64_t replay_records(
       const std::function<void(const EventKey&, std::string_view)>& fn);
 
-  /// Walks every committed page and validates header + checksum; decodes
-  /// every leaf and recounts events per segment. Throws ParseError with
-  /// path and byte offset at the first corrupt page.
+  /// Walks every committed page and validates header + checksum; checks
+  /// every leaf record against the record rule and recounts events per
+  /// segment. Throws ParseError with path and byte offset at the first
+  /// corrupt page or record.
   [[nodiscard]] StoreVerifyReport verify();
 
   [[nodiscard]] const StoreReadTelemetry& telemetry() const noexcept;

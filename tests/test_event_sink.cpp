@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,8 +16,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fmt.hpp"
 #include "common/time_utils.hpp"
 #include "dataset/service_catalog.hpp"
+#include "events/event_codec.hpp"
 #include "io/json.hpp"
 
 namespace mtd {
@@ -418,6 +421,70 @@ TEST(BinaryEvents, EveryTruncationPointIsAParseErrorNamingTheFile) {
     }
   }
   std::remove(path.c_str());
+}
+
+/// Writes mixed_events() as a binary log, rewrites its bytes through
+/// `edit`, and expects read_binary_events to raise a ParseError naming the
+/// path, `what` and "at byte `byte`". The first record's payload (a
+/// minute) starts at byte 12, after the magic and its length prefix.
+void expect_edited_log_rejected(const char* name,
+                                const std::function<void(std::string&)>& edit,
+                                const std::string& what, std::size_t byte) {
+  const std::string path = temp_path(name);
+  {
+    BinaryEventWriter writer(path);
+    for (const StreamEvent& e : mixed_events()) writer.on_event(e);
+    writer.close();
+  }
+  std::string bytes = read_file(path);
+  edit(bytes);
+  write_file(path, bytes);
+  CaptureSink sink;
+  try {
+    (void)read_binary_events(path, sink);
+    ADD_FAILURE() << "read_binary_events accepted the edited log";
+  } catch (const ParseError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+    EXPECT_NE(message.find("at byte " + std::to_string(byte)),
+              std::string::npos)
+        << message;
+  }
+  std::remove(path.c_str());
+}
+
+// Every record must decode: an unknown kind is not skipped by its length.
+TEST(BinaryEvents, UnknownKindIsAParseError) {
+  expect_edited_log_rejected(
+      "mtd_events_kind.bin", [](std::string& bytes) { bytes[12] = 7; },
+      "unknown event kind 7", 12);
+}
+
+// A record one byte longer than its kind encodes to is rejected, not
+// decoded with its trailing byte skipped.
+TEST(BinaryEvents, TrailingByteInARecordIsAParseError) {
+  expect_edited_log_rejected(
+      "mtd_events_long.bin",
+      [](std::string& bytes) {
+        const std::size_t len = event_payload_bytes(EventKind::kMinute);
+        (void)store_le(bytes.data() + 8, static_cast<std::uint32_t>(len + 1));
+        bytes.insert(12 + len, 1, '\0');
+      },
+      "minute record of 22 bytes, not 21", 12);
+}
+
+// A segment's state byte must name a MobilityState. The segment is the
+// third record: after the magic, the minute (4 + 21 bytes) and the session
+// (4 + 36 bytes), its payload starts at byte 77.
+TEST(BinaryEvents, SegmentStateOutOfRangeIsAParseError) {
+  expect_edited_log_rejected(
+      "mtd_events_state.bin",
+      [](std::string& bytes) {
+        ASSERT_EQ(bytes[77], static_cast<char>(EventKind::kSegment));
+        bytes[77 + kSegmentStateByte] = 9;
+      },
+      "segment record with mobility state 9", 77);
 }
 
 }  // namespace

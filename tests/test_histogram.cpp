@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -27,6 +28,13 @@ TEST(Axis, IndexClampedBoundaries) {
   EXPECT_EQ(axis.index_clamped(9.999), 9u);
   EXPECT_EQ(axis.index_clamped(10.0), 9u);
   EXPECT_EQ(axis.index_clamped(100.0), 9u);
+  // Non-finite and huge coordinates clamp too, without an out-of-range
+  // float-to-integer cast.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(axis.index_clamped(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(axis.index_clamped(-kInf), 0u);
+  EXPECT_EQ(axis.index_clamped(kInf), 9u);
+  EXPECT_EQ(axis.index_clamped(1e300), 9u);
 }
 
 TEST(Axis, ContainsHalfOpen) {

@@ -13,6 +13,7 @@
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
 #include "store/trace_store.hpp"
+#include "test_store_helpers.hpp"
 
 namespace mtd {
 namespace {
@@ -20,6 +21,7 @@ namespace {
 using store::StoreOptions;
 using store::TraceStore;
 using store::TraceStoreWriter;
+using test::find_event;
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -76,12 +78,12 @@ TEST(TraceStore, RoundTripsEventsThroughDiskPages) {
   EXPECT_EQ(reader.manifest().events, 3u);
   ASSERT_EQ(reader.manifest().segments.size(), 1u);
 
-  const auto minute = reader.get(EventKey{3, 0, 5, 0});
+  const auto minute = find_event(reader, EventKey{3, 0, 5, 0});
   ASSERT_TRUE(minute.has_value());
   EXPECT_EQ(minute->kind(), EventKind::kMinute);
   EXPECT_EQ(std::get<MinuteEvent>(minute->payload).arrivals, 17u);
 
-  const auto session = reader.get(EventKey{3, 0, 5, 1});
+  const auto session = find_event(reader, EventKey{3, 0, 5, 1});
   ASSERT_TRUE(session.has_value());
   ASSERT_EQ(session->kind(), EventKind::kSession);
   const Session& s = std::get<SessionEvent>(session->payload).session;
@@ -89,8 +91,8 @@ TEST(TraceStore, RoundTripsEventsThroughDiskPages) {
   EXPECT_DOUBLE_EQ(s.volume_mb, 12.25);
   EXPECT_DOUBLE_EQ(s.duration_s, 42.5);
 
-  EXPECT_FALSE(reader.get(EventKey{3, 0, 5, 2}).has_value());
-  EXPECT_FALSE(reader.get(EventKey{99, 0, 5, 0}).has_value());
+  EXPECT_FALSE(find_event(reader, EventKey{3, 0, 5, 2}).has_value());
+  EXPECT_FALSE(find_event(reader, EventKey{99, 0, 5, 0}).has_value());
 
   const auto report = reader.verify();
   EXPECT_EQ(report.events, 3u);
@@ -163,8 +165,8 @@ TEST(TraceStore, MergesMultipleSegmentsInKeyOrder) {
 }
 
 // Equal keys in several segments (not produced by the engine, but not
-// rejected) leave the k-way merge in segment order, for replay, scans,
-// point lookups and the undecoded record replay compaction uses.
+// rejected) leave the k-way merge in segment order, for replay, scans and
+// the undecoded record replay compaction uses.
 TEST(TraceStore, EqualKeysAcrossSegmentsReplayInSegmentOrder) {
   const std::string path = temp_path("mtd_store_equal_keys.store");
   constexpr std::uint32_t kSegments = 5;
@@ -206,7 +208,7 @@ TEST(TraceStore, EqualKeysAcrossSegmentsReplayInSegmentOrder) {
                                                 expected.begin() +
                                                     2 * kSegments));
 
-  const auto first = reader.get(EventKey{8, 0, 0, 0});
+  const auto first = find_event(reader, EventKey{8, 0, 0, 0});
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(std::get<MinuteEvent>(first->payload).arrivals, 300u);
 
@@ -332,8 +334,8 @@ TEST(TraceStore, AppendReopensAndExtends) {
   TraceStore reader(path);
   EXPECT_EQ(reader.manifest().events, 2u);
   EXPECT_EQ(reader.manifest().segments.size(), 2u);
-  EXPECT_TRUE(reader.get(EventKey{1, 0, 0, 0}).has_value());
-  EXPECT_TRUE(reader.get(EventKey{2, 0, 0, 0}).has_value());
+  EXPECT_TRUE(find_event(reader, EventKey{1, 0, 0, 0}).has_value());
+  EXPECT_TRUE(find_event(reader, EventKey{2, 0, 0, 0}).has_value());
   (void)reader.verify();
 }
 
@@ -367,16 +369,20 @@ TEST(TraceStore, FencesBoundLeafReads) {
   ASSERT_EQ(reader.manifest().segments.size(), 2u);
   ASSERT_GT(reader.manifest().segments[0].num_leaves, 4u);
 
-  // Point lookups for an odd BS also probe the even segment, which holds
-  // no such key. Its leaves are sorted and disjoint, so at most one — the
-  // one whose fences bracket the key — is read: a lookup reads at most one
-  // leaf per segment, which leaves a per-leaf filter nothing to prune.
-  const std::uint64_t segments = reader.manifest().segments.size();
+  // A scan of an odd BS reads the leaves that hold its kMinutes records
+  // (18 to a 512-byte leaf, so 3 leaves, or 4 when unaligned), and also
+  // probes the even segment, which holds no such key. Its leaves are
+  // sorted and disjoint, so at most one — the one whose fences bracket the
+  // BS — is read, which leaves a per-leaf filter nothing to prune.
+  constexpr std::uint64_t kPerLeaf =
+      (512 - store::kPageHeaderBytes) /
+      (4 + event_payload_bytes(EventKind::kMinute));
+  constexpr std::uint64_t kOwnLeaves = (kMinutes + kPerLeaf - 1) / kPerLeaf;
   for (std::uint32_t bs = 1; bs < kNumBs; bs += 2) {
     reader.reset_telemetry();
-    ASSERT_TRUE(reader.get(EventKey{bs, 0, 0, 0}).has_value()) << bs;
-    EXPECT_GE(reader.telemetry().leaf_pages_read, 1u) << bs;
-    EXPECT_LE(reader.telemetry().leaf_pages_read, segments) << bs;
+    ASSERT_TRUE(find_event(reader, EventKey{bs, 0, 0, 0}).has_value()) << bs;
+    EXPECT_GE(reader.telemetry().leaf_pages_read, kOwnLeaves) << bs;
+    EXPECT_LE(reader.telemetry().leaf_pages_read, kOwnLeaves + 2) << bs;
   }
 
   // A single-BS scan must read strictly fewer pages than the full replay.

@@ -15,6 +15,7 @@
 #include "events/session_source.hpp"
 #include "io/json.hpp"
 #include "store/trace_store.hpp"
+#include "test_store_helpers.hpp"
 
 namespace mtd {
 namespace {
@@ -23,6 +24,7 @@ using store::CompactionReport;
 using store::StoreOptions;
 using store::TraceStore;
 using store::TraceStoreWriter;
+using test::find_event;
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -134,9 +136,9 @@ TEST(TraceStoreCompact, MergesSegmentsPreservingReplayAndAccounting) {
   EXPECT_EQ(verified.segments, 1u);
   EXPECT_EQ(verified.events, before.size());
 
-  // Point lookups and pruned scans still resolve through the new fences.
-  EXPECT_TRUE(reader.get(EventKey{3, 2, 5, 1}).has_value());
-  EXPECT_FALSE(reader.get(EventKey{3, 2, 6, 0}).has_value());
+  // One-key and pruned scans still resolve through the new fences.
+  EXPECT_TRUE(find_event(reader, EventKey{3, 2, 5, 1}).has_value());
+  EXPECT_FALSE(find_event(reader, EventKey{3, 2, 6, 0}).has_value());
   std::uint64_t scanned = 0;
   (void)reader.scan(7, 1, 2, [&scanned](const StreamEvent&) { ++scanned; });
   EXPECT_EQ(scanned, 4u);  // 2 events x 2 days
@@ -175,7 +177,7 @@ TEST(TraceStoreCompact, PendingEventsSurviveCompactionUntouched) {
 
   TraceStore reader(path);
   ASSERT_EQ(reader.manifest().segments.size(), 2u);
-  EXPECT_TRUE(reader.get(EventKey{99, 5, 0, 0}).has_value());
+  EXPECT_TRUE(find_event(reader, EventKey{99, 5, 0, 0}).has_value());
   (void)reader.verify();
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,17 +16,20 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/fmt.hpp"
 #include "common/rng.hpp"
 #include "io/json.hpp"
 #include "store/format.hpp"
 #include "store/trace_store.hpp"
 #include "test_helpers.hpp"
+#include "test_store_helpers.hpp"
 
 namespace mtd {
 namespace {
 
 using store::TraceStore;
 using store::TraceStoreWriter;
+using test::find_event;
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -57,9 +61,9 @@ void expect_commit1_only(const std::string& path) {
   TraceStore reader(path);
   EXPECT_EQ(reader.manifest().events, 2u);
   EXPECT_EQ(reader.manifest().segments.size(), 1u);
-  EXPECT_TRUE(reader.get(EventKey{1, 0, 0, 0}).has_value());
-  EXPECT_TRUE(reader.get(EventKey{2, 0, 0, 0}).has_value());
-  EXPECT_FALSE(reader.get(EventKey{3, 0, 0, 0}).has_value());
+  EXPECT_TRUE(find_event(reader, EventKey{1, 0, 0, 0}).has_value());
+  EXPECT_TRUE(find_event(reader, EventKey{2, 0, 0, 0}).has_value());
+  EXPECT_FALSE(find_event(reader, EventKey{3, 0, 0, 0}).has_value());
   const auto report = reader.verify();
   EXPECT_EQ(report.events, 2u);
 }
@@ -69,7 +73,7 @@ void expect_both_commits(const std::string& path) {
   EXPECT_EQ(reader.manifest().events, 4u);
   EXPECT_EQ(reader.manifest().segments.size(), 2u);
   for (std::uint32_t bs = 1; bs <= 4; ++bs) {
-    EXPECT_TRUE(reader.get(EventKey{bs, 0, 0, 0}).has_value()) << bs;
+    EXPECT_TRUE(find_event(reader, EventKey{bs, 0, 0, 0}).has_value()) << bs;
   }
   EXPECT_EQ(reader.verify().events, 4u);
 }
@@ -638,7 +642,105 @@ TEST(TraceStoreCrash, CorruptLeafPageFailsChecksumWithByteOffset) {
     EXPECT_NE(what.find(std::to_string(page_size)), std::string::npos)
         << "expected the page's byte offset in: " << what;
   }
-  EXPECT_THROW((void)reader.get(EventKey{3, 0, 0, 0}), ParseError);
+  EXPECT_THROW((void)reader.scan(3, 0, 0, [](const StreamEvent&) {}),
+               ParseError);
+}
+
+// Rewrites the payload of leaf page `page_id` through `edit` and re-seals
+// the page (header and checksum), so only the record rule can object.
+void rewrite_leaf(const std::string& path, std::uint64_t page_id,
+                  const std::function<void(std::string&)>& edit) {
+  const std::string pages_path = path + ".pages";
+  std::string bytes = read_file(pages_path);
+  const std::size_t page_size = TraceStore(path).manifest().options.page_size;
+  const std::size_t at = page_id * page_size;
+  ASSERT_LE(at + page_size, bytes.size());
+  const std::string context = "test";
+  ByteCursor cursor(std::string_view(bytes).substr(at, page_size), at,
+                    context);
+  const store::PageHeader header = store::decode_page_header(cursor);
+  ASSERT_EQ(header.type, store::PageType::kLeaf);
+  std::string payload =
+      bytes.substr(at + store::kPageHeaderBytes, header.payload_bytes);
+  edit(payload);
+  std::string page;
+  store::append_page(page, page_id, header.type, header.entry_count, payload,
+                     page_size);
+  bytes.replace(at, page_size, page);
+  write_file(pages_path, bytes);
+}
+
+/// Two committed segments of minute events; the first record of the first
+/// leaf (page 1) is BS 1's, and its payload starts at byte
+/// page_size + kPageHeaderBytes + 4 of the page file.
+std::size_t make_two_segment_store(const std::string& path) {
+  TraceStoreWriter writer = TraceStoreWriter::create(path);
+  writer.on_event(minute_event(1, 0, 0, 0, 11));
+  writer.on_event(minute_event(2, 0, 0, 0, 22));
+  writer.commit();
+  writer.on_event(minute_event(3, 0, 0, 0, 33));
+  writer.close();
+  return TraceStore(path).manifest().options.page_size +
+         store::kPageHeaderBytes + 4;
+}
+
+/// scan, replay, verify and compact each raise ParseError naming the page
+/// file and `byte`, with `what` in the message.
+void expect_every_read_rejects(const std::string& path, std::size_t byte,
+                               const std::string& what) {
+  const std::string pages_path = path + ".pages";
+  const auto check = [&](const char* call, const std::function<void()>& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << call << " accepted the record";
+    } catch (const ParseError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(pages_path), std::string::npos)
+          << call << ": " << message;
+      EXPECT_NE(message.find("at byte " + std::to_string(byte)),
+                std::string::npos)
+          << call << ": " << message;
+      EXPECT_NE(message.find(what), std::string::npos)
+          << call << ": " << message;
+    }
+  };
+  TraceStore reader(path);
+  check("scan", [&] {
+    (void)reader.scan(1, 0, 0, [](const StreamEvent&) {});
+  });
+  check("replay", [&] {
+    struct Null final : EventSink {
+      void on_event(const StreamEvent&) override {}
+    } sink;
+    (void)reader.replay(sink);
+  });
+  check("verify", [&] { (void)reader.verify(); });
+  check("compact", [&] {
+    TraceStoreWriter writer = TraceStoreWriter::append(path);
+    (void)writer.compact();
+  });
+}
+
+// A record of a kind no writer produces fails every read of its leaf:
+// there is no forward-compatible skip.
+TEST(TraceStoreCrash, UnknownRecordKindIsAParseError) {
+  const std::string path = temp_path("mtd_store_unknown_kind.store");
+  const std::size_t byte = make_two_segment_store(path);
+  rewrite_leaf(path, 1, [](std::string& payload) { payload[4] = 7; });
+  expect_every_read_rejects(path, byte, "unknown event kind 7");
+}
+
+// A record one byte longer than its kind encodes to fails every read of
+// its leaf instead of being trimmed to its kind's length.
+TEST(TraceStoreCrash, OverlongRecordIsAParseError) {
+  const std::string path = temp_path("mtd_store_long_record.store");
+  const std::size_t byte = make_two_segment_store(path);
+  rewrite_leaf(path, 1, [](std::string& payload) {
+    const std::size_t len = event_payload_bytes(EventKind::kMinute);
+    (void)store_le(payload.data(), static_cast<std::uint32_t>(len + 1));
+    payload.insert(4 + len, 1, '\0');
+  });
+  expect_every_read_rejects(path, byte, "minute record of 22 bytes, not 21");
 }
 
 }  // namespace

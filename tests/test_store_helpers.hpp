@@ -1,18 +1,33 @@
 // Shared fixture for tests that supervise a run into a trace store and read
 // it back: Supervisor::run_into_store needs an existing store, and the
-// store is the only place a supervised run commits to.
+// store is the only place a supervised run commits to. Also the one-key
+// lookup the store tests use, a scan of the key's (BS, day).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "events/event_sink.hpp"
 #include "store/trace_store.hpp"
 
 namespace mtd::test {
+
+/// The committed event with `key`, found by scanning its (BS, day): equal
+/// keys in several segments resolve to the earliest segment, the first
+/// the merge delivers.
+inline std::optional<StreamEvent> find_event(store::TraceStore& reader,
+                                             const EventKey& key) {
+  std::optional<StreamEvent> found;
+  (void)reader.scan(key.bs, key.day, key.day,
+                    [&found, &key](const StreamEvent& event) {
+                      if (!found && event.key == key) found = event;
+                    });
+  return found;
+}
 
 /// A fresh, empty trace store in the test temp directory, named after the
 /// running test (ctest runs every test as its own process, in parallel)

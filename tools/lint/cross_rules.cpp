@@ -306,8 +306,8 @@ class CommitProtocolOrderRule final : public Rule {
     return "in commit paths, writes/appends must precede the flush/sync, "
            "which must precede the atomic rename/manifest replace or the "
            "manifest-log append (append_manifest), and no state mutation "
-           "may sit between a store.commit.*/store.compact.*/"
-           "checkpoint.write fault_fire and the I/O it guards";
+           "may sit between a store.commit.*/store.compact.* fault_fire "
+           "and the I/O it guards";
   }
   void check_project(const ProjectModel& model,
                      std::vector<Finding>& out) const override {
@@ -383,8 +383,7 @@ class CommitProtocolOrderRule final : public Rule {
     // Map each guarded fault site back to its file's blanked lines.
     for (const FaultSite& site : model.fault_sites) {
       const bool guarded = site.point.rfind("store.commit.", 0) == 0 ||
-                           site.point.rfind("store.compact.", 0) == 0 ||
-                           site.point == "checkpoint.write";
+                           site.point.rfind("store.compact.", 0) == 0;
       if (!guarded) continue;
       const std::vector<std::string>* code = nullptr;
       for (const auto& [path, lines] : model.file_code) {

@@ -3,16 +3,17 @@
 //
 // Usage:
 //   mtd_store stats   <store>
-//   mtd_store get     <store> <bs> <day> <minute> <seq>
 //   mtd_store scan    <store> <bs> <day_lo> <day_hi>
 //   mtd_store verify  <store>
 //   mtd_store compact <store>
 //
-// Exit codes: 0 success, 1 not found / verification failure, 2 usage or
-// I/O error. Unknown subcommands and wrong arities diagnose themselves on
-// stderr before the usage text.
+// Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
+// Unknown subcommands and wrong arities diagnose themselves on stderr
+// before the usage text; a number its argument cannot hold is a usage
+// error naming the argument.
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,7 +30,6 @@ using mtd::StreamEvent;
 void print_usage() {
   std::fputs(
       "usage: mtd_store stats   <store>\n"
-      "       mtd_store get     <store> <bs> <day> <minute> <seq>\n"
       "       mtd_store scan    <store> <bs> <day_lo> <day_hi>\n"
       "       mtd_store verify  <store>\n"
       "       mtd_store compact <store>\n"
@@ -39,14 +39,22 @@ void print_usage() {
       stderr);
 }
 
-std::uint64_t parse_u64(std::string_view arg, const char* what) {
+/// Parses an unsigned argument of type T, rejecting anything T cannot
+/// hold rather than narrowing it.
+template <typename T>
+T parse_uint(std::string_view arg, const char* what) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), v);
   if (ec != std::errc{} || ptr != arg.data() + arg.size()) {
-    throw mtd::InvalidArgument("mtd_store: bad " + std::string(what) + " '" +
+    throw mtd::InvalidArgument("bad " + std::string(what) + " '" +
                                std::string(arg) + "'");
   }
-  return v;
+  if (v > std::numeric_limits<T>::max()) {
+    throw mtd::InvalidArgument(
+        std::string(what) + " " + std::string(arg) + " is above " +
+        std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(v);
 }
 
 void print_event(const StreamEvent& event) {
@@ -146,17 +154,6 @@ int cmd_compact(const std::string& path) {
   return 0;
 }
 
-int cmd_get(const std::string& path, const mtd::EventKey& key) {
-  mtd::store::TraceStore reader(path);
-  const auto event = reader.get(key);
-  if (!event.has_value()) {
-    std::fprintf(stderr, "mtd_store: no event with that key\n");
-    return 1;
-  }
-  print_event(*event);
-  return 0;
-}
-
 int cmd_scan(const std::string& path, std::uint32_t bs, std::uint16_t day_lo,
              std::uint16_t day_hi) {
   mtd::store::TraceStore reader(path);
@@ -191,7 +188,6 @@ std::size_t expected_args(std::string_view command) {
   if (command == "stats" || command == "verify" || command == "compact") {
     return 1;
   }
-  if (command == "get") return 5;
   if (command == "scan") return 4;
   return static_cast<std::size_t>(-1);
 }
@@ -231,20 +227,11 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
   try {
     if (command == "stats") return cmd_stats(path);
-    if (command == "get") {
-      mtd::EventKey key;
-      key.bs = static_cast<std::uint32_t>(parse_u64(argv[3], "bs"));
-      key.day = static_cast<std::uint16_t>(parse_u64(argv[4], "day"));
-      key.minute_of_day =
-          static_cast<std::uint16_t>(parse_u64(argv[5], "minute"));
-      key.seq = parse_u64(argv[6], "seq");
-      return cmd_get(path, key);
-    }
     if (command == "scan") {
-      return cmd_scan(path,
-                      static_cast<std::uint32_t>(parse_u64(argv[3], "bs")),
-                      static_cast<std::uint16_t>(parse_u64(argv[4], "day_lo")),
-                      static_cast<std::uint16_t>(parse_u64(argv[5], "day_hi")));
+      const auto bs = parse_uint<std::uint32_t>(argv[3], "bs");
+      const auto day_lo = parse_uint<std::uint16_t>(argv[4], "day_lo");
+      const auto day_hi = parse_uint<std::uint16_t>(argv[5], "day_hi");
+      return cmd_scan(path, bs, day_lo, day_hi);
     }
     if (command == "verify") return cmd_verify(path);
     if (command == "compact") return cmd_compact(path);
