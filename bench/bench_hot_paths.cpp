@@ -17,6 +17,8 @@
 //   ndjson_serialize hand-rolled buffered writer vs JsonObject-per-event
 //   binary_serialize patched-length single buffer vs frame-per-event
 //   csv_serialize    to_chars rows vs ofstream operator<<
+//   page_checksum    XXH64 vs four-lane FNV-1a over 4 KiB leaf payloads
+//                    (bytes/s; the trace store's page checksum)
 //
 // One JSON line per row goes to stdout and the full report to
 // BENCH_hotpaths.json (schema: {bench, fast, rows: [{name, unit,
@@ -24,6 +26,7 @@
 // MTD_BENCH_FAST shrinks iteration counts for smoke runs. google-benchmark
 // timings of the same kernels follow the JSON lines.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -38,12 +41,16 @@
 #include "common/alias_table.hpp"
 #include "common/batch_rng/block_rng.hpp"
 #include "common/batch_rng/vec_math.hpp"
+#include "common/fmt.hpp"
+#include "common/fnv.hpp"
 #include "common/time_utils.hpp"
 #include "dataset/generator.hpp"
 #include "dataset/service_catalog.hpp"
 #include "dataset/trace_io.hpp"
+#include "events/event_codec.hpp"
 #include "events/event_sink.hpp"
 #include "io/json.hpp"
+#include "store/format.hpp"
 
 namespace {
 
@@ -604,6 +611,82 @@ JsonObject bench_csv(const std::vector<StreamEvent>& events) {
 }
 
 // ---------------------------------------------------------------------------
+// page checksum
+
+/// The retired page checksum: FNV-1a of four pages in one lane-interleaved
+/// pass over the prefix they share, each lane then finishing its own tail.
+/// One multiply per byte per lane bounds it however well the lanes overlap.
+std::array<std::uint64_t, 4> four_lane_fnv1a64(
+    const std::array<std::string_view, 4>& lanes) {
+  std::size_t common = lanes[0].size();
+  for (const std::string_view lane : lanes) {
+    common = std::min(common, lane.size());
+  }
+  const auto byte = [&lanes](std::size_t lane, std::size_t i) {
+    return static_cast<std::uint8_t>(lanes[lane][i]);
+  };
+  std::uint64_t h0 = kFnvOffsetBasis;
+  std::uint64_t h1 = kFnvOffsetBasis;
+  std::uint64_t h2 = kFnvOffsetBasis;
+  std::uint64_t h3 = kFnvOffsetBasis;
+  for (std::size_t i = 0; i < common; ++i) {
+    h0 = (h0 ^ byte(0, i)) * kFnvPrime;
+    h1 = (h1 ^ byte(1, i)) * kFnvPrime;
+    h2 = (h2 ^ byte(2, i)) * kFnvPrime;
+    h3 = (h3 ^ byte(3, i)) * kFnvPrime;
+  }
+  return {fnv1a64(lanes[0].substr(common), h0),
+          fnv1a64(lanes[1].substr(common), h1),
+          fnv1a64(lanes[2].substr(common), h2),
+          fnv1a64(lanes[3].substr(common), h3)};
+}
+
+/// 64 leaf payloads packed as the store packs them: length-prefixed event
+/// records up to a 4 KiB page's capacity.
+std::vector<std::string> leaf_payloads(const std::vector<StreamEvent>& events) {
+  constexpr std::size_t kCapacity = 4096 - store::kPageHeaderBytes;
+  std::vector<std::string> leaves(1);
+  for (std::size_t i = 0;; ++i) {
+    char record[4 + kMaxEventPayloadBytes];
+    const std::size_t len =
+        encode_event_payload(events[i % events.size()], record + 4);
+    (void)store_le(record, static_cast<std::uint32_t>(len));
+    if (leaves.back().size() + 4 + len > kCapacity) {
+      if (leaves.size() == 64) return leaves;
+      leaves.emplace_back();
+    }
+    leaves.back().append(record, 4 + len);
+  }
+}
+
+JsonObject bench_page_checksum(const std::vector<StreamEvent>& events,
+                               std::uint64_t sweeps) {
+  const std::vector<std::string> leaves = leaf_payloads(events);
+  std::uint64_t bytes = 0;
+  for (const std::string& leaf : leaves) bytes += leaf.size();
+  bytes *= sweeps;
+
+  std::uint64_t sink = 0;
+  const double base = best_rate(bytes, 3, [&] {
+    for (std::uint64_t s = 0; s < sweeps; ++s) {
+      for (std::size_t i = 0; i < leaves.size(); i += 4) {
+        const std::array<std::uint64_t, 4> sums = four_lane_fnv1a64(
+            {leaves[i], leaves[i + 1], leaves[i + 2], leaves[i + 3]});
+        sink += sums[0] ^ sums[1] ^ sums[2] ^ sums[3];
+      }
+    }
+  });
+  const double opt = best_rate(bytes, 3, [&] {
+    for (std::uint64_t s = 0; s < sweeps; ++s) {
+      for (const std::string& leaf : leaves) sink += store::xxh64(leaf);
+    }
+  });
+
+  benchmark::DoNotOptimize(sink);
+  return make_row("page_checksum", "bytes", base, opt);
+}
+
+// ---------------------------------------------------------------------------
 // google-benchmark timings of the same kernels
 
 void BM_ServiceDrawAlias(benchmark::State& state) {
@@ -675,7 +758,8 @@ int main(int argc, char** argv) {
         bench_alias_sample_block(draw_iters), bench_minute_fill(fast),
         bench_mixture_scan(2, draw_iters), bench_mixture_scan(4, draw_iters),
         bench_mixture_scan(8, draw_iters), bench_mixture_scan(16, draw_iters),
-        bench_ndjson(events), bench_binary(events), bench_csv(events)}) {
+        bench_ndjson(events), bench_binary(events), bench_csv(events),
+        bench_page_checksum(events, sweeps)}) {
     print_row(row);
     rows.emplace_back(std::move(row));
   }

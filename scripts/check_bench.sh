@@ -88,7 +88,8 @@ for expected in ("service_draw", "mixture_draw", "circadian_minute", "pow10",
                  "minute_batch_fill",
                  "mixture_scan_k2", "mixture_scan_k4",
                  "mixture_scan_k8", "mixture_scan_k16",
-                 "ndjson_serialize", "binary_serialize", "csv_serialize"):
+                 "ndjson_serialize", "binary_serialize", "csv_serialize",
+                 "page_checksum"):
     assert expected in names, f"hot_paths rows missing {expected}"
 
 engine = json.load(open(sys.argv[2]))

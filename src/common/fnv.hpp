@@ -1,6 +1,6 @@
-// FNV-1a (64-bit), the tree's one non-cryptographic hash: store page
-// checksums, network fingerprints and event-stream digests all fold
-// bytes through it.
+// FNV-1a (64-bit): network fingerprints and event-stream digests fold
+// bytes through it, and their committed values pin it. The trace store
+// checksums with XXH64 instead (common/xxh64.hpp).
 #pragma once
 
 #include <cstdint>

@@ -17,34 +17,6 @@ const char* to_string(PageType type) noexcept {
   return "?";
 }
 
-std::array<std::uint64_t, 4> fnv1a64_x4(
-    const std::array<std::string_view, 4>& lanes) noexcept {
-  // Each lane is the scalar byte-serial recurrence; only the schedule is
-  // interleaved, over the prefix all four share, then each lane finishes
-  // its own tail.
-  std::size_t common = lanes[0].size();
-  for (const std::string_view lane : lanes) {
-    common = std::min(common, lane.size());
-  }
-  const auto byte = [&lanes](std::size_t lane, std::size_t i) {
-    return static_cast<std::uint8_t>(lanes[lane][i]);
-  };
-  std::uint64_t h0 = kFnvOffsetBasis;
-  std::uint64_t h1 = kFnvOffsetBasis;
-  std::uint64_t h2 = kFnvOffsetBasis;
-  std::uint64_t h3 = kFnvOffsetBasis;
-  for (std::size_t i = 0; i < common; ++i) {
-    h0 = (h0 ^ byte(0, i)) * kFnvPrime;
-    h1 = (h1 ^ byte(1, i)) * kFnvPrime;
-    h2 = (h2 ^ byte(2, i)) * kFnvPrime;
-    h3 = (h3 ^ byte(3, i)) * kFnvPrime;
-  }
-  return {fnv1a64(lanes[0].substr(common), h0),
-          fnv1a64(lanes[1].substr(common), h1),
-          fnv1a64(lanes[2].substr(common), h2),
-          fnv1a64(lanes[3].substr(common), h3)};
-}
-
 void encode_page_header(const PageHeader& header, char* out) {
   char* p = out;
   p = store_le(p, kPageMagic);
@@ -113,7 +85,7 @@ void append_page(std::string& out, std::uint64_t page_id, PageType type,
   header.type = type;
   header.entry_count = entry_count;
   header.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  header.checksum = fnv1a64(payload);
+  header.checksum = xxh64(payload);
   const std::size_t at = out.size();
   out.resize(at + page_size, '\0');
   encode_page_header(header, out.data() + at);
@@ -163,12 +135,8 @@ void check_superblock(std::string_view page, std::size_t page_size,
   }
 }
 
-namespace {
-
-/// Everything check_page validates but the checksum; points `body` at the
-/// payload.
-PageHeader check_frame(std::string_view page, std::uint64_t page_id,
-                       const std::string& context, std::string_view* body) {
+PageHeader check_page(std::string_view page, std::uint64_t page_id,
+                      const std::string& context, std::string_view* payload) {
   const std::size_t base = page_id * page.size();
   ByteCursor cursor(page, base, context);
   const PageHeader header = decode_page_header(cursor);
@@ -185,48 +153,31 @@ PageHeader check_frame(std::string_view page, std::uint64_t page_id,
                      std::to_string(page.size() - kPageHeaderBytes) +
                      ", at byte " + std::to_string(base));
   }
-  *body = page.substr(kPageHeaderBytes, header.payload_bytes);
-  return header;
-}
-
-}  // namespace
-
-PageHeader check_page(std::string_view page, std::uint64_t page_id,
-                      const std::string& context, std::string_view* payload) {
-  PageHeader header;
-  std::string_view body;
-  check_pages({&page, 1}, {&page_id, 1}, context, {&header, 1}, {&body, 1});
+  const std::string_view body =
+      page.substr(kPageHeaderBytes, header.payload_bytes);
+  if (xxh64(body) != header.checksum) {
+    throw ParseError(context + ": page " + std::to_string(page_id) +
+                     " checksum mismatch at byte " + std::to_string(base) +
+                     " (torn or corrupt page)");
+  }
   if (payload != nullptr) *payload = body;
   return header;
 }
 
-void check_pages(std::span<const std::string_view> pages,
-                 std::span<const std::uint64_t> page_ids,
-                 const std::string& context, std::span<PageHeader> headers,
-                 std::span<std::string_view> payloads) {
-  std::array<std::string_view, 4> lanes{};
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    headers[i] = check_frame(pages[i], page_ids[i], context, &lanes[i]);
-  }
-  // A single page takes the scalar oracle.
-  const std::array<std::uint64_t, 4> sums =
-      pages.size() == 1 ? std::array<std::uint64_t, 4>{fnv1a64(lanes[0])}
-                        : fnv1a64_x4(lanes);
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    if (sums[i] != headers[i].checksum) {
-      throw ParseError(context + ": page " + std::to_string(page_ids[i]) +
-                       " checksum mismatch at byte " +
-                       std::to_string(page_ids[i] * pages[i].size()) +
-                       " (torn or corrupt page)");
-    }
-    payloads[i] = lanes[i];
-  }
+namespace {
+
+/// The third word of a manifest record header: xxh64 of the first two.
+std::uint64_t header_check(const char* header) {
+  return xxh64(std::string_view(header, kManifestRecordHeaderBytes - 8));
 }
+
+}  // namespace
 
 std::string encode_manifest_record(std::string_view payload) {
   std::string record(kManifestRecordHeaderBytes + payload.size(), '\0');
   char* p = store_le(record.data(), std::uint64_t{payload.size()});
-  (void)store_le(p, fnv1a64(payload));
+  p = store_le(p, xxh64(payload));
+  (void)store_le(p, header_check(record.data()));
   payload.copy(record.data() + kManifestRecordHeaderBytes, payload.size());
   return record;
 }
@@ -251,13 +202,24 @@ ManifestLogTail read_manifest_log(std::istream& in,
   read(header, std::min<std::uint64_t>(end, kManifestLogHeader.size()));
   if (header != kManifestLogHeader) {
     if (kManifestLogHeader.starts_with(header)) throw ParseError(torn);
+    // Another version's log (v2 stores wrote mtd-trace-store-log-v1) is
+    // rebuilt, not migrated.
+    const std::string_view tag =
+        kManifestLogHeader.substr(0, kManifestLogHeader.size() - 1);
+    if (header.starts_with(tag.substr(0, tag.rfind('v')))) {
+      throw ParseError(context + ": a '" +
+                       header.substr(0, header.find('\n')) +
+                       "' log, but only " + std::string(tag) + " (" +
+                       kManifestFormat + ") is supported");
+    }
     throw ParseError(context +
                      ": not a manifest log (bad format line at byte 0)");
   }
   ManifestLogTail tail;
   tail.valid_bytes = header.size();
-  // A record whose header or payload runs past the end is the torn tail of
-  // an interrupted append; everything before it must check out.
+  // The end of the file inside a record's header, or inside the payload of
+  // a record whose header checks out, is the torn tail of an interrupted
+  // append; everything before it must check out.
   std::uint64_t pos = tail.valid_bytes;
   std::uint64_t records = 0;
   std::string payload;
@@ -266,10 +228,17 @@ ManifestLogTail read_manifest_log(std::istream& in,
     ByteCursor cursor(header, pos, context);
     const std::uint64_t length = cursor.u64("manifest record length");
     const std::uint64_t checksum = cursor.u64("manifest record checksum");
+    if (header_check(header.data()) !=
+        cursor.u64("manifest record header check")) {
+      throw ParseError(context + ": manifest record " +
+                       std::to_string(records + 1) +
+                       " header check mismatch at byte " +
+                       std::to_string(pos) + " (corrupt record header)");
+    }
     const std::uint64_t body = pos + kManifestRecordHeaderBytes;
     if (length > end - body) break;
     read(payload, length);
-    if (fnv1a64(payload) != checksum) {
+    if (xxh64(payload) != checksum) {
       throw ParseError(context + ": manifest record " +
                        std::to_string(records + 1) +
                        " checksum mismatch at byte " + std::to_string(pos) +

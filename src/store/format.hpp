@@ -1,16 +1,17 @@
-// On-disk format of the trace store (DESIGN.md section 12).
+// On-disk format of the trace store, v3 (DESIGN.md section 12).
 //
 // A store is two files. `<path>` is the manifest log: a format line, then
-// checksummed records, each a complete StoreManifest JSON document. A
+// records, each a 24-byte header (payload length, XXH64 of the payload,
+// XXH64 of those two words) and a complete StoreManifest JSON document. A
 // commit appends one record and fdatasyncs it — the record is the single
 // commit point, and the last complete record is the store's committed
 // state, so the page file never needs to be consistent beyond the byte
 // length that record vouches for. `<path>.pages` is a flat array of
 // fixed-size pages: page 0 is the superblock (file magic, format version,
 // page size), every later page carries a 40-byte header with its own id,
-// type, entry count, payload length and an FNV-1a checksum of the
-// payload, so torn or misdirected reads are detected at the page that
-// suffered them, with a byte offset.
+// type, entry count, payload length and an XXH64 checksum of the payload,
+// so torn or misdirected reads are detected at the page that suffered
+// them, with a byte offset.
 //
 // Committed events live in immutable sorted segments (one per commit):
 // leaf pages holding length-prefixed event records in (bs, day, minute,
@@ -21,15 +22,13 @@
 // segment lacks.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <string_view>
 
-#include "common/fnv.hpp"
+#include "common/xxh64.hpp"
 #include "events/event_codec.hpp"
 #include "events/stream_event.hpp"
 
@@ -40,15 +39,18 @@ inline constexpr char kStoreMagic[8] = {'M', 'T', 'D', 'S', 'T', 'O', 'R',
                                         '1'};
 /// Magic leading every page header ("MTDPAGE1", little-endian u64).
 inline constexpr std::uint64_t kPageMagic = 0x314547415044544dULL;
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Page format version, in every page header and the superblock (1 was
+/// the FNV-1a-checksummed pages of format v2 and earlier).
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Manifest format tag (the "format" field of every manifest record).
-inline constexpr const char* kManifestFormat = "mtd-trace-store-v2";
+inline constexpr const char* kManifestFormat = "mtd-trace-store-v3";
 /// First line of the manifest log; the records follow it.
 inline constexpr std::string_view kManifestLogHeader =
-    "mtd-trace-store-log-v1\n";
-/// A manifest record's header: u64 payload length, u64 fnv1a64 of the
-/// payload, both little-endian.
-inline constexpr std::size_t kManifestRecordHeaderBytes = 16;
+    "mtd-trace-store-log-v2\n";
+/// A manifest record's header, little-endian: u64 payload length, u64
+/// xxh64 of the payload, then u64 xxh64 of those first 16 header bytes,
+/// which tells a corrupt header from the torn tail of an append.
+inline constexpr std::size_t kManifestRecordHeaderBytes = 24;
 /// A writer rewrites the manifest log as one record instead of appending
 /// when the log would grow past this many bytes (or eight records of the
 /// appended size, whichever is larger).
@@ -69,7 +71,7 @@ struct PageHeader {
   PageType type = PageType::kLeaf;
   std::uint16_t entry_count = 0;
   std::uint32_t payload_bytes = 0;
-  std::uint64_t checksum = 0;  ///< fnv1a64 of the payload bytes
+  std::uint64_t checksum = 0;  ///< xxh64 of the payload bytes
 };
 
 inline constexpr std::size_t kPageHeaderBytes = 40;
@@ -81,15 +83,9 @@ inline constexpr std::size_t kFenceEntryBytes = 2 * kKeyBytes + 8;
 /// record and one fence entry with room to spare.
 inline constexpr std::size_t kMinPageSize = 512;
 
-/// FNV-1a over a byte range (common/fnv.hpp); the page payload checksum.
-using mtd::fnv1a64;
-
-/// fnv1a64 of four independent byte ranges in one lane-interleaved pass:
-/// the four multiply chains overlap instead of running back to back, and
-/// lane i equals fnv1a64(lanes[i]) bit for bit. Ranges may differ in
-/// length and may be empty (an unused lane).
-[[nodiscard]] std::array<std::uint64_t, 4> fnv1a64_x4(
-    const std::array<std::string_view, 4>& lanes) noexcept;
+/// XXH64 over a byte range (common/xxh64.hpp): the page payload and
+/// manifest record checksum.
+using mtd::xxh64;
 
 /// Serializes `header` into `out` (kPageHeaderBytes bytes).
 void encode_page_header(const PageHeader& header, char* out);
@@ -132,16 +128,6 @@ void check_superblock(std::string_view page, std::size_t page_size,
                                     const std::string& context,
                                     std::string_view* payload);
 
-/// check_page over up to four page images at once: the same checks and
-/// the same ParseError, with the checksums of several pages computed by
-/// fnv1a64_x4 (one page takes fnv1a64). Every header is checked before
-/// any checksum. Writes each page's header and
-/// payload to the same position of `headers` and `payloads`.
-void check_pages(std::span<const std::string_view> pages,
-                 std::span<const std::uint64_t> page_ids,
-                 const std::string& context, std::span<PageHeader> headers,
-                 std::span<std::string_view> payloads);
-
 /// One manifest log record: header, then `payload` (a StoreManifest
 /// document).
 [[nodiscard]] std::string encode_manifest_record(std::string_view payload);
@@ -153,12 +139,15 @@ struct ManifestLogTail {
 };
 
 /// Reads the manifest log `in` (opened from `path`) record by record,
-/// holding at most two records: checks the format line and the checksum
-/// of every complete record and keeps the last. A record that runs past
-/// the end is a torn tail (an append a crash cut short): valid_bytes stops
-/// before it. Throws ParseError naming `path` and the byte offset on a bad
-/// format line or a checksum mismatch, naming `path` and its size when no
-/// complete record precedes the tail, and IoError when a read fails.
+/// holding at most two records: checks the format line, then the header
+/// check and the payload checksum of every complete record, and keeps the
+/// last. The end of the file inside a record's header, or inside the
+/// payload of a record whose header checks out, is a torn tail (an append
+/// a crash cut short): valid_bytes stops before it. Throws ParseError
+/// naming `path` and the byte offset on a bad format line (naming both log
+/// tags when it is another version's), a header that fails its check or a
+/// payload checksum mismatch, naming `path` and its size when no complete
+/// record precedes the tail, and IoError when a read fails.
 [[nodiscard]] ManifestLogTail read_manifest_log(std::istream& in,
                                                 const std::string& path);
 

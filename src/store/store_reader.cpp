@@ -36,15 +36,13 @@ struct TraceStore::Impl {
   };
 
   /// Reads up to four committed pages into `buf` (one read per run of
-  /// consecutive ids) and fully validates each — several at once through
-  /// check_pages' four-lane checksums — counting them in the telemetry.
-  /// `expect` guards against index corruption pointing a descent at the
-  /// wrong page kind.
+  /// consecutive ids) and fully validates each through check_page,
+  /// counting them in the telemetry. `expect` guards against index
+  /// corruption pointing a descent at the wrong page kind.
   void load_pages(std::span<const std::uint64_t> ids, PageType expect,
                   std::string& buf, std::span<Page> out) {
     const std::size_t page_size = manifest.options.page_size;
     buf.resize(ids.size() * page_size);
-    std::array<std::string_view, 4> images;
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (ids[i] >= manifest.committed_pages) {
         throw ParseError(context + ": page id " + std::to_string(ids[i]) +
@@ -65,21 +63,17 @@ struct TraceStore::Impl {
             std::to_string(ids[i] * page_size +
                            static_cast<std::size_t>(file.gcount())));
       }
-      images[i] = std::string_view(buf).substr(i * page_size, page_size);
-    }
-    std::array<PageHeader, 4> headers;
-    std::array<std::string_view, 4> payloads;
-    check_pages(std::span(images).first(ids.size()), ids, context, headers,
-                payloads);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (headers[i].type != expect) {
+      Page& page = out[i];
+      page.header =
+          check_page(std::string_view(buf).substr(i * page_size, page_size),
+                     ids[i], context, &page.payload);
+      if (page.header.type != expect) {
         throw ParseError(context + ": page " + std::to_string(ids[i]) +
-                         " is a " + std::string(to_string(headers[i].type)) +
+                         " is a " + std::string(to_string(page.header.type)) +
                          " page where a " + std::string(to_string(expect)) +
                          " page was indexed, at byte " +
                          std::to_string(ids[i] * page_size));
       }
-      out[i] = Page{headers[i], payloads[i]};
       ++telemetry.pages_read;
       switch (expect) {
         case PageType::kLeaf: ++telemetry.leaf_pages_read; break;

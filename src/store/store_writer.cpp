@@ -35,7 +35,7 @@ std::string manifest_log_of(std::string_view record) {
 constexpr std::size_t kSpillBytes = std::size_t{1} << 20;
 
 /// Packs records, added in canonical key order, into one segment: leaf
-/// page images are built in place in `out` and checksummed four at a time;
+/// page images are built in place in `out` and checksummed as each fills;
 /// finish() then derives the fence pages from what it kept of each leaf —
 /// its key fences, never its records.
 class SegmentBuilder {
@@ -91,40 +91,22 @@ class SegmentBuilder {
     entries_ = 0;
   }
 
-  /// Queues the open leaf for checksumming; every fourth leaf runs the
-  /// four-lane kernel over the queue.
+  /// Writes the open leaf's header, checksum included, and hands the
+  /// finished pages to the spill once they reach kSpillBytes.
   void seal_leaf() {
-    PageHeader& header = sealed_[num_sealed_].header;
+    PageHeader header;
     header.page_id = first_page_ + leaves_.size() - 1;
     header.type = PageType::kLeaf;
     header.entry_count = entries_;
     header.payload_bytes = static_cast<std::uint32_t>(payload_);
-    sealed_[num_sealed_].at = leaf_at_;
-    if (++num_sealed_ == sealed_.size()) checksum_sealed();
-  }
-
-  void checksum_sealed() {
-    std::array<std::string_view, 4> lanes{};
-    for (std::size_t i = 0; i < num_sealed_; ++i) {
-      lanes[i] = std::string_view(out_).substr(
-          sealed_[i].at + kPageHeaderBytes, sealed_[i].header.payload_bytes);
-    }
-    const std::array<std::uint64_t, 4> sums = fnv1a64_x4(lanes);
-    for (std::size_t i = 0; i < num_sealed_; ++i) {
-      sealed_[i].header.checksum = sums[i];
-      encode_page_header(sealed_[i].header, out_.data() + sealed_[i].at);
-    }
-    num_sealed_ = 0;
+    header.checksum = xxh64(std::string_view(out_).substr(
+        leaf_at_ + kPageHeaderBytes, payload_));
+    encode_page_header(header, out_.data() + leaf_at_);
     if (spill_ && out_.size() >= kSpillBytes) {
       spill_(out_);
       out_.clear();
     }
   }
-
-  struct Sealed {
-    std::size_t at = 0;
-    PageHeader header;
-  };
 
   StoreOptions options_;
   std::size_t capacity_;
@@ -136,13 +118,10 @@ class SegmentBuilder {
   std::size_t leaf_at_ = 0;  ///< offset of the open leaf's page in out_
   std::size_t payload_ = 0;
   std::uint16_t entries_ = 0;
-  std::array<Sealed, 4> sealed_{};
-  std::size_t num_sealed_ = 0;
 };
 
 SegmentInfo SegmentBuilder::finish() {
   seal_leaf();
-  if (num_sealed_ > 0) checksum_sealed();
   const std::size_t page_size = options_.page_size;
 
   SegmentInfo seg;

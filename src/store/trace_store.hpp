@@ -23,9 +23,9 @@
 // would outgrow kManifestLogRewriteBytes is it replaced by its newest
 // record through write_file_atomic (fdatasync, rename, directory fsync).
 // A pages file shorter than the committed length, a log record whose
-// checksum disagrees, a page whose checksum disagrees, or a leaf record
-// the record rule rejects is reported with path and byte offset — never
-// silently skipped.
+// header check or checksum disagrees, a page whose checksum disagrees, or
+// a leaf record the record rule rejects is reported with path and byte
+// offset — never silently skipped.
 #pragma once
 
 #include <array>

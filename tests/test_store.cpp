@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "dataset/measurement.hpp"
 #include "engine/engine.hpp"
 #include "engine/store_runner.hpp"
@@ -294,27 +294,15 @@ TEST(StoreFormat, PayloadSizeTableMatchesTheEncoder) {
   }
 }
 
-TEST(StoreFormat, LaneFnvEqualsScalarFnv) {
-  std::string bytes(9000, '\0');
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<char>((i * 131 + 7) % 251);
-  }
-  const std::string_view all(bytes);
-  const std::array<std::size_t, 4> lengths[] = {
-      {4056, 0, 0, 0},      {0, 4056, 0, 0},   {17, 4056, 0, 0},
-      {4000, 3999, 4056, 0}, {1, 2, 3, 4},      {4056, 4056, 4056, 4056},
-      {0, 0, 0, 0},         {100, 0, 9000, 1}, {3, 4055, 0, 2048}};
-  for (const auto& len : lengths) {
-    std::array<std::string_view, 4> lanes{};
-    for (std::size_t i = 0; i < 4; ++i) {
-      lanes[i] = all.substr(i * 11, std::min(len[i], all.size() - i * 11));
-    }
-    const std::array<std::uint64_t, 4> sums = store::fnv1a64_x4(lanes);
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(sums[i], store::fnv1a64(lanes[i]))
-          << "lane " << i << " of length " << lanes[i].size();
-    }
-  }
+// The page and manifest record checksum is XXH64 as published: the
+// reference vectors for the empty input, a short tail-only input and a
+// 39-byte input that runs one 32-byte stripe through the four
+// accumulators before its tail.
+TEST(StoreFormat, Xxh64MatchesTheReferenceVectors) {
+  EXPECT_EQ(store::xxh64(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(store::xxh64("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(store::xxh64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
 }
 
 TEST(TraceStore, AppendReopensAndExtends) {
@@ -622,8 +610,16 @@ TEST(TraceStore, CursorMismatchIsRejected) {
 // both stores' leaves through every one of their 75 manifest records found
 // all 66,540 leaf payloads and entry counts identical and in order, so only
 // the bloom pages, the fence pages' child ids, page ids and the manifest
-// text changed. Any change to record order, page packing, fence layout,
-// manifest text or log framing shows up here.
+// text changed. All six were re-pinned again when format v3 swapped the
+// FNV-1a page and record checksums for XXH64 and gave each log record
+// header its own check (before: pages 0x0b8819282870aae5, log
+// 0x9c4510a4673394db, manifest 0x235708741bc047d8; compacted
+// 0xf81ab49cc43e480b, 0x4698cae44c3243a0, 0xb0eb803422926c59). The same
+// walk over the v2 and v3 stores found the same 66,540 leaf payloads and
+// entry counts through all 75 records; the page files differ only in each
+// header's version byte and checksum and the superblock's version, and
+// each record's text only in its format tag. Any change to record order,
+// page packing, fence layout, manifest text or log framing shows up here.
 TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
   std::vector<BaseStation> bss(6);
   for (std::size_t i = 0; i < bss.size(); ++i) {
@@ -648,11 +644,11 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
                                 StoreRunPolicy{.compact_every_days = 2});
     writer.close();
   }
-  EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
-            0x0b8819282870aae5ULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x9c4510a4673394dbULL);
-  EXPECT_EQ(store::fnv1a64(store::StoreManifest::load(path).to_text()),
-            0x235708741bc047d8ULL);
+  EXPECT_EQ(fnv1a64(read_file(path + ".pages")),
+            0x99f6cba381def57cULL);
+  EXPECT_EQ(fnv1a64(read_file(path)), 0xc687f1f972c4d28fULL);
+  EXPECT_EQ(fnv1a64(store::StoreManifest::load(path).to_text()),
+            0xec4d37d35625116bULL);
 
   {
     TraceStoreWriter writer = TraceStoreWriter::append(path);
@@ -660,11 +656,11 @@ TEST(TraceStore, EngineRunAndCompactionAreByteIdenticalToGolden) {
     EXPECT_EQ(report.segments_after, 1u);
     writer.close();
   }
-  EXPECT_EQ(store::fnv1a64(read_file(path + ".pages")),
-            0xf81ab49cc43e480bULL);
-  EXPECT_EQ(store::fnv1a64(read_file(path)), 0x4698cae44c3243a0ULL);
-  EXPECT_EQ(store::fnv1a64(store::StoreManifest::load(path).to_text()),
-            0xb0eb803422926c59ULL);
+  EXPECT_EQ(fnv1a64(read_file(path + ".pages")),
+            0x26587c19c006d47fULL);
+  EXPECT_EQ(fnv1a64(read_file(path)), 0x99f9db4055251a43ULL);
+  EXPECT_EQ(fnv1a64(store::StoreManifest::load(path).to_text()),
+            0xbf0cfaf0ff15e04eULL);
 }
 
 }  // namespace

@@ -12,11 +12,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "common/fmt.hpp"
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "io/json.hpp"
 #include "store/format.hpp"
@@ -273,11 +273,11 @@ TEST(TraceStoreCrash, ManifestPrefixTruncationIsDiagnosed) {
   EXPECT_EQ(TraceStore(path).verify().events, 2u);
 }
 
-// A flipped bit in any complete record — in its checksum, in its payload,
-// or one that shortens its length field — is a ParseError naming the
-// manifest and the byte offset of the record. A length that grows past
-// the end of the file reads as a torn tail instead (next test). Every byte
-// is flipped in memory; one flip per record also goes through the file.
+// A flipped bit anywhere in a complete record — in its length, its
+// checksum, its header check or its payload — is a ParseError naming the
+// manifest and the byte offset of the record: the header check catches a
+// damaged header before its length is trusted. Every byte is flipped in
+// memory; one flip per record also goes through the file.
 TEST(TraceStoreCrash, ManifestRecordBitFlipIsDiagnosedWithOffset) {
   const std::string path = temp_path("mtd_store_manifest_flip.store");
   const std::string manifest_bytes = make_two_commit_store(path);
@@ -304,16 +304,7 @@ TEST(TraceStoreCrash, ManifestRecordBitFlipIsDiagnosedWithOffset) {
     }
   };
   for (std::size_t r = 0; r + 1 < at.size(); ++r) {
-    // The lowest set bit of the length field, cleared.
-    for (std::size_t i = 0; i < 8; ++i) {
-      const auto b = static_cast<unsigned char>(manifest_bytes[at[r] + i]);
-      if (b != 0) {
-        expect_diagnosed(at[r] + i, static_cast<unsigned char>(b & -b),
-                         at[r], false);
-        break;
-      }
-    }
-    for (std::size_t byte = at[r] + 8; byte < at[r + 1]; ++byte) {
+    for (std::size_t byte = at[r]; byte < at[r + 1]; ++byte) {
       expect_diagnosed(byte, static_cast<unsigned char>(1u << (byte % 8)),
                        at[r], false);
     }
@@ -323,40 +314,99 @@ TEST(TraceStoreCrash, ManifestRecordBitFlipIsDiagnosedWithOffset) {
   EXPECT_EQ(TraceStore(path).verify().events, 2u);
 }
 
-// A record whose length field points past the end of the file is the torn
-// tail of an interrupted append, wherever the length came from: readers
-// ignore it and append() cuts it off.
+// The end of the file inside a record's header, or inside the payload of a
+// record whose header checks out, is the torn tail of an interrupted
+// append: readers ignore it and append() cuts it off. A complete header
+// whose length points past the end but fails its check is corruption, not
+// a tear: a ParseError naming the manifest and the record's byte offset.
 TEST(TraceStoreCrash, ManifestLengthPastTheEndIsATornTail) {
   const std::string path = temp_path("mtd_store_manifest_past_end.store");
   const std::string manifest_bytes = make_two_commit_store(path);
   const std::vector<std::size_t> at = record_offsets(manifest_bytes);
   const std::size_t last = at[at.size() - 2];
 
-  // A header promising more payload than follows it, after the last record.
-  std::string appended = manifest_bytes;
-  char header[store::kManifestRecordHeaderBytes] = {};
-  header[0] = 0x10;  // 16 payload bytes, of which only 5 arrive
-  appended.append(header, sizeof header).append("{\"for");
-  // The last record's own length pointing past the end.
-  std::string stretched = manifest_bytes;
-  stretched[last + 6] = static_cast<char>(0x7f);
+  // A valid header promising 16 payload bytes, of which only 5 arrive.
+  const std::string torn = store::encode_manifest_record("{\"format\": \"v3\"}");
+  ASSERT_EQ(torn.size(), store::kManifestRecordHeaderBytes + 16);
+  const std::string appended =
+      manifest_bytes + torn.substr(0, store::kManifestRecordHeaderBytes + 5);
+  // The same header cut short.
+  const std::string cut_header =
+      manifest_bytes +
+      torn.substr(0, store::kManifestRecordHeaderBytes - 1);
 
-  for (const auto& [bytes, events, valid] :
-       {std::tuple{appended, 2u, manifest_bytes.size()},
-        std::tuple{stretched, 1u, last}}) {
+  for (const std::string& bytes : {appended, cut_header}) {
     write_file(path, bytes);
     {
       TraceStore reader(path);
-      EXPECT_EQ(reader.manifest().events, events);
-      EXPECT_EQ(reader.verify().events, events);
+      EXPECT_EQ(reader.manifest().events, 2u);
+      EXPECT_EQ(reader.verify().events, 2u);
     }
     {
       TraceStoreWriter writer = TraceStoreWriter::append(path);
-      EXPECT_EQ(std::filesystem::file_size(path), valid);
+      EXPECT_EQ(std::filesystem::file_size(path), manifest_bytes.size());
       writer.on_event(minute_event(7, 0, 0, 0, 7));
       writer.close();
     }
-    EXPECT_EQ(TraceStore(path).verify().events, events + 1);
+    EXPECT_EQ(TraceStore(path).verify().events, 3u);
+  }
+
+  // The last record's own length pointing past the end.
+  std::string stretched = manifest_bytes;
+  stretched[last + 6] = static_cast<char>(0x7f);
+  write_file(path, stretched);
+  for (const bool reopen : {false, true}) {
+    try {
+      if (reopen) {
+        (void)TraceStoreWriter::append(path);
+      } else {
+        (void)TraceStore(path);
+      }
+      ADD_FAILURE() << "opened a log whose last length was stretched";
+    } catch (const ParseError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("at byte " + std::to_string(last)),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_EQ(read_file(path), stretched);
+}
+
+// A high bit set in the length field of any record, the last or an
+// earlier one, is a ParseError naming the manifest and the record's byte
+// offset. Such a length points past the end of the file, and a log whose
+// headers carried no check of their own read it as a torn tail, opening
+// the store at an earlier commit without any error.
+TEST(TraceStoreCrash, ManifestLengthHighBitIsDiagnosed) {
+  const std::string path = temp_path("mtd_store_manifest_high_bit.store");
+  const std::string manifest_bytes = make_two_commit_store(path);
+  const std::vector<std::size_t> at = record_offsets(manifest_bytes);
+  ASSERT_EQ(at.size(), 4u);  // three records and the end
+  for (std::size_t r = 0; r + 1 < at.size(); ++r) {
+    for (std::size_t bit = 32; bit < 64; ++bit) {
+      std::string bytes = manifest_bytes;
+      const std::size_t byte = at[r] + bit / 8;
+      bytes[byte] = static_cast<char>(bytes[byte] | (1u << (bit % 8)));
+      const bool via_file = bit == 63;
+      try {
+        if (via_file) {
+          write_file(path, bytes);
+          (void)TraceStore(path);
+        } else {
+          std::istringstream in(bytes);
+          (void)store::read_manifest_log(in, path);
+        }
+        ADD_FAILURE() << "record " << r << ": accepted length bit " << bit;
+      } catch (const ParseError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("at byte " + std::to_string(at[r])),
+                  std::string::npos)
+            << "record " << r << ", bit " << bit << ": " << what;
+      }
+    }
   }
 }
 
@@ -558,8 +608,8 @@ TEST(TraceStoreCrash, ManifestIntegerFieldsAreRangeChecked) {
 }
 
 // Format v1 stores (with per-leaf bloom pages) are not read: a v1 manifest
-// record is a ParseError naming both format tags, whether it is parsed
-// directly, opened by a reader or reopened for appending.
+// record is a ParseError naming its tag and the supported one, whether it
+// is parsed directly, opened by a reader or reopened for appending.
 TEST(TraceStoreCrash, VersionOneManifestIsRejected) {
   const std::string path = temp_path("mtd_store_v1.store");
   {
@@ -589,7 +639,7 @@ TEST(TraceStoreCrash, VersionOneManifestIsRejected) {
                        store::encode_manifest_record(v1));
   const auto expect_rejected = [](const std::string& what) {
     EXPECT_NE(what.find("mtd-trace-store-v1"), std::string::npos) << what;
-    EXPECT_NE(what.find("mtd-trace-store-v2"), std::string::npos) << what;
+    EXPECT_NE(what.find("mtd-trace-store-v3"), std::string::npos) << what;
   };
   try {
     (void)store::StoreManifest::from_text(v1);
@@ -609,6 +659,129 @@ TEST(TraceStoreCrash, VersionOneManifestIsRejected) {
   } catch (const ParseError& error) {
     expect_rejected(error.what());
   }
+}
+
+// Format v2 stores (FNV-1a checksums) are not read either. Each of their
+// three tags is rejected, naming the tag found and the supported one: the
+// mtd-trace-store-log-v1 log by readers and append(), the
+// mtd-trace-store-v2 manifest text by from_text(), and the version-1 page
+// file behind a current log by its superblock check.
+TEST(TraceStoreCrash, VersionTwoStoreIsRejected) {
+  const std::string path = temp_path("mtd_store_v2.store");
+  const std::string v2 = R"({
+  "committed_pages": "0x1",
+  "events": "0x0",
+  "events_by_kind": {"minute": "0x0", "packet": "0x0", "segment": "0x0",
+                     "session": "0x0"},
+  "format": "mtd-trace-store-v2",
+  "page_size": 4096,
+  "segments": []
+})";
+  // The v2 log framing: [u64 length][u64 fnv1a64(payload)][payload].
+  std::string record(16, '\0');
+  (void)store_le(store_le(record.data(), std::uint64_t{v2.size()}),
+                 fnv1a64(v2));
+  write_file(path, "mtd-trace-store-log-v1\n" + record + v2);
+  // A v2 superblock: page and superblock version 1, FNV-1a checksum.
+  std::string superblock = store::build_superblock(4096);
+  superblock[17] = 1;
+  (void)store_le(superblock.data() + store::kPageHeaderBytes + 8,
+                 std::uint32_t{1});
+  (void)store_le(superblock.data() + 24,
+                 fnv1a64(std::string_view(superblock)
+                             .substr(store::kPageHeaderBytes, 20)));
+  write_file(path + ".pages", superblock);
+
+  const auto expect_rejected = [](const std::function<void()>& open,
+                                  const char* found, const char* supported) {
+    try {
+      open();
+      ADD_FAILURE() << "accepted a v2 store's " << found;
+    } catch (const ParseError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(found), std::string::npos) << what;
+      EXPECT_NE(what.find(supported), std::string::npos) << what;
+    }
+  };
+  expect_rejected([&] { (void)TraceStore(path); }, "mtd-trace-store-log-v1",
+                  "mtd-trace-store-log-v2");
+  expect_rejected([&] { (void)TraceStoreWriter::append(path); },
+                  "mtd-trace-store-log-v1", "mtd-trace-store-log-v2");
+  expect_rejected([&] { (void)store::StoreManifest::from_text(v2); },
+                  "mtd-trace-store-v2", "mtd-trace-store-v3");
+
+  store::StoreManifest current;
+  current.options.page_size = 4096;
+  write_file(path, std::string(store::kManifestLogHeader) +
+                       store::encode_manifest_record(current.to_text()));
+  expect_rejected([&] { (void)TraceStore(path); }, "page version 1",
+                  "at byte 0");
+  expect_rejected([&] { (void)TraceStoreWriter::append(path); },
+                  "page version 1", "at byte 0");
+}
+
+// A seeded sweep of single-bit flips over the payload of one leaf page and
+// one fence page: the XXH64 page checksum catches every one, with the page
+// id and the page's byte offset in the ParseError. Each flip is checked in
+// memory through check_page; one per page also goes through the file.
+TEST(TraceStoreCrash, PagePayloadBitFlipSweepIsDiagnosed) {
+  const std::string path = temp_path("mtd_store_page_flip.store");
+  {
+    TraceStoreWriter writer = TraceStoreWriter::create(path);
+    for (std::uint32_t bs = 0; bs < 1000; ++bs) {
+      writer.on_event(minute_event(bs, 0, 0, 0, bs));
+    }
+    writer.close();
+  }
+  const store::SegmentInfo seg = TraceStore(path).manifest().segments.at(0);
+  ASSERT_GE(seg.depth, 1u) << "the segment needs a fence page";
+  const std::string pages_path = path + ".pages";
+  const std::string bytes = read_file(pages_path);
+  const std::size_t page_size = TraceStore(path).manifest().options.page_size;
+  Rng rng(0x5eed);
+  for (const std::uint64_t page_id : {seg.first_leaf + 1, seg.root}) {
+    const std::size_t at = page_id * page_size;
+    const std::string page = bytes.substr(at, page_size);
+    std::string_view payload;
+    const store::PageHeader header =
+        store::check_page(page, page_id, pages_path, &payload);
+    ASSERT_GT(header.payload_bytes, 0u);
+    const auto expect_diagnosed = [&](const std::string& what) {
+      EXPECT_NE(what.find("page " + std::to_string(page_id)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("at byte " + std::to_string(at)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(pages_path), std::string::npos) << what;
+    };
+    for (int flip = 0; flip < 512; ++flip) {
+      const std::size_t byte =
+          store::kPageHeaderBytes + rng.uniform_index(header.payload_bytes);
+      std::string flipped = page;
+      flipped[byte] =
+          static_cast<char>(flipped[byte] ^ (1u << rng.uniform_index(8)));
+      try {
+        (void)store::check_page(flipped, page_id, pages_path, nullptr);
+        ADD_FAILURE() << "page " << page_id << ": accepted byte " << byte
+                      << " flipped";
+      } catch (const ParseError& error) {
+        expect_diagnosed(error.what());
+      }
+      if (flip == 0) {
+        write_file(pages_path, std::string(bytes).replace(at, page_size,
+                                                          flipped));
+        try {
+          (void)TraceStore(path).verify();
+          ADD_FAILURE() << "verify() accepted page " << page_id << " flipped";
+        } catch (const ParseError& error) {
+          expect_diagnosed(error.what());
+        }
+        write_file(pages_path, bytes);
+      }
+    }
+  }
+  EXPECT_EQ(TraceStore(path).verify().events, 1000u);
 }
 
 // A flipped byte inside a committed leaf page is caught by the page

@@ -12,7 +12,8 @@
 //      killed with foreign exceptions mid-run, the store is tampered with
 //      between incarnations (garbage appended to / torn off the page
 //      file's uncommitted tail — never the committed prefix — and half a
-//      garbage record appended to the manifest log), and segment
+//      record, valid header and garbage payload, appended to the manifest
+//      log), and segment
 //      compaction runs between incarnations with store.compact.* faults
 //      armed (plus one guaranteed fault-free pass at the end, so the final
 //      comparison always covers a compacted store).
@@ -47,7 +48,6 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/fmt.hpp"
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "engine/checkpoint.hpp"
@@ -323,15 +323,14 @@ TraceConfig make_trace(const Options& opt) {
   return trace;
 }
 
-/// Half of a garbage manifest record — a header promising `len` payload
-/// bytes, then garbage — as an append cut short by a crash leaves it.
+/// Half of a manifest record of `len` garbage payload bytes, its header
+/// valid, as an append cut short by a crash leaves it: the cut falls
+/// inside the header or inside the payload.
 std::string torn_manifest_record(Rng& rng) {
-  const std::size_t len = 1 + static_cast<std::size_t>(rng.uniform_index(4096));
-  std::string record(mtd::store::kManifestRecordHeaderBytes + len, '\0');
-  (void)mtd::store_le(record.data(), std::uint64_t{len});
-  for (std::size_t i = 8; i < record.size(); ++i) {
-    record[i] = static_cast<char>(rng.next_u64() & 0xff);
-  }
+  std::string payload(1 + static_cast<std::size_t>(rng.uniform_index(4096)),
+                      '\0');
+  for (char& c : payload) c = static_cast<char>(rng.next_u64() & 0xff);
+  std::string record = mtd::store::encode_manifest_record(payload);
   record.resize(record.size() / 2);
   return record;
 }
