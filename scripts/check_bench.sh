@@ -140,10 +140,13 @@ assert compaction["index_pages_after"] < compaction["index_pages_before"], \
 assert compaction["scan_pages_after"] <= compaction["scan_pages_before"], \
     compaction
 hourly = store["compaction_48"]
-for key in ("segments_before", "events", "pages_written", "wall_s",
-            "heap_growth_mb"):
+for key in ("segments_before", "events", "pages_written", "ingest_wall_s",
+            "wall_s", "heap_growth_mb"):
     assert key in hourly, f"store compaction_48 missing {key}: {hourly}"
 assert hourly["segments_before"] == 48, hourly
+# The merge streams: a bounded prefetch window, never whole key ranges.
+assert hourly["heap_growth_mb"] <= 8.0, \
+    f"compaction_48 heap grew {hourly['heap_growth_mb']:.1f} MB (> 8 MB)"
 
 print("bench report schemas: ok")
 PYEOF

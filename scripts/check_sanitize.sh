@@ -42,9 +42,13 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # synchronization (rings, the typed event plane, engine, checkpoint/resume,
 # faults, supervision, a 3-worker engine's stream aggregated into a
 # dataset) plus the
-# trace store, whose writer is fed from the engine's consumer thread and
-# whose fault points fire under load, the store runner's kill-and-resume
-# suite, the session-source parity suite
+# trace store, whose writer is fed from the engine's consumer thread, hands
+# each sealed commit to its commit thread (BackgroundCommits: page file and
+# manifest log owned by that thread while a commit is in flight) and has
+# compaction helper threads load leaves into a shared prefetch window, and
+# whose fault points fire on those threads under load, the store runner's
+# kill-and-resume and background-commit-failure suites, the session-source
+# parity suite
 # (engine runs feeding both sources), and parallel_for with its callers:
 # the use cases' Monte-Carlo jobs, collect_dataset's per-cell jobs and their
 # fold frontier, and the registry's per-service model fits.

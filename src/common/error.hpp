@@ -8,6 +8,7 @@
 // keys its restart decision off this bit.
 #pragma once
 
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -62,6 +63,31 @@ class EngineError : public Error {
   explicit EngineError(const std::string& what, bool retryable = false)
       : Error(what, retryable) {}
 };
+
+/// True when `error` holds an mtd::Error marked retryable. Any other
+/// exception carries no retryability contract and is never retried.
+[[nodiscard]] inline bool is_retryable(
+    const std::exception_ptr& error) noexcept {
+  if (!error) return false;
+  try {
+    std::rethrow_exception(error);
+  } catch (const Error& e) {
+    return e.retryable();
+  } catch (...) {
+    return false;
+  }
+}
+
+/// Of two errors that ended the same run, the one to report: `first`,
+/// unless it is retryable and `second` is not — a failure a retry cannot
+/// mend outranks one it can, whichever came first.
+[[nodiscard]] inline std::exception_ptr graver_error(
+    std::exception_ptr first, std::exception_ptr second) noexcept {
+  if (!first || (second && is_retryable(first) && !is_retryable(second))) {
+    return second;
+  }
+  return first;
+}
 
 namespace detail {
 [[noreturn]] inline void throw_invalid(const std::string& what) {

@@ -40,16 +40,19 @@ constexpr std::uint64_t kPacketStream = 0x70616b74ULL;   // "pakt"
 /// Cooperative cross-thread failure propagation: any thread (worker,
 /// consumer, watchdog) signals the first failure it sees; producers observe
 /// the flag at every minute tick and before parking on a full ring, the
-/// consumer at every sweep. Only the first exception is kept — later ones
-/// are cascade effects of the same abort.
+/// consumer at every sweep. The first exception is kept — later ones are
+/// mostly cascade effects of the same abort — unless it is retryable and a
+/// later one is not: a supervised run must not restart past a failure that
+/// a retry cannot mend.
 class StopState {
  public:
   std::atomic<bool> flag{false};
 
+  /// Keeps graver_error(held error, `error`) and requests the stop.
   void signal(std::exception_ptr error) noexcept MTD_EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
-      if (!first_) first_ = std::move(error);
+      error_ = graver_error(std::move(error_), std::move(error));
     }
     flag.store(true, std::memory_order_release);
   }
@@ -58,14 +61,14 @@ class StopState {
     return flag.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] std::exception_ptr first_error() MTD_EXCLUDES(mutex_) {
+  [[nodiscard]] std::exception_ptr error() MTD_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    return first_;
+    return error_;
   }
 
  private:
   Mutex mutex_;
-  std::exception_ptr first_ MTD_GUARDED_BY(mutex_);
+  std::exception_ptr error_ MTD_GUARDED_BY(mutex_);
 };
 
 /// One ring slot. kBatch carries up to batch_size data events in
@@ -534,8 +537,8 @@ EngineResult StreamEngine::run_days(
         shards[w]->run(start_minute, last_day, clock, config_.backpressure,
                        telemetry.worker(w), stop.flag, config_.fault);
       } catch (...) {
-        // First-exception capture: a worker fault stops the whole engine;
-        // the consumer notices, drains, joins, and rethrows this.
+        // A worker fault stops the whole engine; the consumer notices,
+        // drains, joins, and rethrows the run's gravest error.
         stop.signal(std::current_exception());
       }
       active.fetch_sub(1, std::memory_order_release);
@@ -794,7 +797,7 @@ EngineResult StreamEngine::run_days(
     }
   }
 
-  if (std::exception_ptr error = stop.first_error()) {
+  if (std::exception_ptr error = stop.error()) {
     // Final diagnostic snapshot before the failure propagates: the last
     // exact accounting of what was produced, delivered, shed, and
     // discarded.

@@ -1,5 +1,6 @@
 #include "engine/store_runner.hpp"
 
+#include <exception>
 #include <string>
 
 #include "common/error.hpp"
@@ -21,25 +22,41 @@ EngineResult run_engine_into_store(StreamEngine& engine,
   std::size_t compacted_through = stored ? stored->next_day() : 0;
   // Every checkpoint is an exact cut at the sink, so the writer's pending
   // events are exactly the interval the checkpoint closes: data and
-  // checkpoint publish in one commit.
+  // checkpoint publish in one commit. The hook only seals it; the commit
+  // thread syncs it while the consumer ingests the next interval.
+  store::TraceStoreWriter::BackgroundCommits commits(writer);
   const auto publish = [&](const EngineCheckpoint& checkpoint) {
     writer.set_engine_checkpoint(checkpoint.to_json().dump(2));
-    writer.commit();
+    commits.commit();
     if (policy.compact_every_days == 0 ||
         checkpoint.next_day() <
             compacted_through + policy.compact_every_days) {
       return;
     }
+    commits.wait();
     if (writer.manifest().segments.size() > 1) (void)writer.compact();
     compacted_through = checkpoint.next_day();
   };
   engine.on_checkpoint(publish);
-  EngineResult result =
-      stored ? engine.resume(*stored, writer) : engine.run(writer);
+  EngineResult result;
+  try {
+    result = stored ? engine.resume(*stored, writer) : engine.run(writer);
+  } catch (...) {
+    // The commit in flight lands or fails before the error leaves, and
+    // its own failure outranks a retryable engine error.
+    std::exception_ptr error = std::current_exception();
+    try {
+      commits.wait();
+    } catch (...) {
+      error = graver_error(error, std::current_exception());
+    }
+    std::rethrow_exception(error);
+  }
   // A zero-day run fires no checkpoint callback; publish the final
   // checkpoint either way (a no-op commit when the last checkpoint already
   // did).
   publish(result.checkpoint);
+  commits.wait();
   return result;
 }
 

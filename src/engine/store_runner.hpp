@@ -7,11 +7,23 @@
 // below the checkpoint's minute and none past it. The writer is therefore
 // the engine's sink directly — its pending events are exactly what the
 // checkpoint covers — and each hook commits them together with the full
-// checkpoint JSON in one manifest record. That embedded checkpoint
-// is the store's one resume point: run_engine_into_store starts at day 0
-// on a store that has none and otherwise resumes from it, so data and
-// resume point can never drift apart — they publish together or not at
-// all, and no caller supplies a point of its own. Recovering from a crash
+// checkpoint JSON in one manifest record. The hook only seals that commit
+// (builds its page image; the pending buffers take the next interval at
+// once); one commit thread, living for the whole call
+// (TraceStoreWriter::BackgroundCommits), appends and fdatasyncs the pages
+// and the record while the consumer ingests the next interval. At most one
+// commit is in flight: the next hook, a compaction, the final publish and
+// every exit path wait for it first, so checkpoint k is durable once hook
+// k+1 or the call returns, and no commit is in flight once the call
+// returns or throws. A failed background commit surfaces from the call
+// with the exception a synchronous commit would raise; when the engine
+// failed too, the non-retryable of the two wins (graver_error).
+//
+// That embedded checkpoint is the store's one resume point:
+// run_engine_into_store starts at day 0 on a store that has none and
+// otherwise resumes from it, so data and resume point can never drift
+// apart — they publish together or not at all, and no caller supplies a
+// point of its own. Recovering from a crash
 // is reopening the store and calling run_engine_into_store again. When a
 // run fails, the writer still holds the uncommitted tail past the last
 // checkpoint: drop the writer (or reopen the store) rather than close()
@@ -19,7 +31,8 @@
 // ingested twice by the resume.
 //
 // Memory: the writer buffers every event of the interval a checkpoint
-// closes, about 118 B of RAM per event, until that checkpoint commits it.
+// closes, about 118 B of RAM per event, until that checkpoint seals it,
+// plus the page image of the commit in flight (about 40 B per event).
 // At the default checkpoint_interval_minutes = 0 the checkpoints are day
 // boundaries, so the writer holds a whole simulated day — about 4.8 GB at
 // 2,000 BSs (40M events); an hourly interval cut the same run to about

@@ -1,14 +1,17 @@
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <optional>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/fmt.hpp"
+#include "common/mutex.hpp"
 #include "events/event_codec.hpp"
 #include "io/durable_file.hpp"
 #include "io/json.hpp"
@@ -203,18 +206,51 @@ struct TraceStoreWriter::Impl {
   std::array<std::uint64_t, kNumEventKinds> pending_by_kind{};
   std::optional<std::string> pending_checkpoint;
   bool open = false;
-  /// Page images of the segment being built; reused across commits.
+  /// Page images of the segment being built; reused across commits. A
+  /// sealed commit's image stays here until its pages are appended.
   std::string pages;
   /// Commit scratch, reused: the runs grouped by BS, and one BS's
   /// records in emission order.
   std::vector<Run> run_order;
   std::vector<std::size_t> group;
+  /// The commit last sealed: the manifest it publishes and that
+  /// manifest's log record. `manifest` stays the last collected commit
+  /// until this one is collected.
+  struct Sealed {
+    StoreManifest next;
+    std::string record;
+  };
+  Sealed sealed;
+
+  /// The commit thread of a BackgroundCommits, and the hand-off of one
+  /// sealed commit to it. `in_flight` belongs to the calling thread: a
+  /// commit was handed off and not yet awaited. While it is set, the
+  /// commit thread owns `pages`, `sealed`, both files and `open`.
+  Mutex commit_mutex;
+  ConditionVariable commit_cv;
+  bool commit_queued MTD_GUARDED_BY(commit_mutex) = false;
+  bool committer_stopping MTD_GUARDED_BY(commit_mutex) = false;
+  std::exception_ptr commit_error MTD_GUARDED_BY(commit_mutex);
+  bool in_flight = false;
+  std::thread committer;
+
+  Impl() = default;
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+  ~Impl() { stop_committer(); }
 
   void add(const StreamEvent& event);
   void emit_pending(SegmentBuilder& builder);
-  void commit();
+  /// Seals the pending events into `pages` and `sealed`, then publishes
+  /// them here or, `in_background`, hands them to the commit thread.
+  void commit(bool in_background = false);
+  void publish();
+  void clear_pending() noexcept;
+  void await();
+  void run_committer();
+  void stop_committer() noexcept;
   CompactionReport compact();
-  void append_manifest(const StoreManifest& next);
+  void append_manifest(const std::string& record);
   void close_files() noexcept {
     pages_file.close();
     log.close();
@@ -315,7 +351,9 @@ void TraceStoreWriter::on_event(const StreamEvent& event) {
 }
 
 void TraceStoreWriter::close() {
-  if (impl_ == nullptr || !impl_->open) return;
+  if (impl_ == nullptr) return;
+  impl_->await();
+  if (!impl_->open) return;
   impl_->commit();
   impl_->close_files();
 }
@@ -403,7 +441,31 @@ void TraceStoreWriter::Impl::emit_pending(SegmentBuilder& builder) {
   }
 }
 
-void TraceStoreWriter::Impl::commit() {
+void TraceStoreWriter::Impl::publish() {
+  // The commit sequence: append pages past the committed length, sync
+  // them, then append the manifest record that vouches for them and sync
+  // the log. A failure (or injected fault) anywhere before the record is
+  // complete leaves the previous record as the last one — the appended
+  // pages are invisible garbage, cut back by the next attempt.
+  pages_file.truncate(manifest.committed_bytes());
+  fault_fire(fault, "store.commit.pages");
+  pages_file.append(pages);
+  fault_fire(fault, "store.commit.sync");
+  pages_file.sync();
+  fault_fire(fault, "store.commit.manifest");
+  append_manifest(sealed.record);
+}
+
+void TraceStoreWriter::Impl::clear_pending() noexcept {
+  pending.clear();
+  pending_bytes.clear();
+  runs.clear();
+  pending_by_kind = {};
+  pending_checkpoint.reset();
+}
+
+void TraceStoreWriter::Impl::commit(bool in_background) {
+  await();
   const bool checkpoint_dirty =
       pending_checkpoint.has_value() &&
       *pending_checkpoint != manifest.engine_checkpoint;
@@ -432,30 +494,117 @@ void TraceStoreWriter::Impl::commit() {
     }
     next.segments.push_back(std::move(seg));
   }
+  sealed.record = encode_manifest_record(next.to_text());
+  sealed.next = std::move(next);
 
-  // The commit sequence: append pages past the committed length, sync
-  // them, then append the manifest record that vouches for them and sync
-  // the log. A failure (or injected fault) anywhere before the record is
-  // complete leaves the previous record as the last one — the appended
-  // pages are invisible garbage and the pending events are kept for a
-  // retry, which first cuts the pages back to the committed length.
-  pages_file.truncate(manifest.committed_bytes());
-  fault_fire(fault, "store.commit.pages");
-  pages_file.append(pages);
-  fault_fire(fault, "store.commit.sync");
-  pages_file.sync();
-  fault_fire(fault, "store.commit.manifest");
-  append_manifest(next);
-
-  manifest = std::move(next);
-  pending.clear();
-  pending_bytes.clear();
-  runs.clear();
-  pending_by_kind = {};
-  pending_checkpoint.reset();
+  if (in_background) {
+    // The page image and the record hold the interval now: the pending
+    // buffers take the next one at once.
+    clear_pending();
+    in_flight = true;
+    {
+      MutexLock lock(commit_mutex);
+      commit_queued = true;
+    }
+    commit_cv.notify_all();
+    return;
+  }
+  // On failure the pending events are kept for a retry.
+  publish();
+  manifest = std::move(sealed.next);
+  clear_pending();
 }
 
+void TraceStoreWriter::Impl::await() {
+  if (!in_flight) return;
+  std::exception_ptr error;
+  {
+    MutexLock lock(commit_mutex);
+    commit_cv.wait(commit_mutex, [this]() MTD_NO_THREAD_SAFETY_ANALYSIS {
+      return !commit_queued;
+    });
+    error = std::exchange(commit_error, nullptr);
+  }
+  in_flight = false;
+  if (error) {
+    // The sealed interval is gone from the pending buffers, so no later
+    // commit may publish over the gap: the writer is done.
+    close_files();
+    std::rethrow_exception(error);
+  }
+  manifest = std::move(sealed.next);
+}
+
+void TraceStoreWriter::Impl::run_committer() {
+  for (;;) {
+    {
+      MutexLock lock(commit_mutex);
+      commit_cv.wait(commit_mutex, [this]() MTD_NO_THREAD_SAFETY_ANALYSIS {
+        return commit_queued || committer_stopping;
+      });
+      if (!commit_queued) return;
+    }
+    std::exception_ptr error;
+    try {
+      publish();
+    } catch (...) {
+      error = std::current_exception();
+      // Pages that failed before their sync are cut back (best effort; a
+      // reopen reclaims them anyway). Synced ones stay: once the record's
+      // append has begun, only a reopen can tell whether it is durable.
+      try {
+        if (pages_file.synced() < pages_file.size()) {
+          pages_file.truncate(manifest.committed_bytes());
+        }
+      } catch (const IoError&) {
+      }
+    }
+    {
+      MutexLock lock(commit_mutex);
+      commit_queued = false;
+      commit_error = error;
+    }
+    commit_cv.notify_all();
+  }
+}
+
+void TraceStoreWriter::Impl::stop_committer() noexcept {
+  if (!committer.joinable()) return;
+  try {
+    await();
+  } catch (...) {
+    // Nobody is left to report it to; the writer is closed.
+  }
+  {
+    MutexLock lock(commit_mutex);
+    committer_stopping = true;
+  }
+  commit_cv.notify_all();
+  committer.join();
+  MutexLock lock(commit_mutex);
+  committer_stopping = false;
+}
+
+TraceStoreWriter::BackgroundCommits::BackgroundCommits(
+    TraceStoreWriter& writer)
+    : impl_(writer.impl_.get()) {
+  require(!impl_->committer.joinable(),
+          "TraceStoreWriter: the writer already commits in the background");
+  impl_->committer = std::thread([impl = impl_] { impl->run_committer(); });
+}
+
+TraceStoreWriter::BackgroundCommits::~BackgroundCommits() {
+  impl_->stop_committer();
+}
+
+void TraceStoreWriter::BackgroundCommits::commit() {
+  impl_->commit(/*in_background=*/true);
+}
+
+void TraceStoreWriter::BackgroundCommits::wait() { impl_->await(); }
+
 CompactionReport TraceStoreWriter::Impl::compact() {
+  await();
   CompactionReport report;
   report.segments_before = manifest.segments.size();
   report.segments_after = manifest.segments.size();
@@ -509,19 +658,18 @@ CompactionReport TraceStoreWriter::Impl::compact() {
   fault_fire(fault, "store.compact.sync");
   pages_file.sync();
   fault_fire(fault, "store.compact.manifest");
-  append_manifest(next);
+  append_manifest(encode_manifest_record(next.to_text()));
 
   manifest = std::move(next);
   return report;
 }
 
-void TraceStoreWriter::Impl::append_manifest(const StoreManifest& next) {
+void TraceStoreWriter::Impl::append_manifest(const std::string& record) {
   // Appending keeps commits off the rename path: replacing a file frees
   // the replaced file's blocks, which costs tens of milliseconds on ext4
   // (DESIGN.md section 12). Once the log would outgrow its cap it is
   // rewritten as this one record instead, so a reader never checksums
   // more than the cap; that rename is rare.
-  const std::string record = encode_manifest_record(next.to_text());
   const std::uint64_t cap = std::max<std::uint64_t>(
       kManifestLogRewriteBytes, std::uint64_t{8} * record.size());
   try {

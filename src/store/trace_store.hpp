@@ -19,9 +19,13 @@
 // or injected fault at ANY point of that sequence leaves the store opening
 // at the previous committed state: page bytes past the committed length
 // and a torn last log record are invisible, and the next writer open
-// reclaims both. Compaction publishes the same way. Only when the log
-// would outgrow kManifestLogRewriteBytes is it replaced by its newest
-// record through write_file_atomic (fdatasync, rename, directory fsync).
+// reclaims both. Compaction publishes the same way. Under
+// TraceStoreWriter::BackgroundCommits (every run_engine_into_store run)
+// the same sequence runs on a commit thread, one commit at a time: the
+// commit of checkpoint k is durable once hook k+1, the final publish or
+// close() returns. Only when the log would outgrow
+// kManifestLogRewriteBytes is it replaced by its newest record through
+// write_file_atomic (fdatasync, rename, directory fsync).
 // A pages file shorter than the committed length, a log record whose
 // header check or checksum disagrees, a page whose checksum disagrees, or
 // a leaf record the record rule rejects is reported with path and byte
@@ -144,8 +148,11 @@ struct StoreVerifyReport {
 
 /// Ingest side: buffers events, seals a sorted segment per commit().
 /// Implements EventSink so it drops into any sink composition (fan-out,
-/// filter, engine consumer). Single-threaded like every sink.
+/// filter, engine consumer). Single-threaded like every sink: its own
+/// threads (BackgroundCommits, compaction helpers) never call back.
 class TraceStoreWriter final : public EventSink {
+  struct Impl;
+
  public:
   /// Creates a new empty store at `path` (manifest log) + `path`.pages,
   /// replacing any existing one, and syncs both files and their directory.
@@ -187,7 +194,11 @@ class TraceStoreWriter final : public EventSink {
   /// segments' pages are retired into StoreManifest::dead_pages; a crash at
   /// any point leaves the previous manifest, under which every old segment
   /// is still live. Pending (uncommitted) events are untouched. No-op when
-  /// fewer than two segments are committed.
+  /// fewer than two segments are committed. The merge and the page
+  /// building stay on the calling thread; helper threads, one per further
+  /// hardware thread and only for the length of the call, read, check and
+  /// index leaves ahead of the merge (TraceStore::replay_records), so the
+  /// pages are byte-identical to a serial merge's.
   CompactionReport compact();
 
   /// Records the engine checkpoint blob (JSON text) to publish with the
@@ -200,7 +211,8 @@ class TraceStoreWriter final : public EventSink {
 
   /// Lengths of the page file and of the manifest log that the writer has
   /// fdatasynced. A power cut may lose any byte past them, and nothing
-  /// before them: the acknowledged commits all lie within.
+  /// before them: the acknowledged commits all lie within. Read them only
+  /// while no background commit is in flight.
   struct SyncedBytes {
     std::uint64_t pages = 0;
     std::uint64_t manifest = 0;
@@ -208,8 +220,42 @@ class TraceStoreWriter final : public EventSink {
   [[nodiscard]] SyncedBytes synced_bytes() const noexcept;
   [[nodiscard]] std::uint64_t events_committed() const noexcept;
 
+  /// A commit thread for one writer, living as long as this object
+  /// (run_engine_into_store holds one for the whole run). commit() seals
+  /// the pending events on the calling thread — it builds the page image
+  /// and the manifest record, and the pending buffers take the next events
+  /// at once — and the thread then runs the commit sequence of
+  /// TraceStoreWriter::commit(): append the pages, fdatasync them, append
+  /// the record, fdatasync the log (same fault points). At most one commit
+  /// is in flight: commit(), wait(), the writer's own commit(), compact()
+  /// and close(), and the destructor each wait for it first, and a commit
+  /// is durable, and shown by manifest(), once one of them returns. Memory
+  /// is one sealed page image besides the pending events. A background
+  /// commit that fails leaves the store at the previous commit, cuts back
+  /// the pages it had not synced, and closes the writer (the interval it
+  /// sealed is no longer pending, so nothing may be committed after it:
+  /// reopen the store); the wait that collects it rethrows its exception.
+  /// Must not outlive the writer.
+  class BackgroundCommits {
+   public:
+    explicit BackgroundCommits(TraceStoreWriter& writer);
+    /// Waits for the commit in flight (dropping its error) and joins the
+    /// thread.
+    ~BackgroundCommits();
+    BackgroundCommits(const BackgroundCommits&) = delete;
+    BackgroundCommits& operator=(const BackgroundCommits&) = delete;
+
+    /// Waits for the previous commit, then seals and hands off the next;
+    /// a no-op when TraceStoreWriter::commit() would be.
+    void commit();
+    /// Waits for the commit in flight; rethrows its failure.
+    void wait();
+
+   private:
+    Impl* impl_;
+  };
+
  private:
-  struct Impl;
   explicit TraceStoreWriter(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
@@ -246,7 +292,13 @@ class TraceStore {
   /// same order, to `fn` as its key and its stored bytes (u32 length
   /// prefix + payload, exactly as held in a leaf). Each record passes the
   /// record rule, so a corrupt one raises the ParseError a decoding read
-  /// would. The compaction path.
+  /// would. The compaction path: helper threads, living for the call, read
+  /// each leaf with pread, check its XXH64 and index its records ahead of
+  /// the merge, in the order the merge will ask for them (by the fence max
+  /// key of the leaf before it), at most 64 leaves ahead besides one open
+  /// leaf per segment. A helper's error is raised when the merge reaches
+  /// that leaf, so errors come in merge order, with the text a serial read
+  /// gives.
   [[nodiscard]] std::uint64_t replay_records(
       const std::function<void(const EventKey&, std::string_view)>& fn);
 

@@ -409,6 +409,37 @@ TEST(Supervisor, ForeignExceptionsAreNotRetried) {
             std::string::npos);
 }
 
+// A retryable error does not hide a non-retryable one that follows it in
+// the same attempt. The consumer stalls before its first sweep; the
+// watchdog signals its retryable stall error meanwhile; then the sweep
+// delivers the first session, whose sink throws a foreign exception. The
+// attempt must report the foreign exception and must not be retried.
+TEST(Supervisor, NonRetryableErrorOutranksAnEarlierRetryableOne) {
+  const Network network = make_network(6);
+  const TraceConfig trace = make_trace(1);
+  FaultInjector fault;
+  fault.arm("consumer.loop",
+            FaultSpec{.action = FaultAction::kStall, .stall_ms = 1200.0});
+  fault.arm("sink.session", FaultSpec{.action = FaultAction::kThrow});
+  EngineConfig config;
+  config.num_workers = 1;
+  config.queue_capacity = 8;
+  config.watchdog_timeout_s = 0.25;
+  config.fault = &fault;
+  SupervisorConfig sup;
+  sup.max_restarts = 2;
+  sup.backoff_initial_ms = 1.0;
+  Supervisor supervisor(network, trace, config, sup);
+  const ScratchStore store;
+  const RunReport report = supervisor.run_into_store(store.path());
+
+  EXPECT_FALSE(report.succeeded) << report.to_json().dump(2);
+  ASSERT_EQ(report.attempts.size(), 1u) << report.to_json().dump(2);
+  EXPECT_FALSE(report.attempts[0].retryable);
+  EXPECT_EQ(report.attempts[0].error, "injected exception at sink.session");
+  EXPECT_EQ(fault.fired("consumer.loop"), 1u);
+}
+
 TEST(Supervisor, GivesUpAfterTheRestartBudget) {
   const Network network = make_network(6);
   const TraceConfig trace = make_trace(2);

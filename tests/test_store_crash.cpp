@@ -723,7 +723,11 @@ TEST(TraceStoreCrash, VersionTwoStoreIsRejected) {
 // A seeded sweep of single-bit flips over the payload of one leaf page and
 // one fence page: the XXH64 page checksum catches every one, with the page
 // id and the page's byte offset in the ParseError. Each flip is checked in
-// memory through check_page; one per page also goes through the file.
+// memory through check_page, and each also goes through the file: the
+// serial replay and compact() — whose helper threads load the leaves ahead
+// of its merge — raise the same diagnostic, and the failed compaction
+// leaves the previous manifest live. One flip per page also goes through
+// verify().
 TEST(TraceStoreCrash, PagePayloadBitFlipSweepIsDiagnosed) {
   const std::string path = temp_path("mtd_store_page_flip.store");
   {
@@ -731,13 +735,29 @@ TEST(TraceStoreCrash, PagePayloadBitFlipSweepIsDiagnosed) {
     for (std::uint32_t bs = 0; bs < 1000; ++bs) {
       writer.on_event(minute_event(bs, 0, 0, 0, bs));
     }
+    writer.commit();
+    // A second segment interleaved with the first, so compact() merges.
+    for (std::uint32_t bs = 0; bs < 1000; bs += 100) {
+      writer.on_event(minute_event(bs, 0, 1, 0, bs));
+    }
     writer.close();
   }
+  const std::string manifest_before =
+      store::StoreManifest::load(path).to_text();
   const store::SegmentInfo seg = TraceStore(path).manifest().segments.at(0);
   ASSERT_GE(seg.depth, 1u) << "the segment needs a fence page";
   const std::string pages_path = path + ".pages";
   const std::string bytes = read_file(pages_path);
   const std::size_t page_size = TraceStore(path).manifest().options.page_size;
+  const auto patch = [&pages_path](std::size_t at, const std::string& page) {
+    std::fstream file(pages_path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(at));
+    file.write(page.data(), static_cast<std::streamsize>(page.size()));
+    ASSERT_TRUE(file.good());
+  };
+  TraceStore reader(path);
+  TraceStoreWriter compactor = TraceStoreWriter::append(path);
   Rng rng(0x5eed);
   for (const std::uint64_t page_id : {seg.first_leaf + 1, seg.root}) {
     const std::size_t at = page_id * page_size;
@@ -768,20 +788,38 @@ TEST(TraceStoreCrash, PagePayloadBitFlipSweepIsDiagnosed) {
       } catch (const ParseError& error) {
         expect_diagnosed(error.what());
       }
+      patch(at, flipped);
+      std::string replayed;
+      try {
+        struct Null final : EventSink {
+          void on_event(const StreamEvent&) override {}
+        } sink;
+        (void)reader.replay(sink);
+        ADD_FAILURE() << "replay accepted page " << page_id << " flipped";
+      } catch (const ParseError& error) {
+        replayed = error.what();
+        expect_diagnosed(replayed);
+      }
+      try {
+        (void)compactor.compact();
+        ADD_FAILURE() << "compact() accepted page " << page_id << " flipped";
+      } catch (const ParseError& error) {
+        EXPECT_EQ(std::string(error.what()), replayed);
+      }
+      EXPECT_EQ(store::StoreManifest::load(path).to_text(), manifest_before);
+      EXPECT_EQ(compactor.manifest().to_text(), manifest_before);
       if (flip == 0) {
-        write_file(pages_path, std::string(bytes).replace(at, page_size,
-                                                          flipped));
         try {
           (void)TraceStore(path).verify();
           ADD_FAILURE() << "verify() accepted page " << page_id << " flipped";
         } catch (const ParseError& error) {
           expect_diagnosed(error.what());
         }
-        write_file(pages_path, bytes);
       }
+      patch(at, page);
     }
   }
-  EXPECT_EQ(TraceStore(path).verify().events, 1000u);
+  EXPECT_EQ(TraceStore(path).verify().events, 1010u);
 }
 
 // A flipped byte inside a committed leaf page is caught by the page

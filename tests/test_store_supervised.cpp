@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -261,6 +263,104 @@ TEST(StoreSupervised, RunIntoStoreRecoversFromRetryableFaults) {
   EXPECT_TRUE(fingerprint_store(path, network.size(),
                                 static_cast<std::uint16_t>(trace.num_days)) ==
               clean);
+  fs::remove_all(dir);
+}
+
+// run_engine_into_store syncs each hourly commit on its commit thread while
+// the consumer ingests the next hour. A fault at any store.commit.* point
+// there surfaces from run_engine_into_store with the exception a
+// synchronous commit raises (InjectedFault, or the foreign exception that
+// stands in for a kill), at the next hook or at the final publish. No
+// commit is in flight once it has thrown: the writer has synced every
+// byte of both files. The store reopens at the checkpoint before the
+// failed one, and a resume from there is bit-identical to a clean run.
+TEST(StoreSupervised, BackgroundCommitFailureSurfacesAndResumes) {
+  const Network network = make_network(6);
+  const TraceConfig trace = make_trace(1);
+  const fs::path dir =
+      fs::temp_directory_path() / "mtd_test_store_background_commit";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  EngineConfig config = make_engine_config(nullptr);
+  config.checkpoint_interval_minutes = 60;
+  const auto expect_synced = [](const store::TraceStoreWriter& writer,
+                                const std::string& path) {
+    EXPECT_EQ(writer.synced_bytes().pages, fs::file_size(path + ".pages"));
+    EXPECT_EQ(writer.synced_bytes().manifest, fs::file_size(path));
+  };
+
+  const std::string clean_path = (dir / "clean.store").string();
+  {
+    auto writer = store::TraceStoreWriter::create(clean_path);
+    StreamEngine engine(network, trace, config);
+    ASSERT_TRUE(run_engine_into_store(engine, writer).checkpoint.complete());
+    expect_synced(writer, clean_path);
+    writer.close();
+  }
+  const StoreFingerprint clean = fingerprint_store(
+      clean_path, network.size(), static_cast<std::uint16_t>(trace.num_days));
+
+  const std::vector<std::string> points = {
+      "store.commit.pages", "store.commit.sync", "store.commit.manifest"};
+  std::size_t case_id = 0;
+  for (const std::string& point : points) {
+    for (const FaultAction action :
+         {FaultAction::kError, FaultAction::kThrow}) {
+      // The second commit, surfaced by the next hook; the last of the 24
+      // hourly commits, surfaced by the final publish.
+      for (const std::uint64_t after : {1u, 23u}) {
+        SCOPED_TRACE(point +
+                     (action == FaultAction::kError ? " / error" : " / kill") +
+                     " at commit " + std::to_string(after + 1));
+        const std::string path =
+            (dir / ("failed" + std::to_string(case_id++) + ".store")).string();
+        store::TraceStoreWriter::create(path).close();
+        FaultInjector fault;
+        fault.arm(point, FaultSpec{.action = action, .after = after});
+        {
+          auto writer = store::TraceStoreWriter::append(path, &fault);
+          EngineConfig faulty = config;
+          faulty.fault = &fault;
+          StreamEngine engine(network, trace, faulty);
+          try {
+            (void)run_engine_into_store(engine, writer);
+            ADD_FAILURE() << "the commit fault did not surface";
+          } catch (const InjectedFault&) {
+            EXPECT_EQ(action, FaultAction::kError);
+          } catch (const Error& e) {
+            ADD_FAILURE() << "unexpected library error: " << e.what();
+          } catch (const std::runtime_error& e) {
+            EXPECT_EQ(action, FaultAction::kThrow);
+            EXPECT_EQ(std::string(e.what()), "injected exception at " + point);
+          }
+          EXPECT_EQ(fault.fired(point), 1u);
+          expect_synced(writer, path);
+          EXPECT_EQ(writer.manifest().to_text(),
+                    store::StoreManifest::load(path).to_text());
+        }
+        {
+          store::TraceStore reader(path);
+          const std::optional<EngineCheckpoint> checkpoint =
+              load_store_checkpoint(reader.manifest());
+          ASSERT_TRUE(checkpoint.has_value());
+          EXPECT_EQ(checkpoint->clock_minute, 60 * after);
+          EXPECT_EQ(reader.manifest().segments.size(), after);
+          EXPECT_EQ(reader.verify().events, reader.manifest().events);
+        }
+        {
+          auto writer = store::TraceStoreWriter::append(path);
+          StreamEngine engine(network, trace, config);
+          EXPECT_TRUE(
+              run_engine_into_store(engine, writer).checkpoint.complete());
+          expect_synced(writer, path);
+          writer.close();
+        }
+        EXPECT_TRUE(fingerprint_store(path, network.size(),
+                                      static_cast<std::uint16_t>(
+                                          trace.num_days)) == clean);
+      }
+    }
+  }
   fs::remove_all(dir);
 }
 
